@@ -12,7 +12,8 @@
 //! strict round policy.
 
 use super::rounds::{
-    quorum_unmet, record_screen, strict_policy, tolerant_eval_round, tolerant_round, RobustCtx,
+    fit_error, record_screen, require_quorum, strict_policy, tolerant_eval_round, unexpected,
+    usable_round, RobustCtx,
 };
 use crate::aggregate::GlobalModel;
 use crate::ckpt::{CkptSink, Record};
@@ -25,7 +26,7 @@ use ff_fl::config::{ConfigMap, ConfigMapExt};
 use ff_fl::message::{Instruction, Reply};
 use ff_fl::runtime::{FederatedRuntime, RoundPolicy};
 use ff_fl::secure::{mask_contribution, unmask_average};
-use ff_fl::strategy::{fedavg, fit_updates, unwrap_fit_replies};
+use ff_fl::strategy::{fit_updates, unwrap_fit_replies};
 use ff_models::spec::FinalizeStrategy;
 
 /// What Phase IV produced: the deployed global model, its aggregated
@@ -122,28 +123,14 @@ fn finalize_with_tolerant_inner(
         params: vec![],
         config: config_to_map(best_config).with_str(OP, "final_fit"),
     };
-    let (outcome, idx) = tolerant_round(rt, "finalization", &ins, policy, rounds)?;
-    let mut usable: Vec<(usize, Reply)> = Vec::new();
-    for (id, r) in outcome.replies {
-        match &r {
-            Reply::FitRes { metrics, .. } => {
-                if let Some(err) = metrics.get("error").and_then(|v| v.as_str()) {
-                    rounds[idx].app_errors.push((id, err.to_string()));
-                } else {
-                    usable.push((id, r));
-                }
-            }
-            Reply::Error(e) => rounds[idx].app_errors.push((id, e.clone())),
-            other => rounds[idx]
-                .app_errors
-                .push((id, format!("unexpected reply {other:?}"))),
-        }
-    }
-    rounds[idx].usable = usable.len();
-    let required = policy.min_responses.max(1);
-    if usable.len() < required {
-        return Err(quorum_unmet(rounds, idx, usable.len(), required));
-    }
+    let (usable, idx) = usable_round(rt, "finalization", &ins, policy, rounds, |r| match &r {
+        Reply::FitRes { metrics, .. } => match fit_error(metrics) {
+            Some(err) => Err(err),
+            None => Ok(r),
+        },
+        _ => Err(unexpected(r)),
+    })?;
+    require_quorum(rounds, idx, usable.len(), policy)?;
 
     // Pipeline winners always finalize by ensemble union: each member is a
     // self-contained blob-v3 forecaster (non-codec models ship in probed
@@ -156,28 +143,7 @@ fn finalize_with_tolerant_inner(
     };
     match strategy {
         FinalizeStrategy::CoefficientAverage => {
-            let global_params = if ctx.is_robust() {
-                // Robust path: screen per-client coefficient vectors, feed
-                // the verdicts to the health registry, then apply the
-                // configured robust rule over the survivors.
-                let updates = fit_updates(usable).map_err(EngineError::Federation)?;
-                let screened = ctx.guard.screen_updates(updates);
-                let accepted_ids: Vec<usize> =
-                    screened.accepted.iter().map(|(id, _, _)| *id).collect();
-                record_screen(rt, rounds, idx, &accepted_ids, &screened.rejected);
-                rounds[idx].usable = screened.accepted.len();
-                if screened.accepted.len() < required {
-                    return Err(quorum_unmet(rounds, idx, screened.accepted.len(), required));
-                }
-                let survivors: Vec<(Vec<f64>, u64)> = screened
-                    .accepted
-                    .into_iter()
-                    .map(|(_, p, n)| (p, n))
-                    .collect();
-                ctx.strategy
-                    .aggregate(&survivors)
-                    .map_err(EngineError::Federation)?
-            } else if ctx.secure {
+            let global_params = if ctx.secure {
                 // Masked path (FedAvg only, enforced by config validation):
                 // each survivor uploads `weight·params + Σ pairwise masks`;
                 // the masks cancel in the sum, so the server recovers the
@@ -199,8 +165,22 @@ fn finalize_with_tolerant_inner(
                     )
                 })?
             } else {
-                let fit_results = unwrap_fit_replies(usable).map_err(EngineError::Federation)?;
-                fedavg(&fit_results).map_err(EngineError::Federation)?
+                let mut updates = fit_updates(usable).map_err(EngineError::Federation)?;
+                if ctx.is_robust() {
+                    // Robust path: screen per-client coefficient vectors and
+                    // feed the verdicts to the health registry before the
+                    // configured rule aggregates the survivors.
+                    let screened = ctx.guard.screen_updates(updates);
+                    let accepted_ids: Vec<usize> =
+                        screened.accepted.iter().map(|(id, _, _)| *id).collect();
+                    record_screen(rt, rounds, idx, &accepted_ids, &screened.rejected);
+                    rounds[idx].usable = screened.accepted.len();
+                    require_quorum(rounds, idx, screened.accepted.len(), policy)?;
+                    updates = screened.accepted;
+                }
+                ctx.strategy
+                    .aggregate(updates)
+                    .map_err(EngineError::Federation)?
             };
             // Split off what the deployed model keeps *before* the eval
             // round takes ownership of the full vector — the broadcast

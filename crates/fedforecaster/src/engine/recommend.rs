@@ -6,67 +6,45 @@
 //! for the flat Table 2 search, and the algorithm axis of the composed
 //! pipeline space (`EngineConfig::pipelines`).
 
-use super::rounds::{quorum_unmet, tolerant_round};
+use super::rounds::{
+    fit_error, require_quorum, strict_policy, tolerant_round, unexpected, usable_round,
+};
 use crate::client::OP;
 use crate::feature_engineering::{select_features, GlobalFeatureSpec};
-use crate::{EngineError, Result};
+use crate::Result;
 use ff_fl::config::{ConfigMap, ConfigMapExt};
 use ff_fl::message::{Instruction, Reply};
 use ff_fl::runtime::{FederatedRuntime, RoundPolicy};
 use ff_metalearn::aggregate::GlobalMetaFeatures;
 use ff_metalearn::features::ClientMetaFeatures;
+use ff_par::ParConfig;
 use ff_timeseries::periodogram;
 
 /// Phase I: collect per-client meta-features and aggregate them.
-/// Returns the global vector and the longest client length.
+/// Returns the global vector and the longest client length. Runs
+/// [`collect_global_meta_tolerant`] under the strict round policy: every
+/// client must reply usably.
 pub fn collect_global_meta(rt: &FederatedRuntime) -> Result<(GlobalMetaFeatures, usize)> {
-    let props = rt.collect_properties(&ConfigMap::new().with_str(OP, "meta_features"))?;
-    let mut metas = Vec::with_capacity(props.len());
-    let mut max_len = 0usize;
-    for p in &props {
-        let raw = p
-            .get("meta_features")
-            .and_then(|v| v.as_float_vec())
-            .ok_or_else(|| EngineError::InvalidData("client sent no meta-features".into()))?;
-        let mf = ClientMetaFeatures::from_vec(raw)
-            .ok_or_else(|| EngineError::InvalidData("malformed meta-features".into()))?;
-        max_len = max_len.max(p.int_or("n_total", 0) as usize);
-        metas.push(mf);
-    }
-    Ok((GlobalMetaFeatures::aggregate(&metas), max_len))
+    collect_global_meta_tolerant(rt, ParConfig::auto(), &strict_policy(rt), &mut Vec::new())
 }
 
 /// §4.2.1(4): the federated weighted periodogram. Clients return spectral
-/// summaries on a shared log-period grid; the server weights them by client
-/// size and picks the top-N peaks.
+/// summaries on a shared log-period grid; the server sums them and picks
+/// the top-N peaks. Runs [`federated_seasonal_periods_tolerant`] under
+/// the strict round policy.
 pub fn federated_seasonal_periods(
     rt: &FederatedRuntime,
     max_len: usize,
     max_components: usize,
 ) -> Result<Vec<f64>> {
-    if max_len < 16 {
-        return Ok(vec![]);
-    }
-    let grid = periodogram::log_period_grid(max_len as f64 / 2.0);
-    let props = rt.collect_properties(
-        &ConfigMap::new()
-            .with_str(OP, "spectrum")
-            .with_floats("grid_periods", grid.clone()),
-    )?;
-    // Weights: client sizes from a second look at n_total would cost a
-    // round; reuse uniform weighting over returned spectra and rely on the
-    // per-spectrum normalization (each client's spectrum sums to 1).
-    let specs: Vec<&[f64]> = props
-        .iter()
-        .filter_map(|p| p.get("spectrum").and_then(|v| v.as_float_vec()))
-        .filter(|spec| spec.len() == grid.len())
-        .collect();
-    if specs.is_empty() {
-        return Ok(vec![]);
-    }
-    let agg = sum_spectra(&specs);
-    let peaks = periodogram::peaks_on_grid(&grid, &agg, max_components, 5.0, max_len);
-    Ok(peaks.into_iter().map(|s| s.period).collect())
+    federated_seasonal_periods_tolerant(
+        rt,
+        ParConfig::auto(),
+        max_len,
+        max_components,
+        &strict_policy(rt),
+        &mut Vec::new(),
+    )
 }
 
 /// Element-wise sum of client spectra through [`ff_par::par_reduce`]: the
@@ -95,51 +73,21 @@ pub fn derive_lag_count(global: &GlobalMetaFeatures, max_lags: usize) -> usize {
 
 /// Phase III prep: broadcast the feature spec, collect importances, select
 /// features (§4.2.2), and broadcast the selection. Returns the kept column
-/// indices.
+/// indices. Runs [`run_feature_engineering_tolerant`] under the strict
+/// round policy.
 pub fn run_feature_engineering(
     rt: &FederatedRuntime,
     spec: &GlobalFeatureSpec,
     threshold: f64,
 ) -> Result<Vec<usize>> {
-    let replies = rt.broadcast_all(&Instruction::Fit {
-        params: vec![],
-        config: spec.to_config_map().with_str(OP, "feature_engineering"),
-    })?;
-    let mut importances = Vec::new();
-    let mut weights = Vec::new();
-    for (_, r) in &replies {
-        match r {
-            Reply::FitRes {
-                num_examples,
-                metrics,
-                ..
-            } => {
-                if let Some(err) = metrics.get("error").and_then(|v| v.as_str()) {
-                    return Err(EngineError::InvalidData(err.to_string()));
-                }
-                let imp = metrics
-                    .get("importances")
-                    .and_then(|v| v.as_float_vec())
-                    .ok_or_else(|| EngineError::InvalidData("client sent no importances".into()))?;
-                importances.push(imp.to_vec());
-                weights.push(*num_examples as f64);
-            }
-            other => {
-                return Err(EngineError::InvalidData(format!(
-                    "unexpected reply {other:?}"
-                )))
-            }
-        }
-    }
-    let keep = select_features(&importances, &weights, threshold);
-    let keep_f: Vec<f64> = keep.iter().map(|&j| j as f64).collect();
-    rt.broadcast_all(&Instruction::Fit {
-        params: vec![],
-        config: ConfigMap::new()
-            .with_str(OP, "apply_selection")
-            .with_floats("keep", keep_f),
-    })?;
-    Ok(keep)
+    run_feature_engineering_tolerant(
+        rt,
+        ParConfig::auto(),
+        spec,
+        threshold,
+        &strict_policy(rt),
+        &mut Vec::new(),
+    )
 }
 
 /// Fault-tolerant [`collect_global_meta`]: aggregates the meta-features of
@@ -147,48 +95,24 @@ pub fn run_feature_engineering(
 /// recorded per client instead of failing the run.
 pub fn collect_global_meta_tolerant(
     rt: &FederatedRuntime,
-    par: ff_par::ParConfig,
+    par: ParConfig,
     policy: &RoundPolicy,
     rounds: &mut Vec<crate::report::RoundReport>,
 ) -> Result<(GlobalMetaFeatures, usize)> {
     par.scope(|| {
         let ins = Instruction::GetProperties(ConfigMap::new().with_str(OP, "meta_features"));
-        let (outcome, idx) = tolerant_round(rt, "meta_features", &ins, policy, rounds)?;
-        let mut metas = Vec::new();
-        let mut max_len = 0usize;
-        for (id, r) in &outcome.replies {
-            let props = match r {
-                Reply::Properties(cfg) => cfg,
-                Reply::Error(e) => {
-                    rounds[idx].app_errors.push((*id, e.clone()));
-                    continue;
-                }
-                other => {
-                    rounds[idx]
-                        .app_errors
-                        .push((*id, format!("unexpected reply {other:?}")));
-                    continue;
-                }
-            };
-            let parsed = props
+        let (metas, idx) = usable_round(rt, "meta_features", &ins, policy, rounds, |r| match r {
+            Reply::Properties(props) => props
                 .get("meta_features")
                 .and_then(|v| v.as_float_vec())
-                .and_then(ClientMetaFeatures::from_vec);
-            match parsed {
-                Some(mf) => {
-                    max_len = max_len.max(props.int_or("n_total", 0) as usize);
-                    metas.push(mf);
-                }
-                None => rounds[idx]
-                    .app_errors
-                    .push((*id, "missing or malformed meta-features".into())),
-            }
-        }
-        rounds[idx].usable = metas.len();
-        let required = policy.min_responses.max(1);
-        if metas.len() < required {
-            return Err(quorum_unmet(rounds, idx, metas.len(), required));
-        }
+                .and_then(ClientMetaFeatures::from_vec)
+                .map(|mf| (mf, props.int_or("n_total", 0) as usize))
+                .ok_or_else(|| "missing or malformed meta-features".to_string()),
+            other => Err(unexpected(other)),
+        })?;
+        require_quorum(rounds, idx, metas.len(), policy)?;
+        let max_len = metas.iter().map(|(_, (_, len))| *len).max().unwrap_or(0);
+        let metas: Vec<ClientMetaFeatures> = metas.into_iter().map(|(_, (mf, _))| mf).collect();
         Ok((GlobalMetaFeatures::aggregate(&metas), max_len))
     })
 }
@@ -198,7 +122,7 @@ pub fn collect_global_meta_tolerant(
 /// degrades gracefully to no seasonality features rather than failing.
 pub fn federated_seasonal_periods_tolerant(
     rt: &FederatedRuntime,
-    par: ff_par::ParConfig,
+    par: ParConfig,
     max_len: usize,
     max_components: usize,
     policy: &RoundPolicy,
@@ -214,24 +138,18 @@ pub fn federated_seasonal_periods_tolerant(
                 .with_str(OP, "spectrum")
                 .with_floats("grid_periods", grid.clone()),
         );
-        let (outcome, idx) = tolerant_round(rt, "meta_features", &ins, policy, rounds)?;
-        let mut specs: Vec<&[f64]> = Vec::new();
-        for (id, r) in &outcome.replies {
-            let usable = match r {
+        let (specs, _) = usable_round(rt, "meta_features", &ins, policy, rounds, |r| {
+            match r {
                 Reply::Properties(p) => p
                     .get("spectrum")
                     .and_then(|v| v.as_float_vec())
-                    .filter(|spec| spec.len() == grid.len()),
+                    .filter(|spec| spec.len() == grid.len())
+                    .map(<[f64]>::to_vec),
                 _ => None,
-            };
-            match usable {
-                Some(spec) => specs.push(spec),
-                None => rounds[idx]
-                    .app_errors
-                    .push((*id, "missing or mis-sized spectrum".into())),
             }
-        }
-        rounds[idx].usable = specs.len();
+            .ok_or_else(|| "missing or mis-sized spectrum".to_string())
+        })?;
+        let specs: Vec<&[f64]> = specs.iter().map(|(_, spec)| spec.as_slice()).collect();
         if specs.is_empty() {
             return Ok(vec![]);
         }
@@ -247,7 +165,7 @@ pub fn federated_seasonal_periods_tolerant(
 /// surface as application errors in later rounds.
 pub fn run_feature_engineering_tolerant(
     rt: &FederatedRuntime,
-    par: ff_par::ParConfig,
+    par: ParConfig,
     spec: &GlobalFeatureSpec,
     threshold: f64,
     policy: &RoundPolicy,
@@ -258,41 +176,30 @@ pub fn run_feature_engineering_tolerant(
             params: vec![],
             config: spec.to_config_map().with_str(OP, "feature_engineering"),
         };
-        let (outcome, idx) = tolerant_round(rt, "feature_engineering", &ins, policy, rounds)?;
-        let mut importances = Vec::new();
-        let mut weights = Vec::new();
-        for (id, r) in &outcome.replies {
-            match r {
-                Reply::FitRes {
-                    num_examples,
-                    metrics,
-                    ..
-                } => {
-                    if let Some(err) = metrics.get("error").and_then(|v| v.as_str()) {
-                        rounds[idx].app_errors.push((*id, err.to_string()));
-                        continue;
-                    }
-                    match metrics.get("importances").and_then(|v| v.as_float_vec()) {
-                        Some(imp) => {
-                            importances.push(imp.to_vec());
-                            weights.push(*num_examples as f64);
-                        }
-                        None => rounds[idx]
-                            .app_errors
-                            .push((*id, "client sent no importances".into())),
-                    }
-                }
-                Reply::Error(e) => rounds[idx].app_errors.push((*id, e.clone())),
-                other => rounds[idx]
-                    .app_errors
-                    .push((*id, format!("unexpected reply {other:?}"))),
-            }
-        }
-        rounds[idx].usable = importances.len();
-        let required = policy.min_responses.max(1);
-        if importances.len() < required {
-            return Err(quorum_unmet(rounds, idx, importances.len(), required));
-        }
+        let (usable, idx) =
+            usable_round(
+                rt,
+                "feature_engineering",
+                &ins,
+                policy,
+                rounds,
+                |r| match r {
+                    Reply::FitRes {
+                        num_examples,
+                        metrics,
+                        ..
+                    } => match fit_error(&metrics) {
+                        Some(err) => Err(err),
+                        None => (metrics.get("importances").and_then(|v| v.as_float_vec()))
+                            .map(|imp| (imp.to_vec(), num_examples as f64))
+                            .ok_or_else(|| "client sent no importances".to_string()),
+                    },
+                    other => Err(unexpected(other)),
+                },
+            )?;
+        require_quorum(rounds, idx, usable.len(), policy)?;
+        let (importances, weights): (Vec<Vec<f64>>, Vec<f64>) =
+            usable.into_iter().map(|(_, v)| v).unzip();
         let keep = select_features(&importances, &weights, threshold);
         let keep_f: Vec<f64> = keep.iter().map(|&j| j as f64).collect();
         let apply = Instruction::Fit {

@@ -15,7 +15,6 @@ use ff_fl::config::ConfigMap;
 use ff_fl::message::{Instruction, Reply};
 use ff_fl::robust::{AggregationStrategy, RejectReason, UpdateGuard};
 use ff_fl::runtime::{FederatedRuntime, RoundOutcome, RoundPolicy};
-use ff_fl::strategy::aggregate_loss;
 use ff_fl::FlError;
 
 /// Per-run robust-aggregation state threaded through every tolerant stage:
@@ -141,6 +140,46 @@ pub(crate) fn tolerant_round(
     }
 }
 
+/// Runs one policy-bounded round and sorts its replies: `accept` maps a
+/// reply to a usable value or to the reason it is unusable, which becomes
+/// the client's application error. Sets the report's `usable` count and
+/// returns the usable values in client order plus the report's index.
+pub(crate) fn usable_round<T>(
+    rt: &FederatedRuntime,
+    phase: &'static str,
+    ins: &Instruction,
+    policy: &RoundPolicy,
+    rounds: &mut Vec<RoundReport>,
+    mut accept: impl FnMut(Reply) -> std::result::Result<T, String>,
+) -> Result<(Vec<(usize, T)>, usize)> {
+    let (outcome, idx) = tolerant_round(rt, phase, ins, policy, rounds)?;
+    let mut usable = Vec::new();
+    for (id, reply) in outcome.replies {
+        match accept(reply) {
+            Ok(value) => usable.push((id, value)),
+            Err(why) => rounds[idx].app_errors.push((id, why)),
+        }
+    }
+    rounds[idx].usable = usable.len();
+    Ok((usable, idx))
+}
+
+/// The application error for a reply of the wrong kind.
+pub(crate) fn unexpected(reply: Reply) -> String {
+    match reply {
+        Reply::Error(e) => e,
+        other => format!("unexpected reply {other:?}"),
+    }
+}
+
+/// The error a client reported in a fit reply's metrics, if any.
+pub(crate) fn fit_error(metrics: &ConfigMap) -> Option<String> {
+    metrics
+        .get("error")
+        .and_then(|v| v.as_str())
+        .map(str::to_string)
+}
+
 /// One tolerant Evaluate round aggregated by Equation 1 over the finite
 /// survivor losses (or the configured robust loss rule when the context
 /// is robust). Takes ownership of `params` — callers that still need the
@@ -158,21 +197,32 @@ pub(crate) fn tolerant_eval_round(
         params,
         config: op_config,
     };
-    let (outcome, idx) = tolerant_round(rt, "finalization", &ins, policy, rounds)?;
-    let mut candidates: Vec<(usize, f64, u64)> = Vec::new();
-    for (id, r) in &outcome.replies {
-        match r {
-            Reply::EvaluateRes {
-                loss, num_examples, ..
-            } => candidates.push((*id, *loss, *num_examples)),
-            Reply::Error(e) => rounds[idx].app_errors.push((*id, e.clone())),
-            other => rounds[idx]
-                .app_errors
-                .push((*id, format!("unexpected reply {other:?}"))),
-        }
-    }
+    let (candidates, idx) = usable_round(rt, "finalization", &ins, policy, rounds, |r| match r {
+        Reply::EvaluateRes {
+            loss, num_examples, ..
+        } => Ok((loss, num_examples)),
+        other => Err(unexpected(other)),
+    })?;
+    aggregate_losses(rt, candidates, policy, rounds, idx, ctx)
+}
+
+/// Aggregates one round's `(client_id, (loss, num_examples))` candidates.
+/// Robust contexts screen every candidate — non-finite included — through
+/// the guard, whose verdicts feed the health registry; otherwise
+/// non-finite losses are excluded (recorded, not escalated) and the rest
+/// aggregate by Equation 1. Fails with [`FlError::Quorum`] when fewer than
+/// `min_responses` losses remain.
+pub(crate) fn aggregate_losses(
+    rt: &FederatedRuntime,
+    candidates: Vec<(usize, (f64, u64))>,
+    policy: &RoundPolicy,
+    rounds: &mut [RoundReport],
+    idx: usize,
+    ctx: &mut RobustCtx,
+) -> Result<f64> {
     let losses: Vec<(f64, u64)> = if ctx.is_robust() {
-        let screened = ctx.guard.screen_losses(candidates);
+        let candidates = candidates.into_iter().map(|(id, (l, n))| (id, l, n));
+        let screened = ctx.guard.screen_losses(candidates.collect());
         let accepted_ids: Vec<usize> = screened.accepted.iter().map(|(id, _, _)| *id).collect();
         record_screen(rt, rounds, idx, &accepted_ids, &screened.rejected);
         screened
@@ -181,37 +231,34 @@ pub(crate) fn tolerant_eval_round(
             .map(|(_, loss, n)| (loss, n))
             .collect()
     } else {
-        let mut losses = Vec::new();
-        for (id, loss, n) in candidates {
-            if loss.is_finite() {
-                losses.push((loss, n));
-            } else {
-                rounds[idx].non_finite.push(id);
-            }
-        }
-        losses
+        let (finite, non_finite): (Vec<_>, Vec<_>) = candidates
+            .into_iter()
+            .partition(|(_, (l, _))| l.is_finite());
+        rounds[idx].non_finite = non_finite.into_iter().map(|(id, _)| id).collect();
+        finite.into_iter().map(|(_, loss)| loss).collect()
     };
     rounds[idx].usable = losses.len();
-    let required = policy.min_responses.max(1);
-    if losses.len() < required {
-        return Err(quorum_unmet(rounds, idx, losses.len(), required));
-    }
-    if ctx.is_robust() {
-        ctx.strategy
-            .aggregate_loss(&losses)
-            .map_err(EngineError::Federation)
-    } else {
-        aggregate_loss(&losses).map_err(EngineError::Federation)
-    }
+    require_quorum(rounds, idx, losses.len(), policy)?;
+    ctx.strategy
+        .aggregate_loss(&losses)
+        .map_err(EngineError::Federation)
 }
 
-/// Marks the round at `idx` quorum-unmet and returns the matching error.
-pub(crate) fn quorum_unmet(
+/// Fails the round at `idx` — marking it quorum-unmet — when fewer than
+/// the policy's `min_responses` of its replies are usable.
+pub(crate) fn require_quorum(
     rounds: &mut [RoundReport],
     idx: usize,
-    healthy: usize,
-    required: usize,
-) -> EngineError {
-    rounds[idx].quorum_met = false;
-    EngineError::Federation(FlError::Quorum { healthy, required })
+    usable: usize,
+    policy: &RoundPolicy,
+) -> Result<()> {
+    let required = policy.min_responses.max(1);
+    if usable < required {
+        rounds[idx].quorum_met = false;
+        return Err(EngineError::Federation(FlError::Quorum {
+            healthy: usable,
+            required,
+        }));
+    }
+    Ok(())
 }

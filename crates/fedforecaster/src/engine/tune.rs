@@ -7,43 +7,32 @@
 //! dispatches on their presence (see
 //! [`crate::search_space::pipeline_space`]).
 
-use super::rounds::{quorum_unmet, record_screen, tolerant_round, RobustCtx};
+use super::rounds::{
+    aggregate_losses, fit_error, strict_policy, unexpected, usable_round, RobustCtx,
+};
 use crate::client::OP;
 use crate::report::RoundReport;
 use crate::search_space::config_to_map;
-use crate::{EngineError, Result};
+use crate::Result;
 use ff_bayesopt::space::Configuration;
 use ff_fl::config::ConfigMapExt;
 use ff_fl::message::{Instruction, Reply};
 use ff_fl::runtime::{FederatedRuntime, RoundPolicy};
-use ff_fl::strategy::aggregate_loss;
 
 /// Evaluates one configuration across the federation: clients fit locally
 /// and report validation losses; the server aggregates via Equation 1.
+/// Runs [`evaluate_config_tolerant`] under the strict round policy, so a
+/// client that cannot score the configuration fails the evaluation with
+/// [`ff_fl::FlError::Quorum`].
 pub fn evaluate_config(rt: &FederatedRuntime, config: &Configuration) -> Result<f64> {
-    let replies = rt.broadcast_all(&Instruction::Fit {
-        params: vec![],
-        config: config_to_map(config).with_str(OP, "fit_eval"),
-    })?;
-    let mut losses = Vec::new();
-    for (_, r) in &replies {
-        match r {
-            Reply::FitRes {
-                num_examples,
-                metrics,
-                ..
-            } => {
-                let loss = metrics.float_or("valid_loss", f64::INFINITY);
-                losses.push((if loss.is_finite() { loss } else { 1e30 }, *num_examples));
-            }
-            other => {
-                return Err(EngineError::InvalidData(format!(
-                    "unexpected reply {other:?}"
-                )))
-            }
-        }
-    }
-    aggregate_loss(&losses).map_err(EngineError::Federation)
+    evaluate_config_tolerant(
+        rt,
+        ff_par::ParConfig::auto(),
+        config,
+        &strict_policy(rt),
+        &mut Vec::new(),
+        &mut RobustCtx::permissive(),
+    )
 }
 
 /// Fault-tolerant [`evaluate_config`]: the global loss is aggregated over
@@ -74,62 +63,18 @@ fn evaluate_config_tolerant_inner(
         params: vec![],
         config: config_to_map(config).with_str(OP, "fit_eval"),
     };
-    let (outcome, idx) = tolerant_round(rt, "optimization", &ins, policy, rounds)?;
-    // `candidates` keeps client ids and non-finite losses so the robust
-    // path can screen them; the legacy path filters exactly as before.
-    let mut candidates: Vec<(usize, f64, u64)> = Vec::new();
-    for (id, r) in &outcome.replies {
-        match r {
-            Reply::FitRes {
-                num_examples,
-                metrics,
-                ..
-            } => {
-                if let Some(err) = metrics.get("error").and_then(|v| v.as_str()) {
-                    rounds[idx].app_errors.push((*id, err.to_string()));
-                    continue;
-                }
-                candidates.push((*id, metrics.float_or("valid_loss", f64::NAN), *num_examples));
-            }
-            Reply::Error(e) => rounds[idx].app_errors.push((*id, e.clone())),
-            other => rounds[idx]
-                .app_errors
-                .push((*id, format!("unexpected reply {other:?}"))),
-        }
-    }
-    let losses: Vec<(f64, u64)> = if ctx.is_robust() {
-        // Robust path: every candidate — non-finite included — goes
-        // through the guard, whose verdicts feed the health registry.
-        let screened = ctx.guard.screen_losses(candidates);
-        let accepted_ids: Vec<usize> = screened.accepted.iter().map(|(id, _, _)| *id).collect();
-        record_screen(rt, rounds, idx, &accepted_ids, &screened.rejected);
-        screened
-            .accepted
-            .into_iter()
-            .map(|(_, loss, n)| (loss, n))
-            .collect()
-    } else {
-        // Legacy path: non-finite losses are excluded, not escalated.
-        let mut losses = Vec::new();
-        for (id, loss, n) in candidates {
-            if loss.is_finite() {
-                losses.push((loss, n));
-            } else {
-                rounds[idx].non_finite.push(id);
-            }
-        }
-        losses
-    };
-    rounds[idx].usable = losses.len();
-    let required = policy.min_responses.max(1);
-    if losses.len() < required {
-        return Err(quorum_unmet(rounds, idx, losses.len(), required));
-    }
-    if ctx.is_robust() {
-        ctx.strategy
-            .aggregate_loss(&losses)
-            .map_err(EngineError::Federation)
-    } else {
-        aggregate_loss(&losses).map_err(EngineError::Federation)
-    }
+    // Candidates keep client ids and non-finite losses so the robust path
+    // can screen them.
+    let (candidates, idx) = usable_round(rt, "optimization", &ins, policy, rounds, |r| match r {
+        Reply::FitRes {
+            num_examples,
+            metrics,
+            ..
+        } => match fit_error(&metrics) {
+            Some(err) => Err(err),
+            None => Ok((metrics.float_or("valid_loss", f64::NAN), num_examples)),
+        },
+        other => Err(unexpected(other)),
+    })?;
+    aggregate_losses(rt, candidates, policy, rounds, idx, ctx)
 }

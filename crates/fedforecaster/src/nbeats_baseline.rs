@@ -7,7 +7,7 @@ use crate::{EngineError, Result};
 use ff_fl::client::{EvalOutput, FitOutput, FlClient};
 use ff_fl::config::{ConfigMap, ConfigMapExt};
 use ff_fl::message::Instruction;
-use ff_fl::runtime::FederatedRuntime;
+use ff_fl::runtime::{FederatedRuntime, RoundPolicy};
 use ff_fl::secure::{mask_contribution, unmask_average};
 use ff_fl::strategy::{aggregate_loss, fedavg, unwrap_eval_replies, unwrap_fit_replies};
 use ff_models::metrics::mse;
@@ -30,6 +30,9 @@ pub struct NBeatsResult {
 /// A federated N-BEATS client: trains the shared architecture locally and
 /// ships flat weights for FedAvg.
 struct NBeatsClient {
+    /// The client's id in the federation (the secure-aggregation mask
+    /// pairing needs it).
+    id: usize,
     net: NBeats,
     train: Vec<f64>,
     valid: Vec<f64>,
@@ -38,13 +41,14 @@ struct NBeatsClient {
 }
 
 impl NBeatsClient {
-    fn new(series: &TimeSeries, cfg: NBeatsConfig, local_steps: usize) -> NBeatsClient {
+    fn new(id: usize, series: &TimeSeries, cfg: NBeatsConfig, local_steps: usize) -> NBeatsClient {
         let filled = interpolate::interpolated(series);
         let v = filled.values();
         let n = v.len();
         let test_start = ((n as f64) * 0.85).round() as usize;
         let train_end = ((n as f64) * 0.70).round() as usize;
         NBeatsClient {
+            id,
             net: NBeats::new(cfg),
             train: v[..train_end].to_vec(),
             valid: v[train_end..test_start].to_vec(),
@@ -89,19 +93,14 @@ impl FlClient for NBeatsClient {
         let raw = self.net.params_flat();
         // Secure aggregation: mask the weighted update so the server only
         // ever sees the sum (ff_fl::secure). The round seed and federation
-        // layout arrive in the config (models a completed key agreement).
+        // size arrive in the config (models a completed key agreement).
         let upload = match (
             config.int_or("secure_round", -1),
-            config.int_or("client_id", -1),
             config.int_or("n_clients", -1),
         ) {
-            (round, id, n) if round >= 0 && id >= 0 && n > 0 => mask_contribution(
-                &raw,
-                num_examples as f64,
-                id as usize,
-                n as usize,
-                round as u64,
-            ),
+            (round, n) if round >= 0 && n > 0 => {
+                mask_contribution(&raw, num_examples as f64, self.id, n as usize, round as u64)
+            }
             _ => raw,
         };
         FitOutput {
@@ -161,9 +160,18 @@ pub fn run_federated_nbeats_opts(
     let cfg = nbeats_config(paper_config, seed);
     let boxed: Vec<Box<dyn FlClient>> = clients
         .iter()
-        .map(|s| Box::new(NBeatsClient::new(s, cfg.clone(), local_steps)) as Box<dyn FlClient>)
+        .enumerate()
+        .map(|(id, s)| {
+            Box::new(NBeatsClient::new(id, s, cfg.clone(), local_steps)) as Box<dyn FlClient>
+        })
         .collect();
     let rt = FederatedRuntime::new(boxed);
+    // Every round needs every client.
+    let strict = RoundPolicy {
+        deadline: None,
+        min_responses: n_clients,
+        ..RoundPolicy::default()
+    };
 
     let mut tracker = BudgetTracker::start(budget);
     // Server-side initialization: broadcast one canonical weight vector so
@@ -172,58 +180,38 @@ pub fn run_federated_nbeats_opts(
     let mut global = server_net.params_flat();
     let mut rounds = 0usize;
     while !tracker.exhausted() {
+        let mut config = ConfigMap::new().with_int("local_steps", local_steps as i64);
         if secure {
-            // Each client must learn its own id; fall back to per-client
-            // calls so the config can differ.
-            let mut uploads = Vec::with_capacity(n_clients);
-            let mut total_weight = 0.0;
-            for id in 0..n_clients {
-                let reply = rt.call(
-                    id,
-                    &Instruction::Fit {
-                        params: global.clone(),
-                        config: ConfigMap::new()
-                            .with_int("local_steps", local_steps as i64)
-                            .with_int("secure_round", rounds as i64)
-                            .with_int("client_id", id as i64)
-                            .with_int("n_clients", n_clients as i64),
-                    },
-                )?;
-                match reply {
-                    ff_fl::message::Reply::FitRes {
-                        params,
-                        num_examples,
-                        ..
-                    } => {
-                        total_weight += num_examples as f64;
-                        uploads.push(params);
-                    }
-                    other => {
-                        return Err(EngineError::Federation(ff_fl::FlError::Client(format!(
-                            "unexpected reply {other:?}"
-                        ))))
-                    }
-                }
-            }
-            global = unmask_average(&uploads, total_weight).ok_or_else(|| {
-                EngineError::Federation(ff_fl::FlError::Client("unmasking failed".into()))
-            })?;
-        } else {
-            let replies = rt.broadcast_all(&Instruction::Fit {
-                params: global.clone(),
-                config: ConfigMap::new().with_int("local_steps", local_steps as i64),
-            })?;
-            let fit_results = unwrap_fit_replies(replies).map_err(EngineError::Federation)?;
-            global = fedavg(&fit_results).map_err(EngineError::Federation)?;
+            config = config
+                .with_int("secure_round", rounds as i64)
+                .with_int("n_clients", n_clients as i64);
         }
+        let ins = Instruction::Fit {
+            params: global,
+            config,
+        };
+        let fit_results = unwrap_fit_replies(rt.run_round(&ins, &strict)?.replies)
+            .map_err(EngineError::Federation)?;
+        global = if secure {
+            let total_weight: f64 = fit_results.iter().map(|(_, w)| *w as f64).sum();
+            let uploads: Vec<Vec<f64>> = fit_results.into_iter().map(|(p, _)| p).collect();
+            unmask_average(&uploads, total_weight).ok_or_else(|| {
+                EngineError::Federation(ff_fl::FlError::Client("unmasking failed".into()))
+            })?
+        } else {
+            fedavg(&fit_results).map_err(EngineError::Federation)?
+        };
         rounds += 1;
         tracker.record_iteration();
     }
-    let eval = rt.broadcast_all(&Instruction::Evaluate {
-        params: global,
-        config: ConfigMap::new().with_str("split", "test"),
-    })?;
-    let losses = unwrap_eval_replies(eval).map_err(EngineError::Federation)?;
+    let eval = rt.run_round(
+        &Instruction::Evaluate {
+            params: global,
+            config: ConfigMap::new().with_str("split", "test"),
+        },
+        &strict,
+    )?;
+    let losses = unwrap_eval_replies(eval.replies).map_err(EngineError::Federation)?;
     let test_mse = aggregate_loss(&losses).map_err(EngineError::Federation)?;
     Ok(NBeatsResult {
         test_mse,

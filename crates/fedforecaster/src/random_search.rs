@@ -15,6 +15,7 @@ use crate::engine::{
 use crate::feature_engineering::GlobalFeatureSpec;
 use crate::search_space::{pipeline_of, pipeline_space, table2_space};
 use crate::{EngineError, Result};
+use ff_fl::FlError;
 use ff_models::zoo::AlgorithmKind;
 use ff_timeseries::TimeSeries;
 use rand::rngs::StdRng;
@@ -67,7 +68,13 @@ impl RandomSearch {
         let mut tracker = BudgetTracker::start(self.cfg.budget);
         while tracker.iterations() == 0 || !tracker.exhausted() {
             let config = space.sample(&mut rng);
-            let loss = evaluate_config(&rt, &config)?;
+            let loss = match evaluate_config(&rt, &config) {
+                Ok(loss) => loss,
+                // A configuration some client cannot score is the worst
+                // possible trial, never an abort.
+                Err(EngineError::Federation(FlError::Quorum { .. })) => 1e30,
+                Err(e) => return Err(e),
+            };
             loss_history.push(loss);
             match &best {
                 Some((_, b)) if loss >= *b => {}

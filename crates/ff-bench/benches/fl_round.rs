@@ -1,12 +1,12 @@
 //! Criterion benchmarks of federated-round overhead: message codec
-//! round-trips and a full broadcast/collect cycle over the threaded
-//! runtime — the communication tax every §4.3 optimization iteration pays.
+//! round-trips and a full send/collect round over the runtime's host
+//! threads — the communication tax every §4.3 optimization iteration pays.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use ff_fl::client::{EvalOutput, FitOutput, FlClient};
 use ff_fl::config::{ConfigMap, ConfigMapExt};
 use ff_fl::message::{Instruction, Reply};
-use ff_fl::runtime::FederatedRuntime;
+use ff_fl::runtime::{FederatedRuntime, RoundPolicy};
 
 struct NoopClient;
 
@@ -67,7 +67,7 @@ fn bench_round(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(500));
     for n_clients in [5usize, 10, 20] {
         group.bench_with_input(
-            BenchmarkId::new("broadcast_fit", n_clients),
+            BenchmarkId::new("fit_round", n_clients),
             &n_clients,
             |b, &n| {
                 let clients: Vec<Box<dyn FlClient>> = (0..n)
@@ -78,7 +78,12 @@ fn bench_round(c: &mut Criterion) {
                     params: vec![0.0; 64],
                     config: ConfigMap::new().with_str("op", "noop"),
                 };
-                b.iter(|| rt.broadcast_all(black_box(&ins)).unwrap());
+                let policy = RoundPolicy {
+                    deadline: None,
+                    min_responses: n,
+                    ..RoundPolicy::default()
+                };
+                b.iter(|| rt.run_round(black_box(&ins), &policy).unwrap());
             },
         );
     }

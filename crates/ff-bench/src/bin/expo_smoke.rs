@@ -17,9 +17,8 @@ use ff_bench::Args;
 use ff_fl::chaos::{AdversarialMode, ChaosClient};
 use ff_fl::client::{EvalOutput, FitOutput, FlClient};
 use ff_fl::config::ConfigMap;
-use ff_fl::fleet::{FleetConfig, FleetRuntime};
-use ff_fl::robust::AggregationStrategy;
-use ff_fl::runtime::RoundPolicy;
+use ff_fl::robust::{AggregationStrategy, GuardPolicy};
+use ff_fl::runtime::{FederatedRuntime, RoundPolicy};
 use ff_trace::{sample_value, validate_exposition, ExpoConfig, ExpoServer};
 use ff_trace::{FlightRecorder, RecorderConfig, Tracer};
 use std::io::{Read as _, Write as _};
@@ -92,16 +91,12 @@ fn main() {
             }
         })
         .collect();
-    let fleet = FleetRuntime::new(
-        clients,
-        FleetConfig {
-            fraction: 1.0,
-            seed: 42,
-            strategy: AggregationStrategy::CoordinateMedian,
-            ..FleetConfig::default()
-        },
-    )
-    .expect("fleet");
+    let fleet = FederatedRuntime::new(clients)
+        .with_strategy(
+            AggregationStrategy::CoordinateMedian,
+            GuardPolicy::default(),
+        )
+        .expect("fleet");
 
     let tracer = Tracer::enabled();
     fleet.set_tracer(tracer.clone());
@@ -135,9 +130,9 @@ fn main() {
     // 2. Scraped counters must match the final in-process snapshot.
     let snapshot = tracer.snapshot();
     for (name, metric) in [
-        ("fleet.rounds", "ff_fleet_rounds_total"),
-        ("fleet.updates_rejected", "ff_fleet_updates_rejected_total"),
-        ("fleet.quarantines", "ff_fleet_quarantines_total"),
+        ("fl.rounds", "ff_fl_rounds_total"),
+        ("fl.updates_rejected", "ff_fl_updates_rejected_total"),
+        ("fl.quarantines", "ff_fl_quarantines_total"),
     ] {
         let expect = snapshot.counter(name) as f64;
         match sample_value(&body, metric) {
@@ -146,10 +141,10 @@ fn main() {
             None => fail(&format!("{metric} missing from scrape")),
         }
     }
-    if snapshot.counter("fleet.rounds") != rounds as u64 {
+    if snapshot.counter("fl.rounds") != rounds as u64 {
         fail(&format!(
-            "fleet.rounds counter is {}, ran {rounds} rounds",
-            snapshot.counter("fleet.rounds")
+            "fl.rounds counter is {}, ran {rounds} rounds",
+            snapshot.counter("fl.rounds")
         ));
     }
 
@@ -161,7 +156,7 @@ fn main() {
 
     // 4. The robust rule must have screened the attacker, and the flight
     //    recorder must have dumped forensics naming it.
-    if snapshot.counter("fleet.updates_rejected") == 0 {
+    if snapshot.counter("fl.updates_rejected") == 0 {
         fail("Byzantine update was never rejected");
     }
     let dumps = recorder.dumps();

@@ -1,7 +1,7 @@
 //! **Fleet round benchmark** — rounds/sec and peak memory for the
-//! event-driven fleet scheduler across fleet sizes {100, 1k, 10k} ×
-//! participation {1%, 10%}, sequential vs parallel, written to
-//! `BENCH_pr6.json`. Every configuration runs the same chaotic fleet
+//! runtime's fold rounds across fleet sizes {100, 1k, 10k} ×
+//! participation {1%, 10%}, at one ff-par worker vs `--threads`, written
+//! to `BENCH_pr6.json`. Every configuration runs the same chaotic fleet
 //! (1% Byzantine + 2% flaky links via [`ChaosConfig::fleet_profile`])
 //! under coordinate-median aggregation, so the numbers include the full
 //! screen → fold → merge → health pipeline, not a happy-path broadcast.
@@ -12,8 +12,8 @@
 //!     [--assert-rss-mb 512]
 //! ```
 //!
-//! Two memory columns are reported: `agg_peak_bytes` is the scheduler's
-//! own high-water mark of live aggregation state (the O(model × shards)
+//! Two memory columns are reported: `agg_peak_bytes` is the runtime's
+//! own high-water mark of live aggregation state (the O(model × hosts)
 //! contract, measured exactly), and `rss_hwm_mb` is the process-wide
 //! `VmHWM` after the run — monotone across configurations by nature, so
 //! only the final value (and the `--assert-rss-mb` ceiling CI applies to
@@ -23,9 +23,9 @@ use ff_bench::Args;
 use ff_fl::chaos::{ChaosClient, ChaosConfig};
 use ff_fl::client::{EvalOutput, FitOutput, FlClient};
 use ff_fl::config::ConfigMap;
-use ff_fl::fleet::{FleetConfig, FleetRuntime};
-use ff_fl::robust::AggregationStrategy;
-use ff_fl::runtime::RoundPolicy;
+use ff_fl::log::Retention;
+use ff_fl::robust::{AggregationStrategy, GuardPolicy};
+use ff_fl::runtime::{FederatedRuntime, RoundPolicy};
 use ff_trace::push_json_f64;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -56,23 +56,24 @@ impl FlClient for Honest {
     }
 }
 
-fn build_fleet(n: usize, dim: usize, fraction: f64) -> FleetRuntime {
+fn build_fleet(n: usize, dim: usize, fraction: f64) -> FederatedRuntime {
     let clients: Vec<Box<dyn FlClient>> = (0..n)
         .map(|id| {
             let profile = ChaosConfig::fleet_profile(0, id, 0.01, 0.02);
             Box::new(ChaosClient::new(Box::new(Honest { dim }), profile)) as Box<dyn FlClient>
         })
         .collect();
-    FleetRuntime::new(
-        clients,
-        FleetConfig {
-            fraction,
-            seed: 42,
-            strategy: AggregationStrategy::CoordinateMedian,
-            ..FleetConfig::default()
-        },
-    )
-    .expect("fleet construction")
+    let fleet = FederatedRuntime::new(clients)
+        .with_cohort(fraction, 42)
+        .and_then(|rt| {
+            rt.with_strategy(
+                AggregationStrategy::CoordinateMedian,
+                GuardPolicy::default(),
+            )
+        })
+        .expect("fleet construction");
+    fleet.log().set_retention(Retention::counting_default());
+    fleet
 }
 
 /// Runs `rounds` fit rounds and returns (rounds/sec, scheduler agg peak

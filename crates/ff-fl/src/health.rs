@@ -119,19 +119,17 @@ impl ClientRecord {
 
 /// Tracks health state for a fixed set of clients across rounds.
 ///
-/// Alongside the per-client records, the registry maintains two indexes
-/// so fleet-scale schedulers pay per-*cohort* costs, not per-fleet:
-/// the set of currently quarantined ids and a `(next_probe_round, id)`
-/// ordered index. [`is_admitted`](Self::is_admitted) answers a single
-/// admission query in O(1) and [`probes_due`](Self::probes_due) finds
-/// every due probe with one range scan — no walk over 10,000 records.
+/// Alongside the per-client records, the registry keeps every
+/// quarantined client in a `(next_probe_round, id)` ordered index, so a
+/// round pays per-*cohort* costs, not per-fleet:
+/// [`is_admitted`](Self::is_admitted) answers a single admission query in
+/// O(1) and [`probes_due`](Self::probes_due) finds every due probe with
+/// one range scan — no walk over 10,000 records.
 #[derive(Debug, Clone)]
 pub struct HealthRegistry {
     policy: HealthPolicy,
     records: Vec<ClientRecord>,
     round: u64,
-    /// Ids currently in [`ClientState::Quarantined`].
-    quarantined: BTreeSet<usize>,
     /// `(next_probe_round, id)` for every quarantined client, kept
     /// coherent by routing every state transition through
     /// [`sync_quarantine_index`](Self::sync_quarantine_index).
@@ -145,12 +143,11 @@ impl HealthRegistry {
             policy,
             records: (0..n_clients).map(|_| ClientRecord::new()).collect(),
             round: 0,
-            quarantined: BTreeSet::new(),
             probe_index: BTreeSet::new(),
         }
     }
 
-    /// Re-syncs the quarantine indexes for `id` after a record mutation.
+    /// Re-syncs the quarantine index for `id` after a record mutation.
     /// `was_quarantined`/`old_probe` capture the pre-mutation state.
     fn sync_quarantine_index(&mut self, id: usize, was_quarantined: bool, old_probe: u64) {
         let rec = &self.records[id];
@@ -159,10 +156,7 @@ impl HealthRegistry {
             self.probe_index.remove(&(old_probe, id));
         }
         if now_quarantined {
-            self.quarantined.insert(id);
             self.probe_index.insert((rec.next_probe_round, id));
-        } else if was_quarantined {
-            self.quarantined.remove(&id);
         }
     }
 
@@ -178,25 +172,11 @@ impl HealthRegistry {
         self.round
     }
 
-    /// Clients admitted to the given round: everyone who is not
-    /// quarantined, plus quarantined clients whose probe round has come up.
-    pub fn admitted(&self, round: u64) -> Vec<usize> {
-        self.records
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| match r.state {
-                ClientState::Healthy | ClientState::Suspect => true,
-                ClientState::Quarantined => round >= r.next_probe_round,
-            })
-            .map(|(id, _)| id)
-            .collect()
-    }
-
-    /// Whether one client would be admitted to `round` — the same
-    /// predicate as [`admitted`](Self::admitted), answered in O(1) for a
-    /// single id via the quarantine index. Unknown ids are not admitted.
-    /// Fleet schedulers use this per sampled cohort member so admission
-    /// costs scale with the cohort, not the fleet.
+    /// Whether one client is admitted to `round`: everyone who is not
+    /// quarantined, plus quarantined clients whose probe round has come
+    /// up. O(1); unknown ids are not admitted. The runtime asks this per
+    /// sampled cohort member, so admission costs scale with the cohort,
+    /// not the fleet.
     pub fn is_admitted(&self, id: usize, round: u64) -> bool {
         match self.records.get(id) {
             None => false,
@@ -224,7 +204,7 @@ impl HealthRegistry {
 
     /// Number of currently quarantined clients (O(1) from the index).
     pub fn quarantined_count(&self) -> usize {
-        self.quarantined.len()
+        self.probe_index.len()
     }
 
     /// Records a transport-level success: the client returns to `Healthy`
@@ -305,8 +285,8 @@ impl HealthRegistry {
     }
 
     /// Exports the full registry state — round counter plus every
-    /// per-client record — for durable checkpointing. The quarantine and
-    /// probe indexes are *not* exported: they are derived data, rebuilt
+    /// per-client record — for durable checkpointing. The probe index is
+    /// *not* exported: they are derived data, rebuilt
     /// from the records on [`restore_state`](Self::restore_state).
     pub fn export_state(&self) -> HealthState {
         HealthState {
@@ -329,7 +309,7 @@ impl HealthRegistry {
     }
 
     /// Overwrites this registry with a previously exported state,
-    /// rebuilding the quarantine and probe indexes. Errors if the client
+    /// rebuilding the probe index. Errors if the client
     /// count differs — a checkpoint from one federation must not be
     /// grafted onto another.
     pub fn restore_state(&mut self, state: &HealthState) -> Result<(), String> {
@@ -341,7 +321,6 @@ impl HealthRegistry {
             ));
         }
         self.round = state.round;
-        self.quarantined.clear();
         self.probe_index.clear();
         for (id, (rec, saved)) in self.records.iter_mut().zip(&state.clients).enumerate() {
             rec.state = saved.state;
@@ -353,7 +332,6 @@ impl HealthRegistry {
             rec.probe_level = saved.probe_level;
             rec.next_probe_round = saved.next_probe_round;
             if rec.state == ClientState::Quarantined {
-                self.quarantined.insert(id);
                 self.probe_index.insert((rec.next_probe_round, id));
             }
         }
@@ -487,11 +465,18 @@ mod tests {
         HealthRegistry::new(n, HealthPolicy::default())
     }
 
+    /// Every client admitted to `round`, in id order.
+    fn admitted(reg: &HealthRegistry, round: u64) -> Vec<usize> {
+        (0..reg.records.len())
+            .filter(|&id| reg.is_admitted(id, round))
+            .collect()
+    }
+
     #[test]
     fn all_clients_start_healthy_and_admitted() {
         let mut reg = registry(3);
         let round = reg.begin_round();
-        assert_eq!(reg.admitted(round), vec![0, 1, 2]);
+        assert_eq!(admitted(&reg, round), vec![0, 1, 2]);
         assert_eq!(reg.state(1), Some(ClientState::Healthy));
     }
 
@@ -504,7 +489,7 @@ mod tests {
         // Still admitted next round.
         let _ = round;
         let next = reg.begin_round();
-        assert!(reg.admitted(next).contains(&0));
+        assert!(admitted(&reg, next).contains(&0));
     }
 
     #[test]
@@ -516,7 +501,7 @@ mod tests {
         }
         assert_eq!(reg.state(0), Some(ClientState::Quarantined));
         let next = reg.begin_round();
-        assert_eq!(reg.admitted(next), vec![1]);
+        assert_eq!(admitted(&reg, next), vec![1]);
     }
 
     #[test]
@@ -546,9 +531,9 @@ mod tests {
             let _ = reg.record_failure(0);
         }
         let r3 = reg.begin_round();
-        assert!(reg.admitted(r3).is_empty());
+        assert!(admitted(&reg, r3).is_empty());
         let r4 = reg.begin_round();
-        assert_eq!(reg.admitted(r4), vec![0]);
+        assert_eq!(admitted(&reg, r4), vec![0]);
         reg.record_success(0);
         assert_eq!(reg.state(0), Some(ClientState::Healthy));
     }
@@ -564,7 +549,7 @@ mod tests {
         let mut admitted_rounds = Vec::new();
         for _ in 0..60 {
             let round = reg.begin_round();
-            if reg.admitted(round).contains(&0) {
+            if admitted(&reg, round).contains(&0) {
                 admitted_rounds.push(round);
                 let _ = reg.record_failure(0);
             }
@@ -598,7 +583,7 @@ mod tests {
         let _ = reg.record_rejection(0);
         assert_eq!(reg.state(0), Some(ClientState::Quarantined));
         let next = reg.begin_round();
-        assert_eq!(reg.admitted(next), vec![1]);
+        assert_eq!(admitted(&reg, next), vec![1]);
     }
 
     #[test]
@@ -648,7 +633,7 @@ mod tests {
         let mut probes = Vec::new();
         for _ in 0..40 {
             let round = reg.begin_round();
-            if reg.admitted(round).contains(&0) {
+            if admitted(&reg, round).contains(&0) {
                 probes.push(round);
                 reg.record_success(0);
                 let _ = reg.record_rejection(0);
@@ -666,12 +651,12 @@ mod tests {
     }
 
     #[test]
-    fn is_admitted_agrees_with_admitted_everywhere() {
+    fn admission_is_the_unquarantined_plus_due_probes() {
         let mut reg = registry(6);
         // Drive a mixed history: crashes, rejections, recoveries.
         for step in 0..30u64 {
             let round = reg.begin_round();
-            for id in reg.admitted(round) {
+            for id in admitted(&reg, round) {
                 match (id + step as usize) % 4 {
                     0 => {
                         let _ = reg.record_failure(id);
@@ -688,9 +673,17 @@ mod tests {
                 }
             }
             let round = reg.round();
-            let slow: Vec<usize> = reg.admitted(round);
-            let fast: Vec<usize> = (0..6).filter(|&id| reg.is_admitted(id, round)).collect();
-            assert_eq!(slow, fast, "divergence at round {round}");
+            let due = reg.probes_due(round);
+            let mut expected: Vec<usize> = (0..6)
+                .filter(|&id| reg.state(id) != Some(ClientState::Quarantined))
+                .chain(due)
+                .collect();
+            expected.sort_unstable();
+            assert_eq!(
+                admitted(&reg, round),
+                expected,
+                "divergence at round {round}"
+            );
         }
         assert!(!reg.is_admitted(99, 1), "unknown id admitted");
     }
@@ -745,7 +738,7 @@ mod tests {
         let mut trace = Vec::new();
         for step in 0..rounds {
             let round = reg.begin_round();
-            let admitted = reg.admitted(round);
+            let admitted = admitted(reg, round);
             for &id in &admitted {
                 match (id as u64 + step) % 5 {
                     0 => {
@@ -831,7 +824,7 @@ mod tests {
         // Fail several probes to deepen the backoff.
         for _ in 0..20 {
             let round = reg.begin_round();
-            if reg.admitted(round).contains(&0) {
+            if admitted(&reg, round).contains(&0) {
                 let _ = reg.record_failure(0);
             }
         }
@@ -841,9 +834,9 @@ mod tests {
             let ra = reg.begin_round();
             let rb = restored.begin_round();
             assert_eq!(ra, rb);
-            assert_eq!(reg.admitted(ra), restored.admitted(rb));
+            assert_eq!(admitted(&reg, ra), admitted(&restored, rb));
             assert_eq!(reg.probes_due(ra), restored.probes_due(rb));
-            if reg.admitted(ra).contains(&0) {
+            if admitted(&reg, ra).contains(&0) {
                 let _ = reg.record_failure(0);
                 let _ = restored.record_failure(0);
             }

@@ -10,11 +10,14 @@
 //!   wire codec over [`bytes`] — every message crosses a real
 //!   serialization boundary, exactly like a networked deployment, so the
 //!   privacy surface (what leaves a client) is explicit and auditable.
-//! - [`runtime::FederatedRuntime`]: the in-process simulation engine; each
-//!   client runs on its own thread and the server broadcasts instructions
-//!   and collects replies in parallel.
+//! - [`runtime::FederatedRuntime`]: the in-process simulation engine and
+//!   its one round loop; clients run on host threads the runtime owns
+//!   (one per client up to 64 clients) and the server broadcasts
+//!   instructions and collects replies in parallel.
 //! - [`strategy`]: FedAvg weighted parameter averaging and weighted loss
 //!   aggregation (`α_j = |D_j| / |D|`, Equation 1 of the paper).
+//! - [`stream::StreamAgg`]: the one aggregation path — every rule but
+//!   Krum folds through it, in batch or streamed round by round.
 //! - [`log::MessageLog`]: a transcript of every transmitted payload with
 //!   byte counts — used by the test suite to assert that no raw
 //!   time-series samples ever leave a client.
@@ -54,19 +57,18 @@
 //!
 //! # Fleet scale
 //!
-//! The thread-per-client runtime tops out around hundreds of clients.
-//! [`fleet::FleetRuntime`] is the 10,000-client shape: a seeded
-//! per-round cohort sampler ([`fleet::CohortSampler`]), sharded
-//! execution on the [`ff_par`] pool, and streaming robust aggregation
-//! ([`stream::StreamAgg`]) that keeps server memory O(model) instead of
-//! O(clients × model). Rounds are bit-identical across thread counts
-//! under a fixed seed.
+//! The same runtime serves a 10,000-client fleet: a seeded per-round
+//! cohort sampler ([`runtime::CohortSampler`]), at most
+//! [`runtime::MAX_HOSTS`] host threads, and fold rounds
+//! ([`runtime::FederatedRuntime::run_fit_round`]) that screen and fold
+//! replies on their hosts into [`stream::StreamAgg`] partials, keeping
+//! server memory O(model) instead of O(clients × model). Rounds are
+//! bit-identical across thread counts under a fixed seed.
 
 pub mod chaos;
 pub mod client;
 pub mod compress;
 pub mod config;
-pub mod fleet;
 pub mod health;
 pub mod log;
 pub mod message;
@@ -97,10 +99,10 @@ pub enum FlError {
         required: usize,
     },
     /// A client submitted NaN/±inf parameters to an aggregation that
-    /// requires finite values. The index is the client's position in the
-    /// aggregation input.
+    /// requires finite values.
     NonFiniteUpdate {
-        /// Position of the offending update in the input slice.
+        /// Id of the client that sent the update (the input position for
+        /// positional updates, as in [`strategy::fedavg`]).
         client: usize,
     },
 }

@@ -6,15 +6,16 @@
 //! global model even when the round itself looks healthy. This module adds
 //! the server-side defenses:
 //!
-//! - an [`Aggregator`] trait with the classic robust estimators —
-//!   [`CoordinateMedian`], [`TrimmedMean`], [`NormClippedFedAvg`] and
-//!   [`Krum`] (Blanchard et al., NeurIPS 2017) — alongside [`FedAvg`],
+//! - [`AggregationStrategy`], the config-level selector threaded through
+//!   the engine and the runtime's fold rounds: FedAvg, coordinate median,
+//!   trimmed mean, norm clipping and Krum / Multi-Krum (Blanchard et al.,
+//!   NeurIPS 2017). Every rule but Krum aggregates through [`StreamAgg`];
+//!   [`Krum`] is the one batch-only rule,
 //! - an [`UpdateGuard`] that screens every reply *before* aggregation
 //!   (dimension check, non-finite rejection, update-norm / loss outlier
 //!   screens against a running per-round median), and
-//! - [`AggregationStrategy`], the config-level selector threaded through
-//!   the engine, including a weighted-median variant of the Equation-1
-//!   global loss so a single lying client cannot skew the BO objective.
+//! - a weighted-median variant of the Equation-1 global loss so a single
+//!   lying client cannot skew the BO objective.
 //!
 //! Robust aggregators need the per-client updates in plaintext; they are
 //! therefore incompatible with the pairwise-masked sums of
@@ -25,6 +26,7 @@
 use std::collections::VecDeque;
 
 use crate::strategy::aggregate_loss;
+use crate::stream::{MeanAcc, StreamAgg};
 use crate::{FlError, Result};
 
 // ---------------------------------------------------------------------------
@@ -99,20 +101,8 @@ pub fn robust_aggregate_loss(losses: &[(f64, u64)]) -> Result<f64> {
 }
 
 // ---------------------------------------------------------------------------
-// Aggregators
+// Batch rules
 // ---------------------------------------------------------------------------
-
-/// A server-side rule combining per-client `(params, num_examples)`
-/// updates into one global parameter vector.
-pub trait Aggregator {
-    /// Human-readable rule name for reports and errors.
-    fn name(&self) -> &'static str;
-
-    /// Aggregates the surviving updates. Implementations drop non-finite
-    /// updates themselves (they are definitionally corrupt) but expect
-    /// gross outliers to have been screened by an [`UpdateGuard`].
-    fn aggregate(&self, updates: &[(Vec<f64>, u64)]) -> Result<Vec<f64>>;
-}
 
 /// `(params-slice, weight)` views of the finite updates, plus the count
 /// of non-finite updates dropped on the way.
@@ -150,166 +140,47 @@ fn finite_updates(updates: &[(Vec<f64>, u64)]) -> Result<FiniteUpdates<'_>> {
     Ok((keep, dropped))
 }
 
-/// Weighted mean over pre-screened `(params, weight)` views, using the
-/// same accumulation order and arithmetic as
-/// [`fedavg`](crate::strategy::fedavg) so the two agree bit-for-bit on
-/// identical inputs.
-fn weighted_mean(keep: &[(&[f64], f64)]) -> Result<Vec<f64>> {
-    let dim = keep[0].0.len();
-    let mut acc = vec![0.0; dim];
-    let mut total_w = 0.0;
-    for (p, wf) in keep {
-        total_w += wf;
-        for (a, &v) in acc.iter_mut().zip(*p) {
-            *a += wf * v;
-        }
-    }
-    if total_w <= 0.0 {
-        return Err(FlError::Client("zero total weight".into()));
-    }
-    for a in acc.iter_mut() {
-        *a /= total_w;
-    }
-    Ok(acc)
-}
-
-/// McMahan et al.'s FedAvg — the paper's §4.3 baseline, zero robustness.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FedAvg;
-
-impl Aggregator for FedAvg {
-    fn name(&self) -> &'static str {
-        "fedavg"
-    }
-
-    fn aggregate(&self, updates: &[(Vec<f64>, u64)]) -> Result<Vec<f64>> {
-        crate::strategy::fedavg(updates)
-    }
-}
-
-/// Per-coordinate weighted median. Tolerates any minority (by weight) of
-/// arbitrarily corrupted updates per coordinate; the workhorse default
-/// when client counts are small.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CoordinateMedian;
-
-impl Aggregator for CoordinateMedian {
-    fn name(&self) -> &'static str {
-        "coordinate_median"
-    }
-
-    fn aggregate(&self, updates: &[(Vec<f64>, u64)]) -> Result<Vec<f64>> {
-        let (keep, _) = finite_updates(updates)?;
-        let dim = keep[0].0.len();
-        let mut out = Vec::with_capacity(dim);
-        let mut col: Vec<(f64, f64)> = Vec::with_capacity(keep.len());
-        for j in 0..dim {
+/// Applies `rule` to each coordinate's `(value, weight)` column.
+fn per_coordinate(
+    keep: &[(&[f64], f64)],
+    mut rule: impl FnMut(&mut [(f64, f64)]) -> Result<f64>,
+) -> Result<Vec<f64>> {
+    let mut col: Vec<(f64, f64)> = Vec::with_capacity(keep.len());
+    (0..keep[0].0.len())
+        .map(|j| {
             col.clear();
             col.extend(keep.iter().map(|(p, w)| (p[j], *w)));
-            out.push(weighted_median(&col)?);
-        }
-        Ok(out)
-    }
+            rule(&mut col)
+        })
+        .collect()
 }
 
-/// Per-coordinate trimmed weighted mean: sort each coordinate's values,
-/// drop `⌊trim_ratio · n⌋` entries from each end, and take the weighted
-/// mean of the rest. `trim_ratio = 0` is exactly FedAvg (bit-for-bit);
-/// `trim_ratio → 0.5` approaches the coordinate median.
-#[derive(Debug, Clone, Copy)]
-pub struct TrimmedMean {
-    /// Fraction trimmed from *each* end, in `[0, 0.5)`.
-    pub trim_ratio: f64,
+/// Exact per-coordinate weighted median over the finite updates.
+/// Tolerates any minority (by weight) of arbitrarily corrupted updates
+/// per coordinate.
+pub(crate) fn coordinate_median(updates: &[(Vec<f64>, u64)]) -> Result<Vec<f64>> {
+    per_coordinate(&finite_updates(updates)?.0, |col| weighted_median(col))
 }
 
-impl Aggregator for TrimmedMean {
-    fn name(&self) -> &'static str {
-        "trimmed_mean"
+/// Exact per-coordinate trimmed weighted mean over the finite updates:
+/// sort each coordinate's values, drop `⌊trim_ratio · n⌋` entries from
+/// each end, and take the weighted mean of the rest. `trim_ratio = 0` is
+/// exactly FedAvg (bit-for-bit).
+pub(crate) fn trimmed_mean(updates: &[(Vec<f64>, u64)], trim_ratio: f64) -> Result<Vec<f64>> {
+    let (keep, _) = finite_updates(updates)?;
+    let k = (trim_ratio * keep.len() as f64).floor() as usize;
+    if k == 0 {
+        return MeanAcc::mean_of(keep);
     }
-
-    fn aggregate(&self, updates: &[(Vec<f64>, u64)]) -> Result<Vec<f64>> {
-        if !(0.0..0.5).contains(&self.trim_ratio) {
-            return Err(FlError::Client(format!(
-                "trim_ratio must be in [0, 0.5), got {}",
-                self.trim_ratio
-            )));
+    per_coordinate(&keep, |col| {
+        col.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let kept = &col[k..col.len() - k];
+        let total: f64 = kept.iter().map(|(_, w)| w).sum();
+        if total <= 0.0 {
+            return Err(FlError::Client("zero total weight after trim".into()));
         }
-        let (keep, _) = finite_updates(updates)?;
-        let k = (self.trim_ratio * keep.len() as f64).floor() as usize;
-        if k == 0 {
-            // No trimming: identical arithmetic to fedavg, so
-            // TrimmedMean { trim_ratio: 0 } is bit-for-bit FedAvg.
-            return weighted_mean(&keep);
-        }
-        let dim = keep[0].0.len();
-        let mut out = Vec::with_capacity(dim);
-        let mut col: Vec<(f64, f64)> = Vec::with_capacity(keep.len());
-        for j in 0..dim {
-            col.clear();
-            col.extend(keep.iter().map(|(p, w)| (p[j], *w)));
-            col.sort_by(|a, b| a.0.total_cmp(&b.0));
-            let kept = &col[k..col.len() - k];
-            let total: f64 = kept.iter().map(|(_, w)| w).sum();
-            if total <= 0.0 {
-                return Err(FlError::Client("zero total weight after trim".into()));
-            }
-            out.push(kept.iter().map(|(v, w)| v * w).sum::<f64>() / total);
-        }
-        Ok(out)
-    }
-}
-
-/// FedAvg over norm-clipped updates: any update with ‖θ‖₂ > `max_norm`
-/// is rescaled to the boundary before averaging, bounding the influence
-/// of a scaled (but direction-preserving) attacker.
-#[derive(Debug, Clone, Copy)]
-pub struct NormClippedFedAvg {
-    /// Clipping radius; must be positive and finite.
-    pub max_norm: f64,
-}
-
-impl Aggregator for NormClippedFedAvg {
-    fn name(&self) -> &'static str {
-        "norm_clipped_fedavg"
-    }
-
-    fn aggregate(&self, updates: &[(Vec<f64>, u64)]) -> Result<Vec<f64>> {
-        if !(self.max_norm.is_finite() && self.max_norm > 0.0) {
-            return Err(FlError::Client(format!(
-                "max_norm must be positive and finite, got {}",
-                self.max_norm
-            )));
-        }
-        let (keep, _) = finite_updates(updates)?;
-        // Clip inline during the fold — same arithmetic as materializing
-        // the clipped vectors and running weighted_mean (`wf * (v *
-        // scale)` per coordinate, weights totalled first), but without
-        // allocating a clipped copy of every update.
-        let dim = keep[0].0.len();
-        let mut acc = vec![0.0; dim];
-        let mut total_w = 0.0;
-        for (p, wf) in &keep {
-            total_w += wf;
-            let norm = p.iter().map(|v| v * v).sum::<f64>().sqrt();
-            if norm > self.max_norm {
-                let scale = self.max_norm / norm;
-                for (a, &v) in acc.iter_mut().zip(*p) {
-                    *a += wf * (v * scale);
-                }
-            } else {
-                for (a, &v) in acc.iter_mut().zip(*p) {
-                    *a += wf * v;
-                }
-            }
-        }
-        if total_w <= 0.0 {
-            return Err(FlError::Client("zero total weight".into()));
-        }
-        for a in acc.iter_mut() {
-            *a /= total_w;
-        }
-        Ok(acc)
-    }
+        Ok(kept.iter().map(|(v, w)| v * w).sum::<f64>() / total)
+    })
 }
 
 /// Krum / Multi-Krum (Blanchard et al., NeurIPS 2017): score each update
@@ -325,16 +196,10 @@ pub struct Krum {
     pub m: usize,
 }
 
-impl Aggregator for Krum {
-    fn name(&self) -> &'static str {
-        if self.m > 1 {
-            "multi_krum"
-        } else {
-            "krum"
-        }
-    }
-
-    fn aggregate(&self, updates: &[(Vec<f64>, u64)]) -> Result<Vec<f64>> {
+impl Krum {
+    /// Selects from the finite updates; non-finite ones count against
+    /// the attacker budget `f`.
+    pub fn aggregate(&self, updates: &[(Vec<f64>, u64)]) -> Result<Vec<f64>> {
         if self.m == 0 {
             return Err(FlError::Client("Krum needs m ≥ 1".into()));
         }
@@ -375,8 +240,7 @@ impl Aggregator for Krum {
         if m == 1 {
             return Ok(keep[scores[0].1].0.to_vec());
         }
-        let selected: Vec<(&[f64], f64)> = scores[..m].iter().map(|&(_, i)| keep[i]).collect();
-        weighted_mean(&selected)
+        MeanAcc::mean_of(scores[..m].iter().map(|&(_, i)| keep[i]))
     }
 }
 
@@ -388,6 +252,11 @@ impl Aggregator for Krum {
 /// is the default and is bit-identical to the pre-robustness behaviour;
 /// every other variant screens updates through the [`UpdateGuard`] and
 /// aggregates losses with [`robust_aggregate_loss`].
+///
+/// [`NormClippedFedAvg`](AggregationStrategy::NormClippedFedAvg) rescales
+/// any update with ‖θ‖₂ > `max_norm` to the boundary before averaging,
+/// bounding the influence of a scaled (but direction-preserving)
+/// attacker.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum AggregationStrategy {
     /// Weighted mean (Equation 1 semantics). No Byzantine tolerance.
@@ -420,9 +289,16 @@ pub enum AggregationStrategy {
 }
 
 impl AggregationStrategy {
-    /// Rule name, matching [`Aggregator::name`].
+    /// Rule name for reports and errors.
     pub fn name(&self) -> &'static str {
-        self.aggregator().name()
+        match self {
+            AggregationStrategy::FedAvg => "fedavg",
+            AggregationStrategy::CoordinateMedian => "coordinate_median",
+            AggregationStrategy::TrimmedMean { .. } => "trimmed_mean",
+            AggregationStrategy::NormClippedFedAvg { .. } => "norm_clipped_fedavg",
+            AggregationStrategy::Krum { .. } => "krum",
+            AggregationStrategy::MultiKrum { .. } => "multi_krum",
+        }
     }
 
     /// `true` for every rule except plain FedAvg. Robust rules activate
@@ -456,23 +332,30 @@ impl AggregationStrategy {
         }
     }
 
-    /// The boxed rule implementation.
-    pub fn aggregator(&self) -> Box<dyn Aggregator + Send + Sync> {
-        match *self {
-            AggregationStrategy::FedAvg => Box::new(FedAvg),
-            AggregationStrategy::CoordinateMedian => Box::new(CoordinateMedian),
-            AggregationStrategy::TrimmedMean { trim_ratio } => Box::new(TrimmedMean { trim_ratio }),
-            AggregationStrategy::NormClippedFedAvg { max_norm } => {
-                Box::new(NormClippedFedAvg { max_norm })
-            }
-            AggregationStrategy::Krum { f } => Box::new(Krum { f, m: 1 }),
-            AggregationStrategy::MultiKrum { f, m } => Box::new(Krum { f, m }),
+    /// Aggregates `(client_id, params, num_examples)` updates under this
+    /// rule. Every rule but Krum folds through a [`StreamAgg`] whose exact
+    /// buffer never spills, so the result is exact. A non-finite update
+    /// under a mean-family rule fails with [`FlError::NonFiniteUpdate`]
+    /// naming its client id; the rank rules and Krum drop non-finite
+    /// updates.
+    pub fn aggregate(
+        &self,
+        updates: impl IntoIterator<Item = (usize, Vec<f64>, u64)>,
+    ) -> Result<Vec<f64>> {
+        let krum = match *self {
+            AggregationStrategy::Krum { f } => Some(Krum { f, m: 1 }),
+            AggregationStrategy::MultiKrum { f, m } => Some(Krum { f, m }),
+            _ => None,
+        };
+        if let Some(krum) = krum {
+            let batch: Vec<(Vec<f64>, u64)> = updates.into_iter().map(|(_, p, n)| (p, n)).collect();
+            return krum.aggregate(&batch);
         }
-    }
-
-    /// Aggregates parameter updates under this rule.
-    pub fn aggregate(&self, updates: &[(Vec<f64>, u64)]) -> Result<Vec<f64>> {
-        self.aggregator().aggregate(updates)
+        let mut agg = StreamAgg::new(self, usize::MAX)?;
+        for (id, params, n) in updates {
+            agg.fold_from(id, params, n)?;
+        }
+        agg.finalize()
     }
 
     /// Aggregates client losses: Equation-1 weighted mean under FedAvg,
@@ -596,6 +479,37 @@ pub struct UpdateGuard {
     loss_medians: VecDeque<f64>,
 }
 
+/// The per-reply half of the fit screen: dimension against `expected`
+/// (when known) and finiteness. `Ok` carries the update's L2 norm for the
+/// outlier screen.
+pub(crate) fn check_update(
+    params: &[f64],
+    expected: Option<usize>,
+) -> std::result::Result<f64, RejectReason> {
+    if let Some(expected) = expected.filter(|&d| d != params.len()) {
+        return Err(RejectReason::DimensionMismatch {
+            got: params.len(),
+            expected,
+        });
+    }
+    if params.iter().any(|v| !v.is_finite()) {
+        return Err(RejectReason::NonFinite);
+    }
+    Ok(params.iter().map(|v| v * v).sum::<f64>().sqrt())
+}
+
+/// The per-reply half of the loss screen: finite and non-negative (the
+/// engine's losses are MSE-family).
+pub(crate) fn check_loss(loss: f64) -> std::result::Result<(), RejectReason> {
+    if !loss.is_finite() {
+        return Err(RejectReason::NonFinite);
+    }
+    if loss < 0.0 {
+        return Err(RejectReason::NegativeLoss { loss });
+    }
+    Ok(())
+}
+
 /// Floor for the running medians so an all-zero honest round does not
 /// make the ratio screens vacuous (anything × 0 = 0).
 const MEDIAN_FLOOR: f64 = 1e-12;
@@ -681,24 +595,13 @@ impl UpdateGuard {
                 screened.accepted.push((id, p, n));
                 continue;
             }
-            let expected = expected.unwrap_or(p.len());
-            if p.len() != expected {
-                screened.rejected.push((
-                    id,
-                    RejectReason::DimensionMismatch {
-                        got: p.len(),
-                        expected,
-                    },
-                ));
-                continue;
+            match check_update(&p, expected) {
+                Ok(norm) => {
+                    norms.push(norm);
+                    survivors.push((id, p, n, norm));
+                }
+                Err(reason) => screened.rejected.push((id, reason)),
             }
-            if p.iter().any(|v| !v.is_finite()) {
-                screened.rejected.push((id, RejectReason::NonFinite));
-                continue;
-            }
-            let norm = p.iter().map(|v| v * v).sum::<f64>().sqrt();
-            norms.push(norm);
-            survivors.push((id, p, n, norm));
         }
 
         let median = Self::running_median(&self.norm_medians, &norms);
@@ -732,18 +635,13 @@ impl UpdateGuard {
         let mut survivors: Vec<(usize, f64, u64)> = Vec::new();
         let mut finite: Vec<f64> = Vec::new();
         for (id, loss, n) in losses {
-            if !loss.is_finite() {
-                screened.rejected.push((id, RejectReason::NonFinite));
-                continue;
+            match check_loss(loss) {
+                Ok(()) => {
+                    finite.push(loss);
+                    survivors.push((id, loss, n));
+                }
+                Err(reason) => screened.rejected.push((id, reason)),
             }
-            if loss < 0.0 {
-                screened
-                    .rejected
-                    .push((id, RejectReason::NegativeLoss { loss }));
-                continue;
-            }
-            finite.push(loss);
-            survivors.push((id, loss, n));
         }
 
         let median = Self::running_median(&self.loss_medians, &finite);
@@ -850,6 +748,21 @@ mod tests {
         fedavg(updates).unwrap()
     }
 
+    /// `strategy` over positional updates.
+    fn exact(strategy: AggregationStrategy, updates: &[(Vec<f64>, u64)]) -> Result<Vec<f64>> {
+        strategy.aggregate(
+            updates
+                .iter()
+                .cloned()
+                .enumerate()
+                .map(|(i, (p, n))| (i, p, n)),
+        )
+    }
+
+    fn clipped(max_norm: f64, updates: &[(Vec<f64>, u64)]) -> Vec<f64> {
+        exact(AggregationStrategy::NormClippedFedAvg { max_norm }, updates).unwrap()
+    }
+
     #[test]
     fn weighted_median_unweighted_matches_textbook() {
         let odd: Vec<(f64, f64)> = [3.0, 1.0, 2.0].iter().map(|&v| (v, 1.0)).collect();
@@ -898,7 +811,7 @@ mod tests {
             (vec![0.9, -1.1], 1),
             (vec![1e9, -1e9], 1), // attacker
         ];
-        let agg = CoordinateMedian.aggregate(&updates).unwrap();
+        let agg = coordinate_median(&updates).unwrap();
         assert!((1.0..=1.1).contains(&agg[0]), "got {agg:?}");
         assert!((-1.1..=-0.9).contains(&agg[1]), "got {agg:?}");
     }
@@ -906,14 +819,14 @@ mod tests {
     #[test]
     fn coordinate_median_drops_nan_updates() {
         let updates = vec![(vec![1.0], 1u64), (vec![f64::NAN], 1), (vec![3.0], 1)];
-        let agg = CoordinateMedian.aggregate(&updates).unwrap();
+        let agg = coordinate_median(&updates).unwrap();
         assert_eq!(agg, vec![2.0]);
     }
 
     #[test]
     fn trimmed_mean_zero_ratio_is_fedavg() {
         let updates = vec![(vec![1.0, 2.0], 3u64), (vec![-0.5, 0.25], 7)];
-        let tm = TrimmedMean { trim_ratio: 0.0 }.aggregate(&updates).unwrap();
+        let tm = trimmed_mean(&updates, 0.0).unwrap();
         let fa = eq1(&updates);
         let tm_bits: Vec<u64> = tm.iter().map(|v| v.to_bits()).collect();
         let fa_bits: Vec<u64> = fa.iter().map(|v| v.to_bits()).collect();
@@ -928,9 +841,7 @@ mod tests {
             (vec![3.0], 1),
             (vec![1e12], 1), // attacker
         ];
-        let agg = TrimmedMean { trim_ratio: 0.25 }
-            .aggregate(&updates)
-            .unwrap();
+        let agg = trimmed_mean(&updates, 0.25).unwrap();
         // One entry trimmed per end: mean of {2, 3}.
         assert!((agg[0] - 2.5).abs() < 1e-12, "got {agg:?}");
     }
@@ -938,8 +849,9 @@ mod tests {
     #[test]
     fn trimmed_mean_rejects_bad_ratio() {
         let u = vec![(vec![1.0], 1u64)];
-        assert!(TrimmedMean { trim_ratio: 0.5 }.aggregate(&u).is_err());
-        assert!(TrimmedMean { trim_ratio: -0.1 }.aggregate(&u).is_err());
+        for trim_ratio in [0.5, -0.1] {
+            assert!(exact(AggregationStrategy::TrimmedMean { trim_ratio }, &u).is_err());
+        }
     }
 
     #[test]
@@ -949,9 +861,7 @@ mod tests {
             (vec![0.0, 1.0], 1),
             (vec![1e9, 0.0], 1), // attacker, clipped to norm 2
         ];
-        let agg = NormClippedFedAvg { max_norm: 2.0 }
-            .aggregate(&updates)
-            .unwrap();
+        let agg = clipped(2.0, &updates);
         assert!(agg[0] <= 1.0 + 1e-12, "attacker still dominates: {agg:?}");
         let norm = agg.iter().map(|v| v * v).sum::<f64>().sqrt();
         assert!(norm <= 2.0 + 1e-12);
@@ -960,9 +870,7 @@ mod tests {
     #[test]
     fn norm_clipping_is_identity_within_radius() {
         let updates = vec![(vec![0.3, 0.4], 2u64), (vec![-0.3, 0.4], 2)];
-        let agg = NormClippedFedAvg { max_norm: 10.0 }
-            .aggregate(&updates)
-            .unwrap();
+        let agg = clipped(10.0, &updates);
         assert_eq!(agg, eq1(&updates));
     }
 
@@ -1001,8 +909,22 @@ mod tests {
 
     #[test]
     fn krum_single_update_is_identity() {
-        let agg = Krum { f: 0, m: 1 }.aggregate(&[(vec![7.0], 3)]).unwrap();
+        let agg = exact(AggregationStrategy::Krum { f: 0 }, &[(vec![7.0], 3)]).unwrap();
         assert_eq!(agg, vec![7.0]);
+    }
+
+    #[test]
+    fn strategy_aggregation_names_the_non_finite_sender() {
+        let updates = vec![(4, vec![1.0], 1u64), (9, vec![f64::NAN], 1)];
+        assert_eq!(
+            AggregationStrategy::FedAvg.aggregate(updates.clone()),
+            Err(FlError::NonFiniteUpdate { client: 9 })
+        );
+        // Rank rules drop the NaN update instead.
+        assert_eq!(
+            AggregationStrategy::CoordinateMedian.aggregate(updates),
+            Ok(vec![1.0])
+        );
     }
 
     #[test]

@@ -1,48 +1,75 @@
-//! The in-process federated simulation engine.
+//! The in-process federated simulation engine: one round loop for every
+//! federation size, from the paper's eight clients to a 10,000-client
+//! fleet (DESIGN.md §8).
 //!
-//! Each client runs on a dedicated OS thread (mirroring Flower's simulation
-//! mode, where clients are independent processes) and communicates with the
-//! server over channels carrying *encoded* messages — serialization is not
-//! skipped, so the communication boundary behaves like a real network hop
-//! minus the latency.
+//! Clients live on *host* threads the runtime owns: client `id` lives on
+//! host `id / ⌈n / 64⌉`, so up to [`MAX_HOSTS`] clients each get a thread
+//! (Flower's simulation mode) and a 10,000-client fleet runs on 64 hosts.
+//! Every hop crosses a real serialization boundary: the server encodes
+//! the instruction once per round; each host decodes it per client, runs
+//! the handler under `catch_unwind` (a panic becomes
+//! [`Reply::Panicked`], not a dead thread), routes the encoded reply
+//! through [`FlClient::wire_transform`], logs it and decodes it.
 //!
-//! # Fault model
+//! Every round runs the same loop: health admission of the cohort (full
+//! participation unless [`with_cohort`] sets a [`CohortSampler`]) plus
+//! due re-admission probes; hosts drive their admitted clients in id
+//! order; the server collects against the [`RoundPolicy`] deadline and
+//! retries, books every outcome into the [`HealthRegistry`], emits the
+//! `fl.*` counters and commits one flight-recorder frame. [`run_round`]
+//! returns the healthy replies (what the engine uses); [`run_fit_round`]
+//! and [`run_eval_round`] screen each reply on its host against medians
+//! frozen before the round and fold it into a per-host [`StreamAgg`]
+//! partial, so server memory stays O(model) (what fleets use).
 //!
-//! Channels carry `(sequence, payload)` pairs. Every instruction gets a
-//! per-client monotonically increasing sequence number and the server only
-//! accepts the reply matching the sequence it is waiting for; replies from
-//! earlier, timed-out rounds that arrive late are drained and discarded, so
-//! a straggler can never desynchronize the protocol. Client threads wrap
-//! handler dispatch in `catch_unwind`, turning a panic into a structured
-//! [`Reply::Panicked`] instead of a dead channel. [`run_round`] layers a
-//! [`RoundPolicy`] (deadline, response quorum, retries) on top and reports
-//! non-responders as typed dropouts while the [`crate::health`] registry
-//! decides who participates in future rounds.
+//! **Deadlines.** A host skips clients it cannot start before the
+//! deadline; the server abandons a host that has not answered by then —
+//! its clients time out and its late answer is discarded by sequence
+//! number. With one client per host this is per-client abandonment of a
+//! hung client. A reply dropped on the wire times out at once, so
+//! simulated stragglers cost no wall-clock time.
 //!
-//! The legacy [`broadcast`]/[`call`] primitives keep their original
-//! blocking semantics for well-behaved clients; only [`run_round`] is safe
-//! against clients that hang or drop replies.
+//! **Determinism.** Without a wall-clock deadline firing, a round is
+//! bit-identical across `FF_THREADS`: cohorts depend only on
+//! `(seed, round)`, the host partition only on the federation size, each
+//! host folds in id order and partials merge in host order.
 //!
+//! [`with_cohort`]: FederatedRuntime::with_cohort
 //! [`run_round`]: FederatedRuntime::run_round
-//! [`broadcast`]: FederatedRuntime::broadcast
-//! [`call`]: FederatedRuntime::call
+//! [`run_fit_round`]: FederatedRuntime::run_fit_round
+//! [`run_eval_round`]: FederatedRuntime::run_eval_round
 
 use crate::client::FlClient;
 use crate::config::ConfigMap;
-use crate::health::{ClientState, HealthPolicy, HealthRegistry, HealthReport};
+use crate::health::{ClientState, HealthPolicy, HealthRegistry, HealthReport, HealthState};
 use crate::log::{Direction, MessageLog};
 use crate::message::{Instruction, Reply};
+use crate::robust::{
+    check_loss, check_update, AggregationStrategy, GuardPolicy, RejectReason, UpdateGuard,
+};
+use crate::stream::StreamAgg;
 use crate::{FlError, Result};
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use ff_trace::Tracer;
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use ff_trace::{FlightRecorder, RoundFrame, Tracer};
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Per-round fault-tolerance policy for [`FederatedRuntime::run_round`].
+/// Most host threads one runtime spawns. A hung client can only be
+/// abandoned if it has a thread of its own, so clients cannot share a
+/// pool; capping the host count bounds a 10,000-client fleet to 64
+/// threads while federations of up to 64 clients keep one per client.
+pub const MAX_HOSTS: usize = 64;
+
+/// Round-level budget of exactly buffered updates for the rank rules:
+/// a fold round over at most this many clients is exact; beyond it the
+/// budget is split across the busy hosts (see [`StreamAgg`]).
+const EXACT_CAP: usize = 64;
+
+/// Per-round fault-tolerance policy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoundPolicy {
     /// How long to wait for all replies after the send phase. `None`
@@ -70,152 +97,545 @@ impl Default for RoundPolicy {
     }
 }
 
-/// Result of one fault-tolerant round.
+/// Result of one round. Id lists are sorted.
 #[derive(Debug, Clone)]
 pub struct RoundOutcome {
     /// Round number (1-based, shared with the health registry).
     pub round: u64,
-    /// Clients the health registry admitted to this round.
+    /// The sampled cohort, before health admission.
+    pub cohort: Vec<usize>,
+    /// Clients driven: admitted cohort members plus due probes.
     pub participants: Vec<usize>,
-    /// Healthy `(client_id, reply)` pairs, in client order.
+    /// How many participants were quarantine probes.
+    pub probes: usize,
+    /// Healthy `(client_id, reply)` pairs ([`FederatedRuntime::run_round`]
+    /// only).
     pub replies: Vec<(usize, Reply)>,
-    /// Clients that dropped out and why, in client order.
+    /// Clients whose reply was healthy — and, in fold rounds, passed
+    /// screening and was folded.
+    pub accepted: Vec<usize>,
+    /// Guard-rejected on-time replies of fold rounds, with reasons.
+    pub rejected: Vec<(usize, RejectReason)>,
+    /// Clients that produced no usable reply, with the transport error.
     pub dropouts: Vec<(usize, FlError)>,
+    /// Aggregated global parameters (fit rounds).
+    pub global: Vec<f64>,
+    /// Aggregated global loss (eval rounds).
+    pub loss: Option<f64>,
+    /// Examples across accepted fold replies.
+    pub total_examples: u64,
+    /// High-water mark of live aggregation state in a fit round, in
+    /// bytes: concurrent host partials plus the merged accumulator —
+    /// O(model × hosts), independent of cohort and fleet size.
+    pub agg_state_peak_bytes: usize,
 }
 
-struct ClientHandle {
-    tx: Sender<(u64, Bytes)>,
-    rx: Receiver<(u64, Bytes)>,
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Deterministic per-round client sampler.
+///
+/// Conceptually the sampler concatenates an infinite sequence of
+/// *blocks*, block `b` being a Fisher–Yates permutation of all `n`
+/// client ids seeded by `(seed, b)`. Round `r` (1-based) takes positions
+/// `[(r−1)·k, r·k)` of that virtual sequence (`k` = cohort size), sorted
+/// and deduplicated — a window can straddle two blocks, so a cohort may
+/// rarely shrink by a few duplicate ids.
+///
+/// Contracts (property-tested in `fleet_proptests`): `cohort(r)` is a
+/// pure function of `(n, k, seed, r)`, and any `2·⌈n/k⌉` consecutive
+/// rounds contain a full block, so no client is ever starved.
+#[derive(Debug, Clone)]
+pub struct CohortSampler {
+    n: usize,
+    k: usize,
+    seed: u64,
+}
+
+impl CohortSampler {
+    /// A sampler over `n` clients engaging `round(n × fraction)` of them
+    /// per round (clamped to `[1, n]`).
+    pub fn new(n: usize, fraction: f64, seed: u64) -> Result<CohortSampler> {
+        if n == 0 {
+            return Err(FlError::Client("sampler needs at least one client".into()));
+        }
+        let k = ((n as f64 * fraction.clamp(0.0, 1.0)).round() as usize).clamp(1, n);
+        Ok(CohortSampler { n, k, seed })
+    }
+
+    /// Nominal cohort size.
+    pub fn cohort_size(&self) -> usize {
+        self.k
+    }
+
+    /// The seeded Fisher–Yates permutation of all ids for block `b`.
+    fn block_perm(&self, b: u64) -> Vec<u32> {
+        let mut ids: Vec<u32> = (0..self.n as u32).collect();
+        let mut state = self
+            .seed
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(b.wrapping_mul(0xD1B5_4A32_D192_ED03))
+            .wrapping_add(1);
+        for i in (1..self.n).rev() {
+            let j = (splitmix64(&mut state) % (i as u64 + 1)) as usize;
+            ids.swap(i, j);
+        }
+        ids
+    }
+
+    /// The cohort for `round` (1-based), sorted ascending, deduplicated.
+    pub fn cohort(&self, round: u64) -> Vec<usize> {
+        assert!(round >= 1, "rounds are 1-based");
+        let n = self.n as u64;
+        let start = (round - 1).wrapping_mul(self.k as u64);
+        let mut block = start / n;
+        let mut perm = self.block_perm(block);
+        let mut ids = Vec::with_capacity(self.k);
+        for pos in start..start + self.k as u64 {
+            if pos / n != block {
+                block = pos / n;
+                perm = self.block_perm(block);
+            }
+            ids.push(perm[(pos % n) as usize] as usize);
+        }
+        ids.sort_unstable();
+        ids.dedup();
+        ids
+    }
+}
+
+/// The frozen state a fold round screens against and folds into.
+#[derive(Debug, Clone, Copy)]
+struct Fold {
+    strategy: AggregationStrategy,
+    guard: GuardPolicy,
+    /// Exact-buffer cap of each host partial.
+    cap: usize,
+    kind: FoldKind,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum FoldKind {
+    /// `ref_dim`: broadcast dimension (`None` for empty params);
+    /// `norm_median`: frozen norm-screen median (`None` bypasses it).
+    Fit {
+        ref_dim: Option<usize>,
+        norm_median: Option<f64>,
+    },
+    /// `loss_median`: frozen loss-screen median (`None` bypasses it).
+    Eval { loss_median: Option<f64> },
+}
+
+/// One round's work for one host: its admitted clients, in id order.
+struct Job {
+    seq: u64,
+    encoded: Bytes,
+    ids: Vec<usize>,
+    deadline: Option<Instant>,
+    fold: Option<Fold>,
+}
+
+enum HostMsg {
+    Round(Job),
+    Shutdown(u64),
+}
+
+/// One client's result within a round.
+enum Outcome {
+    /// A healthy reply ([`FederatedRuntime::run_round`]).
+    Replied(Reply),
+    /// A fold-round reply that passed screening and was folded, with its
+    /// screened update norm or its loss.
+    Folded {
+        norm: Option<f64>,
+        loss: Option<f64>,
+        examples: u64,
+    },
+    Rejected(RejectReason),
+    Failed(FlError),
+}
+
+/// A host's answer to one job (or its shutdown acknowledgement).
+struct HostOut {
+    seq: u64,
+    outcomes: Vec<(usize, Outcome)>,
+    /// The host's partial aggregate (fit rounds).
+    agg: Option<StreamAgg>,
+    /// A fold failure that fails the whole round.
+    fatal: Option<FlError>,
+}
+
+struct Host {
+    tx: Sender<HostMsg>,
+    rx: Receiver<HostOut>,
     join: Option<JoinHandle<()>>,
     next_seq: AtomicU64,
 }
 
-/// The federated runtime: owns the client threads and offers broadcast /
-/// collect primitives that higher layers (FedForecaster's Algorithm 1, the
-/// FedAvg loop) build on.
+impl Host {
+    fn send(&self, msg: impl FnOnce(u64) -> HostMsg) -> Option<u64> {
+        let seq = self.next_seq.fetch_add(1, Ordering::SeqCst);
+        self.tx.send(msg(seq)).ok().map(|_| seq)
+    }
+
+    /// Waits for the answer to job `seq`, discarding stale answers to
+    /// jobs abandoned in earlier rounds.
+    fn collect(
+        &self,
+        seq: u64,
+        deadline: Option<Instant>,
+    ) -> std::result::Result<HostOut, RecvTimeoutError> {
+        loop {
+            let out = match deadline {
+                None => self.rx.recv().map_err(|_| RecvTimeoutError::Disconnected)?,
+                Some(at) => self
+                    .rx
+                    .recv_timeout(at.saturating_duration_since(Instant::now()))?,
+            };
+            if out.seq >= seq {
+                return Ok(out);
+            }
+        }
+    }
+}
+
+fn handle(client: &mut dyn FlClient, ins: Instruction) -> Reply {
+    match ins {
+        Instruction::GetProperties(cfg) => Reply::Properties(client.get_properties(&cfg)),
+        Instruction::Fit { params, config } => {
+            let out = client.fit(&params, &config);
+            Reply::FitRes {
+                params: out.params,
+                num_examples: out.num_examples,
+                metrics: out.metrics,
+            }
+        }
+        Instruction::Evaluate { params, config } => {
+            let out = client.evaluate(&params, &config);
+            Reply::EvaluateRes {
+                loss: out.loss,
+                num_examples: out.num_examples,
+                metrics: out.metrics,
+            }
+        }
+        Instruction::Shutdown => Reply::ShutdownAck,
+    }
+}
+
+/// Drives one client through one hop: decode, handle under
+/// `catch_unwind`, `wire_transform`, log, decode. A reply dropped on the
+/// wire is a [`FlError::Timeout`] at once.
+fn drive(client: &mut dyn FlClient, id: usize, encoded: &Bytes, log: &MessageLog) -> Result<Reply> {
+    let raw = match Instruction::decode(encoded.clone()) {
+        // An undecodable instruction bounces as an application error.
+        Err(e) => Reply::Error(e.to_string()).encode().to_vec(),
+        Ok(ins) => {
+            let reply =
+                catch_unwind(AssertUnwindSafe(|| handle(client, ins))).unwrap_or_else(|payload| {
+                    let msg = match payload.downcast::<String>() {
+                        Ok(s) => *s,
+                        Err(p) => p
+                            .downcast_ref::<&str>()
+                            .map_or("panic of unknown type", |s| s)
+                            .to_string(),
+                    };
+                    Reply::Panicked(msg)
+                });
+            client
+                .wire_transform(reply.encode().to_vec())
+                .ok_or(FlError::Timeout(id))?
+        }
+    };
+    log.record(id, Direction::ToServer, &raw);
+    Reply::decode(Bytes::from(raw))
+}
+
+impl Fold {
+    /// Screens one reply and folds it into the host partial. `None` when
+    /// folding failed other than on a non-finite update; the failure
+    /// lands in `fatal` either way.
+    fn take(
+        &self,
+        id: usize,
+        reply: Reply,
+        agg: Option<&mut StreamAgg>,
+        fatal: &mut Option<FlError>,
+    ) -> Option<Outcome> {
+        let robust = self.strategy.is_robust();
+        let outlier =
+            |value: f64, ratio: f64, median: Option<f64>| median.filter(|&m| value > ratio * m);
+        Some(match (reply, self.kind) {
+            (Reply::Error(msg), _) => Outcome::Failed(FlError::Client(msg)),
+            (
+                Reply::FitRes {
+                    params,
+                    num_examples,
+                    ..
+                },
+                FoldKind::Fit {
+                    ref_dim,
+                    norm_median,
+                },
+            ) => {
+                let mut norm = None;
+                if robust {
+                    let screen = check_update(&params, ref_dim).and_then(|n| {
+                        match outlier(n, self.guard.norm_ratio, norm_median) {
+                            Some(median) => Err(RejectReason::NormOutlier { norm: n, median }),
+                            None => Ok(n),
+                        }
+                    });
+                    match screen {
+                        Ok(n) => norm = (!params.is_empty()).then_some(n),
+                        Err(reason) => return Some(Outcome::Rejected(reason)),
+                    }
+                }
+                let agg = agg.expect("fit jobs carry a partial");
+                match agg.fold_from(id, params, num_examples) {
+                    Ok(()) => Outcome::Folded {
+                        norm,
+                        loss: None,
+                        examples: num_examples,
+                    },
+                    Err(e @ FlError::NonFiniteUpdate { .. }) => {
+                        fatal.get_or_insert(e);
+                        Outcome::Rejected(RejectReason::NonFinite)
+                    }
+                    Err(e) => {
+                        fatal.get_or_insert(e);
+                        return None;
+                    }
+                }
+            }
+            (
+                Reply::EvaluateRes {
+                    loss, num_examples, ..
+                },
+                FoldKind::Eval { loss_median },
+            ) => {
+                if robust {
+                    let screen = check_loss(loss).and_then(|()| {
+                        match outlier(loss, self.guard.loss_ratio, loss_median) {
+                            Some(median) => Err(RejectReason::LossOutlier { loss, median }),
+                            None => Ok(()),
+                        }
+                    });
+                    if let Err(reason) = screen {
+                        return Some(Outcome::Rejected(reason));
+                    }
+                }
+                Outcome::Folded {
+                    norm: None,
+                    loss: Some(loss),
+                    examples: num_examples,
+                }
+            }
+            (other, _) => Outcome::Failed(FlError::Codec(format!("unexpected reply {other:?}"))),
+        })
+    }
+}
+
+fn run_job(first: usize, clients: &mut [Box<dyn FlClient>], log: &MessageLog, job: Job) -> HostOut {
+    let mut agg = job
+        .fold
+        .filter(|fold| matches!(fold.kind, FoldKind::Fit { .. }))
+        .map(|fold| StreamAgg::new(&fold.strategy, fold.cap).expect("validated by with_strategy"));
+    let mut fatal = None;
+    let mut outcomes = Vec::with_capacity(job.ids.len());
+    for id in job.ids {
+        let outcome = if job.deadline.is_some_and(|at| Instant::now() >= at) {
+            Outcome::Failed(FlError::Timeout(id))
+        } else {
+            match drive(clients[id - first].as_mut(), id, &job.encoded, log) {
+                Err(e) => Outcome::Failed(e),
+                Ok(Reply::Panicked(_)) => Outcome::Failed(FlError::ClientPanicked(id)),
+                Ok(reply) => match &job.fold {
+                    None => Outcome::Replied(reply),
+                    Some(fold) => match fold.take(id, reply, agg.as_mut(), &mut fatal) {
+                        Some(outcome) => outcome,
+                        None => continue,
+                    },
+                },
+            }
+        };
+        outcomes.push((id, outcome));
+    }
+    HostOut {
+        seq: job.seq,
+        outcomes,
+        agg,
+        fatal,
+    }
+}
+
+fn host_loop(
+    first: usize,
+    mut clients: Vec<Box<dyn FlClient>>,
+    log: MessageLog,
+    rx: Receiver<HostMsg>,
+    tx: Sender<HostOut>,
+) {
+    while let Ok(msg) = rx.recv() {
+        match msg {
+            HostMsg::Round(job) => {
+                if tx.send(run_job(first, &mut clients, &log, job)).is_err() {
+                    return;
+                }
+            }
+            HostMsg::Shutdown(seq) => {
+                let _ = tx.send(HostOut {
+                    seq,
+                    outcomes: Vec::new(),
+                    agg: None,
+                    fatal: None,
+                });
+                return;
+            }
+        }
+    }
+}
+
+fn fresh_quarantine(before: Option<ClientState>, after: Option<ClientState>) -> bool {
+    after == Some(ClientState::Quarantined) && before != Some(ClientState::Quarantined)
+}
+
+/// Escalates `id`'s integrity streak and counts `fl.updates_rejected` /
+/// `fl.byzantine_suspected`. Returns whether it is a fresh quarantine.
+fn note_rejection(health: &mut HealthRegistry, id: usize, tracer: &Tracer) -> bool {
+    let before = health.state(id);
+    let after = health.record_rejection(id);
+    if after.is_some() {
+        tracer.counter_add("fl.updates_rejected", 1);
+        if before == Some(ClientState::Healthy) && after != Some(ClientState::Healthy) {
+            tracer.counter_add("fl.byzantine_suspected", 1);
+        }
+    }
+    fresh_quarantine(before, after)
+}
+
+/// The federated runtime: owns the host threads and runs every round the
+/// higher layers (FedForecaster's Algorithm 1, fleet-scale FedAvg) build
+/// on. See the module docs for the architecture.
 pub struct FederatedRuntime {
-    clients: Vec<ClientHandle>,
+    hosts: Vec<Host>,
+    /// Clients per host: client `id` lives on host `id / per_host`.
+    per_host: usize,
+    n_clients: usize,
     log: MessageLog,
     health: Mutex<HealthRegistry>,
-    shutdown_timeout: Duration,
+    /// `None` is full participation.
+    sampler: Option<CohortSampler>,
+    /// Rule of the fold rounds.
+    strategy: AggregationStrategy,
+    guard: Mutex<UpdateGuard>,
     tracer: Mutex<Tracer>,
-}
-
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic of unknown type".into()
-    }
-}
-
-fn client_loop(
-    mut client: Box<dyn FlClient>,
-    rx_ins: Receiver<(u64, Bytes)>,
-    tx_rep: Sender<(u64, Bytes)>,
-) {
-    while let Ok((seq, raw)) = rx_ins.recv() {
-        let ins = match Instruction::decode(raw) {
-            Ok(ins) => ins,
-            Err(e) => {
-                if tx_rep
-                    .send((seq, Reply::Error(e.to_string()).encode()))
-                    .is_err()
-                {
-                    break;
-                }
-                continue;
-            }
-        };
-        if matches!(ins, Instruction::Shutdown) {
-            // Acks bypass wire_transform so a chaos wrapper cannot turn
-            // shutdown into a guaranteed timeout.
-            let _ = tx_rep.send((seq, Reply::ShutdownAck.encode()));
-            break;
-        }
-        let reply = match catch_unwind(AssertUnwindSafe(|| match ins {
-            Instruction::GetProperties(cfg) => Reply::Properties(client.get_properties(&cfg)),
-            Instruction::Fit { params, config } => {
-                let out = client.fit(&params, &config);
-                Reply::FitRes {
-                    params: out.params,
-                    num_examples: out.num_examples,
-                    metrics: out.metrics,
-                }
-            }
-            Instruction::Evaluate { params, config } => {
-                let out = client.evaluate(&params, &config);
-                Reply::EvaluateRes {
-                    loss: out.loss,
-                    num_examples: out.num_examples,
-                    metrics: out.metrics,
-                }
-            }
-            Instruction::Shutdown => unreachable!("handled above"),
-        })) {
-            Ok(reply) => reply,
-            Err(payload) => Reply::Panicked(panic_message(payload)),
-        };
-        // A `None` transform means the reply dropped on the wire; the
-        // server times out.
-        if let Some(bytes) = client.wire_transform(reply.encode().to_vec()) {
-            if tx_rep.send((seq, Bytes::from(bytes))).is_err() {
-                break;
-            }
-        }
-    }
+    recorder: Mutex<FlightRecorder>,
+    shutdown_timeout: Duration,
+    /// Clients seen in any cohort so far, and their count
+    /// (`fl.cohort_coverage`).
+    coverage: Mutex<(Vec<bool>, usize)>,
+    peak_agg_bytes: AtomicUsize,
 }
 
 impl FederatedRuntime {
-    /// Spawns one thread per client with the default [`HealthPolicy`].
+    /// Spawns the host threads with the default [`HealthPolicy`].
     pub fn new(clients: Vec<Box<dyn FlClient>>) -> FederatedRuntime {
         FederatedRuntime::with_health_policy(clients, HealthPolicy::default())
     }
 
-    /// Spawns one thread per client with an explicit health policy.
+    /// Spawns the host threads with an explicit health policy.
     pub fn with_health_policy(
         clients: Vec<Box<dyn FlClient>>,
         policy: HealthPolicy,
     ) -> FederatedRuntime {
+        let n = clients.len();
+        let per_host = n.div_ceil(MAX_HOSTS).max(1);
         let log = MessageLog::new();
-        let handles: Vec<ClientHandle> = clients
-            .into_iter()
-            .map(|client| {
-                let (tx_ins, rx_ins) = unbounded::<(u64, Bytes)>();
-                let (tx_rep, rx_rep) = unbounded::<(u64, Bytes)>();
-                let join = std::thread::spawn(move || client_loop(client, rx_ins, tx_rep));
-                ClientHandle {
-                    tx: tx_ins,
-                    rx: rx_rep,
+        let mut clients = clients.into_iter();
+        let hosts = (0..n.div_ceil(per_host))
+            .map(|h| {
+                let mine: Vec<Box<dyn FlClient>> = clients.by_ref().take(per_host).collect();
+                let (tx, host_rx) = unbounded();
+                let (host_tx, rx) = unbounded();
+                let log = log.clone();
+                let join = std::thread::spawn(move || {
+                    host_loop(h * per_host, mine, log, host_rx, host_tx)
+                });
+                Host {
+                    tx,
+                    rx,
                     join: Some(join),
                     next_seq: AtomicU64::new(0),
                 }
             })
             .collect();
-        let n = handles.len();
         FederatedRuntime {
-            clients: handles,
+            hosts,
+            per_host,
+            n_clients: n,
             log,
             health: Mutex::new(HealthRegistry::new(n, policy)),
-            shutdown_timeout: Duration::from_secs(5),
+            sampler: None,
+            strategy: AggregationStrategy::FedAvg,
+            guard: Mutex::new(UpdateGuard::new(GuardPolicy::default())),
             tracer: Mutex::new(Tracer::disabled()),
+            recorder: Mutex::new(FlightRecorder::disabled()),
+            shutdown_timeout: Duration::from_secs(5),
+            coverage: Mutex::new((vec![false; n], 0)),
+            peak_agg_bytes: AtomicUsize::new(0),
         }
     }
 
-    /// Attaches a tracer: rounds get `fl.round` spans and the
-    /// `fl.rounds` / `fl.probes` / `fl.retries` / `fl.deadline_misses` /
-    /// `fl.dropouts` / `fl.quarantines` counters; the message log feeds
-    /// per-message byte histograms.
+    /// Engages a seeded cohort of `round(n × fraction)` clients per round
+    /// (see [`CohortSampler`]) instead of every client. Errors for an
+    /// empty federation.
+    pub fn with_cohort(mut self, fraction: f64, seed: u64) -> Result<FederatedRuntime> {
+        self.sampler = Some(CohortSampler::new(self.n_clients, fraction, seed)?);
+        Ok(self)
+    }
+
+    /// Sets the aggregation rule and screen thresholds of the fold rounds
+    /// (default: FedAvg). Fails fast for Krum and Multi-Krum, which cannot
+    /// stream — a 10,000-client run must not discover a bad rule
+    /// mid-round.
+    pub fn with_strategy(
+        mut self,
+        strategy: AggregationStrategy,
+        guard: GuardPolicy,
+    ) -> Result<FederatedRuntime> {
+        StreamAgg::new(&strategy, EXACT_CAP)?;
+        self.strategy = strategy;
+        self.guard = Mutex::new(UpdateGuard::new(guard));
+        Ok(self)
+    }
+
+    /// Attaches a tracer: rounds get `fl.round` spans and the `fl.rounds`
+    /// / `fl.probes` / `fl.retries` / `fl.deadline_misses` /
+    /// `fl.dropouts` / `fl.updates_rejected` / `fl.quarantines` counters,
+    /// fit rounds the `fl.agg_state_peak_bytes` gauge, sampled rounds the
+    /// `fl.cohort_coverage` gauge; the message log feeds per-message byte
+    /// histograms.
     pub fn set_tracer(&self, tracer: Tracer) {
         self.log.set_tracer(tracer.clone());
         *self.tracer.lock() = tracer;
     }
 
+    /// Attaches a flight recorder: every round, failed ones included,
+    /// commits one [`RoundFrame`]; distress (a fresh quarantine, a
+    /// quorum failure, a guard rejection, a non-finite update) freezes
+    /// the ring into a forensic dump.
+    pub fn set_recorder(&self, recorder: FlightRecorder) {
+        *self.recorder.lock() = recorder;
+    }
+
     /// Number of clients.
     pub fn n_clients(&self) -> usize {
-        self.clients.len()
+        self.n_clients
     }
 
     /// The message transcript.
@@ -234,386 +654,415 @@ impl FederatedRuntime {
     }
 
     /// Exports the full health-registry state for durable checkpointing.
-    pub fn export_health(&self) -> crate::health::HealthState {
+    pub fn export_health(&self) -> HealthState {
         self.health.lock().export_state()
     }
 
-    /// Restores a previously exported health-registry state (round
-    /// counter, per-client streaks, quarantine and probe schedules).
-    /// Errors if the client count differs from this runtime's.
-    pub fn restore_health(&self, state: &crate::health::HealthState) -> Result<()> {
+    /// Restores a previously exported health-registry state. Errors if
+    /// the client count differs from this runtime's.
+    pub fn restore_health(&self, state: &HealthState) -> Result<()> {
         self.health
             .lock()
             .restore_state(state)
             .map_err(FlError::Client)
     }
 
+    /// High-water mark of aggregation state across all fit rounds so
+    /// far, in bytes.
+    pub fn peak_agg_bytes(&self) -> usize {
+        self.peak_agg_bytes.load(Ordering::Relaxed)
+    }
+
     /// Bounds how long [`shutdown`](Self::shutdown) (and therefore `Drop`)
-    /// waits for acks before detaching hung client threads. Default: 5 s.
+    /// waits for hosts before detaching hung ones. Default: 5 s.
     pub fn set_shutdown_timeout(&mut self, timeout: Duration) {
         self.shutdown_timeout = timeout;
     }
 
-    fn send_to(&self, id: usize, ins: &Instruction) -> Result<u64> {
-        self.send_encoded(id, &ins.encode())
-    }
-
-    /// Sends pre-encoded instruction bytes to one client. Broadcast paths
-    /// encode the instruction once and share the buffer across all
-    /// recipients ([`Bytes::clone`] is a reference-count bump, not a
-    /// copy) — at 10,000 clients, re-encoding per recipient would
-    /// dominate the send phase.
-    fn send_encoded(&self, id: usize, encoded: &Bytes) -> Result<u64> {
-        let handle = self.clients.get(id).ok_or(FlError::ClientUnavailable(id))?;
-        self.log.record(id, Direction::ToClient, encoded);
-        let seq = handle.next_seq.fetch_add(1, AtomicOrdering::SeqCst);
-        handle
-            .tx
-            .send((seq, encoded.clone()))
-            .map_err(|_| FlError::ClientUnavailable(id))?;
-        Ok(seq)
-    }
-
-    /// Waits for the reply carrying `seq`, draining stale replies left
-    /// over from earlier timed-out rounds.
-    fn collect_from(&self, id: usize, seq: u64, deadline: Option<Instant>) -> Result<Reply> {
-        let handle = self.clients.get(id).ok_or(FlError::ClientUnavailable(id))?;
-        loop {
-            let (got, raw) = match deadline {
-                None => handle
-                    .rx
-                    .recv()
-                    .map_err(|_| FlError::ClientUnavailable(id))?,
-                Some(at) => {
-                    let now = Instant::now();
-                    if now >= at {
-                        match handle.rx.try_recv() {
-                            Ok(pair) => pair,
-                            Err(TryRecvError::Empty) => return Err(FlError::Timeout(id)),
-                            Err(TryRecvError::Disconnected) => {
-                                return Err(FlError::ClientUnavailable(id))
-                            }
-                        }
-                    } else {
-                        match handle.rx.recv_timeout(at - now) {
-                            Ok(pair) => pair,
-                            Err(RecvTimeoutError::Timeout) => return Err(FlError::Timeout(id)),
-                            Err(RecvTimeoutError::Disconnected) => {
-                                return Err(FlError::ClientUnavailable(id))
-                            }
-                        }
-                    }
-                }
-            };
-            self.log.record(id, Direction::ToServer, &raw);
-            if got < seq {
-                continue; // stale reply from a timed-out round
-            }
-            if got > seq {
-                return Err(FlError::Codec(format!(
-                    "sequence desync on client {id}: got {got}, expected {seq}"
-                )));
-            }
-            return Reply::decode(raw);
-        }
-    }
-
-    /// Sends an instruction to one client and waits for its reply.
-    pub fn call(&self, client_id: usize, ins: &Instruction) -> Result<Reply> {
-        let seq = self.send_to(client_id, ins)?;
-        self.collect_from(client_id, seq, None)
-    }
-
-    /// Broadcasts an instruction to the given clients *in parallel* and
-    /// collects `(client_id, reply)` pairs in client order. Blocks until
-    /// every client replies — use [`run_round`](Self::run_round) when
-    /// clients may hang or drop replies.
-    pub fn broadcast(
-        &self,
-        client_ids: &[usize],
-        ins: &Instruction,
-    ) -> Result<Vec<(usize, Reply)>> {
-        // Send phase: encode once, share the buffer.
-        let encoded = ins.encode();
-        let mut seqs = Vec::with_capacity(client_ids.len());
-        for &id in client_ids {
-            seqs.push((id, self.send_encoded(id, &encoded)?));
-        }
-        // Collect phase (clients compute concurrently on their threads).
-        let mut replies = Vec::with_capacity(client_ids.len());
-        for (id, seq) in seqs {
-            replies.push((id, self.collect_from(id, seq, None)?));
-        }
-        Ok(replies)
-    }
-
-    /// Broadcasts to every client.
-    pub fn broadcast_all(&self, ins: &Instruction) -> Result<Vec<(usize, Reply)>> {
-        let ids: Vec<usize> = (0..self.n_clients()).collect();
-        self.broadcast(&ids, ins)
-    }
-
-    /// Broadcasts to a random subset of clients — Flower-style per-round
-    /// client sampling (`fraction_fit`). At least one client is always
-    /// selected; the draw is deterministic in `seed`.
-    pub fn broadcast_sample(
-        &self,
-        fraction: f64,
-        seed: u64,
-        ins: &Instruction,
-    ) -> Result<Vec<(usize, Reply)>> {
-        let n = self.n_clients();
-        let k = ((n as f64 * fraction.clamp(0.0, 1.0)).round() as usize).clamp(1, n);
-        // Fisher–Yates prefix with a seeded LCG (no rand dependency here).
-        let mut ids: Vec<usize> = (0..n).collect();
-        let mut state = seed
-            .wrapping_mul(0x9E3779B97F4A7C15)
-            .wrapping_add(0xD1B54A32D192ED03);
-        for i in 0..k {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let j = i + (state >> 33) as usize % (n - i);
-            ids.swap(i, j);
-        }
-        let mut selected = ids[..k].to_vec();
-        selected.sort_unstable();
-        self.broadcast(&selected, ins)
-    }
-
-    /// Fault-tolerant broadcast: clients that answer with [`Reply::Error`]
-    /// or [`Reply::Panicked`] are treated as dropouts and filtered out.
-    /// Errors only when fewer than `min_responses` healthy replies arrive —
-    /// the availability contract of a real FL deployment where stragglers
-    /// and crashed devices are routine.
-    pub fn broadcast_tolerant(
-        &self,
-        ins: &Instruction,
-        min_responses: usize,
-    ) -> Result<Vec<(usize, Reply)>> {
-        let replies = self.broadcast_all(ins)?;
-        let healthy: Vec<(usize, Reply)> = replies
-            .into_iter()
-            .filter(|(_, r)| !matches!(r, Reply::Error(_) | Reply::Panicked(_)))
-            .collect();
-        if healthy.len() < min_responses.max(1) {
-            return Err(FlError::Client(format!(
-                "only {} of {} clients responded (need {})",
-                healthy.len(),
-                self.n_clients(),
-                min_responses
-            )));
-        }
-        Ok(healthy)
-    }
-
-    /// Runs one fault-tolerant round: the health registry picks the
-    /// participants, the instruction is broadcast, and replies are
-    /// collected against the policy deadline. Timeouts and undecodable
-    /// replies are retried up to `policy.retries` times with linear
-    /// backoff; panics and disconnects are terminal for the round. The
-    /// round succeeds with whatever healthy subset replied, as long as the
-    /// quorum is met; every non-responder is reported as a typed dropout
-    /// and recorded as a health failure (driving quarantine).
+    /// Runs one round of `ins` and returns the healthy replies. Timeouts
+    /// and undecodable replies are retried up to `policy.retries` times;
+    /// panics and disconnects are terminal. The round succeeds with
+    /// whichever healthy subset replied, as long as the quorum is met;
+    /// every non-responder is a typed dropout and a health failure.
     pub fn run_round(&self, ins: &Instruction, policy: &RoundPolicy) -> Result<RoundOutcome> {
+        let phase = match ins {
+            Instruction::GetProperties(_) => "fl.properties",
+            Instruction::Fit { .. } => "fl.fit",
+            Instruction::Evaluate { .. } => "fl.eval",
+            Instruction::Shutdown => "fl.shutdown",
+        };
+        self.round(ins.encode(), phase, None, policy)
+    }
+
+    /// Runs one fit round: broadcast `params`, screen and fold replies on
+    /// the hosts, return the new global model.
+    pub fn run_fit_round(
+        &self,
+        params: Vec<f64>,
+        config: ConfigMap,
+        policy: &RoundPolicy,
+    ) -> Result<RoundOutcome> {
+        let kind = FoldKind::Fit {
+            ref_dim: (!params.is_empty()).then_some(params.len()),
+            norm_median: self.robust_median(UpdateGuard::frozen_norm_median),
+        };
+        let encoded = Instruction::Fit { params, config }.encode();
+        self.round(encoded, "fl.fit", Some(kind), policy)
+    }
+
+    /// Runs one evaluate round, aggregating the per-client losses
+    /// (Equation-1 weighted mean, or the weighted median for robust
+    /// strategies).
+    pub fn run_eval_round(
+        &self,
+        params: Vec<f64>,
+        config: ConfigMap,
+        policy: &RoundPolicy,
+    ) -> Result<RoundOutcome> {
+        let kind = FoldKind::Eval {
+            loss_median: self.robust_median(UpdateGuard::frozen_loss_median),
+        };
+        let encoded = Instruction::Evaluate { params, config }.encode();
+        self.round(encoded, "fl.eval", Some(kind), policy)
+    }
+
+    /// The frozen screening median of a robust strategy.
+    fn robust_median(&self, median: fn(&UpdateGuard) -> Option<f64>) -> Option<f64> {
+        self.strategy
+            .is_robust()
+            .then(|| median(&self.guard.lock()))
+            .flatten()
+    }
+
+    /// The round loop every entry point shares (see the module docs).
+    fn round(
+        &self,
+        encoded: Bytes,
+        phase: &'static str,
+        fold: Option<FoldKind>,
+        policy: &RoundPolicy,
+    ) -> Result<RoundOutcome> {
         let tracer = self.tracer.lock().clone();
-        let (round, mut pending, probes) = {
+        let recorder = self.recorder.lock().clone();
+        let (round, cohort, participants, probes) = {
             let mut health = self.health.lock();
             let round = health.begin_round();
-            let admitted = health.admitted(round);
-            // Quarantined clients in the admitted set are backoff probes.
-            let probes = if tracer.is_enabled() {
-                admitted
-                    .iter()
-                    .filter(|id| health.state(**id) == Some(ClientState::Quarantined))
-                    .count() as u64
-            } else {
-                0
+            let cohort = match &self.sampler {
+                Some(sampler) => sampler.cohort(round),
+                None => (0..self.n_clients).collect(),
             };
-            (round, admitted, probes)
+            // Due probes ride along whether or not the sampler picked
+            // them: a quarantined client must not wait for it to cycle.
+            let due = health.probes_due(round);
+            let probes = due.len();
+            let mut participants: Vec<usize> = cohort
+                .iter()
+                .copied()
+                .filter(|&id| health.is_admitted(id, round))
+                .chain(due)
+                .collect();
+            participants.sort_unstable();
+            participants.dedup();
+            (round, cohort, participants, probes)
         };
         let _round_span = tracer.span_labeled("fl.round", round);
         tracer.counter_add("fl.rounds", 1);
         if probes > 0 {
-            tracer.counter_add("fl.probes", probes);
+            tracer.counter_add("fl.probes", probes as u64);
         }
-        let participants = pending.clone();
-        let encoded = ins.encode(); // once per round, shared across sends
-        let mut ok_replies: Vec<(usize, Reply)> = Vec::new();
+        if tracer.is_enabled() && self.sampler.is_some() {
+            let mut cov = self.coverage.lock();
+            for &id in &cohort {
+                cov.1 += usize::from(!std::mem::replace(&mut cov.0[id], true));
+            }
+            tracer.gauge_set("fl.cohort_coverage", cov.1 as f64 / self.n_clients as f64);
+        }
+
+        let mut merged = match fold {
+            Some(FoldKind::Fit { .. }) => Some(StreamAgg::new(&self.strategy, EXACT_CAP)?),
+            _ => None,
+        };
+        let guard = *self.guard.lock().policy();
+        let mut replies: Vec<(usize, Reply)> = Vec::new();
+        let mut accepted: Vec<usize> = Vec::new();
+        let mut norms: Vec<f64> = Vec::new();
+        let mut losses: Vec<(f64, u64)> = Vec::new();
+        let mut rejected: Vec<(usize, RejectReason)> = Vec::new();
         let mut dropouts: Vec<(usize, FlError)> = Vec::new();
-        let mut attempt: u32 = 0;
+        let mut fatal: Option<FlError> = None;
+        let (mut total_examples, mut round_peak, mut round_retries) = (0u64, 0usize, 0u64);
+        let mut pending = participants.clone();
+        let mut attempt = 0u32;
         while !pending.is_empty() {
             attempt += 1;
-            let mut seqs = Vec::with_capacity(pending.len());
+            // One shared deadline per attempt: hosts run in parallel.
+            let deadline = policy.deadline.map(|d| Instant::now() + d);
+            let batches: Vec<&[usize]> = pending
+                .chunk_by(|a, b| a / self.per_host == b / self.per_host)
+                .collect();
+            // The exact-buffer budget is round-level: split across the
+            // busy hosts once the pass outgrows it, which keeps pass
+            // memory O(model × hosts).
+            let cap = if pending.len() <= EXACT_CAP {
+                EXACT_CAP
+            } else {
+                (EXACT_CAP / batches.len()).max(1)
+            };
+            let fold = fold.map(|kind| Fold {
+                strategy: self.strategy,
+                guard,
+                cap,
+                kind,
+            });
             let mut failures: Vec<(usize, FlError)> = Vec::new();
-            for &id in &pending {
-                match self.send_encoded(id, &encoded) {
-                    Ok(seq) => seqs.push((id, seq)),
-                    Err(e) => failures.push((id, e)),
+            let mut jobs = Vec::with_capacity(batches.len());
+            for ids in batches {
+                let host = &self.hosts[ids[0] / self.per_host];
+                for &id in ids {
+                    self.log.record(id, Direction::ToClient, &encoded);
+                }
+                let job = |seq| {
+                    HostMsg::Round(Job {
+                        seq,
+                        encoded: encoded.clone(),
+                        ids: ids.to_vec(),
+                        deadline,
+                        fold,
+                    })
+                };
+                match host.send(job) {
+                    Some(seq) => jobs.push((host, seq, ids)),
+                    None => {
+                        failures.extend(ids.iter().map(|&id| (id, FlError::ClientUnavailable(id))))
+                    }
                 }
             }
-            // One shared deadline per attempt: clients compute in
-            // parallel, so the round takes max(deadline, slowest healthy
-            // reply), not a per-client sum.
-            let deadline = policy.deadline.map(|d| Instant::now() + d);
-            for (id, seq) in seqs {
-                match self.collect_from(id, seq, deadline) {
-                    Ok(Reply::Panicked(_)) => failures.push((id, FlError::ClientPanicked(id))),
-                    Ok(reply) => ok_replies.push((id, reply)),
-                    Err(e) => failures.push((id, e)),
+            let mut partial_bytes = 0usize;
+            for (host, seq, ids) in jobs {
+                let out = match host.collect(seq, deadline) {
+                    Ok(out) => out,
+                    Err(lost) => {
+                        let error: fn(usize) -> FlError = match lost {
+                            RecvTimeoutError::Timeout => FlError::Timeout,
+                            RecvTimeoutError::Disconnected => FlError::ClientUnavailable,
+                        };
+                        failures.extend(ids.iter().map(|&id| (id, error(id))));
+                        continue;
+                    }
+                };
+                if let Some(agg) = out.agg {
+                    partial_bytes += agg.peak_state_bytes();
+                    if let Some(Err(e)) = merged.as_mut().map(|m| m.merge(agg)) {
+                        fatal.get_or_insert(e);
+                    }
                 }
+                if let Some(e) = out.fatal {
+                    fatal.get_or_insert(e);
+                }
+                for (id, outcome) in out.outcomes {
+                    match outcome {
+                        Outcome::Replied(reply) => {
+                            accepted.push(id);
+                            replies.push((id, reply));
+                        }
+                        Outcome::Folded {
+                            norm,
+                            loss,
+                            examples,
+                        } => {
+                            accepted.push(id);
+                            norms.extend(norm);
+                            losses.extend(loss.map(|l| (l, examples)));
+                            total_examples += examples;
+                        }
+                        Outcome::Rejected(reason) => rejected.push((id, reason)),
+                        Outcome::Failed(e) => failures.push((id, e)),
+                    }
+                }
+            }
+            round_peak =
+                round_peak.max(partial_bytes + merged.as_ref().map_or(0, StreamAgg::state_bytes));
+            let misses = failures
+                .iter()
+                .filter(|(_, e)| matches!(e, FlError::Timeout(_)))
+                .count() as u64;
+            if misses > 0 {
+                tracer.counter_add("fl.deadline_misses", misses);
             }
             let can_retry = attempt <= policy.retries;
-            if tracer.is_enabled() {
-                let misses = failures
-                    .iter()
-                    .filter(|(_, e)| matches!(e, FlError::Timeout(_)))
-                    .count() as u64;
-                if misses > 0 {
-                    tracer.counter_add("fl.deadline_misses", misses);
-                }
-            }
             let (retry, terminal): (Vec<_>, Vec<_>) = failures.into_iter().partition(|(_, e)| {
                 can_retry && matches!(e, FlError::Timeout(_) | FlError::Codec(_))
             });
             dropouts.extend(terminal);
             pending = retry.into_iter().map(|(id, _)| id).collect();
+            pending.sort_unstable();
             if !pending.is_empty() {
                 tracer.counter_add("fl.retries", pending.len() as u64);
-            }
-            if !pending.is_empty() && !policy.backoff.is_zero() {
-                std::thread::sleep(policy.backoff * attempt);
-            }
-        }
-        {
-            let mut health = self.health.lock();
-            for (id, _) in &ok_replies {
-                health.record_success(*id);
-            }
-            let mut quarantines = 0u64;
-            for (id, _) in &dropouts {
-                let before = health.state(*id);
-                let after = health.record_failure(*id);
-                if after == Some(ClientState::Quarantined)
-                    && before != Some(ClientState::Quarantined)
-                {
-                    quarantines += 1;
+                round_retries += pending.len() as u64;
+                if !policy.backoff.is_zero() {
+                    std::thread::sleep(policy.backoff * attempt);
                 }
             }
-            if !dropouts.is_empty() {
-                tracer.counter_add("fl.dropouts", dropouts.len() as u64);
+        }
+        replies.sort_by_key(|(id, _)| *id);
+        accepted.sort_unstable();
+        rejected.sort_by_key(|(id, _)| *id);
+        dropouts.sort_by_key(|(id, _)| *id);
+
+        // Health bookkeeping: one lock, O(participants).
+        let robust_fold = fold.is_some() && self.strategy.is_robust();
+        let mut quarantined: Vec<u64> = Vec::new();
+        {
+            let mut health = self.health.lock();
+            for &id in &accepted {
+                health.record_success(id);
+                if robust_fold {
+                    health.record_accepted(id);
+                }
             }
-            if quarantines > 0 {
-                tracer.counter_add("fl.quarantines", quarantines);
+            // A rejected reply arrived on time with bad content: transport
+            // success, integrity failure.
+            for (id, _) in &rejected {
+                health.record_success(*id);
+                if note_rejection(&mut health, *id, &tracer) {
+                    quarantined.push(*id as u64);
+                }
+            }
+            for (id, _) in &dropouts {
+                let before = health.state(*id);
+                if fresh_quarantine(before, health.record_failure(*id)) {
+                    quarantined.push(*id as u64);
+                }
             }
         }
-        ok_replies.sort_by_key(|(id, _)| *id);
-        dropouts.sort_by_key(|(id, _)| *id);
+        quarantined.sort_unstable();
+        if !dropouts.is_empty() {
+            tracer.counter_add("fl.dropouts", dropouts.len() as u64);
+        }
+        if !quarantined.is_empty() {
+            tracer.counter_add("fl.quarantines", quarantined.len() as u64);
+        }
+        // The accepted values join the guard history the *next* round
+        // screens against (frozen-median contract).
+        if robust_fold {
+            let mut guard = self.guard.lock();
+            match fold {
+                Some(FoldKind::Fit { .. }) => guard.commit_norms(&mut norms),
+                _ => guard.commit_losses(&mut losses.iter().map(|&(l, _)| l).collect::<Vec<_>>()),
+            }
+        }
+
         let required = policy.min_responses.max(1);
-        if ok_replies.len() < required {
-            return Err(FlError::Quorum {
-                healthy: ok_replies.len(),
+        let quorum_met = accepted.len() >= required;
+        let result = match (fatal, fold, merged) {
+            (Some(e), ..) => Err(e),
+            _ if !quorum_met => Err(FlError::Quorum {
+                healthy: accepted.len(),
                 required,
-            });
+            }),
+            (None, Some(FoldKind::Fit { .. }), Some(agg)) => {
+                round_peak = round_peak.max(agg.peak_state_bytes());
+                agg.finalize().map(|global| (global, None))
+            }
+            (None, Some(FoldKind::Eval { .. }), _) => self
+                .strategy
+                .aggregate_loss(&losses)
+                .map(|loss| (Vec::new(), Some(loss))),
+            _ => Ok((Vec::new(), None)),
+        };
+        // One frame per round, free of wall-clock data so dumps are
+        // bit-identical across thread counts; a disabled recorder never
+        // builds it.
+        recorder.commit_with(|| RoundFrame {
+            round,
+            phase,
+            cohort: cohort.len() as u64,
+            admitted: participants.len() as u64,
+            accepted: accepted.len() as u64,
+            probes: probes as u64,
+            rejected: rejected
+                .iter()
+                .map(|(id, r)| (*id as u64, r.to_string()))
+                .collect(),
+            dropouts: dropouts
+                .iter()
+                .map(|(id, e)| (*id as u64, e.to_string()))
+                .collect(),
+            quarantined: quarantined.clone(),
+            loss: result.as_ref().ok().and_then(|(_, loss)| *loss),
+            quorum_met,
+            non_finite: rejected
+                .iter()
+                .any(|(_, r)| matches!(r, RejectReason::NonFinite)),
+            counters: vec![("fl.retries", round_retries), ("fl.probes", probes as u64)],
+        });
+        let (global, loss) = result?;
+        if round_peak > 0 {
+            self.peak_agg_bytes.fetch_max(round_peak, Ordering::Relaxed);
+            tracer.gauge_set("fl.agg_state_peak_bytes", round_peak as f64);
         }
         Ok(RoundOutcome {
             round,
+            cohort,
             participants,
-            replies: ok_replies,
+            probes,
+            replies,
+            accepted,
+            rejected,
             dropouts,
+            global,
+            loss,
+            total_examples,
+            agg_state_peak_bytes: round_peak,
         })
     }
 
     /// Records that the robust-aggregation guard rejected `id`'s on-time
-    /// reply as Byzantine: escalates the client's integrity streak in the
-    /// health registry (repeat offenders quarantine exactly like crash
-    /// faults) and emits the `fl.updates_rejected` /
-    /// `fl.byzantine_suspected` counters. Returns the client's new health
-    /// state, or `None` for an unknown id.
+    /// reply as Byzantine: escalates the client's integrity streak (repeat
+    /// offenders quarantine exactly like crash faults) and emits the
+    /// `fl.updates_rejected` / `fl.byzantine_suspected` counters. Returns
+    /// the client's new health state, or `None` for an unknown id.
     pub fn record_update_rejected(&self, id: usize) -> Option<ClientState> {
         let tracer = self.tracer.lock().clone();
-        let (before, after) = {
-            let mut health = self.health.lock();
-            let before = health.state(id);
-            (before, health.record_rejection(id))
-        };
-        after?;
-        tracer.counter_add("fl.updates_rejected", 1);
-        if before == Some(ClientState::Healthy) && after != Some(ClientState::Healthy) {
-            tracer.counter_add("fl.byzantine_suspected", 1);
-        }
-        if after == Some(ClientState::Quarantined) && before != Some(ClientState::Quarantined) {
+        let mut health = self.health.lock();
+        if note_rejection(&mut health, id, &tracer) {
             tracer.counter_add("fl.quarantines", 1);
         }
-        after
+        health.state(id)
     }
 
     /// Records that the guard accepted `id`'s update, clearing its
-    /// integrity streak (see
-    /// [`HealthRegistry::record_accepted`](crate::health::HealthRegistry::record_accepted)).
+    /// integrity streak (see [`HealthRegistry::record_accepted`]).
     pub fn record_update_accepted(&self, id: usize) {
         self.health.lock().record_accepted(id);
     }
 
-    /// Convenience: `GetProperties` to every client, returning config maps.
-    pub fn collect_properties(&self, config: &ConfigMap) -> Result<Vec<ConfigMap>> {
-        let replies = self.broadcast_all(&Instruction::GetProperties(config.clone()))?;
-        replies
-            .into_iter()
-            .map(|(_, r)| match r {
-                Reply::Properties(cfg) => Ok(cfg),
-                Reply::Error(e) => Err(FlError::Client(e)),
-                other => Err(FlError::Codec(format!("unexpected reply {other:?}"))),
-            })
-            .collect()
-    }
-
-    /// Shuts all clients down within the configured shutdown timeout.
+    /// Shuts all hosts down within the configured shutdown timeout.
     pub fn shutdown(&mut self) {
         self.shutdown_within(self.shutdown_timeout);
     }
 
-    /// Shuts all clients down, waiting at most `timeout` overall for acks.
-    /// Threads that do not ack in time (hung in a handler) are detached
-    /// rather than joined, so this — and therefore `Drop` — never blocks
-    /// longer than `timeout`.
+    /// Shuts all hosts down, waiting at most `timeout` overall. Hosts hung
+    /// in a handler are detached rather than joined, so this — and
+    /// therefore `Drop` — never blocks longer than `timeout`.
     pub fn shutdown_within(&mut self, timeout: Duration) {
-        // Send phase: best effort. A failed send means the client thread
-        // already exited, which is exactly what shutdown wants.
-        let mut acks: Vec<Option<u64>> = Vec::with_capacity(self.clients.len());
-        let encoded = Instruction::Shutdown.encode();
-        for (id, handle) in self.clients.iter().enumerate() {
-            self.log.record(id, Direction::ToClient, &encoded);
-            let seq = handle.next_seq.fetch_add(1, AtomicOrdering::SeqCst);
-            acks.push(handle.tx.send((seq, encoded.clone())).ok().map(|_| seq));
-        }
         let deadline = Instant::now() + timeout;
-        for (handle, ack) in self.clients.iter_mut().zip(acks) {
-            // A failed send means the thread has already exited: joinable.
-            let mut done = ack.is_none();
-            if let Some(seq) = ack {
-                loop {
-                    let remaining = deadline.saturating_duration_since(Instant::now());
-                    match handle.rx.recv_timeout(remaining) {
-                        Ok((got, _)) if got >= seq => {
-                            done = true;
-                            break;
-                        }
-                        Ok(_) => continue, // stale reply from a timed-out round
-                        Err(RecvTimeoutError::Disconnected) => {
-                            done = true;
-                            break;
-                        }
-                        Err(RecvTimeoutError::Timeout) => break,
-                    }
-                }
-            }
-            if let Some(join) = handle.join.take() {
-                if done {
-                    let _ = join.join();
-                }
-                // Not done: drop the handle, detaching the hung thread. It
-                // exits on its own once its instruction channel closes.
+        // A failed send means the host already exited: joinable.
+        let acks: Vec<Option<u64>> = self
+            .hosts
+            .iter()
+            .map(|h| h.send(HostMsg::Shutdown))
+            .collect();
+        for (host, ack) in self.hosts.iter_mut().zip(acks) {
+            let done = ack.is_none_or(|seq| {
+                !matches!(
+                    host.collect(seq, Some(deadline)),
+                    Err(RecvTimeoutError::Timeout)
+                )
+            });
+            // A hung host is detached: it exits once its channel closes.
+            if let Some(join) = host.join.take().filter(|_| done) {
+                let _ = join.join();
             }
         }
     }
@@ -628,8 +1077,10 @@ impl Drop for FederatedRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::{AdversarialMode, ChaosClient};
     use crate::client::{EvalOutput, FitOutput};
     use crate::config::ConfigMapExt;
+    use std::collections::BTreeSet;
 
     /// Toy client: holds a private scalar dataset; fit returns its mean.
     struct MeanClient {
@@ -722,6 +1173,54 @@ mod tests {
         }
     }
 
+    /// Toy client: fit returns a constant vector scaled by `value`.
+    struct Constant {
+        value: f64,
+        dim: usize,
+        examples: u64,
+    }
+
+    impl FlClient for Constant {
+        fn get_properties(&mut self, _config: &ConfigMap) -> ConfigMap {
+            ConfigMap::new()
+        }
+        fn fit(&mut self, _params: &[f64], _config: &ConfigMap) -> FitOutput {
+            FitOutput {
+                params: vec![self.value; self.dim],
+                num_examples: self.examples,
+                metrics: ConfigMap::new(),
+            }
+        }
+        fn evaluate(&mut self, params: &[f64], _config: &ConfigMap) -> EvalOutput {
+            let center = params.first().copied().unwrap_or(0.0);
+            EvalOutput {
+                loss: (self.value - center).abs(),
+                num_examples: self.examples,
+                metrics: ConfigMap::new(),
+            }
+        }
+    }
+
+    fn constant(value: f64, dim: usize) -> Box<dyn FlClient> {
+        Box::new(Constant {
+            value,
+            dim,
+            examples: 1,
+        })
+    }
+
+    fn constant_fleet(n: usize, dim: usize) -> Vec<Box<dyn FlClient>> {
+        (0..n)
+            .map(|i| {
+                Box::new(Constant {
+                    value: 1.0 + (i % 7) as f64 * 0.1,
+                    dim,
+                    examples: 1 + (i % 3) as u64,
+                }) as Box<dyn FlClient>
+            })
+            .collect()
+    }
+
     fn runtime() -> FederatedRuntime {
         let clients: Vec<Box<dyn FlClient>> = vec![
             Box::new(MeanClient {
@@ -734,25 +1233,47 @@ mod tests {
         FederatedRuntime::new(clients)
     }
 
-    #[test]
-    fn properties_roundtrip_through_runtime() {
-        let rt = runtime();
-        let props = rt.collect_properties(&ConfigMap::new()).unwrap();
-        assert_eq!(props[0].int_or("n", 0), 3);
-        assert_eq!(props[1].int_or("n", 0), 2);
+    fn properties() -> Instruction {
+        Instruction::GetProperties(ConfigMap::new())
+    }
+
+    fn no_deadline() -> RoundPolicy {
+        RoundPolicy {
+            deadline: None,
+            min_responses: 1,
+            retries: 0,
+            backoff: Duration::ZERO,
+        }
+    }
+
+    fn ids(replies: &[(usize, Reply)]) -> Vec<usize> {
+        replies.iter().map(|(id, _)| *id).collect()
     }
 
     #[test]
-    fn broadcast_fit_returns_all_results_in_order() {
+    fn properties_roundtrip_through_runtime() {
         let rt = runtime();
-        let replies = rt
-            .broadcast_all(&Instruction::Fit {
-                params: vec![],
-                config: ConfigMap::new(),
-            })
-            .unwrap();
-        assert_eq!(replies.len(), 2);
-        match &replies[0].1 {
+        let out = rt.run_round(&properties(), &no_deadline()).unwrap();
+        match (&out.replies[0].1, &out.replies[1].1) {
+            (Reply::Properties(a), Reply::Properties(b)) => {
+                assert_eq!(a.int_or("n", 0), 3);
+                assert_eq!(b.int_or("n", 0), 2);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn fit_round_returns_all_results_in_order() {
+        let rt = runtime();
+        let fit = Instruction::Fit {
+            params: vec![],
+            config: ConfigMap::new(),
+        };
+        let out = rt.run_round(&fit, &no_deadline()).unwrap();
+        assert_eq!(ids(&out.replies), vec![0, 1]);
+        assert_eq!(out.accepted, vec![0, 1]);
+        match &out.replies[0].1 {
             Reply::FitRes {
                 params,
                 num_examples,
@@ -763,7 +1284,7 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        match &replies[1].1 {
+        match &out.replies[1].1 {
             Reply::FitRes { params, .. } => assert!((params[0] - 15.0).abs() < 1e-12),
             other => panic!("unexpected {other:?}"),
         }
@@ -772,32 +1293,21 @@ mod tests {
     #[test]
     fn evaluate_computes_local_losses() {
         let rt = runtime();
-        let replies = rt
-            .broadcast_all(&Instruction::Evaluate {
-                params: vec![2.0],
-                config: ConfigMap::new(),
-            })
-            .unwrap();
-        match &replies[0].1 {
+        let eval = Instruction::Evaluate {
+            params: vec![2.0],
+            config: ConfigMap::new(),
+        };
+        let out = rt.run_round(&eval, &no_deadline()).unwrap();
+        match &out.replies[0].1 {
             Reply::EvaluateRes { loss, .. } => assert!((loss - 2.0 / 3.0).abs() < 1e-12),
             other => panic!("unexpected {other:?}"),
         }
     }
 
     #[test]
-    fn subset_broadcast_only_touches_selected_clients() {
-        let rt = runtime();
-        let replies = rt
-            .broadcast(&[1], &Instruction::GetProperties(ConfigMap::new()))
-            .unwrap();
-        assert_eq!(replies.len(), 1);
-        assert_eq!(replies[0].0, 1);
-    }
-
-    #[test]
     fn log_records_all_traffic() {
         let rt = runtime();
-        rt.collect_properties(&ConfigMap::new()).unwrap();
+        rt.run_round(&properties(), &no_deadline()).unwrap();
         // 2 instructions + 2 replies.
         assert_eq!(rt.log().len(), 4);
         let (to_client, to_server) = rt.log().byte_totals();
@@ -805,7 +1315,7 @@ mod tests {
     }
 
     #[test]
-    fn sampled_broadcast_hits_a_subset() {
+    fn sampled_rounds_hit_a_deterministic_subset() {
         let clients: Vec<Box<dyn FlClient>> = (0..10)
             .map(|i| {
                 Box::new(MeanClient {
@@ -813,49 +1323,25 @@ mod tests {
                 }) as Box<dyn FlClient>
             })
             .collect();
-        let rt = FederatedRuntime::new(clients);
-        let replies = rt
-            .broadcast_sample(0.3, 7, &Instruction::GetProperties(ConfigMap::new()))
-            .unwrap();
-        assert_eq!(replies.len(), 3);
-        // Deterministic per seed.
-        let again = rt
-            .broadcast_sample(0.3, 7, &Instruction::GetProperties(ConfigMap::new()))
+        let rt = FederatedRuntime::new(clients).with_cohort(0.3, 7).unwrap();
+        let out = rt.run_round(&properties(), &no_deadline()).unwrap();
+        assert_eq!(out.replies.len(), 3);
+        assert_eq!(out.cohort, out.participants);
+        let sampler = CohortSampler::new(10, 0.3, 7).unwrap();
+        assert_eq!(out.participants, sampler.cohort(1));
+        // Zero fraction still reaches one client; empty federations
+        // cannot sample.
+        let one = FederatedRuntime::new(vec![constant(1.0, 1), constant(2.0, 1)])
+            .with_cohort(0.0, 3)
             .unwrap();
         assert_eq!(
-            replies.iter().map(|(i, _)| *i).collect::<Vec<_>>(),
-            again.iter().map(|(i, _)| *i).collect::<Vec<_>>()
+            one.run_round(&properties(), &no_deadline())
+                .unwrap()
+                .replies
+                .len(),
+            1
         );
-        // Zero fraction still reaches one client.
-        let one = rt
-            .broadcast_sample(0.0, 3, &Instruction::GetProperties(ConfigMap::new()))
-            .unwrap();
-        assert_eq!(one.len(), 1);
-    }
-
-    #[test]
-    fn tolerant_broadcast_filters_error_replies() {
-        let rt = runtime();
-        // Send an undecodable-op style request: MeanClient answers fine, so
-        // simulate failures by checking the filter logic on Error replies
-        // produced by a decode failure — craft one via a direct call.
-        let replies = rt
-            .broadcast_tolerant(&Instruction::GetProperties(ConfigMap::new()), 2)
-            .unwrap();
-        assert_eq!(replies.len(), 2);
-        // Requiring more healthy replies than clients exist fails.
-        assert!(rt
-            .broadcast_tolerant(&Instruction::GetProperties(ConfigMap::new()), 5)
-            .is_err());
-    }
-
-    #[test]
-    fn out_of_range_client_errors() {
-        let rt = runtime();
-        assert!(matches!(
-            rt.call(5, &Instruction::Shutdown),
-            Err(FlError::ClientUnavailable(5))
-        ));
+        assert!(FederatedRuntime::new(vec![]).with_cohort(0.5, 1).is_err());
     }
 
     #[test]
@@ -879,25 +1365,17 @@ mod tests {
             min_responses: 1,
             ..RoundPolicy::default()
         };
-        let outcome = rt
-            .run_round(&Instruction::GetProperties(ConfigMap::new()), &policy)
-            .unwrap();
+        let outcome = rt.run_round(&properties(), &policy).unwrap();
         assert_eq!(outcome.participants, vec![0, 1]);
-        assert_eq!(outcome.replies.len(), 1);
-        assert_eq!(outcome.replies[0].0, 0);
+        assert_eq!(ids(&outcome.replies), vec![0]);
         assert_eq!(outcome.dropouts, vec![(1, FlError::ClientPanicked(1))]);
-        // The panicked client's thread survives: the next round still
-        // reaches it (and it still answers the well-behaved way a real
-        // recovered device would — here it panics again).
-        let outcome2 = rt
-            .run_round(&Instruction::GetProperties(ConfigMap::new()), &policy)
-            .unwrap();
+        // The panicked client's host survives: the next round still
+        // reaches it (and it panics again).
+        let outcome2 = rt.run_round(&properties(), &policy).unwrap();
         assert_eq!(outcome2.dropouts.len(), 1);
         // Two consecutive failures quarantine the client.
         assert_eq!(rt.client_state(1), Some(ClientState::Quarantined));
-        let outcome3 = rt
-            .run_round(&Instruction::GetProperties(ConfigMap::new()), &policy)
-            .unwrap();
+        let outcome3 = rt.run_round(&properties(), &policy).unwrap();
         assert_eq!(outcome3.participants, vec![0]);
     }
 
@@ -920,9 +1398,7 @@ mod tests {
             backoff: Duration::ZERO,
         };
         let started = Instant::now();
-        let outcome = rt
-            .run_round(&Instruction::GetProperties(ConfigMap::new()), &policy)
-            .unwrap();
+        let outcome = rt.run_round(&properties(), &policy).unwrap();
         assert!(
             started.elapsed() < Duration::from_millis(350),
             "deadline not enforced"
@@ -932,9 +1408,7 @@ mod tests {
         // Round 2: the straggler's late round-1 reply must be discarded,
         // not mistaken for the round-2 answer.
         std::thread::sleep(Duration::from_millis(450));
-        let outcome2 = rt
-            .run_round(&Instruction::GetProperties(ConfigMap::new()), &policy)
-            .unwrap();
+        let outcome2 = rt.run_round(&properties(), &policy).unwrap();
         assert_eq!(
             outcome2.replies.len(),
             2,
@@ -958,20 +1432,14 @@ mod tests {
             min_responses: 2,
             ..RoundPolicy::default()
         };
-        match rt.run_round(&Instruction::GetProperties(ConfigMap::new()), &policy) {
+        match rt.run_round(&properties(), &policy) {
             Err(FlError::Quorum { healthy, required }) => {
                 assert_eq!((healthy, required), (1, 2));
             }
             other => panic!("expected quorum error, got {other:?}"),
         }
         // The healthy client is still usable afterwards.
-        let relaxed = RoundPolicy {
-            min_responses: 1,
-            ..RoundPolicy::default()
-        };
-        let outcome = rt
-            .run_round(&Instruction::GetProperties(ConfigMap::new()), &relaxed)
-            .unwrap();
+        let outcome = rt.run_round(&properties(), &no_deadline()).unwrap();
         assert_eq!(outcome.replies.len(), 1);
     }
 
@@ -987,16 +1455,14 @@ mod tests {
         let policy = RoundPolicy::default();
         // Two rounds where client 1 replies on time but the guard rejects
         // its update: Suspect, then a fresh quarantine.
-        rt.run_round(&Instruction::GetProperties(ConfigMap::new()), &policy)
-            .unwrap();
+        rt.run_round(&properties(), &policy).unwrap();
         assert_eq!(
             rt.record_update_rejected(1),
             Some(ClientState::Suspect),
             "first rejection"
         );
         rt.record_update_accepted(0);
-        rt.run_round(&Instruction::GetProperties(ConfigMap::new()), &policy)
-            .unwrap();
+        rt.run_round(&properties(), &policy).unwrap();
         assert_eq!(rt.record_update_rejected(1), Some(ClientState::Quarantined));
         assert_eq!(rt.client_state(1), Some(ClientState::Quarantined));
         assert_eq!(rt.client_state(0), Some(ClientState::Healthy));
@@ -1018,12 +1484,8 @@ mod tests {
         let rt = FederatedRuntime::new(clients);
         let tracer = Tracer::enabled();
         rt.set_tracer(tracer.clone());
-        let policy = RoundPolicy {
-            min_responses: 1,
-            ..RoundPolicy::default()
-        };
         for _ in 0..2 {
-            rt.run_round(&Instruction::GetProperties(ConfigMap::new()), &policy)
+            rt.run_round(&properties(), &RoundPolicy::default())
                 .unwrap();
         }
         let snap = tracer.snapshot();
@@ -1037,14 +1499,12 @@ mod tests {
         assert_eq!(snap.counter("fl.dropouts"), 2);
         assert_eq!(snap.counter("fl.quarantines"), 1);
         // Byte histograms flow through the message log in both directions.
-        assert!(snap
-            .histograms
-            .iter()
-            .any(|(id, h)| id.name == "fl.msg_bytes_to_client" && !h.is_empty()));
-        assert!(snap
-            .histograms
-            .iter()
-            .any(|(id, h)| id.name == "fl.msg_bytes_to_server" && !h.is_empty()));
+        for name in ["fl.msg_bytes_to_client", "fl.msg_bytes_to_server"] {
+            assert!(snap
+                .histograms
+                .iter()
+                .any(|(id, h)| id.name == name && !h.is_empty()));
+        }
     }
 
     #[test]
@@ -1057,14 +1517,298 @@ mod tests {
             }),
         ];
         let mut rt = FederatedRuntime::new(clients);
-        // Park the slow client inside its 30 s handler.
-        let _ = rt.send_to(1, &Instruction::GetProperties(ConfigMap::new()));
+        // Park the slow client's host inside its 30 s handler.
+        let policy = RoundPolicy {
+            deadline: Some(Duration::from_millis(20)),
+            ..RoundPolicy::default()
+        };
+        rt.run_round(&properties(), &policy).unwrap();
         rt.set_shutdown_timeout(Duration::from_millis(100));
         let started = Instant::now();
         drop(rt);
         assert!(
             started.elapsed() < Duration::from_secs(2),
             "drop blocked on a hung client"
+        );
+    }
+
+    #[test]
+    fn large_federations_share_at_most_max_hosts_threads() {
+        let rt = FederatedRuntime::new(constant_fleet(200, 1));
+        assert_eq!(rt.hosts.len(), 50, "200 clients on hosts of 4");
+        let small = FederatedRuntime::new(constant_fleet(MAX_HOSTS, 1));
+        assert_eq!(small.hosts.len(), MAX_HOSTS, "one host per client");
+        let out = rt.run_round(&properties(), &no_deadline()).unwrap();
+        assert_eq!(ids(&out.replies), (0..200).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn sampler_is_deterministic_and_covers_everyone() {
+        let sampler = CohortSampler::new(100, 0.1, 42).unwrap();
+        assert_eq!(sampler.cohort_size(), 10);
+        for round in 1..=5 {
+            assert_eq!(sampler.cohort(round), sampler.cohort(round));
+        }
+        // Rounds 1..=10 walk block 0 exactly: every client appears.
+        let mut seen = BTreeSet::new();
+        for round in 1..=10 {
+            let cohort = sampler.cohort(round);
+            assert!(!cohort.is_empty() && cohort.len() <= 10);
+            seen.extend(cohort);
+        }
+        assert_eq!(seen.len(), 100, "starved clients: {}", 100 - seen.len());
+        // Different seeds give different schedules.
+        let other = CohortSampler::new(100, 0.1, 43).unwrap();
+        assert_ne!(
+            (1..=10).map(|r| sampler.cohort(r)).collect::<Vec<_>>(),
+            (1..=10).map(|r| other.cohort(r)).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn fit_round_aggregates_the_sampled_cohort() {
+        let rt = FederatedRuntime::new(constant_fleet(50, 3))
+            .with_cohort(0.2, 0)
+            .unwrap();
+        let out = rt
+            .run_fit_round(vec![0.0; 3], ConfigMap::new(), &no_deadline())
+            .unwrap();
+        assert_eq!(out.round, 1);
+        assert_eq!(out.cohort.len(), 10);
+        assert_eq!(out.accepted, out.participants);
+        assert!(out.replies.is_empty(), "fold rounds keep no replies");
+        assert!(out.dropouts.is_empty() && out.rejected.is_empty());
+        assert_eq!(out.global.len(), 3);
+        // FedAvg of the cohort's constants, weighted by examples.
+        let mut num = 0.0;
+        let mut den = 0.0;
+        for &id in &out.accepted {
+            let w = (1 + (id % 3)) as f64;
+            num += w * (1.0 + (id % 7) as f64 * 0.1);
+            den += w;
+        }
+        assert!((out.global[0] - num / den).abs() < 1e-12);
+        assert!(out.total_examples > 0);
+        assert!(out.agg_state_peak_bytes > 0);
+    }
+
+    #[test]
+    fn fold_round_is_bit_identical_across_thread_counts() {
+        let run = |threads: usize| -> (Vec<usize>, Vec<u64>) {
+            ff_par::with_threads(threads, || {
+                let rt = FederatedRuntime::new(constant_fleet(200, 4))
+                    .with_cohort(0.25, 7)
+                    .unwrap()
+                    .with_strategy(
+                        AggregationStrategy::CoordinateMedian,
+                        GuardPolicy::default(),
+                    )
+                    .unwrap();
+                let mut cohorts = Vec::new();
+                let mut bits = Vec::new();
+                for _ in 0..3 {
+                    let out = rt
+                        .run_fit_round(vec![0.0; 4], ConfigMap::new(), &no_deadline())
+                        .unwrap();
+                    cohorts.extend(out.cohort);
+                    bits.extend(out.global.iter().map(|v| v.to_bits()));
+                }
+                (cohorts, bits)
+            })
+        };
+        assert_eq!(run(1), run(4));
+    }
+
+    #[test]
+    fn byzantine_updates_are_screened_and_quarantined() {
+        let dim = 3;
+        let clients: Vec<Box<dyn FlClient>> = (0..40)
+            .map(|i| {
+                let inner = constant(1.0, dim);
+                if i == 5 {
+                    Box::new(ChaosClient::adversarial(
+                        inner,
+                        AdversarialMode::ScaleBy(1e9),
+                        9,
+                    )) as Box<dyn FlClient>
+                } else {
+                    inner
+                }
+            })
+            .collect();
+        let rt = FederatedRuntime::new(clients)
+            .with_strategy(
+                AggregationStrategy::CoordinateMedian,
+                GuardPolicy::default(),
+            )
+            .unwrap();
+        // Round 1: no history → norm screen bypassed, but the median
+        // aggregate still shrugs the attacker off.
+        let r1 = rt
+            .run_fit_round(vec![0.0; dim], ConfigMap::new(), &no_deadline())
+            .unwrap();
+        assert!((r1.global[0] - 1.0).abs() < 0.05, "got {:?}", r1.global);
+        // Round 2+: the frozen median from round 1 screens the attacker.
+        let r2 = rt
+            .run_fit_round(vec![0.0; dim], ConfigMap::new(), &no_deadline())
+            .unwrap();
+        assert_eq!(r2.rejected.len(), 1);
+        assert_eq!(r2.rejected[0].0, 5);
+        assert!(matches!(r2.rejected[0].1, RejectReason::NormOutlier { .. }));
+        let _ = rt.run_fit_round(vec![0.0; dim], ConfigMap::new(), &no_deadline());
+        assert_eq!(rt.client_state(5), Some(ClientState::Quarantined));
+    }
+
+    #[test]
+    fn chaos_drops_become_deterministic_timeouts_without_waiting() {
+        let clients: Vec<Box<dyn FlClient>> = (0..30)
+            .map(|i| {
+                let inner = constant(2.0, 2);
+                if i % 3 == 0 {
+                    Box::new(ChaosClient::flaky(inner, 1.0, i as u64)) as Box<dyn FlClient>
+                } else {
+                    inner
+                }
+            })
+            .collect();
+        let rt = FederatedRuntime::new(clients);
+        let policy = RoundPolicy {
+            deadline: Some(Duration::from_secs(30)),
+            ..no_deadline()
+        };
+        let started = Instant::now();
+        let out = rt
+            .run_fit_round(vec![0.0; 2], ConfigMap::new(), &policy)
+            .unwrap();
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "drops must not wait on wall clocks"
+        );
+        assert_eq!(out.dropouts.len(), 10);
+        assert!(out
+            .dropouts
+            .iter()
+            .all(|(id, e)| *e == FlError::Timeout(*id) && id % 3 == 0));
+        assert_eq!(out.accepted.len(), 20);
+        assert!((out.global[0] - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn probes_ride_along_and_recovering_clients_rejoin() {
+        // Client 0 always drops; quarantine it, then verify its probes
+        // ride along with later rounds.
+        let clients: Vec<Box<dyn FlClient>> = (0..20)
+            .map(|i| {
+                let inner = constant(1.0, 1);
+                if i == 0 {
+                    Box::new(ChaosClient::flaky(inner, 1.0, 1)) as Box<dyn FlClient>
+                } else {
+                    inner
+                }
+            })
+            .collect();
+        let rt = FederatedRuntime::new(clients);
+        let mut saw_probe = false;
+        for _ in 0..12 {
+            let out = rt
+                .run_fit_round(vec![0.0], ConfigMap::new(), &no_deadline())
+                .unwrap();
+            if out.probes > 0 {
+                saw_probe = true;
+                assert!(out.participants.contains(&0));
+            }
+        }
+        assert!(saw_probe, "quarantined client was never probed");
+        assert_eq!(rt.client_state(0), Some(ClientState::Quarantined));
+    }
+
+    #[test]
+    fn eval_round_aggregates_losses() {
+        let rt = FederatedRuntime::new(constant_fleet(30, 2))
+            .with_cohort(0.5, 0)
+            .unwrap();
+        let out = rt
+            .run_eval_round(vec![1.0, 1.0], ConfigMap::new(), &no_deadline())
+            .unwrap();
+        assert!(out.global.is_empty());
+        let loss = out.loss.expect("eval round carries a loss");
+        assert!((0.0..=0.6).contains(&loss), "loss {loss}");
+    }
+
+    #[test]
+    fn fold_quorum_unmet_fails_the_round() {
+        let clients: Vec<Box<dyn FlClient>> = (0..10)
+            .map(|i| {
+                Box::new(ChaosClient::flaky(constant(1.0, 1), 1.0, i as u64)) as Box<dyn FlClient>
+            })
+            .collect();
+        let rt = FederatedRuntime::new(clients);
+        match rt.run_fit_round(vec![0.0], ConfigMap::new(), &no_deadline()) {
+            Err(FlError::Quorum { healthy, required }) => {
+                assert_eq!((healthy, required), (0, 1));
+            }
+            other => panic!("expected quorum failure, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn corrupt_replies_retry_then_drop_out() {
+        let clients: Vec<Box<dyn FlClient>> = (0..6)
+            .map(|i| {
+                let inner = constant(1.0, 1);
+                if i == 2 {
+                    Box::new(ChaosClient::corrupting(inner, 3)) as Box<dyn FlClient>
+                } else {
+                    inner
+                }
+            })
+            .collect();
+        let rt = FederatedRuntime::new(clients);
+        let tracer = Tracer::enabled();
+        rt.set_tracer(tracer.clone());
+        let policy = RoundPolicy {
+            retries: 2,
+            ..no_deadline()
+        };
+        let out = rt
+            .run_fit_round(vec![0.0], ConfigMap::new(), &policy)
+            .unwrap();
+        assert_eq!(out.dropouts.len(), 1);
+        assert!(matches!(out.dropouts[0], (2, FlError::Codec(_))));
+        let snap = tracer.snapshot();
+        assert_eq!(snap.counter("fl.retries"), 2);
+        assert_eq!(snap.counter("fl.rounds"), 1);
+        assert_eq!(snap.counter("fl.dropouts"), 1);
+    }
+
+    #[test]
+    fn krum_strategy_is_rejected_at_construction() {
+        let rt = FederatedRuntime::new(constant_fleet(4, 1));
+        assert!(rt
+            .with_strategy(AggregationStrategy::Krum { f: 1 }, GuardPolicy::default())
+            .is_err());
+    }
+
+    #[test]
+    fn aggregation_memory_is_independent_of_cohort_size() {
+        let peak_for = |n: usize| -> usize {
+            let rt = FederatedRuntime::new(constant_fleet(n, 8))
+                .with_strategy(
+                    AggregationStrategy::CoordinateMedian,
+                    GuardPolicy::default(),
+                )
+                .unwrap();
+            rt.run_fit_round(vec![0.0; 8], ConfigMap::new(), &no_deadline())
+                .unwrap()
+                .agg_state_peak_bytes
+        };
+        let small = peak_for(100);
+        let large = peak_for(2000);
+        // 20× the cohort must not cost 20× the aggregation state; the
+        // cap is O(model × hosts).
+        assert!(
+            large < small.max(1) * 6,
+            "agg state scales with cohort: {small} -> {large}"
         );
     }
 }

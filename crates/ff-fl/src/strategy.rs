@@ -2,10 +2,14 @@
 //! global loss of Equation 1.
 
 use crate::message::Reply;
+use crate::robust::AggregationStrategy;
 use crate::{FlError, Result};
 
 /// Weighted average of flat parameter vectors:
-/// `Σ wᵢ θᵢ / Σ wᵢ` with `wᵢ = num_examples` — McMahan et al.'s FedAvg.
+/// `Σ wᵢ θᵢ / Σ wᵢ` with `wᵢ = num_examples` — McMahan et al.'s FedAvg,
+/// i.e. [`AggregationStrategy::FedAvg`] over positional updates. A
+/// non-finite update fails with [`FlError::NonFiniteUpdate`] naming its
+/// input position.
 ///
 /// # Examples
 ///
@@ -17,41 +21,8 @@ use crate::{FlError, Result};
 /// assert_eq!(agg, vec![3.0]);
 /// ```
 pub fn fedavg(params: &[(Vec<f64>, u64)]) -> Result<Vec<f64>> {
-    let mut iter = params.iter().filter(|(p, _)| !p.is_empty());
-    let first = iter
-        .next()
-        .ok_or_else(|| FlError::Client("no parameters to aggregate".into()))?;
-    let dim = first.0.len();
-    // Non-finite parameters would silently poison every coordinate of
-    // the average; reject them with the offending input index, mirroring
-    // `aggregate_loss`'s finite-loss contract.
-    for (idx, (p, _)) in params.iter().enumerate() {
-        if p.iter().any(|v| !v.is_finite()) {
-            return Err(FlError::NonFiniteUpdate { client: idx });
-        }
-    }
-    let mut acc = vec![0.0; dim];
-    let mut total_w = 0.0;
-    for (p, w) in params.iter().filter(|(p, _)| !p.is_empty()) {
-        if p.len() != dim {
-            return Err(FlError::Client(format!(
-                "parameter length mismatch: {} vs {dim}",
-                p.len()
-            )));
-        }
-        let wf = *w as f64;
-        total_w += wf;
-        for (a, &v) in acc.iter_mut().zip(p) {
-            *a += wf * v;
-        }
-    }
-    if total_w <= 0.0 {
-        return Err(FlError::Client("zero total weight".into()));
-    }
-    for a in acc.iter_mut() {
-        *a /= total_w;
-    }
-    Ok(acc)
+    let updates = params.iter().cloned().enumerate();
+    AggregationStrategy::FedAvg.aggregate(updates.map(|(i, (p, n))| (i, p, n)))
 }
 
 /// Weighted global loss `Σ αⱼ Lⱼ` with `αⱼ = nⱼ / Σ n` (Equation 1).
@@ -71,27 +42,10 @@ pub fn aggregate_loss(losses: &[(f64, u64)]) -> Result<f64> {
     Ok(acc)
 }
 
-/// Extracts `(params, num_examples)` pairs from fit replies, propagating
-/// client errors.
-pub fn unwrap_fit_replies(replies: Vec<(usize, Reply)>) -> Result<Vec<(Vec<f64>, u64)>> {
-    replies
-        .into_iter()
-        .map(|(_, r)| match r {
-            Reply::FitRes {
-                params,
-                num_examples,
-                ..
-            } => Ok((params, num_examples)),
-            Reply::Error(e) => Err(FlError::Client(e)),
-            Reply::Panicked(m) => Err(FlError::Client(format!("client panicked: {m}"))),
-            other => Err(FlError::Codec(format!("unexpected reply {other:?}"))),
-        })
-        .collect()
-}
-
 /// Extracts `(client_id, params, num_examples)` triples from fit
 /// replies, preserving client ids so pre-aggregation screening (the
-/// [`robust`](crate::robust) guard) can attribute rejections.
+/// [`robust`](crate::robust) guard) and aggregation errors can attribute
+/// them; client errors propagate.
 pub fn fit_updates(replies: Vec<(usize, Reply)>) -> Result<Vec<(usize, Vec<f64>, u64)>> {
     replies
         .into_iter()
@@ -106,6 +60,14 @@ pub fn fit_updates(replies: Vec<(usize, Reply)>) -> Result<Vec<(usize, Vec<f64>,
             other => Err(FlError::Codec(format!("unexpected reply {other:?}"))),
         })
         .collect()
+}
+
+/// [`fit_updates`] without the client ids.
+pub fn unwrap_fit_replies(replies: Vec<(usize, Reply)>) -> Result<Vec<(Vec<f64>, u64)>> {
+    Ok(fit_updates(replies)?
+        .into_iter()
+        .map(|(_, params, n)| (params, n))
+        .collect())
 }
 
 /// Extracts `(loss, num_examples)` pairs from evaluate replies.

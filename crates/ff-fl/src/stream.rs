@@ -1,45 +1,46 @@
 //! Streaming robust aggregation: server memory O(model), not
 //! O(clients × model).
 //!
-//! The batch [`Aggregator`] rules materialize
-//! every surviving update before combining them — fine for 8 clients,
-//! fatal for 10,000. [`StreamAgg`] is the incremental form used by the
-//! fleet scheduler ([`crate::fleet`]): updates **fold** in as they
-//! arrive and are dropped immediately, shard partials **merge** in a
-//! fixed order, and `finalize` produces the global vector.
+//! [`StreamAgg`] is the crate's one aggregation path. Updates **fold** in
+//! as they arrive and are dropped immediately, partials **merge** in a
+//! fixed order, and `finalize` produces the global vector. The runtime's
+//! fold rounds ([`FederatedRuntime::run_fit_round`]) keep one partial per
+//! host thread; the batch entry point
+//! ([`AggregationStrategy::aggregate`]) is a single partial with an
+//! unbounded exact buffer. Krum and Multi-Krum are the only batch-only
+//! rules.
 //!
 //! Per rule:
 //!
-//! - **FedAvg / NormClippedFedAvg** fold exactly — the running
-//!   `(Σ wᵢθᵢ, Σ wᵢ)` accumulator performs the *same floating-point
-//!   operations in the same order* as the batch
-//!   [`weighted_mean`](crate::robust) path, so a single-partial fold is
-//!   bit-identical to the batch aggregate over the same update sequence.
-//!   Clipping happens inline per coordinate; no clipped copy of the
-//!   update is ever allocated.
+//! - **FedAvg / NormClippedFedAvg** fold exactly through `MeanAcc`, the
+//!   crate's only weighted-mean loop: the running `(Σ wᵢθᵢ, Σ wᵢ)`
+//!   accumulator. Clipping happens inline per coordinate; no clipped copy
+//!   of the update is ever allocated.
 //! - **CoordinateMedian / TrimmedMean** are rank statistics and have no
 //!   exact bounded-memory form. They run in two phases: an **exact
 //!   buffer** of up to `exact_cap` updates (finalizing from the buffer
-//!   runs the batch rule — bit-identical), and on overflow a **spill**
-//!   into one signed weighted [`QuantileSketch`] per coordinate, after
-//!   which memory is O(model × occupied buckets) regardless of cohort
-//!   size. Sketch answers carry the documented error bound below.
+//!   runs the rank rule over the buffered updates — bit-identical to an
+//!   unbounded buffer), and on overflow a **spill** into one signed
+//!   weighted [`QuantileSketch`] per coordinate, after which memory is
+//!   O(model × occupied buckets) regardless of cohort size. Sketch answers
+//!   carry the documented error bound below.
 //! - **Krum / Multi-Krum** need all pairwise update distances and are
-//!   rejected at construction — they are inherently O(clients × model)
-//!   and must use the batch path.
+//!   rejected at construction — they are inherently O(clients × model).
+//!
+//! [`FederatedRuntime::run_fit_round`]: crate::runtime::FederatedRuntime::run_fit_round
 //!
 //! # Error bounds (spilled phase)
 //!
 //! Let `ε =` [`QuantileSketch::RELATIVE_ERROR`] (≈ 2.19%).
 //!
-//! - **Median**: per coordinate, the spilled result `m̂` vs the batch
+//! - **Median**: per coordinate, the spilled result `m̂` vs the exact
 //!   weighted median `m` of the same updates satisfies
 //!   `|m̂ − m| ≤ ε·|m|` — the sketch picks a bucket containing a true
 //!   weighted median point and returns its geometric midpoint. (The
-//!   batch rule's midpoint-averaging of exact weight ties can move `m`
+//!   exact rule's midpoint-averaging of exact weight ties can move `m`
 //!   to a neighbouring value; the bound still holds against either tie
 //!   endpoint.)
-//! - **Trimmed mean**: the batch rule trims a *count* (`⌊trim·n⌋`
+//! - **Trimmed mean**: the exact rule trims a *count* (`⌊trim·n⌋`
 //!   updates per tail) while the sketch trims *weight mass*
 //!   (`trim·Σw` per tail). For equal weights these differ by at most
 //!   one update per tail, so per coordinate
@@ -48,14 +49,81 @@
 //!   property tests assert exactly this bound.
 //!
 //! Determinism: folds and merges are floating-point accumulations, so
-//! results are bit-deterministic for a fixed fold/merge order. The fleet
-//! scheduler fixes that order structurally (shards partitioned by cohort
-//! size, merged by shard index), which is what makes a full fleet round
+//! results are bit-deterministic for a fixed fold/merge order. The
+//! runtime fixes that order structurally (each host folds its clients in
+//! id order, partials merge in host order), which is what makes a round
 //! bit-identical across `FF_THREADS` settings.
 
-use crate::robust::{AggregationStrategy, Aggregator, CoordinateMedian, TrimmedMean};
+use crate::robust::{coordinate_median, trimmed_mean, AggregationStrategy};
 use crate::{FlError, Result};
 use ff_trace::QuantileSketch;
+
+/// Running weighted mean `Σ wᵢθᵢ / Σ wᵢ` — the crate's one weighted-mean
+/// loop, shared by FedAvg, norm clipping, the untrimmed trimmed mean and
+/// Multi-Krum, so they agree bit for bit on identical inputs. The weight
+/// total accumulates first, then `w·θ` per coordinate.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct MeanAcc {
+    acc: Vec<f64>,
+    total_w: f64,
+}
+
+impl MeanAcc {
+    /// Adds `w·θ`, rescaling each coordinate by `scale` first when the
+    /// update is clipped.
+    pub(crate) fn add(&mut self, params: &[f64], w: f64, scale: Option<f64>) {
+        if self.acc.is_empty() {
+            self.acc = vec![0.0; params.len()];
+        }
+        self.total_w += w;
+        match scale {
+            Some(scale) => {
+                for (a, &v) in self.acc.iter_mut().zip(params) {
+                    *a += w * (v * scale);
+                }
+            }
+            None => {
+                for (a, &v) in self.acc.iter_mut().zip(params) {
+                    *a += w * v;
+                }
+            }
+        }
+    }
+
+    fn merge(&mut self, other: MeanAcc) {
+        if self.acc.is_empty() {
+            *self = other;
+        } else {
+            self.total_w += other.total_w;
+            for (a, b) in self.acc.iter_mut().zip(&other.acc) {
+                *a += b;
+            }
+        }
+    }
+
+    /// The weighted mean of `(params, weight)` views, in order.
+    pub(crate) fn mean_of<'a>(
+        updates: impl IntoIterator<Item = (&'a [f64], f64)>,
+    ) -> Result<Vec<f64>> {
+        let mut mean = MeanAcc::default();
+        for (p, w) in updates {
+            mean.add(p, w, None);
+        }
+        mean.finish()
+    }
+
+    /// The weighted mean; errors when no weight was added.
+    pub(crate) fn finish(self) -> Result<Vec<f64>> {
+        if self.total_w <= 0.0 {
+            return Err(FlError::Client("zero total weight".into()));
+        }
+        let mut acc = self.acc;
+        for a in acc.iter_mut() {
+            *a /= self.total_w;
+        }
+        Ok(acc)
+    }
+}
 
 /// Which incremental rule a [`StreamAgg`] runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -84,10 +152,8 @@ pub struct StreamAgg {
     rule: StreamRule,
     exact_cap: usize,
     dim: Option<usize>,
-    /// Mean-family state: Σ wᵢθᵢ per coordinate.
-    acc: Vec<f64>,
-    /// Mean-family state: Σ wᵢ.
-    total_w: f64,
+    /// Mean-family state.
+    mean: MeanAcc,
     /// Rank-family exact phase: buffered updates, ≤ `exact_cap`.
     buffer: Vec<(Vec<f64>, u64)>,
     /// Rank-family spilled phase: one sketch per coordinate.
@@ -102,9 +168,8 @@ pub struct StreamAgg {
 impl StreamAgg {
     /// Builds the streaming form of `strategy`. `exact_cap` bounds the
     /// rank-family exact buffer (clamped to ≥ 1); within it, `finalize`
-    /// is bit-identical to the batch rule. Krum and Multi-Krum are
-    /// refused — they need every pairwise update distance and cannot
-    /// stream.
+    /// is exact. Krum and Multi-Krum are refused — they need every
+    /// pairwise update distance and cannot stream.
     pub fn new(strategy: &AggregationStrategy, exact_cap: usize) -> Result<StreamAgg> {
         strategy.validate()?;
         let rule = match *strategy {
@@ -117,7 +182,7 @@ impl StreamAgg {
             AggregationStrategy::Krum { .. } | AggregationStrategy::MultiKrum { .. } => {
                 return Err(FlError::Client(
                     "Krum cannot stream: it needs all pairwise update distances \
-                     (O(clients × model) memory); use the batch aggregator"
+                     (O(clients × model) memory); aggregate it in batch"
                         .into(),
                 ))
             }
@@ -126,8 +191,7 @@ impl StreamAgg {
             rule,
             exact_cap: exact_cap.max(1),
             dim: None,
-            acc: Vec::new(),
-            total_w: 0.0,
+            mean: MeanAcc::default(),
             buffer: Vec::new(),
             sketches: Vec::new(),
             dropped_non_finite: 0,
@@ -156,7 +220,7 @@ impl StreamAgg {
     /// Approximate bytes of live aggregation state right now.
     pub fn state_bytes(&self) -> usize {
         let base = std::mem::size_of::<StreamAgg>();
-        let acc = self.acc.capacity() * 8;
+        let acc = self.mean.acc.capacity() * 8;
         let buf: usize = self.buffer.iter().map(|(p, _)| p.capacity() * 8 + 32).sum();
         let sk: usize = self.sketches.iter().map(QuantileSketch::state_bytes).sum();
         base + acc + buf + sk
@@ -203,11 +267,10 @@ impl StreamAgg {
     }
 
     /// Folds one update in. Empty parameter vectors are skipped (clients
-    /// whose results travel in metrics), matching the batch rules.
-    /// Non-finite updates: the mean-family rules error with
-    /// [`FlError::NonFiniteUpdate`] exactly like batch
-    /// [`fedavg`](crate::strategy::fedavg); the rank-family rules drop
-    /// them (counted), exactly like the batch robust aggregators.
+    /// whose results travel in metrics). Non-finite updates: the
+    /// mean-family rules error with [`FlError::NonFiniteUpdate`] (an
+    /// average over NaN is meaningless); the rank-family rules drop them
+    /// (counted).
     pub fn fold(&mut self, params: Vec<f64>, num_examples: u64) -> Result<()> {
         if params.is_empty() {
             return Ok(());
@@ -221,36 +284,14 @@ impl StreamAgg {
                     });
                 }
                 self.check_dim(params.len())?;
-                if self.acc.is_empty() {
-                    self.acc = vec![0.0; params.len()];
-                }
-                let wf = num_examples as f64;
-                // Same op order as the batch weighted_mean: weight total
-                // first, then wf·v per coordinate.
-                self.total_w += wf;
-                match self.rule {
+                let scale = match self.rule {
                     StreamRule::NormClipped { max_norm } => {
                         let norm = params.iter().map(|v| v * v).sum::<f64>().sqrt();
-                        if norm > max_norm {
-                            // Inline clip: identical arithmetic to the
-                            // batch rule's `(v * scale)` then `wf * v'`,
-                            // but no clipped vector is materialized.
-                            let scale = max_norm / norm;
-                            for (a, &v) in self.acc.iter_mut().zip(&params) {
-                                *a += wf * (v * scale);
-                            }
-                        } else {
-                            for (a, &v) in self.acc.iter_mut().zip(&params) {
-                                *a += wf * v;
-                            }
-                        }
+                        (norm > max_norm).then(|| max_norm / norm)
                     }
-                    _ => {
-                        for (a, &v) in self.acc.iter_mut().zip(&params) {
-                            *a += wf * v;
-                        }
-                    }
-                }
+                    _ => None,
+                };
+                self.mean.add(&params, num_examples as f64, scale);
             }
             StreamRule::Median | StreamRule::Trimmed { .. } => {
                 if !finite {
@@ -276,6 +317,20 @@ impl StreamAgg {
         Ok(())
     }
 
+    /// [`fold`](Self::fold) for an update sent by `client`: a non-finite
+    /// error names that client instead of the update's fold position.
+    pub(crate) fn fold_from(
+        &mut self,
+        client: usize,
+        params: Vec<f64>,
+        num_examples: u64,
+    ) -> Result<()> {
+        self.fold(params, num_examples).map_err(|e| match e {
+            FlError::NonFiniteUpdate { .. } => FlError::NonFiniteUpdate { client },
+            other => other,
+        })
+    }
+
     /// Merges a shard partial into this state. Mean-family partials add
     /// their accumulators; rank-family partials concatenate exact
     /// buffers while the combined count fits in `exact_cap`, otherwise
@@ -294,17 +349,7 @@ impl StreamAgg {
         let (other_dropped, other_folded, other_peak) =
             (other.dropped_non_finite, other.folded, other.peak_bytes);
         match self.rule {
-            StreamRule::FedAvg | StreamRule::NormClipped { .. } => {
-                if self.acc.is_empty() {
-                    self.acc = other.acc;
-                    self.total_w = other.total_w;
-                } else {
-                    self.total_w += other.total_w;
-                    for (a, b) in self.acc.iter_mut().zip(&other.acc) {
-                        *a += b;
-                    }
-                }
-            }
+            StreamRule::FedAvg | StreamRule::NormClipped { .. } => self.mean.merge(other.mean),
             StreamRule::Median | StreamRule::Trimmed { .. } => {
                 let both_exact = !self.spilled() && !other.spilled();
                 if both_exact && self.buffer.len() + other.buffer.len() <= self.exact_cap {
@@ -330,24 +375,15 @@ impl StreamAgg {
     }
 
     /// Produces the aggregate. Mean-family: the exact weighted mean.
-    /// Rank-family: the batch rule over the exact buffer when it never
-    /// spilled (bit-identical to batch), or per-coordinate sketch
-    /// queries otherwise (documented error bound).
+    /// Rank-family: the rank rule over the exact buffer when it never
+    /// spilled (exact), or per-coordinate sketch queries otherwise
+    /// (documented error bound).
     pub fn finalize(self) -> Result<Vec<f64>> {
         match self.rule {
-            StreamRule::FedAvg | StreamRule::NormClipped { .. } => {
-                if self.total_w <= 0.0 {
-                    return Err(FlError::Client("zero total weight".into()));
-                }
-                let mut acc = self.acc;
-                for a in acc.iter_mut() {
-                    *a /= self.total_w;
-                }
-                Ok(acc)
-            }
+            StreamRule::FedAvg | StreamRule::NormClipped { .. } => self.mean.finish(),
             StreamRule::Median => {
                 if !self.spilled() {
-                    return CoordinateMedian.aggregate(&self.buffer);
+                    return coordinate_median(&self.buffer);
                 }
                 self.sketches
                     .iter()
@@ -359,7 +395,7 @@ impl StreamAgg {
             }
             StreamRule::Trimmed { trim_ratio } => {
                 if !self.spilled() {
-                    return TrimmedMean { trim_ratio }.aggregate(&self.buffer);
+                    return trimmed_mean(&self.buffer, trim_ratio);
                 }
                 self.sketches
                     .iter()
@@ -376,7 +412,26 @@ impl StreamAgg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::robust::{FedAvg as BatchFedAvg, NormClippedFedAvg};
+
+    /// Textbook weighted mean, written independently of [`MeanAcc`]:
+    /// weights totalled first, then `w·θ` per coordinate.
+    fn reference_mean(updates: &[(Vec<f64>, u64)], max_norm: Option<f64>) -> Vec<f64> {
+        let mut acc = vec![0.0; updates[0].0.len()];
+        let mut total = 0.0;
+        for (p, w) in updates {
+            let wf = *w as f64;
+            total += wf;
+            let norm = p.iter().map(|v| v * v).sum::<f64>().sqrt();
+            let scale = max_norm.filter(|&m| norm > m).map(|m| m / norm);
+            for (a, &v) in acc.iter_mut().zip(p) {
+                *a += match scale {
+                    Some(s) => wf * (v * s),
+                    None => wf * v,
+                };
+            }
+        }
+        acc.iter().map(|a| a / total).collect()
+    }
 
     fn bits(v: &[f64]) -> Vec<u64> {
         v.iter().map(|x| x.to_bits()).collect()
@@ -400,19 +455,18 @@ mod tests {
     }
 
     #[test]
-    fn fedavg_fold_is_bit_identical_to_batch() {
+    fn fedavg_fold_is_bit_identical_to_the_textbook_loop() {
         let updates = synth_updates(37, 8, 3);
         let mut agg = StreamAgg::new(&AggregationStrategy::FedAvg, 4).unwrap();
         for (p, w) in &updates {
             agg.fold(p.clone(), *w).unwrap();
         }
         let stream = agg.finalize().unwrap();
-        let batch = BatchFedAvg.aggregate(&updates).unwrap();
-        assert_eq!(bits(&stream), bits(&batch));
+        assert_eq!(bits(&stream), bits(&reference_mean(&updates, None)));
     }
 
     #[test]
-    fn clipped_fold_is_bit_identical_to_batch() {
+    fn clipped_fold_is_bit_identical_to_the_textbook_loop() {
         let mut updates = synth_updates(20, 6, 9);
         updates.push((vec![1e9; 6], 2)); // must be clipped
         let strategy = AggregationStrategy::NormClippedFedAvg { max_norm: 5.0 };
@@ -421,10 +475,7 @@ mod tests {
             agg.fold(p.clone(), *w).unwrap();
         }
         let stream = agg.finalize().unwrap();
-        let batch = NormClippedFedAvg { max_norm: 5.0 }
-            .aggregate(&updates)
-            .unwrap();
-        assert_eq!(bits(&stream), bits(&batch));
+        assert_eq!(bits(&stream), bits(&reference_mean(&updates, Some(5.0))));
     }
 
     #[test]
@@ -436,7 +487,7 @@ mod tests {
         }
         assert!(!agg.spilled());
         let stream = agg.finalize().unwrap();
-        let batch = CoordinateMedian.aggregate(&updates).unwrap();
+        let batch = coordinate_median(&updates).unwrap();
         assert_eq!(bits(&stream), bits(&batch));
     }
 
@@ -500,9 +551,7 @@ mod tests {
         }
         assert!(agg.spilled());
         let stream = agg.finalize().unwrap();
-        let batch = TrimmedMean { trim_ratio: trim }
-            .aggregate(&updates)
-            .unwrap();
+        let batch = trimmed_mean(&updates, trim).unwrap();
         let n = updates.len() as f64;
         for j in 0..3 {
             let col: Vec<f64> = updates.iter().map(|(p, _)| p[j]).collect();
@@ -544,8 +593,7 @@ mod tests {
         let a = build();
         let b = build();
         assert_eq!(bits(&a), bits(&b));
-        let batch = BatchFedAvg.aggregate(&updates).unwrap();
-        for (x, y) in a.iter().zip(&batch) {
+        for (x, y) in a.iter().zip(&reference_mean(&updates, None)) {
             assert!((x - y).abs() < 1e-9);
         }
     }
@@ -564,7 +612,7 @@ mod tests {
         left.merge(right).unwrap();
         assert!(!left.spilled());
         let stream = left.finalize().unwrap();
-        let batch = CoordinateMedian.aggregate(&updates).unwrap();
+        let batch = coordinate_median(&updates).unwrap();
         assert_eq!(bits(&stream), bits(&batch));
     }
 
@@ -598,15 +646,19 @@ mod tests {
     }
 
     #[test]
-    fn non_finite_handling_matches_batch_contracts() {
-        // Mean family: error, like batch fedavg.
+    fn non_finite_handling_per_rule_family() {
+        // Mean family: error, naming the sender when folded with an id.
         let mut agg = StreamAgg::new(&AggregationStrategy::FedAvg, 4).unwrap();
         agg.fold(vec![1.0], 1).unwrap();
         assert!(matches!(
             agg.fold(vec![f64::NAN], 1),
             Err(FlError::NonFiniteUpdate { .. })
         ));
-        // Rank family: drop and count, like the batch robust rules.
+        assert_eq!(
+            agg.fold_from(7, vec![f64::NAN], 1),
+            Err(FlError::NonFiniteUpdate { client: 7 })
+        );
+        // Rank family: drop and count.
         let mut agg = StreamAgg::new(&AggregationStrategy::CoordinateMedian, 4).unwrap();
         agg.fold(vec![1.0], 1).unwrap();
         agg.fold(vec![f64::NAN], 1).unwrap();

@@ -3,12 +3,22 @@
 //! bounds after spill) and the cohort sampler contracts (pure function
 //! of `(seed, round)`, no starvation over a bounded horizon).
 
-use ff_fl::fleet::CohortSampler;
-use ff_fl::robust::{AggregationStrategy, Aggregator, CoordinateMedian, TrimmedMean};
+use ff_fl::robust::AggregationStrategy;
+use ff_fl::runtime::CohortSampler;
 use ff_fl::stream::StreamAgg;
 use ff_trace::QuantileSketch;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+
+/// The exact (batch) rule over positional updates.
+fn exact(strategy: AggregationStrategy, updates: &[(Vec<f64>, u64)]) -> Vec<f64> {
+    let ided = updates
+        .iter()
+        .cloned()
+        .enumerate()
+        .map(|(i, (p, n))| (i, p, n));
+    strategy.aggregate(ided).unwrap()
+}
 
 fn updates_strategy(max_n: usize, dim: usize) -> impl Strategy<Value = Vec<(Vec<f64>, u64)>> {
     prop::collection::vec(
@@ -43,8 +53,8 @@ fn weighted_median_endpoints(col: &mut [(f64, u64)]) -> (f64, f64) {
 proptest! {
     /// While the update count stays within `exact_cap`, the streaming
     /// coordinate median is *bit-identical* to the batch rule — the
-    /// fleet scheduler's exact phase is not approximately right, it is
-    /// the same computation.
+    /// exact phase of a fold round is not approximately right, it is the
+    /// same computation.
     #[test]
     fn streaming_median_within_cap_is_bitwise_batch(
         updates in updates_strategy(16, 4),
@@ -55,7 +65,7 @@ proptest! {
         }
         prop_assert!(!agg.spilled());
         let stream = agg.finalize().unwrap();
-        let batch = CoordinateMedian.aggregate(&updates).unwrap();
+        let batch = exact(AggregationStrategy::CoordinateMedian, &updates);
         for (s, b) in stream.iter().zip(&batch) {
             prop_assert_eq!(s.to_bits(), b.to_bits(), "{} != {} bitwise", s, b);
         }
@@ -99,7 +109,7 @@ proptest! {
             agg.fold(p.clone(), *w).unwrap();
         }
         let stream = agg.finalize().unwrap();
-        let batch = TrimmedMean { trim_ratio: trim }.aggregate(&updates).unwrap();
+        let batch = exact(AggregationStrategy::TrimmedMean { trim_ratio: trim }, &updates);
         let n = updates.len() as f64;
         for (j, (s, b)) in stream.iter().zip(&batch).enumerate() {
             let col: Vec<f64> = updates.iter().map(|(p, _)| p[j]).collect();
@@ -131,7 +141,7 @@ proptest! {
         let mut parts: Vec<StreamAgg> = (0..n_shards)
             .map(|_| StreamAgg::new(&AggregationStrategy::CoordinateMedian, cap).unwrap())
             .collect();
-        // Contiguous split, like the fleet scheduler's chunking.
+        // Contiguous split, like the runtime's host partition.
         let chunk = updates.len().div_ceil(n_shards);
         for (i, (p, w)) in updates.iter().enumerate() {
             parts[i / chunk].fold(p.clone(), *w).unwrap();

@@ -9,10 +9,10 @@
 use ff_fl::chaos::{ChaosClient, ChaosConfig};
 use ff_fl::client::{EvalOutput, FitOutput, FlClient};
 use ff_fl::config::ConfigMap;
-use ff_fl::fleet::{FleetConfig, FleetRuntime};
 use ff_fl::health::ClientState;
-use ff_fl::robust::AggregationStrategy;
-use ff_fl::runtime::RoundPolicy;
+use ff_fl::log::Retention;
+use ff_fl::robust::{AggregationStrategy, GuardPolicy};
+use ff_fl::runtime::{FederatedRuntime, RoundPolicy};
 
 const FLEET: usize = 10_000;
 const DIM: usize = 32;
@@ -60,13 +60,19 @@ fn chaotic_fleet(seed: u64, byz: f64, fault: f64) -> Vec<Box<dyn FlClient>> {
         .collect()
 }
 
-fn fleet_config() -> FleetConfig {
-    FleetConfig {
-        fraction: 0.1, // cohort of 1,000 per round
-        seed: 42,
-        strategy: AggregationStrategy::CoordinateMedian,
-        ..FleetConfig::default()
-    }
+/// A coordinate-median fleet sampling `fraction` of its clients per
+/// round, keeping only a bounded window of message payloads.
+fn fleet(clients: Vec<Box<dyn FlClient>>, fraction: f64) -> FederatedRuntime {
+    let rt = FederatedRuntime::new(clients)
+        .with_cohort(fraction, 42)
+        .unwrap()
+        .with_strategy(
+            AggregationStrategy::CoordinateMedian,
+            GuardPolicy::default(),
+        )
+        .unwrap();
+    rt.log().set_retention(Retention::counting_default());
+    rt
 }
 
 fn policy() -> RoundPolicy {
@@ -86,7 +92,7 @@ fn policy() -> RoundPolicy {
 fn ten_thousand_client_rounds_survive_chaos_and_byzantine() {
     let seed = chaos_seed();
     let (byz, fault) = (0.02, 0.03);
-    let fleet = FleetRuntime::new(chaotic_fleet(seed, byz, fault), fleet_config()).unwrap();
+    let fleet = fleet(chaotic_fleet(seed, byz, fault), 0.1); // cohort of 1,000 per round
     let policy = policy();
 
     // 20 rounds: the 10%-participation sampler cycles the full fleet
@@ -141,8 +147,8 @@ fn ten_thousand_client_rounds_survive_chaos_and_byzantine() {
 }
 
 /// The determinism acceptance test: a fixed seed must produce the same
-/// cohorts and a bit-identical aggregate whether the scheduler runs on
-/// one worker or four.
+/// cohorts and a bit-identical aggregate whether the process runs one
+/// worker or four.
 #[test]
 fn fleet_rounds_are_bit_identical_across_thread_counts() {
     /// Cohort, accepted, dropout ids, and aggregate bits for one round.
@@ -150,7 +156,7 @@ fn fleet_rounds_are_bit_identical_across_thread_counts() {
     let seed = chaos_seed();
     let run = |threads: usize| {
         ff_par::with_threads(threads, || {
-            let fleet = FleetRuntime::new(chaotic_fleet(seed, 0.02, 0.03), fleet_config()).unwrap();
+            let fleet = fleet(chaotic_fleet(seed, 0.02, 0.03), 0.1);
             let policy = policy();
             let mut trace: Vec<RoundTrace> = Vec::new();
             for _ in 0..3 {
@@ -172,23 +178,14 @@ fn fleet_rounds_are_bit_identical_across_thread_counts() {
 
 /// The memory acceptance test: scaling the engaged cohort 10× must not
 /// scale the server's aggregation state 10× — it is bounded by
-/// O(model × shards), not O(cohort × model).
+/// O(model × hosts), not O(cohort × model).
 #[test]
 fn aggregation_state_is_bounded_by_model_not_cohort() {
     let peak_for = |n: usize| {
         let clients: Vec<Box<dyn FlClient>> = (0..n)
             .map(|_| Box::new(Honest) as Box<dyn FlClient>)
             .collect();
-        let fleet = FleetRuntime::new(
-            clients,
-            FleetConfig {
-                fraction: 1.0,
-                strategy: AggregationStrategy::CoordinateMedian,
-                ..FleetConfig::default()
-            },
-        )
-        .unwrap();
-        fleet
+        fleet(clients, 1.0)
             .run_fit_round(vec![0.0; DIM], ConfigMap::new(), &policy())
             .unwrap()
             .agg_state_peak_bytes

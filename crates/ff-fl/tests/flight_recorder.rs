@@ -7,9 +7,10 @@
 use ff_fl::chaos::{AdversarialMode, ChaosClient};
 use ff_fl::client::{EvalOutput, FitOutput, FlClient};
 use ff_fl::config::ConfigMap;
-use ff_fl::fleet::{FleetConfig, FleetRuntime};
-use ff_fl::robust::AggregationStrategy;
-use ff_fl::runtime::RoundPolicy;
+use ff_fl::health::ClientState;
+use ff_fl::robust::{AggregationStrategy, GuardPolicy, RejectReason};
+use ff_fl::runtime::{FederatedRuntime, RoundPolicy};
+use ff_fl::FlError;
 use ff_trace::{FlightRecorder, RecorderConfig, Tracer, Trigger};
 
 const FLEET: usize = 200;
@@ -41,7 +42,7 @@ impl FlClient for Honest {
 }
 
 /// Full-participation fleet with exactly one persistent attacker.
-fn fleet_with_one_attacker() -> FleetRuntime {
+fn fleet_with_one_attacker() -> FederatedRuntime {
     let clients: Vec<Box<dyn FlClient>> = (0..FLEET)
         .map(|id| {
             if id == BYZANTINE_ID {
@@ -55,16 +56,12 @@ fn fleet_with_one_attacker() -> FleetRuntime {
             }
         })
         .collect();
-    FleetRuntime::new(
-        clients,
-        FleetConfig {
-            fraction: 1.0,
-            seed: 42,
-            strategy: AggregationStrategy::CoordinateMedian,
-            ..FleetConfig::default()
-        },
-    )
-    .unwrap()
+    FederatedRuntime::new(clients)
+        .with_strategy(
+            AggregationStrategy::CoordinateMedian,
+            GuardPolicy::default(),
+        )
+        .unwrap()
 }
 
 fn policy() -> RoundPolicy {
@@ -172,8 +169,8 @@ fn live_scrape_matches_the_snapshot() {
     // counters must agree exactly.
     let snapshot = tracer.snapshot();
     for (name, metric) in [
-        ("fleet.rounds", "ff_fleet_rounds_total"),
-        ("fleet.updates_rejected", "ff_fleet_updates_rejected_total"),
+        ("fl.rounds", "ff_fl_rounds_total"),
+        ("fl.updates_rejected", "ff_fl_updates_rejected_total"),
     ] {
         let expect = snapshot.counter(name);
         assert!(expect > 0, "{name} never incremented");
@@ -183,4 +180,67 @@ fn live_scrape_matches_the_snapshot() {
             "scraped {metric} disagrees with the snapshot"
         );
     }
+}
+
+/// Client that ships NaN parameters from every fit.
+struct NanUpdate;
+
+impl FlClient for NanUpdate {
+    fn get_properties(&mut self, _config: &ConfigMap) -> ConfigMap {
+        ConfigMap::new()
+    }
+    fn fit(&mut self, _params: &[f64], _config: &ConfigMap) -> FitOutput {
+        FitOutput {
+            params: vec![f64::NAN; DIM],
+            num_examples: 1,
+            metrics: ConfigMap::new(),
+        }
+    }
+    fn evaluate(&mut self, _params: &[f64], _config: &ConfigMap) -> EvalOutput {
+        EvalOutput {
+            loss: 0.0,
+            num_examples: 1,
+            metrics: ConfigMap::new(),
+        }
+    }
+}
+
+/// A NaN update fails a plain FedAvg fold round — but only after the
+/// round is booked: the sender's rejection escalates its health and the
+/// round's frame is committed with `non_finite` set, so every round that
+/// samples the client leaves a trail instead of failing silently.
+#[test]
+fn non_finite_fedavg_update_is_penalised_and_recorded_before_the_error() {
+    let clients: Vec<Box<dyn FlClient>> = (0..8)
+        .map(|id| {
+            if id == 3 {
+                Box::new(NanUpdate) as Box<dyn FlClient>
+            } else {
+                Box::new(Honest)
+            }
+        })
+        .collect();
+    let fleet = FederatedRuntime::new(clients);
+    let recorder = FlightRecorder::enabled(RecorderConfig::default());
+    fleet.set_recorder(recorder.clone());
+    let err = fleet
+        .run_fit_round(vec![0.0; DIM], ConfigMap::new(), &policy())
+        .unwrap_err();
+    assert_eq!(err, FlError::NonFiniteUpdate { client: 3 });
+    assert_eq!(
+        fleet.client_state(3),
+        Some(ClientState::Suspect),
+        "the sender was not penalised"
+    );
+    assert_eq!(fleet.health_report().clients[3].byzantine, 1);
+    let frames = recorder.frames();
+    assert_eq!(frames.len(), 1, "the failed round committed no frame");
+    assert!(frames[0].non_finite);
+    assert_eq!(
+        frames[0].rejected,
+        vec![(3, RejectReason::NonFinite.to_string())]
+    );
+    // A second strike quarantines the sender like any repeat offender.
+    let _ = fleet.run_fit_round(vec![0.0; DIM], ConfigMap::new(), &policy());
+    assert_eq!(fleet.client_state(3), Some(ClientState::Quarantined));
 }

@@ -114,7 +114,7 @@ proptest! {
         // Phase 1: the client fails every round it participates in.
         for _ in 0..fail_rounds {
             let round = reg.begin_round();
-            if reg.admitted(round).contains(&0) {
+            if reg.is_admitted(0, round) {
                 let _ = reg.record_failure(0);
             }
         }
@@ -123,7 +123,7 @@ proptest! {
         let mut healthy_after = None;
         for extra in 1..=(probe_max + 1) {
             let round = reg.begin_round();
-            if reg.admitted(round).contains(&0) {
+            if reg.is_admitted(0, round) {
                 reg.record_success(0);
             }
             if reg.state(0) == Some(ClientState::Healthy) {

@@ -9,7 +9,7 @@
 use ff_fl::chaos::{AdversarialMode, ChaosClient};
 use ff_fl::client::{EvalOutput, FitOutput, FlClient};
 use ff_fl::config::ConfigMap;
-use ff_fl::robust::{Aggregator, CoordinateMedian, Krum, TrimmedMean};
+use ff_fl::robust::{AggregationStrategy, Krum};
 use ff_fl::strategy::fedavg;
 use proptest::prelude::*;
 
@@ -39,6 +39,16 @@ impl FlClient for Fixed {
 
 /// Runs one fit through a (possibly adversarial) chaos wrapper and
 /// returns the parameters the server would receive.
+/// The exact (batch) rule over positional updates.
+fn exact(strategy: AggregationStrategy, updates: &[(Vec<f64>, u64)]) -> Vec<f64> {
+    let ided = updates
+        .iter()
+        .cloned()
+        .enumerate()
+        .map(|(i, (p, n))| (i, p, n));
+    strategy.aggregate(ided).unwrap()
+}
+
 fn fit_through_chaos(honest: Vec<f64>, mode: AdversarialMode, seed: u64) -> Vec<f64> {
     let mut client = ChaosClient::adversarial(Box::new(Fixed(honest)), mode, seed);
     client.fit(&[], &ConfigMap::new()).params
@@ -64,7 +74,7 @@ proptest! {
             1..8,
         ),
     ) {
-        let trimmed = TrimmedMean { trim_ratio: 0.0 }.aggregate(&updates).unwrap();
+        let trimmed = exact(AggregationStrategy::TrimmedMean { trim_ratio: 0.0 }, &updates);
         let avg = fedavg(&updates).unwrap();
         prop_assert_eq!(trimmed.len(), avg.len());
         for (t, a) in trimmed.iter().zip(&avg) {
@@ -95,7 +105,7 @@ proptest! {
             let received = fit_through_chaos(base.clone(), mode, seed ^ a as u64);
             updates.push((received, 1));
         }
-        let agg = CoordinateMedian.aggregate(&updates).unwrap();
+        let agg = exact(AggregationStrategy::CoordinateMedian, &updates);
         prop_assert_eq!(agg.len(), base.len());
         for (j, v) in agg.iter().enumerate() {
             prop_assert!(v.is_finite(), "coordinate {} not finite: {}", j, v);

@@ -226,3 +226,62 @@ fn non_finite_loss_is_excluded_not_fatal() {
     // succeeded, so health is unaffected.
     assert_eq!(rt.client_state(1), Some(ClientState::Healthy));
 }
+
+/// Wraps a well-behaved client but ships NaN coefficients from the final
+/// fit, like a client whose local solver diverged on train + valid.
+struct PoisonFinalFit {
+    inner: FedForecasterClient,
+}
+
+impl FlClient for PoisonFinalFit {
+    fn get_properties(&mut self, config: &ConfigMap) -> ConfigMap {
+        self.inner.get_properties(config)
+    }
+    fn fit(&mut self, params: &[f64], config: &ConfigMap) -> FitOutput {
+        let mut out = self.inner.fit(params, config);
+        if config.str_or(OP, "") == "final_fit" {
+            out.params.iter_mut().for_each(|v| *v = f64::NAN);
+        }
+        out
+    }
+    fn evaluate(&mut self, params: &[f64], config: &ConfigMap) -> EvalOutput {
+        self.inner.evaluate(params, config)
+    }
+}
+
+/// A non-finite coefficient vector in the plain FedAvg finalization is
+/// fatal, and the error must name the client that sent it — not its
+/// position among the survivors, which differs once an earlier client
+/// has dropped out.
+#[test]
+fn non_finite_final_update_names_the_sending_client() {
+    let series = federation(3);
+    let clients: Vec<Box<dyn FlClient>> = series
+        .iter()
+        .enumerate()
+        .map(|(id, s)| match id {
+            0 => Box::new(ChaosClient::panicking(good_client(s))) as Box<dyn FlClient>,
+            2 => Box::new(PoisonFinalFit {
+                inner: FedForecasterClient::new(s, 0.15, 0.15),
+            }),
+            _ => good_client(s),
+        })
+        .collect();
+    let rt = FederatedRuntime::new(clients);
+    let cfg = EngineConfig {
+        budget: Budget::Iterations(2),
+        portfolio: Some(vec![AlgorithmKind::LASSO]),
+        round_policy: RoundPolicy {
+            min_responses: 1,
+            ..RoundPolicy::default()
+        },
+        ..Default::default()
+    };
+    let meta = tiny_metamodel();
+    match FedForecaster::new(cfg, &meta).run_on(&rt) {
+        Err(fedforecaster::EngineError::Federation(ff_fl::FlError::NonFiniteUpdate { client })) => {
+            assert_eq!(client, 2, "the error names the wrong client")
+        }
+        other => panic!("expected a non-finite update error, got {other:?}"),
+    }
+}

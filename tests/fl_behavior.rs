@@ -44,40 +44,48 @@ fn xgb_config() -> Configuration {
     c
 }
 
+/// Blocks until every client replies; fails unless all of them do.
+fn strict(n_clients: usize) -> RoundPolicy {
+    RoundPolicy {
+        deadline: None,
+        min_responses: n_clients,
+        ..RoundPolicy::default()
+    }
+}
+
 #[test]
 fn sampled_rounds_reach_a_strict_subset() {
-    let rt = prepared_runtime(6);
-    let replies = rt
-        .broadcast_sample(
-            0.5,
-            9,
+    let rt = prepared_runtime(6).with_cohort(0.5, 9).unwrap();
+    let outcome = rt
+        .run_round(
             &Instruction::GetProperties(ConfigMap::new().with_str(OP, "meta_features")),
+            &strict(3),
         )
         .unwrap();
-    assert_eq!(replies.len(), 3);
-    let ids: Vec<usize> = replies.iter().map(|(i, _)| *i).collect();
+    assert_eq!(outcome.replies.len(), 3);
+    let ids: Vec<usize> = outcome.replies.iter().map(|(i, _)| *i).collect();
     assert!(ids.windows(2).all(|w| w[0] < w[1]), "sorted ids {ids:?}");
 }
 
 #[test]
 fn tolerant_broadcast_survives_unknown_ops() {
     // FedForecaster clients answer unknown fit ops with an error metric but
-    // a valid reply; the tolerant wrapper is about transport-level Error
-    // replies, which a malformed op does NOT produce — so all replies count
-    // as healthy here and the floor is satisfied.
+    // a valid reply; round tolerance is about transport-level failures,
+    // which a malformed op does NOT produce — so all replies count as
+    // healthy here and the floor is satisfied.
     let rt = prepared_runtime(3);
-    let replies = rt
-        .broadcast_tolerant(
+    let outcome = rt
+        .run_round(
             &Instruction::Fit {
                 params: vec![],
                 config: ConfigMap::new()
                     .with_str(OP, "fit_eval")
                     .with_str("algorithm", "Lasso"),
             },
-            3,
+            &strict(3),
         )
         .unwrap();
-    assert_eq!(replies.len(), 3);
+    assert_eq!(outcome.replies.len(), 3);
 }
 
 #[test]
@@ -118,10 +126,10 @@ fn communication_grows_linearly_with_rounds() {
             .with_str(OP, "fit_eval")
             .with_str("algorithm", "Lasso"),
     };
-    rt.broadcast_all(&fit_ins).unwrap();
+    rt.run_round(&fit_ins, &strict(3)).unwrap();
     let (_, after_one) = rt.log().byte_totals();
     for _ in 0..3 {
-        rt.broadcast_all(&fit_ins).unwrap();
+        rt.run_round(&fit_ins, &strict(3)).unwrap();
     }
     let (_, after_four) = rt.log().byte_totals();
     let per_round = after_one - before_up;
