@@ -733,20 +733,12 @@ pub fn build_runtime(clients: &[TimeSeries], cfg: &EngineConfig) -> Result<Feder
             short.len()
         )));
     }
-    let boxed: Vec<Box<dyn FlClient>> = clients
-        .iter()
-        .map(|s| {
-            Box::new(FedForecasterClient::new(
-                s,
-                cfg.valid_fraction,
-                cfg.test_fraction,
-            )) as Box<dyn FlClient>
-        })
-        .collect();
-    let rt = FederatedRuntime::new(boxed);
-    // Bounded payload retention; see `build_runtime_from`.
-    rt.log().set_retention(Retention::counting_default());
-    Ok(rt)
+    Ok(build_runtime_from(
+        clients
+            .iter()
+            .map(|s| FedForecasterClient::new(s, cfg.valid_fraction, cfg.test_fraction))
+            .collect(),
+    ))
 }
 
 #[cfg(test)]

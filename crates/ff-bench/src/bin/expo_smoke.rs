@@ -13,39 +13,15 @@
 //!
 //! Exit status: 0 on success; 1 with a diagnostic on any mismatch.
 
-use ff_bench::Args;
+use ff_bench::{Args, UnitClient};
 use ff_fl::chaos::{AdversarialMode, ChaosClient};
-use ff_fl::client::{EvalOutput, FitOutput, FlClient};
+use ff_fl::client::FlClient;
 use ff_fl::config::ConfigMap;
 use ff_fl::robust::{AggregationStrategy, GuardPolicy};
 use ff_fl::runtime::{FederatedRuntime, RoundPolicy};
 use ff_trace::{sample_value, validate_exposition, ExpoConfig, ExpoServer};
 use ff_trace::{FlightRecorder, RecorderConfig, Tracer};
 use std::io::{Read as _, Write as _};
-
-/// Honest client: constant unit parameters, one example.
-struct Honest(usize);
-
-impl FlClient for Honest {
-    fn get_properties(&mut self, _config: &ConfigMap) -> ConfigMap {
-        ConfigMap::new()
-    }
-    fn fit(&mut self, _params: &[f64], _config: &ConfigMap) -> FitOutput {
-        FitOutput {
-            params: vec![1.0; self.0],
-            num_examples: 1,
-            metrics: ConfigMap::new(),
-        }
-    }
-    fn evaluate(&mut self, params: &[f64], _config: &ConfigMap) -> EvalOutput {
-        let center = params.first().copied().unwrap_or(0.0);
-        EvalOutput {
-            loss: (1.0 - center).abs(),
-            num_examples: 1,
-            metrics: ConfigMap::new(),
-        }
-    }
-}
 
 const BYZANTINE_ID: usize = 5;
 
@@ -82,12 +58,12 @@ fn main() {
         .map(|id| {
             if id == BYZANTINE_ID {
                 Box::new(ChaosClient::adversarial(
-                    Box::new(Honest(dim)),
+                    Box::new(UnitClient(dim)),
                     AdversarialMode::ScaleBy(1e9),
                     7,
                 )) as Box<dyn FlClient>
             } else {
-                Box::new(Honest(dim)) as Box<dyn FlClient>
+                Box::new(UnitClient(dim)) as Box<dyn FlClient>
             }
         })
         .collect();

@@ -19,9 +19,9 @@
 //! only the final value (and the `--assert-rss-mb` ceiling CI applies to
 //! it) is meaningful in absolute terms.
 
-use ff_bench::Args;
+use ff_bench::{rss_hwm_mb, Args, UnitClient};
 use ff_fl::chaos::{ChaosClient, ChaosConfig};
-use ff_fl::client::{EvalOutput, FitOutput, FlClient};
+use ff_fl::client::FlClient;
 use ff_fl::config::ConfigMap;
 use ff_fl::log::Retention;
 use ff_fl::robust::{AggregationStrategy, GuardPolicy};
@@ -30,37 +30,11 @@ use ff_trace::push_json_f64;
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// Honest client: constant parameters of the requested dimension.
-struct Honest {
-    dim: usize,
-}
-
-impl FlClient for Honest {
-    fn get_properties(&mut self, _config: &ConfigMap) -> ConfigMap {
-        ConfigMap::new()
-    }
-    fn fit(&mut self, _params: &[f64], _config: &ConfigMap) -> FitOutput {
-        FitOutput {
-            params: vec![1.0; self.dim],
-            num_examples: 1,
-            metrics: ConfigMap::new(),
-        }
-    }
-    fn evaluate(&mut self, params: &[f64], _config: &ConfigMap) -> EvalOutput {
-        let center = params.first().copied().unwrap_or(0.0);
-        EvalOutput {
-            loss: (1.0 - center).abs(),
-            num_examples: 1,
-            metrics: ConfigMap::new(),
-        }
-    }
-}
-
 fn build_fleet(n: usize, dim: usize, fraction: f64) -> FederatedRuntime {
     let clients: Vec<Box<dyn FlClient>> = (0..n)
         .map(|id| {
             let profile = ChaosConfig::fleet_profile(0, id, 0.01, 0.02);
-            Box::new(ChaosClient::new(Box::new(Honest { dim }), profile)) as Box<dyn FlClient>
+            Box::new(ChaosClient::new(Box::new(UnitClient(dim)), profile)) as Box<dyn FlClient>
         })
         .collect();
     let fleet = FederatedRuntime::new(clients)
@@ -72,7 +46,8 @@ fn build_fleet(n: usize, dim: usize, fraction: f64) -> FederatedRuntime {
             )
         })
         .expect("fleet construction");
-    fleet.log().set_retention(Retention::counting_default());
+    // Byte totals only: retained payloads serve leak checks, not fleets.
+    fleet.log().set_retention(Retention::Counting { window: 0 });
     fleet
 }
 
@@ -91,36 +66,20 @@ fn measure(n: usize, dim: usize, fraction: f64, rounds: usize, threads: usize) -
             backoff: std::time::Duration::ZERO,
         };
         let t = Instant::now();
+        let mut agg_peak = 0;
         for _ in 0..rounds {
             match fleet.run_fit_round(vec![0.0; dim], ConfigMap::new(), &policy) {
-                Ok(out) => assert_eq!(out.global.len(), dim),
+                Ok(out) => {
+                    assert_eq!(out.global.len(), dim);
+                    agg_peak = agg_peak.max(out.agg_state_peak_bytes);
+                }
                 Err(ff_fl::FlError::Quorum { .. }) => {}
                 Err(e) => panic!("fleet round failed: {e}"),
             }
         }
         let elapsed = t.elapsed().as_secs_f64();
-        (rounds as f64 / elapsed.max(1e-9), fleet.peak_agg_bytes())
+        (rounds as f64 / elapsed.max(1e-9), agg_peak)
     })
-}
-
-/// Process-wide peak resident set (`VmHWM`) in MiB, from
-/// `/proc/self/status`; 0.0 where unavailable (non-Linux).
-fn rss_hwm_mb() -> f64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0.0;
-    };
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmHWM:") {
-            if let Some(kb) = rest
-                .split_whitespace()
-                .next()
-                .and_then(|v| v.parse::<f64>().ok())
-            {
-                return kb / 1024.0;
-            }
-        }
-    }
-    0.0
 }
 
 fn main() {

@@ -32,9 +32,10 @@
 use std::collections::BTreeSet;
 
 /// Health state of one client.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ClientState {
     /// Replying normally.
+    #[default]
     Healthy,
     /// Failed recently, but not often enough to quarantine.
     Suspect,
@@ -64,32 +65,7 @@ impl Default for HealthPolicy {
     }
 }
 
-#[derive(Debug, Clone)]
-struct ClientRecord {
-    state: ClientState,
-    consecutive_failures: u32,
-    successes: u64,
-    failures: u64,
-    byzantine: u64,
-    consecutive_rejections: u32,
-    probe_level: u32,
-    next_probe_round: u64,
-}
-
-impl ClientRecord {
-    fn new() -> ClientRecord {
-        ClientRecord {
-            state: ClientState::Healthy,
-            consecutive_failures: 0,
-            successes: 0,
-            failures: 0,
-            byzantine: 0,
-            consecutive_rejections: 0,
-            probe_level: 0,
-            next_probe_round: 0,
-        }
-    }
-
+impl ClientHealthState {
     /// Escalates after a failure of either kind, `streak` being the
     /// relevant consecutive counter.
     fn escalate(&mut self, streak: u32, round: u64, policy: &HealthPolicy) {
@@ -128,11 +104,11 @@ impl ClientRecord {
 #[derive(Debug, Clone)]
 pub struct HealthRegistry {
     policy: HealthPolicy,
-    records: Vec<ClientRecord>,
+    records: Vec<ClientHealthState>,
     round: u64,
     /// `(next_probe_round, id)` for every quarantined client, kept
     /// coherent by routing every state transition through
-    /// [`sync_quarantine_index`](Self::sync_quarantine_index).
+    /// [`update`](Self::update).
     probe_index: BTreeSet<(u64, usize)>,
 }
 
@@ -141,16 +117,25 @@ impl HealthRegistry {
     pub fn new(n_clients: usize, policy: HealthPolicy) -> HealthRegistry {
         HealthRegistry {
             policy,
-            records: (0..n_clients).map(|_| ClientRecord::new()).collect(),
+            records: vec![ClientHealthState::default(); n_clients],
             round: 0,
             probe_index: BTreeSet::new(),
         }
     }
 
-    /// Re-syncs the quarantine index for `id` after a record mutation.
-    /// `was_quarantined`/`old_probe` capture the pre-mutation state.
-    fn sync_quarantine_index(&mut self, id: usize, was_quarantined: bool, old_probe: u64) {
-        let rec = &self.records[id];
+    /// Applies `change` to `id`'s record (given the current round and
+    /// policy), keeps the probe index coherent, and returns the new state
+    /// — `None` for an unknown id. Every state transition goes through
+    /// here.
+    fn update(
+        &mut self,
+        id: usize,
+        change: impl FnOnce(&mut ClientHealthState, u64, &HealthPolicy),
+    ) -> Option<ClientState> {
+        let rec = self.records.get_mut(id)?;
+        let (was_quarantined, old_probe) =
+            (rec.state == ClientState::Quarantined, rec.next_probe_round);
+        change(rec, self.round, &self.policy);
         let now_quarantined = rec.state == ClientState::Quarantined;
         if was_quarantined && (!now_quarantined || rec.next_probe_round != old_probe) {
             self.probe_index.remove(&(old_probe, id));
@@ -158,6 +143,7 @@ impl HealthRegistry {
         if now_quarantined {
             self.probe_index.insert((rec.next_probe_round, id));
         }
+        Some(rec.state)
     }
 
     /// Advances the round counter and returns the new round number
@@ -213,17 +199,14 @@ impl HealthRegistry {
     /// client is punctual by design) and only
     /// [`record_accepted`](Self::record_accepted) restores it.
     pub fn record_success(&mut self, id: usize) {
-        let Some(rec) = self.records.get_mut(id) else {
-            return;
-        };
-        let (was_q, old_probe) = (rec.state == ClientState::Quarantined, rec.next_probe_round);
-        rec.successes += 1;
-        rec.consecutive_failures = 0;
-        if rec.consecutive_rejections == 0 {
-            rec.probe_level = 0;
-            rec.state = ClientState::Healthy;
-        }
-        self.sync_quarantine_index(id, was_q, old_probe);
+        self.update(id, |rec, _, _| {
+            rec.successes += 1;
+            rec.consecutive_failures = 0;
+            if rec.consecutive_rejections == 0 {
+                rec.probe_level = 0;
+                rec.state = ClientState::Healthy;
+            }
+        });
     }
 
     /// Records a transport-level failure (timeout, panic, corrupt payload,
@@ -231,16 +214,11 @@ impl HealthRegistry {
     /// state so callers can observe transitions (e.g. count fresh
     /// quarantines), or `None` for an unknown id.
     pub fn record_failure(&mut self, id: usize) -> Option<ClientState> {
-        let round = self.round;
-        let policy = self.policy.clone();
-        let rec = self.records.get_mut(id)?;
-        let (was_q, old_probe) = (rec.state == ClientState::Quarantined, rec.next_probe_round);
-        rec.failures += 1;
-        rec.consecutive_failures += 1;
-        rec.escalate(rec.consecutive_failures, round, &policy);
-        let state = rec.state;
-        self.sync_quarantine_index(id, was_q, old_probe);
-        Some(state)
+        self.update(id, |rec, round, policy| {
+            rec.failures += 1;
+            rec.consecutive_failures += 1;
+            rec.escalate(rec.consecutive_failures, round, policy);
+        })
     }
 
     /// Records an integrity failure: the robust-aggregation guard rejected
@@ -250,16 +228,11 @@ impl HealthRegistry {
     /// probed on backoff exactly like crashed clients. Returns the new
     /// state, or `None` for an unknown id.
     pub fn record_rejection(&mut self, id: usize) -> Option<ClientState> {
-        let round = self.round;
-        let policy = self.policy.clone();
-        let rec = self.records.get_mut(id)?;
-        let (was_q, old_probe) = (rec.state == ClientState::Quarantined, rec.next_probe_round);
-        rec.byzantine += 1;
-        rec.consecutive_rejections += 1;
-        rec.escalate(rec.consecutive_rejections, round, &policy);
-        let state = rec.state;
-        self.sync_quarantine_index(id, was_q, old_probe);
-        Some(state)
+        self.update(id, |rec, round, policy| {
+            rec.byzantine += 1;
+            rec.consecutive_rejections += 1;
+            rec.escalate(rec.consecutive_rejections, round, policy);
+        })
     }
 
     /// Records that the guard accepted this client's update: the
@@ -267,16 +240,13 @@ impl HealthRegistry {
     /// transport streak is necessarily clear too — an accepted update
     /// implies an on-time reply this round).
     pub fn record_accepted(&mut self, id: usize) {
-        let Some(rec) = self.records.get_mut(id) else {
-            return;
-        };
-        let (was_q, old_probe) = (rec.state == ClientState::Quarantined, rec.next_probe_round);
-        rec.consecutive_rejections = 0;
-        if rec.consecutive_failures == 0 {
-            rec.probe_level = 0;
-            rec.state = ClientState::Healthy;
-        }
-        self.sync_quarantine_index(id, was_q, old_probe);
+        self.update(id, |rec, _, _| {
+            rec.consecutive_rejections = 0;
+            if rec.consecutive_failures == 0 {
+                rec.probe_level = 0;
+                rec.state = ClientState::Healthy;
+            }
+        });
     }
 
     /// The state of one client, or `None` for an unknown id.
@@ -291,20 +261,7 @@ impl HealthRegistry {
     pub fn export_state(&self) -> HealthState {
         HealthState {
             round: self.round,
-            clients: self
-                .records
-                .iter()
-                .map(|r| ClientHealthState {
-                    state: r.state,
-                    consecutive_failures: r.consecutive_failures,
-                    successes: r.successes,
-                    failures: r.failures,
-                    byzantine: r.byzantine,
-                    consecutive_rejections: r.consecutive_rejections,
-                    probe_level: r.probe_level,
-                    next_probe_round: r.next_probe_round,
-                })
-                .collect(),
+            clients: self.records.clone(),
         }
     }
 
@@ -321,20 +278,11 @@ impl HealthRegistry {
             ));
         }
         self.round = state.round;
-        self.probe_index.clear();
-        for (id, (rec, saved)) in self.records.iter_mut().zip(&state.clients).enumerate() {
-            rec.state = saved.state;
-            rec.consecutive_failures = saved.consecutive_failures;
-            rec.successes = saved.successes;
-            rec.failures = saved.failures;
-            rec.byzantine = saved.byzantine;
-            rec.consecutive_rejections = saved.consecutive_rejections;
-            rec.probe_level = saved.probe_level;
-            rec.next_probe_round = saved.next_probe_round;
-            if rec.state == ClientState::Quarantined {
-                self.probe_index.insert((rec.next_probe_round, id));
-            }
-        }
+        self.records = state.clients.clone();
+        self.probe_index = (self.records.iter().enumerate())
+            .filter(|(_, rec)| rec.state == ClientState::Quarantined)
+            .map(|(id, rec)| (rec.next_probe_round, id))
+            .collect();
         Ok(())
     }
 
@@ -359,11 +307,11 @@ impl HealthRegistry {
     }
 }
 
-/// One client's complete durable state, as exported by
+/// One client's complete state — the registry's own record, exported by
 /// [`HealthRegistry::export_state`]. Unlike [`ClientHealthSnapshot`]
 /// (a reporting view), this carries everything the state machine needs
 /// to resume: both failure streaks and the probe backoff schedule.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ClientHealthState {
     /// Current state.
     pub state: ClientState,

@@ -11,9 +11,11 @@
 //!   serialization boundary, exactly like a networked deployment, so the
 //!   privacy surface (what leaves a client) is explicit and auditable.
 //! - [`runtime::FederatedRuntime`]: the in-process simulation engine and
-//!   its one round loop; clients run on host threads the runtime owns
-//!   (one per client up to 64 clients) and the server broadcasts
-//!   instructions and collects replies in parallel.
+//!   its one round loop, from eight clients to a 10,000-client fleet:
+//!   clients run on at most 64 host threads the runtime owns, rounds can
+//!   sample a seeded cohort ([`runtime::CohortSampler`]), and fold rounds
+//!   stream-aggregate replies in O(model) server memory, bit-identically
+//!   across thread counts.
 //! - [`strategy`]: FedAvg weighted parameter averaging and weighted loss
 //!   aggregation (`α_j = |D_j| / |D|`, Equation 1 of the paper).
 //! - [`stream::StreamAgg`]: the one aggregation path — every rule but
@@ -33,7 +35,7 @@
 //!   round with whichever healthy subset replied in time and reports the
 //!   rest as structured dropouts ([`FlError::Timeout`],
 //!   [`FlError::ClientPanicked`], [`FlError::Codec`]).
-//! - Client threads wrap handler dispatch in `catch_unwind`, so a panicked
+//! - Hosts wrap handler dispatch in `catch_unwind`, so a panicked
 //!   client answers with [`message::Reply::Panicked`] instead of poisoning
 //!   its channel and killing the federation.
 //! - [`health::HealthRegistry`] tracks per-client Healthy → Suspect →
@@ -54,16 +56,6 @@
 //! rejections feeding the same [`health::HealthRegistry`] escalation as
 //! crash faults ([`health::HealthRegistry::record_rejection`]).
 //! [`chaos::AdversarialMode`] injects the matching attacks.
-//!
-//! # Fleet scale
-//!
-//! The same runtime serves a 10,000-client fleet: a seeded per-round
-//! cohort sampler ([`runtime::CohortSampler`]), at most
-//! [`runtime::MAX_HOSTS`] host threads, and fold rounds
-//! ([`runtime::FederatedRuntime::run_fit_round`]) that screen and fold
-//! replies on their hosts into [`stream::StreamAgg`] partials, keeping
-//! server memory O(model) instead of O(clients × model). Rounds are
-//! bit-identical across thread counts under a fixed seed.
 
 pub mod chaos;
 pub mod client;

@@ -15,7 +15,6 @@
 
 use ff_trace::Tracer;
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -93,7 +92,8 @@ struct LogState {
     recorded: usize,
     to_client_bytes: usize,
     to_server_bytes: usize,
-    per_client: BTreeMap<usize, ClientComms>,
+    /// Indexed by client id; ids never messaged stay all-zero.
+    per_client: Vec<ClientComms>,
     tracer: Tracer,
 }
 
@@ -142,7 +142,10 @@ impl MessageLog {
     pub fn record(&self, client_id: usize, direction: Direction, payload: &[u8]) {
         let mut s = self.inner.lock();
         s.recorded += 1;
-        let comms = s.per_client.entry(client_id).or_default();
+        if s.per_client.len() <= client_id {
+            s.per_client.resize(client_id + 1, ClientComms::default());
+        }
+        let comms = &mut s.per_client[client_id];
         comms.messages += 1;
         match direction {
             Direction::ToClient => {
@@ -162,12 +165,15 @@ impl MessageLog {
             s.tracer
                 .record_labeled(name, client_id as u64, payload.len() as f64);
         }
-        s.window.push_back(LogEntry {
-            client_id,
-            direction,
-            payload: payload.to_vec(),
-        });
-        trim(&mut s);
+        // An empty counting window retains nothing: skip the copy.
+        if s.retention != Some(Retention::Counting { window: 0 }) {
+            s.window.push_back(LogEntry {
+                client_id,
+                direction,
+                payload: payload.to_vec(),
+            });
+            trim(&mut s);
+        }
     }
 
     /// Snapshot of the retained entries (all of them under
@@ -187,7 +193,7 @@ impl MessageLog {
     /// Exact per-client byte/message totals, sorted by client id.
     pub fn client_totals(&self) -> Vec<(usize, ClientComms)> {
         let s = self.inner.lock();
-        s.per_client.iter().map(|(&id, &c)| (id, c)).collect()
+        per_client_totals(&s)
     }
 
     /// Number of messages recorded (not merely retained). Exact in every
@@ -215,7 +221,7 @@ impl MessageLog {
             recorded: s.recorded,
             to_client_bytes: s.to_client_bytes,
             to_server_bytes: s.to_server_bytes,
-            per_client: s.per_client.iter().map(|(&id, &c)| (id, c)).collect(),
+            per_client: per_client_totals(&s),
         }
     }
 
@@ -227,7 +233,13 @@ impl MessageLog {
         s.recorded = totals.recorded;
         s.to_client_bytes = totals.to_client_bytes;
         s.to_server_bytes = totals.to_server_bytes;
-        s.per_client = totals.per_client.iter().copied().collect();
+        s.per_client.clear();
+        for &(id, comms) in &totals.per_client {
+            if s.per_client.len() <= id {
+                s.per_client.resize(id + 1, ClientComms::default());
+            }
+            s.per_client[id] = comms;
+        }
     }
 
     /// Searches retained client→server payloads for a run of consecutive
@@ -251,6 +263,14 @@ impl MessageLog {
                     .any(|w| w == pattern.as_slice())
             })
     }
+}
+
+/// `(id, totals)` of every client that was messaged, by id.
+fn per_client_totals(s: &LogState) -> Vec<(usize, ClientComms)> {
+    (s.per_client.iter().enumerate())
+        .filter(|(_, c)| c.messages > 0)
+        .map(|(id, &c)| (id, c))
+        .collect()
 }
 
 fn trim(s: &mut LogState) {

@@ -30,8 +30,6 @@ pub enum Instruction {
         /// Evaluation configuration.
         config: ConfigMap,
     },
-    /// Terminate the client thread.
-    Shutdown,
 }
 
 /// Client → server reply.
@@ -58,8 +56,6 @@ pub enum Reply {
         /// Free-form metrics.
         metrics: ConfigMap,
     },
-    /// Acknowledges shutdown.
-    ShutdownAck,
     /// Application-level error.
     Error(String),
     /// The client panicked while handling the instruction. Produced by the
@@ -71,11 +67,9 @@ pub enum Reply {
 const TAG_GET_PROPERTIES: u8 = 1;
 const TAG_FIT: u8 = 2;
 const TAG_EVALUATE: u8 = 3;
-const TAG_SHUTDOWN: u8 = 4;
 const TAG_PROPERTIES: u8 = 11;
 const TAG_FIT_RES: u8 = 12;
 const TAG_EVALUATE_RES: u8 = 13;
-const TAG_SHUTDOWN_ACK: u8 = 14;
 const TAG_ERROR: u8 = 15;
 const TAG_PANICKED: u8 = 16;
 
@@ -90,40 +84,38 @@ fn put_str(buf: &mut BytesMut, s: &str) {
     buf.put_slice(s.as_bytes());
 }
 
+/// Refuses to read `n` bytes the buffer does not hold.
+fn need(buf: &Bytes, n: usize, what: &str) -> Result<(), FlError> {
+    if buf.remaining() < n {
+        return Err(FlError::Codec(format!("truncated {what}")));
+    }
+    Ok(())
+}
+
 fn get_str(buf: &mut Bytes) -> Result<String, FlError> {
     let len = get_u32(buf)? as usize;
-    if buf.remaining() < len {
-        return Err(FlError::Codec("truncated string".into()));
-    }
+    need(buf, len, "string")?;
     let raw = buf.copy_to_bytes(len);
     String::from_utf8(raw.to_vec()).map_err(|_| FlError::Codec("invalid utf8".into()))
 }
 
 fn get_u32(buf: &mut Bytes) -> Result<u32, FlError> {
-    if buf.remaining() < 4 {
-        return Err(FlError::Codec("truncated u32".into()));
-    }
+    need(buf, 4, "u32")?;
     Ok(buf.get_u32_le())
 }
 
 fn get_u64(buf: &mut Bytes) -> Result<u64, FlError> {
-    if buf.remaining() < 8 {
-        return Err(FlError::Codec("truncated u64".into()));
-    }
+    need(buf, 8, "u64")?;
     Ok(buf.get_u64_le())
 }
 
 fn get_f64(buf: &mut Bytes) -> Result<f64, FlError> {
-    if buf.remaining() < 8 {
-        return Err(FlError::Codec("truncated f64".into()));
-    }
+    need(buf, 8, "f64")?;
     Ok(buf.get_f64_le())
 }
 
 fn get_u8(buf: &mut Bytes) -> Result<u8, FlError> {
-    if buf.remaining() < 1 {
-        return Err(FlError::Codec("truncated tag".into()));
-    }
+    need(buf, 1, "tag")?;
     Ok(buf.get_u8())
 }
 
@@ -136,9 +128,7 @@ fn put_floats(buf: &mut BytesMut, v: &[f64]) {
 
 fn get_floats(buf: &mut Bytes) -> Result<Vec<f64>, FlError> {
     let len = get_u32(buf)? as usize;
-    if buf.remaining() < len * 8 {
-        return Err(FlError::Codec("truncated float vec".into()));
-    }
+    need(buf, len * 8, "float vec")?;
     Ok((0..len).map(|_| buf.get_f64_le()).collect())
 }
 
@@ -181,17 +171,13 @@ fn get_config(buf: &mut Bytes) -> Result<ConfigMap, FlError> {
         let value = match vtag {
             VTAG_FLOAT => ConfigValue::Float(get_f64(buf)?),
             VTAG_INT => {
-                if buf.remaining() < 8 {
-                    return Err(FlError::Codec("truncated i64".into()));
-                }
+                need(buf, 8, "i64")?;
                 ConfigValue::Int(buf.get_i64_le())
             }
             VTAG_STR => ConfigValue::Str(get_str(buf)?),
             VTAG_BYTES => {
                 let len = get_u32(buf)? as usize;
-                if buf.remaining() < len {
-                    return Err(FlError::Codec("truncated bytes".into()));
-                }
+                need(buf, len, "bytes")?;
                 ConfigValue::Bytes(buf.copy_to_bytes(len).to_vec())
             }
             VTAG_FLOATVEC => ConfigValue::FloatVec(get_floats(buf)?),
@@ -221,7 +207,6 @@ impl Instruction {
                 put_floats(&mut buf, params);
                 put_config(&mut buf, config);
             }
-            Instruction::Shutdown => buf.put_u8(TAG_SHUTDOWN),
         }
         buf.freeze()
     }
@@ -239,7 +224,6 @@ impl Instruction {
                 params: get_floats(&mut raw)?,
                 config: get_config(&mut raw)?,
             },
-            TAG_SHUTDOWN => Instruction::Shutdown,
             t => return Err(FlError::Codec(format!("unknown instruction tag {t}"))),
         };
         if raw.has_remaining() {
@@ -278,7 +262,6 @@ impl Reply {
                 buf.put_u64_le(*num_examples);
                 put_config(&mut buf, metrics);
             }
-            Reply::ShutdownAck => buf.put_u8(TAG_SHUTDOWN_ACK),
             Reply::Error(msg) => {
                 buf.put_u8(TAG_ERROR);
                 put_str(&mut buf, msg);
@@ -306,7 +289,6 @@ impl Reply {
                 num_examples: get_u64(&mut raw)?,
                 metrics: get_config(&mut raw)?,
             },
-            TAG_SHUTDOWN_ACK => Reply::ShutdownAck,
             TAG_ERROR => Reply::Error(get_str(&mut raw)?),
             TAG_PANICKED => Reply::Panicked(get_str(&mut raw)?),
             t => return Err(FlError::Codec(format!("unknown reply tag {t}"))),
@@ -344,7 +326,6 @@ mod tests {
                 params: vec![],
                 config: ConfigMap::new(),
             },
-            Instruction::Shutdown,
         ] {
             let encoded = ins.encode();
             let decoded = Instruction::decode(encoded).unwrap();
@@ -366,7 +347,6 @@ mod tests {
                 num_examples: 55,
                 metrics: ConfigMap::new(),
             },
-            Reply::ShutdownAck,
             Reply::Error("boom".into()),
             Reply::Panicked("index out of bounds".into()),
         ] {
@@ -401,9 +381,8 @@ mod tests {
 
     #[test]
     fn trailing_bytes_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_u8(4); // Shutdown
-        buf.put_u8(0); // junk
-        assert!(Instruction::decode(buf.freeze()).is_err());
+        let mut raw = Reply::Error("x".into()).encode().to_vec();
+        raw.push(0); // junk
+        assert!(Reply::decode(Bytes::from(raw)).is_err());
     }
 }

@@ -10,7 +10,7 @@
 //!   the engine and the runtime's fold rounds: FedAvg, coordinate median,
 //!   trimmed mean, norm clipping and Krum / Multi-Krum (Blanchard et al.,
 //!   NeurIPS 2017). Every rule but Krum aggregates through [`StreamAgg`];
-//!   [`Krum`] is the one batch-only rule,
+//!   Krum is the one batch-only rule,
 //! - an [`UpdateGuard`] that screens every reply *before* aggregation
 //!   (dimension check, non-finite rejection, update-norm / loss outlier
 //!   screens against a running per-round median), and
@@ -187,61 +187,50 @@ pub(crate) fn trimmed_mean(updates: &[(Vec<f64>, u64)], trim_ratio: f64) -> Resu
 /// by the sum of squared distances to its `n − f − 2` nearest neighbours
 /// and keep the `m` lowest-scoring updates (`m = 1` is classic Krum —
 /// the selected update is returned verbatim; `m > 1` averages the
-/// selection). Requires `n ≥ 2f + 3` whenever `f > 0`.
-#[derive(Debug, Clone, Copy)]
-pub struct Krum {
-    /// Assumed upper bound on adversarial clients.
-    pub f: usize,
-    /// Number of selected updates (`1` = classic Krum).
-    pub m: usize,
-}
-
-impl Krum {
-    /// Selects from the finite updates; non-finite ones count against
-    /// the attacker budget `f`.
-    pub fn aggregate(&self, updates: &[(Vec<f64>, u64)]) -> Result<Vec<f64>> {
-        if self.m == 0 {
-            return Err(FlError::Client("Krum needs m ≥ 1".into()));
-        }
-        let (keep, dropped) = finite_updates(updates)?;
-        // Non-finite updates were definitionally adversarial and already
-        // dropped, so they count against the assumed attacker budget.
-        let f = self.f.saturating_sub(dropped);
-        let n = keep.len();
-        if n == 1 {
-            return Ok(keep[0].0.to_vec());
-        }
-        if f > 0 && n < 2 * f + 3 {
-            return Err(FlError::Client(format!(
-                "Krum needs n ≥ 2f + 3 surviving updates (n = {n}, f = {f})"
-            )));
-        }
-        let neighbours = n.saturating_sub(f + 2).max(1);
-        let mut scores: Vec<(f64, usize)> = Vec::with_capacity(n);
-        for i in 0..n {
-            let mut dists: Vec<f64> = (0..n)
-                .filter(|&j| j != i)
-                .map(|j| {
-                    keep[i]
-                        .0
-                        .iter()
-                        .zip(keep[j].0)
-                        .map(|(a, b)| (a - b) * (a - b))
-                        .sum::<f64>()
-                })
-                .collect();
-            dists.sort_by(f64::total_cmp);
-            scores.push((dists.iter().take(neighbours).sum(), i));
-        }
-        // Lowest score wins; ties break on the smaller index so the
-        // selection is deterministic.
-        scores.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let m = self.m.min(n);
-        if m == 1 {
-            return Ok(keep[scores[0].1].0.to_vec());
-        }
-        MeanAcc::mean_of(scores[..m].iter().map(|&(_, i)| keep[i]))
+/// selection). Requires `n ≥ 2f + 3` whenever `f > 0`; non-finite updates
+/// are dropped and count against the attacker budget `f`.
+fn krum(updates: &[(Vec<f64>, u64)], f: usize, m: usize) -> Result<Vec<f64>> {
+    if m == 0 {
+        return Err(FlError::Client("Krum needs m ≥ 1".into()));
     }
+    let (keep, dropped) = finite_updates(updates)?;
+    // Non-finite updates were definitionally adversarial and already
+    // dropped, so they count against the assumed attacker budget.
+    let f = f.saturating_sub(dropped);
+    let n = keep.len();
+    if n == 1 {
+        return Ok(keep[0].0.to_vec());
+    }
+    if f > 0 && n < 2 * f + 3 {
+        return Err(FlError::Client(format!(
+            "Krum needs n ≥ 2f + 3 surviving updates (n = {n}, f = {f})"
+        )));
+    }
+    let neighbours = n.saturating_sub(f + 2).max(1);
+    let mut scores: Vec<(f64, usize)> = Vec::with_capacity(n);
+    for i in 0..n {
+        let mut dists: Vec<f64> = (0..n)
+            .filter(|&j| j != i)
+            .map(|j| {
+                keep[i]
+                    .0
+                    .iter()
+                    .zip(keep[j].0)
+                    .map(|(a, b)| (a - b) * (a - b))
+                    .sum::<f64>()
+            })
+            .collect();
+        dists.sort_by(f64::total_cmp);
+        scores.push((dists.iter().take(neighbours).sum(), i));
+    }
+    // Lowest score wins; ties break on the smaller index so the
+    // selection is deterministic.
+    scores.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    let m = m.min(n);
+    if m == 1 {
+        return Ok(keep[scores[0].1].0.to_vec());
+    }
+    MeanAcc::mean_of(scores[..m].iter().map(|&(_, i)| keep[i]))
 }
 
 // ---------------------------------------------------------------------------
@@ -342,14 +331,14 @@ impl AggregationStrategy {
         &self,
         updates: impl IntoIterator<Item = (usize, Vec<f64>, u64)>,
     ) -> Result<Vec<f64>> {
-        let krum = match *self {
-            AggregationStrategy::Krum { f } => Some(Krum { f, m: 1 }),
-            AggregationStrategy::MultiKrum { f, m } => Some(Krum { f, m }),
+        let selection = match *self {
+            AggregationStrategy::Krum { f } => Some((f, 1)),
+            AggregationStrategy::MultiKrum { f, m } => Some((f, m)),
             _ => None,
         };
-        if let Some(krum) = krum {
+        if let Some((f, m)) = selection {
             let batch: Vec<(Vec<f64>, u64)> = updates.into_iter().map(|(_, p, n)| (p, n)).collect();
-            return krum.aggregate(&batch);
+            return krum(&batch, f, m);
         }
         let mut agg = StreamAgg::new(self, usize::MAX)?;
         for (id, params, n) in updates {
@@ -588,39 +577,26 @@ impl UpdateGuard {
             accepted: Vec::with_capacity(updates.len()),
             rejected: Vec::new(),
         };
-        let mut survivors: Vec<(usize, Vec<f64>, u64, f64)> = Vec::new();
-        let mut norms: Vec<f64> = Vec::new();
+        let mut survivors = Vec::new();
         for (id, p, n) in updates {
             if p.is_empty() {
                 screened.accepted.push((id, p, n));
                 continue;
             }
             match check_update(&p, expected) {
-                Ok(norm) => {
-                    norms.push(norm);
-                    survivors.push((id, p, n, norm));
-                }
+                Ok(norm) => survivors.push(((id, p, n), id, norm)),
                 Err(reason) => screened.rejected.push((id, reason)),
             }
         }
-
-        let median = Self::running_median(&self.norm_medians, &norms);
-        let mut accepted_norms: Vec<f64> = Vec::new();
-        for (id, p, n, norm) in survivors {
-            if norm > self.policy.norm_ratio * median {
-                screened
-                    .rejected
-                    .push((id, RejectReason::NormOutlier { norm, median }));
-            } else {
-                accepted_norms.push(norm);
-                screened.accepted.push((id, p, n));
-            }
-        }
-        // Only accepted norms enter the history: a round where attackers
-        // reply alone must not recenter the screen on themselves.
-        if let Some(m) = plain_median(&mut accepted_norms) {
-            Self::remember(&mut self.norm_medians, self.policy.history, m);
-        }
+        let (history, ratio) = (self.policy.history, self.policy.norm_ratio);
+        Self::split_outliers(
+            &mut self.norm_medians,
+            history,
+            ratio,
+            survivors,
+            &mut screened,
+            |norm, median| RejectReason::NormOutlier { norm, median },
+        );
         screened
     }
 
@@ -632,82 +608,77 @@ impl UpdateGuard {
             accepted: Vec::with_capacity(losses.len()),
             rejected: Vec::new(),
         };
-        let mut survivors: Vec<(usize, f64, u64)> = Vec::new();
-        let mut finite: Vec<f64> = Vec::new();
+        let mut survivors = Vec::new();
         for (id, loss, n) in losses {
             match check_loss(loss) {
-                Ok(()) => {
-                    finite.push(loss);
-                    survivors.push((id, loss, n));
-                }
+                Ok(()) => survivors.push(((id, loss, n), id, loss)),
                 Err(reason) => screened.rejected.push((id, reason)),
             }
         }
-
-        let median = Self::running_median(&self.loss_medians, &finite);
-        let mut accepted_losses: Vec<f64> = Vec::new();
-        for (id, loss, n) in survivors {
-            if loss > self.policy.loss_ratio * median {
-                screened
-                    .rejected
-                    .push((id, RejectReason::LossOutlier { loss, median }));
-            } else {
-                accepted_losses.push(loss);
-                screened.accepted.push((id, loss, n));
-            }
-        }
-        if let Some(m) = plain_median(&mut accepted_losses) {
-            Self::remember(&mut self.loss_medians, self.policy.history, m);
-        }
+        let (history, ratio) = (self.policy.history, self.policy.loss_ratio);
+        Self::split_outliers(
+            &mut self.loss_medians,
+            history,
+            ratio,
+            survivors,
+            &mut screened,
+            |loss, median| RejectReason::LossOutlier { loss, median },
+        );
         screened
     }
 
-    // -- Streaming (fleet) screening ------------------------------------
-    //
-    // A streaming server screens each reply as it arrives, so the screen
-    // median must be frozen *before* the round starts: it is the lower
-    // median of the remembered per-round medians alone, with no pooling
-    // of the current round's values. `None` (empty history) means the
-    // caller bypasses the ratio screen for that round — the first round
-    // has no notion yet of what honest clients look like.
-
-    /// Frozen norm-screen median from history alone, floored at
-    /// `MEDIAN_FLOOR`; `None` when there is no history yet.
-    pub fn frozen_norm_median(&self) -> Option<f64> {
-        Self::frozen(&self.norm_medians)
-    }
-
-    /// Frozen loss-screen median from history alone, floored at
-    /// `MEDIAN_FLOOR`; `None` when there is no history yet.
-    pub fn frozen_loss_median(&self) -> Option<f64> {
-        Self::frozen(&self.loss_medians)
-    }
-
-    fn frozen(history: &VecDeque<f64>) -> Option<f64> {
-        if history.is_empty() {
-            return None;
+    /// The outlier half of a batch screen: each `(reply, id, value)`
+    /// survivor is checked against `ratio ×` the running median of
+    /// `medians` pooled with the survivors' values. Only accepted values
+    /// join the history — a round where attackers reply alone must not
+    /// recenter the screen on themselves.
+    fn split_outliers<T>(
+        medians: &mut VecDeque<f64>,
+        history: usize,
+        ratio: f64,
+        survivors: Vec<(T, usize, f64)>,
+        screened: &mut Screened<T>,
+        outlier: impl Fn(f64, f64) -> RejectReason,
+    ) {
+        let values: Vec<f64> = survivors.iter().map(|s| s.2).collect();
+        let median = Self::running_median(medians, &values);
+        let mut accepted = Vec::new();
+        for (reply, id, value) in survivors {
+            if value > ratio * median {
+                screened.rejected.push((id, outlier(value, median)));
+            } else {
+                accepted.push(value);
+                screened.accepted.push(reply);
+            }
         }
-        let mut pool: Vec<f64> = history.iter().copied().collect();
-        pool.sort_by(f64::total_cmp);
-        Some(pool[(pool.len() - 1) / 2].max(MEDIAN_FLOOR))
-    }
-
-    /// Commits a streaming round's accepted update norms: their median
-    /// joins the bounded history exactly as
-    /// [`screen_updates`](UpdateGuard::screen_updates) would have
-    /// recorded it. `values` is sorted in place.
-    pub fn commit_norms(&mut self, values: &mut [f64]) {
-        if let Some(m) = plain_median(values) {
-            Self::remember(&mut self.norm_medians, self.policy.history, m);
+        if let Some(m) = plain_median(&mut accepted) {
+            Self::remember(medians, history, m);
         }
     }
 
-    /// Commits a streaming round's accepted losses; see
-    /// [`commit_norms`](UpdateGuard::commit_norms). `values` is sorted
-    /// in place.
-    pub fn commit_losses(&mut self, values: &mut [f64]) {
+    /// Frozen `(norm, loss)` screen medians for a fold round, which
+    /// screens each reply as it arrives and so needs its median fixed
+    /// before the round starts: the lower median of the remembered
+    /// per-round medians alone, floored at `MEDIAN_FLOOR`. `None` (no
+    /// history yet) bypasses that ratio screen — the first round has no
+    /// notion yet of what honest clients look like.
+    pub fn frozen_medians(&self) -> (Option<f64>, Option<f64>) {
+        let frozen = |h: &VecDeque<f64>| (!h.is_empty()).then(|| Self::running_median(h, &[]));
+        (frozen(&self.norm_medians), frozen(&self.loss_medians))
+    }
+
+    /// Commits a fold round's accepted values — update norms for a fit
+    /// round, losses otherwise — to the history exactly as the batch
+    /// screens would. Sorts `values` in place.
+    pub fn commit(&mut self, fit: bool, values: &mut [f64]) {
+        let cap = self.policy.history;
+        let history = if fit {
+            &mut self.norm_medians
+        } else {
+            &mut self.loss_medians
+        };
         if let Some(m) = plain_median(values) {
-            Self::remember(&mut self.loss_medians, self.policy.history, m);
+            Self::remember(history, cap, m);
         }
     }
 
@@ -881,7 +852,7 @@ mod tests {
             .collect();
         updates.push((vec![1e9, 1e9], 1)); // attacker
         updates.push((vec![-1e9, 1e9], 1)); // attacker
-        let agg = Krum { f: 2, m: 1 }.aggregate(&updates).unwrap();
+        let agg = krum(&updates, 2, 1).unwrap();
         // The winner is one of the honest clusters, never an attacker.
         assert!(agg[0] < 2.0, "krum picked an attacker: {agg:?}");
         assert!(updates[..5].iter().any(|(p, _)| *p == agg));
@@ -896,15 +867,15 @@ mod tests {
             (vec![4.0], 1),
             (vec![5.0], 1),
         ];
-        let agg = Krum { f: 0, m: 5 }.aggregate(&updates).unwrap();
+        let agg = krum(&updates, 0, 5).unwrap();
         assert!((agg[0] - 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn krum_enforces_population_bound() {
         let updates = vec![(vec![1.0], 1u64), (vec![2.0], 1), (vec![3.0], 1)];
-        assert!(Krum { f: 1, m: 1 }.aggregate(&updates).is_err());
-        assert!(Krum { f: 0, m: 1 }.aggregate(&updates).is_ok());
+        assert!(krum(&updates, 1, 1).is_err());
+        assert!(krum(&updates, 0, 1).is_ok());
     }
 
     #[test]
@@ -1057,8 +1028,7 @@ mod tests {
         let mut restored = UpdateGuard::new(GuardPolicy::default());
         restored.restore_history(&norms, &losses);
         assert_eq!(restored.history(), guard.history());
-        assert_eq!(restored.frozen_norm_median(), guard.frozen_norm_median());
-        assert_eq!(restored.frozen_loss_median(), guard.frozen_loss_median());
+        assert_eq!(restored.frozen_medians(), guard.frozen_medians());
         // Same future round, same verdicts — including the outlier.
         let round = vec![(0, vec![3.0, 0.0], 10), (1, vec![1e9, 0.0], 10)];
         let a = guard.screen_updates(round.clone());

@@ -1,40 +1,22 @@
 //! The in-process federated simulation engine: one round loop for every
 //! federation size, from the paper's eight clients to a 10,000-client
-//! fleet (DESIGN.md §8).
+//! fleet. DESIGN.md §8 describes it in full.
 //!
-//! Clients live on *host* threads the runtime owns: client `id` lives on
-//! host `id / ⌈n / 64⌉`, so up to [`MAX_HOSTS`] clients each get a thread
-//! (Flower's simulation mode) and a 10,000-client fleet runs on 64 hosts.
-//! Every hop crosses a real serialization boundary: the server encodes
-//! the instruction once per round; each host decodes it per client, runs
-//! the handler under `catch_unwind` (a panic becomes
-//! [`Reply::Panicked`], not a dead thread), routes the encoded reply
-//! through [`FlClient::wire_transform`], logs it and decodes it.
+//! Clients live on at most [`MAX_HOSTS`] *host* threads the runtime owns
+//! (one per client up to 64 clients). Every round admits the cohort plus
+//! due probes, encodes the instruction once, drives each client through
+//! a real serialization hop (decode, `catch_unwind`, `wire_transform`,
+//! log, decode), collects against the [`RoundPolicy`], books health and
+//! `fl.*` counters, and commits one flight-recorder frame.
+//! [`run_round`] returns the healthy replies; [`run_fit_round`] and
+//! [`run_eval_round`] screen each reply against frozen medians and fold
+//! it into a per-host [`StreamAgg`] partial, keeping server memory
+//! O(model). A round with a deadline runs on the hosts, so a hung client
+//! can be abandoned; one without a deadline has nothing to abandon and
+//! runs on the `ff-par` pool. Either way each host folds its clients in
+//! id order and partials merge in host order, so results do not depend
+//! on `FF_THREADS`.
 //!
-//! Every round runs the same loop: health admission of the cohort (full
-//! participation unless [`with_cohort`] sets a [`CohortSampler`]) plus
-//! due re-admission probes; hosts drive their admitted clients in id
-//! order; the server collects against the [`RoundPolicy`] deadline and
-//! retries, books every outcome into the [`HealthRegistry`], emits the
-//! `fl.*` counters and commits one flight-recorder frame. [`run_round`]
-//! returns the healthy replies (what the engine uses); [`run_fit_round`]
-//! and [`run_eval_round`] screen each reply on its host against medians
-//! frozen before the round and fold it into a per-host [`StreamAgg`]
-//! partial, so server memory stays O(model) (what fleets use).
-//!
-//! **Deadlines.** A host skips clients it cannot start before the
-//! deadline; the server abandons a host that has not answered by then —
-//! its clients time out and its late answer is discarded by sequence
-//! number. With one client per host this is per-client abandonment of a
-//! hung client. A reply dropped on the wire times out at once, so
-//! simulated stragglers cost no wall-clock time.
-//!
-//! **Determinism.** Without a wall-clock deadline firing, a round is
-//! bit-identical across `FF_THREADS`: cohorts depend only on
-//! `(seed, round)`, the host partition only on the federation size, each
-//! host folds in id order and partials merge in host order.
-//!
-//! [`with_cohort`]: FederatedRuntime::with_cohort
 //! [`run_round`]: FederatedRuntime::run_round
 //! [`run_fit_round`]: FederatedRuntime::run_fit_round
 //! [`run_eval_round`]: FederatedRuntime::run_eval_round
@@ -54,7 +36,8 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use ff_trace::{FlightRecorder, RoundFrame, Tracer};
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -63,6 +46,11 @@ use std::time::{Duration, Instant};
 /// pool; capping the host count bounds a 10,000-client fleet to 64
 /// threads while federations of up to 64 clients keep one per client.
 pub const MAX_HOSTS: usize = 64;
+
+/// Clients per ff-par task in rounds without a deadline: smaller rounds
+/// run on the calling thread instead of paying for worker spawns. Only
+/// scheduling depends on it, never a result.
+const MIN_TASK: usize = 8;
 
 /// Round-level budget of exactly buffered updates for the rank rules:
 /// a fold round over at most this many clients is exact; beyond it the
@@ -231,17 +219,18 @@ enum FoldKind {
     Eval { loss_median: Option<f64> },
 }
 
-/// One round's work for one host: its admitted clients, in id order.
+/// One round's work, shared by every host it runs on.
+#[derive(Clone)]
 struct Job {
     seq: u64,
     encoded: Bytes,
-    ids: Vec<usize>,
     deadline: Option<Instant>,
     fold: Option<Fold>,
 }
 
 enum HostMsg {
-    Round(Job),
+    /// A job over the host's admitted clients, in id order.
+    Round(Job, Vec<usize>),
     Shutdown(u64),
 }
 
@@ -266,11 +255,16 @@ struct HostOut {
     outcomes: Vec<(usize, Outcome)>,
     /// The host's partial aggregate (fit rounds).
     agg: Option<StreamAgg>,
-    /// A fold failure that fails the whole round.
+    /// A non-finite update that fails the whole round.
     fatal: Option<FlError>,
 }
 
 struct Host {
+    /// Id of the host's first client.
+    first: usize,
+    /// The host's clients, driven by the host thread — or, in rounds
+    /// without a deadline, by whichever thread locks them.
+    clients: Arc<Mutex<Vec<Box<dyn FlClient>>>>,
     tx: Sender<HostMsg>,
     rx: Receiver<HostOut>,
     join: Option<JoinHandle<()>>,
@@ -323,7 +317,6 @@ fn handle(client: &mut dyn FlClient, ins: Instruction) -> Reply {
                 metrics: out.metrics,
             }
         }
-        Instruction::Shutdown => Reply::ShutdownAck,
     }
 }
 
@@ -356,20 +349,21 @@ fn drive(client: &mut dyn FlClient, id: usize, encoded: &Bytes, log: &MessageLog
 }
 
 impl Fold {
-    /// Screens one reply and folds it into the host partial. `None` when
-    /// folding failed other than on a non-finite update; the failure
-    /// lands in `fatal` either way.
+    /// Screens one reply and folds it into the host partial. A non-finite
+    /// update under a mean rule is rejected *and* fails the round
+    /// (`fatal`); an update that cannot fold otherwise (a dimension
+    /// mismatch) drops its client out.
     fn take(
         &self,
         id: usize,
         reply: Reply,
         agg: Option<&mut StreamAgg>,
         fatal: &mut Option<FlError>,
-    ) -> Option<Outcome> {
+    ) -> Outcome {
         let robust = self.strategy.is_robust();
         let outlier =
             |value: f64, ratio: f64, median: Option<f64>| median.filter(|&m| value > ratio * m);
-        Some(match (reply, self.kind) {
+        match (reply, self.kind) {
             (Reply::Error(msg), _) => Outcome::Failed(FlError::Client(msg)),
             (
                 Reply::FitRes {
@@ -392,7 +386,7 @@ impl Fold {
                     });
                     match screen {
                         Ok(n) => norm = (!params.is_empty()).then_some(n),
-                        Err(reason) => return Some(Outcome::Rejected(reason)),
+                        Err(reason) => return Outcome::Rejected(reason),
                     }
                 }
                 let agg = agg.expect("fit jobs carry a partial");
@@ -406,10 +400,7 @@ impl Fold {
                         fatal.get_or_insert(e);
                         Outcome::Rejected(RejectReason::NonFinite)
                     }
-                    Err(e) => {
-                        fatal.get_or_insert(e);
-                        return None;
-                    }
+                    Err(e) => Outcome::Failed(e),
                 }
             }
             (
@@ -426,7 +417,7 @@ impl Fold {
                         }
                     });
                     if let Err(reason) = screen {
-                        return Some(Outcome::Rejected(reason));
+                        return Outcome::Rejected(reason);
                     }
                 }
                 Outcome::Folded {
@@ -436,18 +427,24 @@ impl Fold {
                 }
             }
             (other, _) => Outcome::Failed(FlError::Codec(format!("unexpected reply {other:?}"))),
-        })
+        }
     }
 }
 
-fn run_job(first: usize, clients: &mut [Box<dyn FlClient>], log: &MessageLog, job: Job) -> HostOut {
+fn run_job(
+    first: usize,
+    clients: &mut [Box<dyn FlClient>],
+    log: &MessageLog,
+    job: &Job,
+    ids: &[usize],
+) -> HostOut {
     let mut agg = job
         .fold
         .filter(|fold| matches!(fold.kind, FoldKind::Fit { .. }))
         .map(|fold| StreamAgg::new(&fold.strategy, fold.cap).expect("validated by with_strategy"));
     let mut fatal = None;
-    let mut outcomes = Vec::with_capacity(job.ids.len());
-    for id in job.ids {
+    let mut outcomes = Vec::with_capacity(ids.len());
+    for &id in ids {
         let outcome = if job.deadline.is_some_and(|at| Instant::now() >= at) {
             Outcome::Failed(FlError::Timeout(id))
         } else {
@@ -456,10 +453,7 @@ fn run_job(first: usize, clients: &mut [Box<dyn FlClient>], log: &MessageLog, jo
                 Ok(Reply::Panicked(_)) => Outcome::Failed(FlError::ClientPanicked(id)),
                 Ok(reply) => match &job.fold {
                     None => Outcome::Replied(reply),
-                    Some(fold) => match fold.take(id, reply, agg.as_mut(), &mut fatal) {
-                        Some(outcome) => outcome,
-                        None => continue,
-                    },
+                    Some(fold) => fold.take(id, reply, agg.as_mut(), &mut fatal),
                 },
             }
         };
@@ -475,15 +469,18 @@ fn run_job(first: usize, clients: &mut [Box<dyn FlClient>], log: &MessageLog, jo
 
 fn host_loop(
     first: usize,
-    mut clients: Vec<Box<dyn FlClient>>,
+    clients: Arc<Mutex<Vec<Box<dyn FlClient>>>>,
     log: MessageLog,
     rx: Receiver<HostMsg>,
     tx: Sender<HostOut>,
 ) {
     while let Ok(msg) = rx.recv() {
         match msg {
-            HostMsg::Round(job) => {
-                if tx.send(run_job(first, &mut clients, &log, job)).is_err() {
+            HostMsg::Round(job, ids) => {
+                if tx
+                    .send(run_job(first, &mut clients.lock(), &log, &job, &ids))
+                    .is_err()
+                {
                     return;
                 }
             }
@@ -539,7 +536,6 @@ pub struct FederatedRuntime {
     /// Clients seen in any cohort so far, and their count
     /// (`fl.cohort_coverage`).
     coverage: Mutex<(Vec<bool>, usize)>,
-    peak_agg_bytes: AtomicUsize,
 }
 
 impl FederatedRuntime {
@@ -559,14 +555,15 @@ impl FederatedRuntime {
         let mut clients = clients.into_iter();
         let hosts = (0..n.div_ceil(per_host))
             .map(|h| {
-                let mine: Vec<Box<dyn FlClient>> = clients.by_ref().take(per_host).collect();
+                let mine = Arc::new(Mutex::new(clients.by_ref().take(per_host).collect()));
                 let (tx, host_rx) = unbounded();
                 let (host_tx, rx) = unbounded();
-                let log = log.clone();
-                let join = std::thread::spawn(move || {
-                    host_loop(h * per_host, mine, log, host_rx, host_tx)
-                });
+                let (first, log, shared) = (h * per_host, log.clone(), mine.clone());
+                let join =
+                    std::thread::spawn(move || host_loop(first, shared, log, host_rx, host_tx));
                 Host {
+                    first,
+                    clients: mine,
                     tx,
                     rx,
                     join: Some(join),
@@ -587,7 +584,6 @@ impl FederatedRuntime {
             recorder: Mutex::new(FlightRecorder::disabled()),
             shutdown_timeout: Duration::from_secs(5),
             coverage: Mutex::new((vec![false; n], 0)),
-            peak_agg_bytes: AtomicUsize::new(0),
         }
     }
 
@@ -667,12 +663,6 @@ impl FederatedRuntime {
             .map_err(FlError::Client)
     }
 
-    /// High-water mark of aggregation state across all fit rounds so
-    /// far, in bytes.
-    pub fn peak_agg_bytes(&self) -> usize {
-        self.peak_agg_bytes.load(Ordering::Relaxed)
-    }
-
     /// Bounds how long [`shutdown`](Self::shutdown) (and therefore `Drop`)
     /// waits for hosts before detaching hung ones. Default: 5 s.
     pub fn set_shutdown_timeout(&mut self, timeout: Duration) {
@@ -689,7 +679,6 @@ impl FederatedRuntime {
             Instruction::GetProperties(_) => "fl.properties",
             Instruction::Fit { .. } => "fl.fit",
             Instruction::Evaluate { .. } => "fl.eval",
-            Instruction::Shutdown => "fl.shutdown",
         };
         self.round(ins.encode(), phase, None, policy)
     }
@@ -704,7 +693,7 @@ impl FederatedRuntime {
     ) -> Result<RoundOutcome> {
         let kind = FoldKind::Fit {
             ref_dim: (!params.is_empty()).then_some(params.len()),
-            norm_median: self.robust_median(UpdateGuard::frozen_norm_median),
+            norm_median: self.frozen_medians().0,
         };
         let encoded = Instruction::Fit { params, config }.encode();
         self.round(encoded, "fl.fit", Some(kind), policy)
@@ -720,18 +709,18 @@ impl FederatedRuntime {
         policy: &RoundPolicy,
     ) -> Result<RoundOutcome> {
         let kind = FoldKind::Eval {
-            loss_median: self.robust_median(UpdateGuard::frozen_loss_median),
+            loss_median: self.frozen_medians().1,
         };
         let encoded = Instruction::Evaluate { params, config }.encode();
         self.round(encoded, "fl.eval", Some(kind), policy)
     }
 
-    /// The frozen screening median of a robust strategy.
-    fn robust_median(&self, median: fn(&UpdateGuard) -> Option<f64>) -> Option<f64> {
-        self.strategy
-            .is_robust()
-            .then(|| median(&self.guard.lock()))
-            .flatten()
+    /// The guard's frozen screening medians (robust strategies only).
+    fn frozen_medians(&self) -> (Option<f64>, Option<f64>) {
+        match self.strategy.is_robust() {
+            true => self.guard.lock().frozen_medians(),
+            false => (None, None),
+        }
     }
 
     /// The round loop every entry point shares (see the module docs).
@@ -800,13 +789,13 @@ impl FederatedRuntime {
             let batches: Vec<&[usize]> = pending
                 .chunk_by(|a, b| a / self.per_host == b / self.per_host)
                 .collect();
-            // The exact-buffer budget is round-level: split across the
-            // busy hosts once the pass outgrows it, which keeps pass
-            // memory O(model × hosts).
+            // The exact-buffer budget is round-level: split (rounding up)
+            // across the busy hosts once the pass outgrows it, which keeps
+            // pass memory O(model × hosts).
             let cap = if pending.len() <= EXACT_CAP {
                 EXACT_CAP
             } else {
-                (EXACT_CAP / batches.len()).max(1)
+                EXACT_CAP.div_ceil(batches.len())
             };
             let fold = fold.map(|kind| Fold {
                 strategy: self.strategy,
@@ -814,32 +803,55 @@ impl FederatedRuntime {
                 cap,
                 kind,
             });
-            let mut failures: Vec<(usize, FlError)> = Vec::new();
-            let mut jobs = Vec::with_capacity(batches.len());
-            for ids in batches {
-                let host = &self.hosts[ids[0] / self.per_host];
-                for &id in ids {
-                    self.log.record(id, Direction::ToClient, &encoded);
-                }
-                let job = |seq| {
-                    HostMsg::Round(Job {
-                        seq,
-                        encoded: encoded.clone(),
-                        ids: ids.to_vec(),
-                        deadline,
-                        fold,
-                    })
-                };
-                match host.send(job) {
-                    Some(seq) => jobs.push((host, seq, ids)),
-                    None => {
-                        failures.extend(ids.iter().map(|&id| (id, FlError::ClientUnavailable(id))))
-                    }
-                }
+            for &id in &pending {
+                self.log.record(id, Direction::ToClient, &encoded);
             }
+            let host_of = |ids: &[usize]| &self.hosts[ids[0] / self.per_host];
+            let job = Job {
+                seq: 0,
+                encoded: encoded.clone(),
+                deadline,
+                fold,
+            };
+            let outs: Vec<std::result::Result<HostOut, RecvTimeoutError>> = if deadline.is_none() {
+                // Without a deadline there is no hung client to abandon, so
+                // the ff-par pool drives the hosts' clients directly and
+                // spares every round two thread handoffs per host.
+                // Tasks of about MIN_TASK clients keep tiny rounds inline.
+                let per_task = MIN_TASK.div_ceil(pending.len() / batches.len());
+                let tasks = ff_par::par_chunks_map(&batches, per_task, |_, task| {
+                    (task.iter())
+                        .map(|ids| {
+                            let host = host_of(ids);
+                            Ok(run_job(
+                                host.first,
+                                &mut host.clients.lock(),
+                                &self.log,
+                                &job,
+                                ids,
+                            ))
+                        })
+                        .collect::<Vec<_>>()
+                });
+                tasks.into_iter().flatten().collect()
+            } else {
+                let seqs: Vec<Option<u64>> = (batches.iter())
+                    .map(|ids| {
+                        host_of(ids)
+                            .send(|seq| HostMsg::Round(Job { seq, ..job.clone() }, ids.to_vec()))
+                    })
+                    .collect();
+                (batches.iter().zip(seqs))
+                    .map(|(ids, seq)| match seq {
+                        Some(seq) => host_of(ids).collect(seq, deadline),
+                        None => Err(RecvTimeoutError::Disconnected),
+                    })
+                    .collect()
+            };
+            let mut failures: Vec<(usize, FlError)> = Vec::new();
             let mut partial_bytes = 0usize;
-            for (host, seq, ids) in jobs {
-                let out = match host.collect(seq, deadline) {
+            for (ids, out) in batches.iter().zip(outs) {
+                let out = match out {
                     Ok(out) => out,
                     Err(lost) => {
                         let error: fn(usize) -> FlError = match lost {
@@ -947,8 +959,11 @@ impl FederatedRuntime {
         if robust_fold {
             let mut guard = self.guard.lock();
             match fold {
-                Some(FoldKind::Fit { .. }) => guard.commit_norms(&mut norms),
-                _ => guard.commit_losses(&mut losses.iter().map(|&(l, _)| l).collect::<Vec<_>>()),
+                Some(FoldKind::Fit { .. }) => guard.commit(true, &mut norms),
+                _ => guard.commit(
+                    false,
+                    &mut losses.iter().map(|&(l, _)| l).collect::<Vec<_>>(),
+                ),
             }
         }
 
@@ -998,7 +1013,6 @@ impl FederatedRuntime {
         });
         let (global, loss) = result?;
         if round_peak > 0 {
-            self.peak_agg_bytes.fetch_max(round_peak, Ordering::Relaxed);
             tracer.gauge_set("fl.agg_state_peak_bytes", round_peak as f64);
         }
         Ok(RoundOutcome {

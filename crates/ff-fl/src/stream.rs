@@ -125,37 +125,20 @@ impl MeanAcc {
     }
 }
 
-/// Which incremental rule a [`StreamAgg`] runs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum StreamRule {
-    /// Running weighted mean.
-    FedAvg,
-    /// Running weighted mean over inline-clipped updates.
-    NormClipped {
-        /// Clipping radius.
-        max_norm: f64,
-    },
-    /// Per-coordinate weighted median (exact buffer, then sketches).
-    Median,
-    /// Per-coordinate trimmed weighted mean (exact buffer, then
-    /// sketches).
-    Trimmed {
-        /// Fraction trimmed from each end, in `[0, 0.5)`.
-        trim_ratio: f64,
-    },
-}
-
 /// Incremental aggregation state for one round. See the module docs for
 /// the memory model and error bounds.
 #[derive(Debug, Clone)]
 pub struct StreamAgg {
-    rule: StreamRule,
+    /// Any rule but Krum.
+    rule: AggregationStrategy,
     exact_cap: usize,
     dim: Option<usize>,
     /// Mean-family state.
     mean: MeanAcc,
     /// Rank-family exact phase: buffered updates, ≤ `exact_cap`.
     buffer: Vec<(Vec<f64>, u64)>,
+    /// Bytes held by `buffer`, kept current so `state_bytes` is cheap.
+    buffer_bytes: usize,
     /// Rank-family spilled phase: one sketch per coordinate.
     sketches: Vec<QuantileSketch>,
     /// Non-finite updates dropped by the rank-family rules (the
@@ -172,27 +155,20 @@ impl StreamAgg {
     /// pairwise update distance and cannot stream.
     pub fn new(strategy: &AggregationStrategy, exact_cap: usize) -> Result<StreamAgg> {
         strategy.validate()?;
-        let rule = match *strategy {
-            AggregationStrategy::FedAvg => StreamRule::FedAvg,
-            AggregationStrategy::NormClippedFedAvg { max_norm } => {
-                StreamRule::NormClipped { max_norm }
-            }
-            AggregationStrategy::CoordinateMedian => StreamRule::Median,
-            AggregationStrategy::TrimmedMean { trim_ratio } => StreamRule::Trimmed { trim_ratio },
-            AggregationStrategy::Krum { .. } | AggregationStrategy::MultiKrum { .. } => {
-                return Err(FlError::Client(
-                    "Krum cannot stream: it needs all pairwise update distances \
-                     (O(clients × model) memory); aggregate it in batch"
-                        .into(),
-                ))
-            }
-        };
+        if let AggregationStrategy::Krum { .. } | AggregationStrategy::MultiKrum { .. } = strategy {
+            return Err(FlError::Client(
+                "Krum cannot stream: it needs all pairwise update distances \
+                 (O(clients × model) memory); aggregate it in batch"
+                    .into(),
+            ));
+        }
         Ok(StreamAgg {
-            rule,
+            rule: *strategy,
             exact_cap: exact_cap.max(1),
             dim: None,
             mean: MeanAcc::default(),
             buffer: Vec::new(),
+            buffer_bytes: 0,
             sketches: Vec::new(),
             dropped_non_finite: 0,
             folded: 0,
@@ -221,9 +197,8 @@ impl StreamAgg {
     pub fn state_bytes(&self) -> usize {
         let base = std::mem::size_of::<StreamAgg>();
         let acc = self.mean.acc.capacity() * 8;
-        let buf: usize = self.buffer.iter().map(|(p, _)| p.capacity() * 8 + 32).sum();
         let sk: usize = self.sketches.iter().map(QuantileSketch::state_bytes).sum();
-        base + acc + buf + sk
+        base + acc + self.buffer_bytes + sk
     }
 
     /// High-water mark of [`state_bytes`](Self::state_bytes) across the
@@ -258,6 +233,7 @@ impl StreamAgg {
         if self.sketches.is_empty() {
             self.sketches = vec![QuantileSketch::new(); dim];
         }
+        self.buffer_bytes = 0;
         for (p, w) in self.buffer.drain(..) {
             let wf = w as f64;
             for (sk, &v) in self.sketches.iter_mut().zip(&p) {
@@ -277,7 +253,7 @@ impl StreamAgg {
         }
         let finite = params.iter().all(|v| v.is_finite());
         match self.rule {
-            StreamRule::FedAvg | StreamRule::NormClipped { .. } => {
+            AggregationStrategy::FedAvg | AggregationStrategy::NormClippedFedAvg { .. } => {
                 if !finite {
                     return Err(FlError::NonFiniteUpdate {
                         client: self.folded,
@@ -285,7 +261,7 @@ impl StreamAgg {
                 }
                 self.check_dim(params.len())?;
                 let scale = match self.rule {
-                    StreamRule::NormClipped { max_norm } => {
+                    AggregationStrategy::NormClippedFedAvg { max_norm } => {
                         let norm = params.iter().map(|v| v * v).sum::<f64>().sqrt();
                         (norm > max_norm).then(|| max_norm / norm)
                     }
@@ -293,7 +269,7 @@ impl StreamAgg {
                 };
                 self.mean.add(&params, num_examples as f64, scale);
             }
-            StreamRule::Median | StreamRule::Trimmed { .. } => {
+            _ => {
                 if !finite {
                     self.dropped_non_finite += 1;
                     return Ok(());
@@ -305,6 +281,7 @@ impl StreamAgg {
                         sk.add(v, wf);
                     }
                 } else {
+                    self.buffer_bytes += params.capacity() * 8 + 32;
                     self.buffer.push((params, num_examples));
                     if self.buffer.len() > self.exact_cap {
                         self.spill();
@@ -331,13 +308,13 @@ impl StreamAgg {
         })
     }
 
-    /// Merges a shard partial into this state. Mean-family partials add
-    /// their accumulators; rank-family partials concatenate exact
-    /// buffers while the combined count fits in `exact_cap`, otherwise
-    /// both sides spill and the sketches merge. Callers must merge
-    /// partials in a fixed order for deterministic results.
-    pub fn merge(&mut self, mut other: StreamAgg) -> Result<()> {
-        if std::mem::discriminant(&self.rule) != std::mem::discriminant(&other.rule) {
+    /// Merges a partial into this state. Mean-family partials add their
+    /// accumulators; rank-family partials concatenate exact buffers while
+    /// the combined count fits in `exact_cap`, otherwise this state
+    /// spills and absorbs the partial's buffer or sketches. Callers must
+    /// merge partials in a fixed order for deterministic results.
+    pub fn merge(&mut self, other: StreamAgg) -> Result<()> {
+        if self.rule != other.rule {
             return Err(FlError::Client("merging mismatched stream rules".into()));
         }
         if other.folded == 0 && other.dropped_non_finite == 0 {
@@ -349,20 +326,20 @@ impl StreamAgg {
         let (other_dropped, other_folded, other_peak) =
             (other.dropped_non_finite, other.folded, other.peak_bytes);
         match self.rule {
-            StreamRule::FedAvg | StreamRule::NormClipped { .. } => self.mean.merge(other.mean),
-            StreamRule::Median | StreamRule::Trimmed { .. } => {
+            AggregationStrategy::FedAvg | AggregationStrategy::NormClippedFedAvg { .. } => {
+                self.mean.merge(other.mean)
+            }
+            _ => {
                 let both_exact = !self.spilled() && !other.spilled();
-                if both_exact && self.buffer.len() + other.buffer.len() <= self.exact_cap {
-                    self.buffer.extend(other.buffer);
-                } else {
+                let fits = self.buffer.len() + other.buffer.len() <= self.exact_cap;
+                self.buffer_bytes += other.buffer_bytes;
+                self.buffer.extend(other.buffer);
+                if !(both_exact && fits) {
+                    // An exact partial's updates go straight into this
+                    // state's sketches; a spilled one's sketches merge.
                     self.spill();
-                    other.spill();
-                    if self.sketches.is_empty() {
-                        self.sketches = other.sketches;
-                    } else {
-                        for (a, b) in self.sketches.iter_mut().zip(&other.sketches) {
-                            a.merge(b);
-                        }
+                    for (a, b) in self.sketches.iter_mut().zip(&other.sketches) {
+                        a.merge(b);
                     }
                 }
             }
@@ -379,33 +356,24 @@ impl StreamAgg {
     /// spilled (exact), or per-coordinate sketch queries otherwise
     /// (documented error bound).
     pub fn finalize(self) -> Result<Vec<f64>> {
-        match self.rule {
-            StreamRule::FedAvg | StreamRule::NormClipped { .. } => self.mean.finish(),
-            StreamRule::Median => {
-                if !self.spilled() {
-                    return coordinate_median(&self.buffer);
-                }
-                self.sketches
-                    .iter()
-                    .map(|sk| {
-                        sk.median()
-                            .ok_or_else(|| FlError::Client("no updates to aggregate".into()))
-                    })
-                    .collect()
-            }
-            StreamRule::Trimmed { trim_ratio } => {
-                if !self.spilled() {
-                    return trimmed_mean(&self.buffer, trim_ratio);
-                }
-                self.sketches
-                    .iter()
-                    .map(|sk| {
-                        sk.trimmed_mean(trim_ratio)
-                            .ok_or_else(|| FlError::Client("no updates to aggregate".into()))
-                    })
-                    .collect()
-            }
+        let trim = match self.rule {
+            AggregationStrategy::CoordinateMedian => None,
+            AggregationStrategy::TrimmedMean { trim_ratio } => Some(trim_ratio),
+            _ => return self.mean.finish(),
+        };
+        if !self.spilled() {
+            return match trim {
+                None => coordinate_median(&self.buffer),
+                Some(trim_ratio) => trimmed_mean(&self.buffer, trim_ratio),
+            };
         }
+        (self.sketches.iter())
+            .map(|sk| match trim {
+                None => sk.median(),
+                Some(trim_ratio) => sk.trimmed_mean(trim_ratio),
+            })
+            .map(|q| q.ok_or_else(|| FlError::Client("no updates to aggregate".into())))
+            .collect()
     }
 }
 

@@ -106,7 +106,6 @@ fn instruction() -> impl Strategy<Value = Instruction> {
         config().prop_map(Instruction::GetProperties),
         (params(), config()).prop_map(|(params, config)| Instruction::Fit { params, config }),
         (params(), config()).prop_map(|(params, config)| Instruction::Evaluate { params, config }),
-        Just(Instruction::Shutdown),
     ]
 }
 
@@ -127,7 +126,6 @@ fn reply() -> impl Strategy<Value = Reply> {
                 metrics,
             }
         }),
-        Just(Reply::ShutdownAck),
         "[a-z ]{0,16}".prop_map(Reply::Error),
         "[a-z ]{0,16}".prop_map(Reply::Panicked),
     ]

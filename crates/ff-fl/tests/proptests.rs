@@ -31,7 +31,6 @@ proptest! {
             Instruction::GetProperties(cfg.clone()),
             Instruction::Fit { params: params.clone(), config: cfg.clone() },
             Instruction::Evaluate { params: params.clone(), config: cfg.clone() },
-            Instruction::Shutdown,
         ] {
             let decoded = Instruction::decode(ins.encode()).unwrap();
             prop_assert_eq!(ins, decoded);
@@ -49,7 +48,6 @@ proptest! {
             Reply::Properties(cfg.clone()),
             Reply::FitRes { params: params.clone(), num_examples: n, metrics: cfg.clone() },
             Reply::EvaluateRes { loss, num_examples: n, metrics: cfg.clone() },
-            Reply::ShutdownAck,
             Reply::Error("boom".into()),
             Reply::Panicked("index out of bounds".into()),
         ] {

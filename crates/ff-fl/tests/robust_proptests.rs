@@ -9,7 +9,7 @@
 use ff_fl::chaos::{AdversarialMode, ChaosClient};
 use ff_fl::client::{EvalOutput, FitOutput, FlClient};
 use ff_fl::config::ConfigMap;
-use ff_fl::robust::{AggregationStrategy, Krum};
+use ff_fl::robust::AggregationStrategy;
 use ff_fl::strategy::fedavg;
 use proptest::prelude::*;
 
@@ -143,7 +143,7 @@ proptest! {
             let received = fit_through_chaos(base.clone(), mode, seed ^ a as u64);
             updates.push((received, 1));
         }
-        let agg = Krum { f, m: 1 }.aggregate(&updates).unwrap();
+        let agg = exact(AggregationStrategy::Krum { f }, &updates);
         prop_assert!(agg.iter().all(|v| v.is_finite()), "Krum output not finite: {:?}", agg);
         // Classic Krum selects: the output is one of the finite inputs,
         // bit-for-bit.
