@@ -140,39 +140,50 @@ impl MessageLog {
 
     /// Records a transmission.
     pub fn record(&self, client_id: usize, direction: Direction, payload: &[u8]) {
+        self.record_all(direction, [(client_id, payload)]);
+    }
+
+    /// Records several transmissions in one direction under one lock.
+    pub fn record_all<'a>(
+        &self,
+        direction: Direction,
+        messages: impl IntoIterator<Item = (usize, &'a [u8])>,
+    ) {
         let mut s = self.inner.lock();
-        s.recorded += 1;
-        if s.per_client.len() <= client_id {
-            s.per_client.resize(client_id + 1, ClientComms::default());
-        }
-        let comms = &mut s.per_client[client_id];
-        comms.messages += 1;
-        match direction {
-            Direction::ToClient => {
-                comms.bytes_to_client += payload.len();
-                s.to_client_bytes += payload.len();
+        for (client_id, payload) in messages {
+            s.recorded += 1;
+            if s.per_client.len() <= client_id {
+                s.per_client.resize(client_id + 1, ClientComms::default());
             }
-            Direction::ToServer => {
-                comms.bytes_to_server += payload.len();
-                s.to_server_bytes += payload.len();
+            let comms = &mut s.per_client[client_id];
+            comms.messages += 1;
+            match direction {
+                Direction::ToClient => {
+                    comms.bytes_to_client += payload.len();
+                    s.to_client_bytes += payload.len();
+                }
+                Direction::ToServer => {
+                    comms.bytes_to_server += payload.len();
+                    s.to_server_bytes += payload.len();
+                }
             }
-        }
-        if s.tracer.is_enabled() {
-            let name = match direction {
-                Direction::ToClient => "fl.msg_bytes_to_client",
-                Direction::ToServer => "fl.msg_bytes_to_server",
-            };
-            s.tracer
-                .record_labeled(name, client_id as u64, payload.len() as f64);
-        }
-        // An empty counting window retains nothing: skip the copy.
-        if s.retention != Some(Retention::Counting { window: 0 }) {
-            s.window.push_back(LogEntry {
-                client_id,
-                direction,
-                payload: payload.to_vec(),
-            });
-            trim(&mut s);
+            if s.tracer.is_enabled() {
+                let name = match direction {
+                    Direction::ToClient => "fl.msg_bytes_to_client",
+                    Direction::ToServer => "fl.msg_bytes_to_server",
+                };
+                s.tracer
+                    .record_labeled(name, client_id as u64, payload.len() as f64);
+            }
+            // An empty counting window retains nothing: skip the copy.
+            if s.retention != Some(Retention::Counting { window: 0 }) {
+                s.window.push_back(LogEntry {
+                    client_id,
+                    direction,
+                    payload: payload.to_vec(),
+                });
+                trim(&mut s);
+            }
         }
     }
 

@@ -228,12 +228,6 @@ struct Job {
     fold: Option<Fold>,
 }
 
-enum HostMsg {
-    /// A job over the host's admitted clients, in id order.
-    Round(Job, Vec<usize>),
-    Shutdown(u64),
-}
-
 /// One client's result within a round.
 enum Outcome {
     /// A healthy reply ([`FederatedRuntime::run_round`]).
@@ -265,16 +259,23 @@ struct Host {
     /// The host's clients, driven by the host thread — or, in rounds
     /// without a deadline, by whichever thread locks them.
     clients: Arc<Mutex<Vec<Box<dyn FlClient>>>>,
-    tx: Sender<HostMsg>,
+    /// Jobs over the host's admitted clients, in id order. `None` once
+    /// shut down: a closed channel stops the host.
+    tx: Option<Sender<(Job, Vec<usize>)>>,
     rx: Receiver<HostOut>,
     join: Option<JoinHandle<()>>,
     next_seq: AtomicU64,
 }
 
 impl Host {
-    fn send(&self, msg: impl FnOnce(u64) -> HostMsg) -> Option<u64> {
+    fn send(&self, job: &Job, ids: &[usize]) -> Option<u64> {
         let seq = self.next_seq.fetch_add(1, Ordering::SeqCst);
-        self.tx.send(msg(seq)).ok().map(|_| seq)
+        let job = Job { seq, ..job.clone() };
+        self.tx
+            .as_ref()?
+            .send((job, ids.to_vec()))
+            .ok()
+            .map(|_| seq)
     }
 
     /// Waits for the answer to job `seq`, discarding stale answers to
@@ -321,12 +322,13 @@ fn handle(client: &mut dyn FlClient, ins: Instruction) -> Reply {
 }
 
 /// Drives one client through one hop: decode, handle under
-/// `catch_unwind`, `wire_transform`, log, decode. A reply dropped on the
-/// wire is a [`FlError::Timeout`] at once.
-fn drive(client: &mut dyn FlClient, id: usize, encoded: &Bytes, log: &MessageLog) -> Result<Reply> {
+/// `catch_unwind`, `wire_transform`, decode. Returns the raw reply bytes
+/// for the message log (none when the reply was dropped on the wire,
+/// which is a [`FlError::Timeout`] at once) and the decoded reply.
+fn drive(client: &mut dyn FlClient, id: usize, encoded: &Bytes) -> (Option<Bytes>, Result<Reply>) {
     let raw = match Instruction::decode(encoded.clone()) {
         // An undecodable instruction bounces as an application error.
-        Err(e) => Reply::Error(e.to_string()).encode().to_vec(),
+        Err(e) => Reply::Error(e.to_string()).encode(),
         Ok(ins) => {
             let reply =
                 catch_unwind(AssertUnwindSafe(|| handle(client, ins))).unwrap_or_else(|payload| {
@@ -339,13 +341,13 @@ fn drive(client: &mut dyn FlClient, id: usize, encoded: &Bytes, log: &MessageLog
                     };
                     Reply::Panicked(msg)
                 });
-            client
-                .wire_transform(reply.encode().to_vec())
-                .ok_or(FlError::Timeout(id))?
+            match client.wire_transform(reply.encode().to_vec()) {
+                Some(bytes) => Bytes::from(bytes),
+                None => return (None, Err(FlError::Timeout(id))),
+            }
         }
     };
-    log.record(id, Direction::ToServer, &raw);
-    Reply::decode(Bytes::from(raw))
+    (Some(raw.clone()), Reply::decode(raw))
 }
 
 impl Fold {
@@ -431,39 +433,64 @@ impl Fold {
     }
 }
 
-fn run_job(
-    first: usize,
-    clients: &mut [Box<dyn FlClient>],
-    log: &MessageLog,
-    job: &Job,
-    ids: &[usize],
-) -> HostOut {
-    let mut agg = job
-        .fold
-        .filter(|fold| matches!(fold.kind, FoldKind::Fit { .. }))
-        .map(|fold| StreamAgg::new(&fold.strategy, fold.cap).expect("validated by with_strategy"));
-    let mut fatal = None;
-    let mut outcomes = Vec::with_capacity(ids.len());
-    for &id in ids {
-        let outcome = if job.deadline.is_some_and(|at| Instant::now() >= at) {
-            Outcome::Failed(FlError::Timeout(id))
-        } else {
-            match drive(clients[id - first].as_mut(), id, &job.encoded, log) {
-                Err(e) => Outcome::Failed(e),
-                Ok(Reply::Panicked(_)) => Outcome::Failed(FlError::ClientPanicked(id)),
-                Ok(reply) => match &job.fold {
-                    None => Outcome::Replied(reply),
-                    Some(fold) => fold.take(id, reply, agg.as_mut(), &mut fatal),
-                },
-            }
-        };
-        outcomes.push((id, outcome));
+/// A job's results in the making: one host's batch, or in a
+/// deadline-free round one pool task's run of hosts, folded in id order.
+struct JobRun<'a> {
+    job: &'a Job,
+    agg: Option<StreamAgg>,
+    fatal: Option<FlError>,
+    outcomes: Vec<(usize, Outcome)>,
+    /// Raw replies, logged once per job so parallel jobs do not contend
+    /// on the log per message.
+    raws: Vec<(usize, Bytes)>,
+}
+
+impl<'a> JobRun<'a> {
+    fn new(job: &'a Job) -> JobRun<'a> {
+        let agg = (job.fold)
+            .filter(|fold| matches!(fold.kind, FoldKind::Fit { .. }))
+            .map(|fold| {
+                StreamAgg::new(&fold.strategy, fold.cap).expect("validated by with_strategy")
+            });
+        JobRun {
+            job,
+            agg,
+            fatal: None,
+            outcomes: Vec::new(),
+            raws: Vec::new(),
+        }
     }
-    HostOut {
-        seq: job.seq,
-        outcomes,
-        agg,
-        fatal,
+
+    /// Drives `ids` of the host whose clients start at id `first`.
+    fn drive(&mut self, first: usize, clients: &mut [Box<dyn FlClient>], ids: &[usize]) {
+        for &id in ids {
+            let outcome = if self.job.deadline.is_some_and(|at| Instant::now() >= at) {
+                Outcome::Failed(FlError::Timeout(id))
+            } else {
+                let (raw, reply) = drive(clients[id - first].as_mut(), id, &self.job.encoded);
+                self.raws.extend(raw.map(|raw| (id, raw)));
+                match reply {
+                    Err(e) => Outcome::Failed(e),
+                    Ok(Reply::Panicked(_)) => Outcome::Failed(FlError::ClientPanicked(id)),
+                    Ok(reply) => match &self.job.fold {
+                        None => Outcome::Replied(reply),
+                        Some(fold) => fold.take(id, reply, self.agg.as_mut(), &mut self.fatal),
+                    },
+                }
+            };
+            self.outcomes.push((id, outcome));
+        }
+    }
+
+    fn finish(self, log: &MessageLog) -> HostOut {
+        let raws = self.raws.iter().map(|(id, raw)| (*id, &raw[..]));
+        log.record_all(Direction::ToServer, raws);
+        HostOut {
+            seq: self.job.seq,
+            outcomes: self.outcomes,
+            agg: self.agg,
+            fatal: self.fatal,
+        }
     }
 }
 
@@ -471,28 +498,14 @@ fn host_loop(
     first: usize,
     clients: Arc<Mutex<Vec<Box<dyn FlClient>>>>,
     log: MessageLog,
-    rx: Receiver<HostMsg>,
+    rx: Receiver<(Job, Vec<usize>)>,
     tx: Sender<HostOut>,
 ) {
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            HostMsg::Round(job, ids) => {
-                if tx
-                    .send(run_job(first, &mut clients.lock(), &log, &job, &ids))
-                    .is_err()
-                {
-                    return;
-                }
-            }
-            HostMsg::Shutdown(seq) => {
-                let _ = tx.send(HostOut {
-                    seq,
-                    outcomes: Vec::new(),
-                    agg: None,
-                    fatal: None,
-                });
-                return;
-            }
+    while let Ok((job, ids)) = rx.recv() {
+        let mut run = JobRun::new(&job);
+        run.drive(first, &mut clients.lock(), &ids);
+        if tx.send(run.finish(&log)).is_err() {
+            return;
         }
     }
 }
@@ -533,9 +546,6 @@ pub struct FederatedRuntime {
     tracer: Mutex<Tracer>,
     recorder: Mutex<FlightRecorder>,
     shutdown_timeout: Duration,
-    /// Clients seen in any cohort so far, and their count
-    /// (`fl.cohort_coverage`).
-    coverage: Mutex<(Vec<bool>, usize)>,
 }
 
 impl FederatedRuntime {
@@ -564,7 +574,7 @@ impl FederatedRuntime {
                 Host {
                     first,
                     clients: mine,
-                    tx,
+                    tx: Some(tx),
                     rx,
                     join: Some(join),
                     next_seq: AtomicU64::new(0),
@@ -583,7 +593,6 @@ impl FederatedRuntime {
             tracer: Mutex::new(Tracer::disabled()),
             recorder: Mutex::new(FlightRecorder::disabled()),
             shutdown_timeout: Duration::from_secs(5),
-            coverage: Mutex::new((vec![false; n], 0)),
         }
     }
 
@@ -613,9 +622,8 @@ impl FederatedRuntime {
     /// Attaches a tracer: rounds get `fl.round` spans and the `fl.rounds`
     /// / `fl.probes` / `fl.retries` / `fl.deadline_misses` /
     /// `fl.dropouts` / `fl.updates_rejected` / `fl.quarantines` counters,
-    /// fit rounds the `fl.agg_state_peak_bytes` gauge, sampled rounds the
-    /// `fl.cohort_coverage` gauge; the message log feeds per-message byte
-    /// histograms.
+    /// fit rounds the `fl.agg_state_peak_bytes` gauge; the message log
+    /// feeds per-message byte histograms.
     pub fn set_tracer(&self, tracer: Tracer) {
         self.log.set_tracer(tracer.clone());
         *self.tracer.lock() = tracer;
@@ -759,13 +767,6 @@ impl FederatedRuntime {
         if probes > 0 {
             tracer.counter_add("fl.probes", probes as u64);
         }
-        if tracer.is_enabled() && self.sampler.is_some() {
-            let mut cov = self.coverage.lock();
-            for &id in &cohort {
-                cov.1 += usize::from(!std::mem::replace(&mut cov.0[id], true));
-            }
-            tracer.gauge_set("fl.cohort_coverage", cov.1 as f64 / self.n_clients as f64);
-        }
 
         let mut merged = match fold {
             Some(FoldKind::Fit { .. }) => Some(StreamAgg::new(&self.strategy, EXACT_CAP)?),
@@ -789,13 +790,22 @@ impl FederatedRuntime {
             let batches: Vec<&[usize]> = pending
                 .chunk_by(|a, b| a / self.per_host == b / self.per_host)
                 .collect();
+            // Without a deadline there is no hung client to abandon, so
+            // the ff-par pool drives the hosts' clients directly in tasks
+            // of about MIN_TASK clients, each folding into one partial,
+            // and the round skips two thread handoffs per host.
+            let per_task = match deadline {
+                None => MIN_TASK.div_ceil(pending.len() / batches.len()),
+                Some(_) => 1,
+            };
+            let jobs: Vec<&[&[usize]]> = batches.chunks(per_task).collect();
             // The exact-buffer budget is round-level: split (rounding up)
-            // across the busy hosts once the pass outgrows it, which keeps
+            // across the partials once the pass outgrows it, which keeps
             // pass memory O(model × hosts).
             let cap = if pending.len() <= EXACT_CAP {
                 EXACT_CAP
             } else {
-                EXACT_CAP.div_ceil(batches.len())
+                EXACT_CAP.div_ceil(jobs.len())
             };
             let fold = fold.map(|kind| Fold {
                 strategy: self.strategy,
@@ -803,9 +813,10 @@ impl FederatedRuntime {
                 cap,
                 kind,
             });
-            for &id in &pending {
-                self.log.record(id, Direction::ToClient, &encoded);
-            }
+            self.log.record_all(
+                Direction::ToClient,
+                pending.iter().map(|&id| (id, &encoded[..])),
+            );
             let host_of = |ids: &[usize]| &self.hosts[ids[0] / self.per_host];
             let job = Job {
                 seq: 0,
@@ -813,52 +824,44 @@ impl FederatedRuntime {
                 deadline,
                 fold,
             };
-            let outs: Vec<std::result::Result<HostOut, RecvTimeoutError>> = if deadline.is_none() {
-                // Without a deadline there is no hung client to abandon, so
-                // the ff-par pool drives the hosts' clients directly and
-                // spares every round two thread handoffs per host.
-                // Tasks of about MIN_TASK clients keep tiny rounds inline.
-                let per_task = MIN_TASK.div_ceil(pending.len() / batches.len());
-                let tasks = ff_par::par_chunks_map(&batches, per_task, |_, task| {
-                    (task.iter())
-                        .map(|ids| {
-                            let host = host_of(ids);
-                            Ok(run_job(
-                                host.first,
-                                &mut host.clients.lock(),
-                                &self.log,
-                                &job,
-                                ids,
-                            ))
+            let outs: Vec<std::result::Result<HostOut, Vec<(usize, FlError)>>> = match deadline {
+                None => ff_par::par_map_indexed(&jobs, |_, task| {
+                    let mut run = JobRun::new(&job);
+                    for ids in task.iter() {
+                        let host = host_of(ids);
+                        run.drive(host.first, &mut host.clients.lock(), ids);
+                    }
+                    Ok(run.finish(&self.log))
+                }),
+                Some(_) => {
+                    let seqs: Vec<Option<u64>> = batches
+                        .iter()
+                        .map(|ids| host_of(ids).send(&job, ids))
+                        .collect();
+                    (batches.iter().zip(seqs))
+                        .map(|(ids, seq)| {
+                            let out = match seq {
+                                Some(seq) => host_of(ids).collect(seq, deadline),
+                                None => Err(RecvTimeoutError::Disconnected),
+                            };
+                            out.map_err(|lost| {
+                                let error: fn(usize) -> FlError = match lost {
+                                    RecvTimeoutError::Timeout => FlError::Timeout,
+                                    RecvTimeoutError::Disconnected => FlError::ClientUnavailable,
+                                };
+                                ids.iter().map(|&id| (id, error(id))).collect()
+                            })
                         })
-                        .collect::<Vec<_>>()
-                });
-                tasks.into_iter().flatten().collect()
-            } else {
-                let seqs: Vec<Option<u64>> = (batches.iter())
-                    .map(|ids| {
-                        host_of(ids)
-                            .send(|seq| HostMsg::Round(Job { seq, ..job.clone() }, ids.to_vec()))
-                    })
-                    .collect();
-                (batches.iter().zip(seqs))
-                    .map(|(ids, seq)| match seq {
-                        Some(seq) => host_of(ids).collect(seq, deadline),
-                        None => Err(RecvTimeoutError::Disconnected),
-                    })
-                    .collect()
+                        .collect()
+                }
             };
             let mut failures: Vec<(usize, FlError)> = Vec::new();
             let mut partial_bytes = 0usize;
-            for (ids, out) in batches.iter().zip(outs) {
+            for out in outs {
                 let out = match out {
                     Ok(out) => out,
                     Err(lost) => {
-                        let error: fn(usize) -> FlError = match lost {
-                            RecvTimeoutError::Timeout => FlError::Timeout,
-                            RecvTimeoutError::Disconnected => FlError::ClientUnavailable,
-                        };
-                        failures.extend(ids.iter().map(|&id| (id, error(id))));
+                        failures.extend(lost);
                         continue;
                     }
                 };
@@ -1061,21 +1064,16 @@ impl FederatedRuntime {
     /// therefore `Drop` — never blocks longer than `timeout`.
     pub fn shutdown_within(&mut self, timeout: Duration) {
         let deadline = Instant::now() + timeout;
-        // A failed send means the host already exited: joinable.
-        let acks: Vec<Option<u64>> = self
-            .hosts
-            .iter()
-            .map(|h| h.send(HostMsg::Shutdown))
-            .collect();
-        for (host, ack) in self.hosts.iter_mut().zip(acks) {
-            let done = ack.is_none_or(|seq| {
-                !matches!(
-                    host.collect(seq, Some(deadline)),
-                    Err(RecvTimeoutError::Timeout)
-                )
-            });
-            // A hung host is detached: it exits once its channel closes.
-            if let Some(join) = host.join.take().filter(|_| done) {
+        for host in &mut self.hosts {
+            host.tx = None;
+        }
+        for join in self.hosts.iter_mut().filter_map(|h| h.join.take()) {
+            while !join.is_finished() && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            // A host still inside a hung handler is detached; it exits
+            // once the handler returns.
+            if join.is_finished() {
                 let _ = join.join();
             }
         }
