@@ -10,12 +10,13 @@
 //! `fl.*` counters, and commits one flight-recorder frame.
 //! [`run_round`] returns the healthy replies; [`run_fit_round`] and
 //! [`run_eval_round`] screen each reply against frozen medians and fold
-//! it into a per-host [`StreamAgg`] partial, keeping server memory
-//! O(model). A round with a deadline runs on the hosts, so a hung client
-//! can be abandoned; one without a deadline has nothing to abandon and
-//! runs on the `ff-par` pool. Either way each host folds its clients in
-//! id order and partials merge in host order, so results do not depend
-//! on `FF_THREADS`.
+//! it into a [`StreamAgg`] partial, keeping server memory O(model). A
+//! round with a deadline runs on the hosts, one partial per host, so a
+//! hung client can be abandoned; one without a deadline has nothing to
+//! abandon and runs on the `ff-par` pool, one partial per task of about
+//! eight clients. Either way partials fold their clients in id
+//! order and merge in id order, and the partition depends only on the
+//! round, so results do not depend on `FF_THREADS`.
 //!
 //! [`run_round`]: FederatedRuntime::run_round
 //! [`run_fit_round`]: FederatedRuntime::run_fit_round
@@ -47,9 +48,9 @@ use std::time::{Duration, Instant};
 /// threads while federations of up to 64 clients keep one per client.
 pub const MAX_HOSTS: usize = 64;
 
-/// Clients per ff-par task in rounds without a deadline: smaller rounds
-/// run on the calling thread instead of paying for worker spawns. Only
-/// scheduling depends on it, never a result.
+/// Clients per ff-par task in rounds without a deadline, each task
+/// folding into one partial: smaller rounds run on the calling thread
+/// instead of paying for worker spawns.
 const MIN_TASK: usize = 8;
 
 /// Round-level budget of exactly buffered updates for the rank rules:
@@ -202,7 +203,7 @@ impl CohortSampler {
 struct Fold {
     strategy: AggregationStrategy,
     guard: GuardPolicy,
-    /// Exact-buffer cap of each host partial.
+    /// Exact-buffer cap of each partial.
     cap: usize,
     kind: FoldKind,
 }
@@ -243,11 +244,11 @@ enum Outcome {
     Failed(FlError),
 }
 
-/// A host's answer to one job (or its shutdown acknowledgement).
+/// The answer to one job.
 struct HostOut {
     seq: u64,
     outcomes: Vec<(usize, Outcome)>,
-    /// The host's partial aggregate (fit rounds).
+    /// The job's partial aggregate (fit rounds).
     agg: Option<StreamAgg>,
     /// A non-finite update that fails the whole round.
     fatal: Option<FlError>,

@@ -50,8 +50,8 @@
 //!
 //! Determinism: folds and merges are floating-point accumulations, so
 //! results are bit-deterministic for a fixed fold/merge order. The
-//! runtime fixes that order structurally (each host folds its clients in
-//! id order, partials merge in host order), which is what makes a round
+//! runtime fixes that order structurally (each partial folds its clients
+//! in id order, partials merge in id order), which is what makes a round
 //! bit-identical across `FF_THREADS` settings.
 
 use crate::robust::{coordinate_median, trimmed_mean, AggregationStrategy};
