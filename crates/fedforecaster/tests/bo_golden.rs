@@ -49,7 +49,10 @@ fn run() -> (u64, u64) {
     for _ in 0..ASKS {
         let config = bo.ask().unwrap();
         let loss = synthetic_loss(&bo.space().encode(&config));
-        hash = fold(fold(hash, trial_config_fingerprint(&config)), loss.to_bits());
+        hash = fold(
+            fold(hash, trial_config_fingerprint(&config)),
+            loss.to_bits(),
+        );
         bo.tell(&config, loss).unwrap();
     }
     (hash, bo.best().unwrap().1.to_bits())

@@ -20,11 +20,22 @@ pub enum Kernel {
     },
 }
 
+/// Squared Euclidean distance `Σₖ (aₖ − bₖ)²`, summed in ascending `k`.
+fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
+    debug_assert_eq!(a.len(), b.len());
+    a.iter().zip(b).map(|(&x, &y)| (x - y) * (x - y)).sum()
+}
+
 impl Kernel {
     /// Evaluates `k(a, b)`.
     pub fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        debug_assert_eq!(a.len(), b.len());
-        let r2: f64 = a.iter().zip(b).map(|(&x, &y)| (x - y) * (x - y)).sum();
+        self.of_sq_dist(sq_dist(a, b))
+    }
+
+    /// The kernel at squared distance `r2`: `eval(a, b)` is
+    /// `of_sq_dist(sq_dist(a, b))`, so callers that batch the distances
+    /// get the same bits.
+    pub(crate) fn of_sq_dist(&self, r2: f64) -> f64 {
         match *self {
             Kernel::Rbf {
                 length_scale,

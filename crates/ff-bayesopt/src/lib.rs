@@ -8,7 +8,9 @@
 //!   integer, and categorical parameters, encoded into `[0, 1]^d` for the
 //!   kernel.
 //! - [`kernel`]: RBF and Matérn-5/2 covariance functions.
-//! - [`gp`]: GP regression posterior via jittered Cholesky.
+//! - [`gp`]: GP regression posterior via jittered Cholesky — fitted from
+//!   scratch ([`gp::GaussianProcess`]) or kept up to date bit for bit by
+//!   extending one factor per length scale ([`gp::IncrementalGp`]).
 //! - [`acquisition`]: Expected Improvement (minimization convention).
 //! - [`optimizer`]: the ask/tell loop with warm-start support — the
 //!   meta-model's recommended configurations seed the optimizer before any
@@ -27,6 +29,13 @@ pub enum BoError {
     EmptySpace,
     /// GP fitting failed numerically.
     Numerical(String),
+    /// A point's length differs from the training inputs'.
+    DimensionMismatch {
+        /// Length of the training inputs.
+        expected: usize,
+        /// Length of the offending point.
+        got: usize,
+    },
     /// A tell() did not match a previous ask().
     Protocol(String),
 }
@@ -36,6 +45,9 @@ impl std::fmt::Display for BoError {
         match self {
             BoError::EmptySpace => write!(f, "search space is empty"),
             BoError::Numerical(m) => write!(f, "numerical failure: {m}"),
+            BoError::DimensionMismatch { expected, got } => {
+                write!(f, "point of length {got}, expected {expected}")
+            }
             BoError::Protocol(m) => write!(f, "protocol violation: {m}"),
         }
     }

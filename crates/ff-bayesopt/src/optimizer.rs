@@ -6,7 +6,7 @@
 //! tells the observed *global* loss back.
 
 use crate::acquisition::Acquisition;
-use crate::gp::GaussianProcess;
+use crate::gp::IncrementalGp;
 use crate::space::{Configuration, SearchSpace};
 use crate::{BoError, Result};
 use ff_trace::Tracer;
@@ -44,7 +44,10 @@ pub struct BayesOpt {
     pub acquisition: Acquisition,
     /// GP observation-noise variance.
     pub noise: f64,
-    observations: Vec<(Vec<f64>, Configuration, f64)>,
+    observations: Vec<(Configuration, f64)>,
+    /// The GP over the encoded observations, extended at each model-guided
+    /// ask.
+    surrogate: IncrementalGp,
     pending: Option<Configuration>,
     rng: StdRng,
     tracer: Tracer,
@@ -73,6 +76,7 @@ impl BayesOpt {
             acquisition: Acquisition::ExpectedImprovement { xi: 0.01 },
             noise: 1e-4,
             observations: Vec::new(),
+            surrogate: IncrementalGp::new(),
             pending: None,
             rng: StdRng::seed_from_u64(seed),
             tracer: Tracer::disabled(),
@@ -122,15 +126,13 @@ impl BayesOpt {
     }
 
     fn model_guided(&mut self) -> Result<Configuration> {
-        let xs: Vec<Vec<f64>> = self
-            .observations
-            .iter()
-            .map(|(x, _, _)| x.clone())
-            .collect();
-        let ys: Vec<f64> = self.observations.iter().map(|(_, _, y)| *y).collect();
-        // Length scale by type-II maximum likelihood over a small grid.
+        /// Candidates scored per ff-par task: one kernel block and one
+        /// blocked triangular solve each.
+        const ACQUIRE_BLOCK: usize = 64;
+        // Length scale by type-II maximum likelihood over a small grid; the
+        // carried factors grow by the observations told since the last ask.
         let fit_span = self.tracer.span("gp.fit");
-        let fitted = GaussianProcess::fit_auto(self.noise, &xs, &ys);
+        let fitted = self.surrogate.fit(self.noise);
         drop(fit_span);
         let gp = match fitted {
             Ok(gp) => gp,
@@ -138,7 +140,11 @@ impl BayesOpt {
             Err(_) => return Ok(self.space.sample(&mut self.rng)),
         };
         let _acquire_span = self.tracer.span("gp.acquire");
-        let best = ys.iter().cloned().fold(f64::INFINITY, f64::min);
+        let best = self
+            .observations
+            .iter()
+            .map(|(_, y)| *y)
+            .fold(f64::INFINITY, f64::min);
         // Draw every candidate and its tie-break jitter sequentially first:
         // the RNG stream is consumed in exactly the order the historical
         // one-by-one loop used (sample, jitter, sample, jitter, …), so the
@@ -151,15 +157,22 @@ impl BayesOpt {
                 (cand, jitter)
             })
             .collect();
-        // Scoring is pure — batch it on the ff-par pool, then take the
-        // earliest maximum, matching the sequential keep-first semantics.
+        // Scoring is pure — fixed-size blocks on the ff-par pool, each
+        // candidate's prediction bit-identical to a one-at-a-time predict,
+        // then the earliest maximum, matching the sequential keep-first
+        // semantics.
         let space = &self.space;
         let acquisition = &self.acquisition;
-        let scores = ff_par::par_map_indexed(&cands, |_, (cand, jitter)| {
-            let z = space.encode(cand);
-            let (mean, var) = gp.predict(&z);
-            acquisition.score(mean, var, best) + jitter
+        let blocks = ff_par::par_chunks_map(&cands, ACQUIRE_BLOCK, |_, block| {
+            let zs: Vec<Vec<f64>> = block.iter().map(|(cand, _)| space.encode(cand)).collect();
+            let moments = gp.predict_block(&zs)?;
+            Ok(moments
+                .into_iter()
+                .zip(block)
+                .map(|((mean, var), (_, jitter))| acquisition.score(mean, var, best) + jitter)
+                .collect::<Vec<f64>>())
         });
+        let scores = blocks.into_iter().collect::<Result<Vec<_>>>()?.concat();
         let mut best_candidate: Option<(f64, usize)> = None;
         for (i, &score) in scores.iter().enumerate() {
             match best_candidate {
@@ -189,8 +202,8 @@ impl BayesOpt {
         } else {
             f64::MAX / 1e6
         };
-        let z = self.space.encode(config);
-        self.observations.push((z, config.clone(), loss));
+        self.surrogate.push(self.space.encode(config), loss)?;
+        self.observations.push((config.clone(), loss));
         if self.tracer.is_enabled() {
             self.tracer.counter_add("bo.tells", 1);
             if let Some((_, incumbent)) = self.best() {
@@ -204,13 +217,13 @@ impl BayesOpt {
     pub fn best(&self) -> Option<(&Configuration, f64)> {
         self.observations
             .iter()
-            .min_by(|a, b| a.2.total_cmp(&b.2))
-            .map(|(_, c, y)| (c, *y))
+            .min_by(|a, b| a.1.total_cmp(&b.1))
+            .map(|(c, y)| (c, *y))
     }
 
     /// All observations as `(config, loss)` pairs, in evaluation order.
     pub fn history(&self) -> Vec<(&Configuration, f64)> {
-        self.observations.iter().map(|(_, c, y)| (c, *y)).collect()
+        self.observations.iter().map(|(c, y)| (c, *y)).collect()
     }
 }
 

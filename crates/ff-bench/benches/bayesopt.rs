@@ -1,6 +1,8 @@
 //! Criterion benchmarks of the Bayesian-optimization server loop: GP fit +
 //! EI argmax per ask() as the observation count grows — the server-side
-//! cost of each communication round in §4.3.
+//! cost of each communication round in §4.3. The sweep spans 16 to 256
+//! observations, so the per-ask growth rate of the incremental surrogate
+//! (O(n²) fit, blocked O(n²) acquisition per candidate block) shows.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use fedforecaster::search_space::table2_space;
@@ -12,7 +14,7 @@ fn bench_bayesopt(c: &mut Criterion) {
     group.sample_size(10);
     group.measurement_time(std::time::Duration::from_secs(2));
     group.warm_up_time(std::time::Duration::from_millis(500));
-    for n_obs in [5usize, 15, 40] {
+    for n_obs in [16usize, 64, 256] {
         group.bench_with_input(
             BenchmarkId::new("ask_after_n_observations", n_obs),
             &n_obs,

@@ -12,15 +12,24 @@
 //!
 //! `--fingerprint <path>` instead runs one telemetry-off engine run under
 //! the ambient `FF_THREADS` and writes the bitwise fingerprint of its
-//! output; CI diffs this file between `FF_THREADS=1` and `FF_THREADS=4` to
-//! pin the engine-level determinism contract.
+//! output, followed by the ask sequence (configuration fingerprints and
+//! loss bits) of a 96-ask pipeline-space `BayesOpt` run; CI diffs this
+//! file between `FF_THREADS=1` and `FF_THREADS=4` to pin the engine-level
+//! determinism contract. The engine run's five trials are warm starts and
+//! initial points only; the ask sequence covers the model-guided path,
+//! where acquisition is scored in blocks on the pool.
 
+use fedforecaster::ckpt::trial_config_fingerprint;
 use fedforecaster::engine::FedForecaster;
 use fedforecaster::prelude::*;
+use fedforecaster::search_space::{pipeline_space, warm_start_pipeline_configs};
 use ff_bayesopt::gp::GaussianProcess;
+use ff_bayesopt::optimizer::BayesOpt;
 use ff_bench::{build_metamodel, Args};
 use ff_linalg::Matrix;
 use ff_models::forest::RandomForestRegressor;
+use ff_models::pipeline::PipelineId;
+use ff_models::zoo::AlgorithmKind;
 use ff_models::Regressor;
 use ff_timeseries::synthesis::{generate, SeasonSpec, SynthesisSpec, TrendSpec};
 use ff_trace::push_json_f64;
@@ -91,6 +100,22 @@ fn fingerprint(path: &str) {
     }
     let _ = writeln!(out, "recommended {:?}", r.recommended);
     let _ = writeln!(out, "bytes {} {}", r.bytes_to_clients, r.bytes_to_server);
+    let (algorithms, pipelines) = ([AlgorithmKind::LASSO], PipelineId::builtin());
+    let mut bo = BayesOpt::new(pipeline_space(&algorithms, &pipelines), 7).expect("space");
+    bo.warm_start(warm_start_pipeline_configs(&algorithms, &pipelines));
+    for i in 0..96 {
+        let config = bo.ask().expect("ask");
+        let loss: f64 = bo
+            .space()
+            .encode(&config)
+            .iter()
+            .enumerate()
+            .map(|(k, &v)| (v - 0.3 - 0.02 * k as f64).powi(2))
+            .sum();
+        let fp = trial_config_fingerprint(&config);
+        let _ = writeln!(out, "ask[{i}] {fp:016x} {:016x}", loss.to_bits());
+        bo.tell(&config, loss).expect("tell");
+    }
     std::fs::write(path, &out).expect("write fingerprint");
     println!(
         "fingerprint ({} workers): {path}",

@@ -1,6 +1,7 @@
 //! Property-based tests for the linear-algebra substrate.
 
-use ff_linalg::{cholesky::CholeskyFactor, fft, qr, special, vector, Matrix};
+use ff_linalg::cholesky::{CholeskyFactor, GrowingCholesky};
+use ff_linalg::{fft, qr, special, vector, Matrix};
 use proptest::prelude::*;
 
 /// Strategy: a random matrix with entries in [-10, 10].
@@ -112,5 +113,52 @@ proptest! {
     fn quantile_cdf_roundtrip(p in 0.001f64..0.999) {
         let x = special::normal_quantile(p);
         prop_assert!((special::normal_cdf(x) - p).abs() < 1e-5);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A growing factor equals the one-shot jittered factorization of every
+    /// leading block bit for bit, and fails exactly where it fails. `G Gᵀ`
+    /// with fewer columns than rows is singular, so the stream climbs the
+    /// ladder: the unshifted rung fails once the rank is exceeded, and
+    /// scaled-up entries make rounding decide the shifted ones, up to
+    /// exhausting the ladder.
+    #[test]
+    fn growing_factor_matches_new_with_jitter_on_every_prefix(
+        g in matrix_strategy(24, 3),
+        dup in 0usize..24,
+        scale in prop_oneof![Just(1.0), Just(1e2), Just(1e3)],
+        first in prop_oneof![Just(1e-12), Just(1e-10), Just(1e-8)],
+        tries in prop_oneof![Just(2usize), Just(6usize)],
+    ) {
+        let n = 24;
+        let mut g = g.scale(scale);
+        for j in 0..3 {
+            let v = g.get((dup + 1) % n, j);
+            g.set(dup, j, v);
+        }
+        let a = g.matmul(&g.transpose()).unwrap();
+        let mut growing = GrowingCholesky::new(first, tries);
+        for k in 1..=n {
+            let pushed = growing.push(|i, j| a.get(i, j));
+            let lead = Matrix::from_fn(k, k, |i, j| a.get(i, j));
+            match CholeskyFactor::new_with_jitter(&lead, first, tries) {
+                Ok(one_shot) => {
+                    prop_assert!(pushed.is_ok(), "k={} growing failed", k);
+                    let f = growing.factor().unwrap();
+                    for i in 0..k {
+                        let got: Vec<u64> = f.row(i).iter().map(|v| v.to_bits()).collect();
+                        let want: Vec<u64> = one_shot.row(i).iter().map(|v| v.to_bits()).collect();
+                        prop_assert_eq!(got, want);
+                    }
+                }
+                Err(_) => {
+                    prop_assert!(pushed.is_err(), "k={} one-shot failed", k);
+                    prop_assert!(growing.factor().is_none());
+                }
+            }
+        }
     }
 }
