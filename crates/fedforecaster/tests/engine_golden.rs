@@ -1,6 +1,7 @@
 //! Golden pins of the engine's observable output: absolute
 //! [`run_fingerprint`] values and communication totals for five
-//! representative runs, each checked at one worker and at four.
+//! representative runs, plus the random-search baseline and the adaptive
+//! walk-forward loop, each checked at one worker and at four.
 //!
 //! The other determinism suites compare runs against each other (crash vs
 //! no crash, one thread vs eight); none of them would notice a change that
@@ -9,8 +10,10 @@
 //! unless a change deliberately alters engine results — in which case the
 //! new values and the reason belong in the change log.
 
+use fedforecaster::adaptive::{AdaptiveConfig, AdaptiveForecaster};
 use fedforecaster::ckpt::run_fingerprint;
 use fedforecaster::client::FedForecasterClient;
+use fedforecaster::config::TreeAggregation;
 use fedforecaster::prelude::*;
 use ff_ckpt::CrashPoint;
 use ff_fl::chaos::{AdversarialMode, ChaosClient};
@@ -71,8 +74,9 @@ fn honest(series: &TimeSeries) -> Box<dyn FlClient> {
 }
 
 /// Asserts the scenario reproduces `expected` at one worker and at four.
-fn assert_pinned(expected: Pin, scenario: impl Fn(usize) -> Pin) {
+fn assert_pinned<P: PartialEq + std::fmt::Debug>(expected: P, scenario: impl Fn(usize) -> P) {
     for threads in [1usize, 4] {
+        ff_par::set_global_threads(threads);
         let got = scenario(threads);
         assert_eq!(
             got, expected,
@@ -197,5 +201,46 @@ fn chaos_federation_with_panics_and_corruption_is_pinned() {
         };
         let result = FedForecaster::new(cfg, &meta).run_on(&rt).unwrap();
         pin(&result)
+    });
+}
+
+#[test]
+fn random_search_baseline_is_pinned() {
+    assert_pinned((0xdb02_0b41_15de_e542, 14541, 8886), |threads| {
+        let result = RandomSearch::new(cfg(threads))
+            .run(&federation(3, 0.01, 9))
+            .unwrap();
+        pin(&result)
+    });
+}
+
+/// Chunk losses and the retune count of a walk-forward run. The engine
+/// deploys by ensemble union here, the aggregation the chunk evaluation
+/// has always used, so the pin holds whichever mode that evaluation reads.
+#[test]
+fn adaptive_walk_forward_with_ensemble_union_is_pinned() {
+    let meta = train_meta();
+    let losses = vec![
+        0x3ff2_637a_ef1a_6196,
+        0x3fec_ba6c_176b_81c2,
+        0x3fea_b807_020d_aaa7,
+    ];
+    assert_pinned((losses, 1usize), |_| {
+        let cfg = AdaptiveConfig {
+            n_chunks: 3,
+            drift_factor: 0.5,
+            engine: EngineConfig {
+                budget: Budget::Iterations(3),
+                seed: 17,
+                tree_aggregation: TreeAggregation::EnsembleUnion,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let result = AdaptiveForecaster::new(cfg, &meta)
+            .run(&federation(2, 0.02, 5))
+            .unwrap();
+        let losses = result.chunks.iter().map(|c| c.loss.to_bits()).collect();
+        (losses, result.retunes)
     });
 }
