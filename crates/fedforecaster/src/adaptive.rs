@@ -12,8 +12,12 @@
 
 use crate::budget::Budget;
 use crate::config::EngineConfig;
-use crate::engine::FedForecaster;
+use crate::engine::{
+    build_runtime, collect_global_meta, feature_spec, finalize, run_feature_engineering,
+    FedForecaster, RoundCtx,
+};
 use crate::{EngineError, Result};
+use ff_bayesopt::space::Configuration;
 use ff_metalearn::metamodel::MetaModel;
 use ff_models::zoo::AlgorithmKind;
 use ff_timeseries::TimeSeries;
@@ -125,7 +129,7 @@ impl<'m> AdaptiveForecaster<'m> {
                 ..self.cfg.engine.clone()
             };
             let window: Vec<TimeSeries> = streams.iter().map(|s| s.slice(0, end)).collect();
-            let loss = evaluate_fixed_config(&eval_cfg, &current, &window)?;
+            let loss = evaluate_fixed_config(&eval_cfg, &current.best_config, &window)?;
 
             let drifted = loss > self.cfg.drift_factor * reference;
             if drifted {
@@ -155,44 +159,26 @@ impl<'m> AdaptiveForecaster<'m> {
     }
 }
 
-/// Refits the given result's winning configuration on `window` (train+valid)
-/// and returns the aggregated loss on the held-out tail — a one-iteration
-/// engine run seeded at exactly that configuration.
+/// Refits `best_config` on `window` (train+valid) and returns the
+/// aggregated loss on the held-out tail, deployed the way the engine
+/// deploys it (`cfg.tree_aggregation`).
 fn evaluate_fixed_config(
     cfg: &EngineConfig,
-    current: &crate::engine::RunResult,
+    best_config: &Configuration,
     window: &[TimeSeries],
 ) -> Result<f64> {
-    use crate::engine as eng;
-    let rt = eng::build_runtime(window, cfg)?;
-    let (global, max_len) = eng::collect_global_meta(&rt)?;
-    let spec = if cfg.disable_feature_engineering {
-        crate::feature_engineering::GlobalFeatureSpec::lags_only(eng::derive_lag_count(
-            &global,
-            cfg.max_lags,
-        ))
-    } else {
-        crate::feature_engineering::GlobalFeatureSpec {
-            lags: (1..=eng::derive_lag_count(&global, cfg.max_lags)).collect(),
-            seasonal_periods: eng::federated_seasonal_periods(
-                &rt,
-                max_len,
-                cfg.max_seasonal_components,
-            )?,
-            use_trend: true,
-            use_time: true,
-        }
-    };
-    eng::run_feature_engineering(&rt, &spec, cfg.importance_threshold)?;
-    // Final-fit the deployed configuration directly and read the aggregated
-    // test loss.
-    let (_, test_mse) = eng::finalize(&rt, &current.best_config)?;
-    Ok(test_mse)
+    let rt = build_runtime(window, cfg)?;
+    let mut ctx = RoundCtx::strict(&rt);
+    let (global, max_len) = collect_global_meta(&mut ctx)?;
+    let spec = feature_spec(&mut ctx, &global, max_len, cfg)?;
+    run_feature_engineering(&mut ctx, &spec, cfg.importance_threshold)?;
+    Ok(finalize(&mut ctx, best_config, cfg.tree_aggregation, None)?.test_mse)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::TreeAggregation;
     use ff_metalearn::kb::KnowledgeBase;
     use ff_metalearn::metamodel::MetaClassifierKind;
     use ff_metalearn::synth::synthetic_kb;
@@ -297,6 +283,47 @@ mod tests {
                 .map(|c| (c.loss, c.retuned))
                 .collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn chunk_loss_deploys_with_the_configured_tree_aggregation() {
+        let meta = meta();
+        let streams = stationary_streams();
+        let engine = EngineConfig {
+            budget: Budget::Iterations(2),
+            portfolio: Some(vec![AlgorithmKind::XGB_REGRESSOR]),
+            tree_aggregation: TreeAggregation::PerClient,
+            ..Default::default()
+        };
+        let cfg = AdaptiveConfig {
+            n_chunks: 1,
+            engine: engine.clone(),
+            ..Default::default()
+        };
+        let result = AdaptiveForecaster::new(cfg, &meta).run(&streams).unwrap();
+        // One chunk: the window is the whole stream and the chunk its
+        // second half.
+        let n = streams[0].len();
+        let initial = n / 2;
+        let prefix: Vec<TimeSeries> = streams.iter().map(|s| s.slice(0, initial)).collect();
+        let best = FedForecaster::new(engine.clone(), &meta)
+            .run(&prefix)
+            .unwrap()
+            .best_config;
+        let eval_cfg = EngineConfig {
+            test_fraction: (n - initial) as f64 / n as f64,
+            ..engine
+        };
+        let rt = build_runtime(&streams, &eval_cfg).unwrap();
+        let mut ctx = RoundCtx::strict(&rt);
+        let (global, max_len) = collect_global_meta(&mut ctx).unwrap();
+        let spec = feature_spec(&mut ctx, &global, max_len, &eval_cfg).unwrap();
+        run_feature_engineering(&mut ctx, &spec, eval_cfg.importance_threshold).unwrap();
+        let mut loss_as = |mode| finalize(&mut ctx, &best, mode, None).unwrap().test_mse;
+        let per_client = loss_as(TreeAggregation::PerClient);
+        let union = loss_as(TreeAggregation::EnsembleUnion);
+        assert_ne!(per_client.to_bits(), union.to_bits(), "modes must differ");
+        assert_eq!(result.chunks[0].loss.to_bits(), per_client.to_bits());
     }
 
     #[test]

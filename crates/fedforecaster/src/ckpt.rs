@@ -56,9 +56,9 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// Fingerprint of the run-defining configuration fields. Deliberately
 /// excludes execution-environment knobs that may differ between the
-/// crashed run and the resume — thread policy (`par`), observability
-/// (`trace`), and the checkpoint config itself — since the engine is
-/// bit-identical across all of them.
+/// crashed run and the resume — observability (`trace`) and the
+/// checkpoint config itself — since the engine is bit-identical across
+/// them (and across worker counts, which no config field sets).
 pub fn config_fingerprint(cfg: &crate::config::EngineConfig) -> u64 {
     let canon = format!(
         "{}|{:?}|{}|{}|{}|{}|{}|{}|{}|{}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{}",
@@ -998,7 +998,6 @@ mod tests {
         // Execution-environment knobs do not participate.
         let traced = crate::config::EngineConfig {
             trace: crate::config::TraceConfig::enabled(),
-            par: ff_par::ParConfig::with_threads(2),
             checkpoint: Some(CkptConfig::at("/tmp/x.wal")),
             ..Default::default()
         };

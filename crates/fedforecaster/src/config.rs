@@ -235,13 +235,6 @@ pub struct EngineConfig {
     /// Thresholds of the pre-aggregation screen (used only when
     /// `aggregation` is robust).
     pub guard: GuardPolicy,
-    /// Worker-thread policy for the data-parallel kernels (matmul,
-    /// Cholesky panels, GP fits, forest trees, meta-feature extraction).
-    /// The default [`ff_par::ParConfig::auto`] inherits `FF_THREADS` or the
-    /// hardware parallelism; [`ff_par::ParConfig::sequential`] pins the
-    /// exact single-threaded execution. Every kernel is bit-identical
-    /// across thread counts, so this knob only affects wall-clock time.
-    pub par: ff_par::ParConfig,
     /// Pairwise-masked (Bonawitz-style) summation for the final-fit
     /// aggregation of linear winners: the server only ever sees masked
     /// sums, never an individual client's coefficients. Only valid with
@@ -305,7 +298,6 @@ impl Default for EngineConfig {
             trace: TraceConfig::default(),
             aggregation: AggregationStrategy::default(),
             guard: GuardPolicy::default(),
-            par: ff_par::ParConfig::auto(),
             secure_aggregation: false,
             checkpoint: None,
         }
@@ -328,7 +320,6 @@ mod tests {
         assert!(c.pipelines.is_none());
         assert!(!c.trace.is_enabled());
         assert_eq!(c.aggregation, AggregationStrategy::FedAvg);
-        assert_eq!(c.par, ff_par::ParConfig::auto());
         assert!(!c.secure_aggregation);
         assert!(c.checkpoint.is_none());
         assert!(c.validate().is_ok());

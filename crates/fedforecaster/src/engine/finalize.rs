@@ -1,30 +1,23 @@
 //! Phase IV: final fit on train+valid, federated model aggregation, and
 //! test evaluation (§4.4).
 //!
-//! There is exactly one implementation, [`finalize_with_tolerant`], and it
-//! is driven by the winning algorithm's declared
+//! [`finalize`] is driven by the winning algorithm's declared
 //! [`ff_models::spec::FinalizeStrategy`] — not by matching on the
 //! algorithm itself. `CoefficientAverage` winners are
 //! FedAvg-ed into one global linear model; `EnsembleUnion` winners ship
 //! serialized members that are deployed as a weighted union (or fall back
-//! to per-client models, per [`crate::config::TreeAggregation`]). The
-//! strict [`finalize_with`] entry point is the same code run under the
-//! strict round policy.
+//! to per-client models, per [`crate::config::TreeAggregation`]).
 
-use super::rounds::{
-    fit_error, record_screen, require_quorum, strict_policy, tolerant_eval_round, unexpected,
-    usable_round, RobustCtx,
-};
+use super::rounds::{fit_error, unexpected, RoundCtx};
 use crate::aggregate::GlobalModel;
 use crate::ckpt::{CkptSink, Record};
 use crate::client::OP;
-use crate::report::RoundReport;
+use crate::config::TreeAggregation;
 use crate::search_space::{algorithm_of, config_to_map, pipeline_of};
 use crate::{EngineError, Result};
 use ff_bayesopt::space::Configuration;
 use ff_fl::config::{ConfigMap, ConfigMapExt};
 use ff_fl::message::{Instruction, Reply};
-use ff_fl::runtime::{FederatedRuntime, RoundPolicy};
 use ff_fl::secure::{mask_contribution, unmask_average};
 use ff_fl::strategy::{fit_updates, unwrap_fit_replies};
 use ff_models::spec::FinalizeStrategy;
@@ -47,74 +40,22 @@ pub struct FinalizeOutcome {
     pub members: Vec<(Vec<u8>, f64)>,
 }
 
-/// Phase IV with the default
-/// [`crate::config::TreeAggregation::EnsembleUnion`] mode. Returns the
-/// deployed global model and the aggregated test MSE.
-pub fn finalize(rt: &FederatedRuntime, best_config: &Configuration) -> Result<(GlobalModel, f64)> {
-    finalize_with(
-        rt,
-        best_config,
-        crate::config::TreeAggregation::EnsembleUnion,
-    )
-}
-
-/// [`finalize`] with an explicit tree-aggregation mode (§4.4; see
-/// DESIGN.md §5 for the trade-off). Runs under the strict round policy:
-/// every client must deliver a usable final model.
-pub fn finalize_with(
-    rt: &FederatedRuntime,
-    best_config: &Configuration,
-    tree_aggregation: crate::config::TreeAggregation,
-) -> Result<(GlobalModel, f64)> {
-    finalize_with_tolerant(
-        rt,
-        ff_par::ParConfig::auto(),
-        best_config,
-        tree_aggregation,
-        &strict_policy(rt),
-        &mut Vec::new(),
-        &mut RobustCtx::permissive(),
-        None,
-    )
-    .map(|o| (o.global_model, o.test_mse))
-}
-
-/// Fault-tolerant finalization: the final fit, aggregation, and test
-/// rounds all run under the policy. FedAvg (`CoefficientAverage` winners)
-/// and ensemble weights (`EnsembleUnion` winners) renormalize over
-/// whichever clients delivered a final model; the union deployment is
-/// "available" when every *survivor* of the final-fit round contributed a
-/// blob.
+/// Phase IV: the final fit, aggregation, and test rounds, each under the
+/// context's policy (§4.4; see DESIGN.md §5 for the tree-aggregation
+/// trade-off). FedAvg (`CoefficientAverage` winners) and ensemble weights
+/// (`EnsembleUnion` winners) renormalize over whichever clients delivered
+/// a final model; the union deployment is "available" when every
+/// *survivor* of the final-fit round contributed a blob.
 ///
 /// With a checkpoint sink, `EnsembleUnion` winners durably record their
 /// collected member blobs ([`Record::FinalMembers`]) before deployment —
 /// a post-hoc artifact for inspection and serving, not a replay input
 /// (resume always re-executes finalization live, since the clients'
 /// final-model state cannot be restored from the server).
-#[allow(clippy::too_many_arguments)]
-pub fn finalize_with_tolerant(
-    rt: &FederatedRuntime,
-    par: ff_par::ParConfig,
+pub fn finalize(
+    ctx: &mut RoundCtx,
     best_config: &Configuration,
-    tree_aggregation: crate::config::TreeAggregation,
-    policy: &RoundPolicy,
-    rounds: &mut Vec<RoundReport>,
-    ctx: &mut RobustCtx,
-    ckpt: Option<&mut CkptSink>,
-) -> Result<FinalizeOutcome> {
-    par.scope(|| {
-        finalize_with_tolerant_inner(rt, best_config, tree_aggregation, policy, rounds, ctx, ckpt)
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn finalize_with_tolerant_inner(
-    rt: &FederatedRuntime,
-    best_config: &Configuration,
-    tree_aggregation: crate::config::TreeAggregation,
-    policy: &RoundPolicy,
-    rounds: &mut Vec<RoundReport>,
-    ctx: &mut RobustCtx,
+    tree_aggregation: TreeAggregation,
     ckpt: Option<&mut CkptSink>,
 ) -> Result<FinalizeOutcome> {
     let algorithm = algorithm_of(best_config)
@@ -123,14 +64,14 @@ fn finalize_with_tolerant_inner(
         params: vec![],
         config: config_to_map(best_config).with_str(OP, "final_fit"),
     };
-    let (usable, idx) = usable_round(rt, "finalization", &ins, policy, rounds, |r| match &r {
+    let (usable, idx) = ctx.usable_round("finalization", &ins, |r| match &r {
         Reply::FitRes { metrics, .. } => match fit_error(metrics) {
             Some(err) => Err(err),
             None => Ok(r),
         },
         _ => Err(unexpected(r)),
     })?;
-    require_quorum(rounds, idx, usable.len(), policy)?;
+    ctx.require_quorum(idx, usable.len())?;
 
     // Pipeline winners always finalize by ensemble union: each member is a
     // self-contained blob-v3 forecaster (non-codec models ship in probed
@@ -150,7 +91,7 @@ fn finalize_with_tolerant_inner(
                 // weighted average without seeing any individual update.
                 let fit_results = unwrap_fit_replies(usable).map_err(EngineError::Federation)?;
                 let n = fit_results.len();
-                let round_seed = rounds[idx].round;
+                let round_seed = ctx.rounds[idx].round;
                 let total_weight: f64 = fit_results.iter().map(|(_, w)| *w as f64).sum();
                 let uploads: Vec<Vec<f64>> = fit_results
                     .iter()
@@ -173,9 +114,9 @@ fn finalize_with_tolerant_inner(
                     let screened = ctx.guard.screen_updates(updates);
                     let accepted_ids: Vec<usize> =
                         screened.accepted.iter().map(|(id, _, _)| *id).collect();
-                    record_screen(rt, rounds, idx, &accepted_ids, &screened.rejected);
-                    rounds[idx].usable = screened.accepted.len();
-                    require_quorum(rounds, idx, screened.accepted.len(), policy)?;
+                    ctx.record_screen(idx, &accepted_ids, &screened.rejected);
+                    ctx.rounds[idx].usable = screened.accepted.len();
+                    ctx.require_quorum(idx, screened.accepted.len())?;
                     updates = screened.accepted;
                 }
                 ctx.strategy
@@ -188,13 +129,9 @@ fn finalize_with_tolerant_inner(
             let p = global_params.len() - 1;
             let coef = global_params[..p].to_vec();
             let intercept = global_params[p];
-            let test_mse = tolerant_eval_round(
-                rt,
+            let test_mse = ctx.eval_round(
                 global_params,
                 ConfigMap::new().with_str(OP, "test_global_linear"),
-                policy,
-                rounds,
-                ctx,
             )?;
             Ok(FinalizeOutcome {
                 global_model: GlobalModel::Linear {
@@ -206,34 +143,22 @@ fn finalize_with_tolerant_inner(
                 members: vec![],
             })
         }
-        FinalizeStrategy::EnsembleUnion => finalize_union(
-            rt,
-            algorithm,
-            usable,
-            tree_aggregation,
-            policy,
-            rounds,
-            ctx,
-            ckpt,
-        ),
+        FinalizeStrategy::EnsembleUnion => {
+            finalize_union(ctx, algorithm, usable, tree_aggregation, ckpt)
+        }
     }
 }
 
 /// The `EnsembleUnion` arm: gather serialized members from the final-fit
 /// survivors and deploy either the weighted union or the per-client
 /// fallback, per the tree-aggregation mode.
-#[allow(clippy::too_many_arguments)]
 fn finalize_union(
-    rt: &FederatedRuntime,
+    ctx: &mut RoundCtx,
     algorithm: ff_models::zoo::AlgorithmKind,
     usable: Vec<(usize, Reply)>,
-    tree_aggregation: crate::config::TreeAggregation,
-    policy: &RoundPolicy,
-    rounds: &mut Vec<RoundReport>,
-    ctx: &mut RobustCtx,
+    tree_aggregation: TreeAggregation,
     ckpt: Option<&mut CkptSink>,
 ) -> Result<FinalizeOutcome> {
-    use crate::config::TreeAggregation;
     let mut blobs: Vec<Vec<u8>> = Vec::new();
     let mut weights: Vec<f64> = Vec::new();
     for (_, r) in &usable {
@@ -294,36 +219,22 @@ fn finalize_union(
             // Leakage-free model selection: compare both deployments on the
             // validation split and pick the better.
             union_available && {
-                let union_valid = tolerant_eval_round(
-                    rt,
-                    vec![],
-                    ensemble_config("valid", blobs.clone(), &weights),
-                    policy,
-                    rounds,
-                    ctx,
-                )?;
-                let local_valid =
-                    tolerant_eval_round(rt, vec![], local_config("valid"), policy, rounds, ctx)?;
+                let union_valid =
+                    ctx.eval_round(vec![], ensemble_config("valid", blobs.clone(), &weights))?;
+                let local_valid = ctx.eval_round(vec![], local_config("valid"))?;
                 union_valid <= local_valid
             }
         }
     };
     if use_union {
-        let test_mse = tolerant_eval_round(
-            rt,
-            vec![],
-            ensemble_config("test", blobs, &weights),
-            policy,
-            rounds,
-            ctx,
-        )?;
+        let test_mse = ctx.eval_round(vec![], ensemble_config("test", blobs, &weights))?;
         Ok(FinalizeOutcome {
             global_model: GlobalModel::Ensemble { algorithm, members },
             test_mse,
             members: exported,
         })
     } else {
-        let test_mse = tolerant_eval_round(rt, vec![], local_config("test"), policy, rounds, ctx)?;
+        let test_mse = ctx.eval_round(vec![], local_config("test"))?;
         Ok(FinalizeOutcome {
             global_model: GlobalModel::PerClient { algorithm },
             test_mse,

@@ -1,37 +1,39 @@
 //! The FedForecaster engine: Algorithm 1 end-to-end over the federated
 //! runtime, plus the shared pipeline stages reused by the random-search
-//! baseline.
+//! baseline and the adaptive walk-forward loop.
 //!
-//! The pipeline is decomposed into stage modules:
-//! - [`recommend`] — meta-feature collection, seasonal-period agreement,
-//!   and federated feature engineering (Phases I–III prep);
-//! - [`tune`] — per-configuration federated evaluation for the Bayesian
-//!   optimization loop (Phase III);
-//! - [`mod@finalize`] — the strategy-driven final fit / aggregate / test
-//!   stage (Phase IV), shared by the strict and fault-tolerant paths;
+//! The pipeline is decomposed into stage modules, one public entry point
+//! per stage:
+//! - [`recommend`] — [`collect_global_meta`], the federated
+//!   [`feature_spec`] (lag count and weighted periodogram), and
+//!   [`run_feature_engineering`] (Phases I–III prep);
+//! - [`tune`] — [`evaluate_config`], one federated evaluation per
+//!   configuration of the Bayesian optimization loop (Phase III);
+//! - [`mod@finalize`] — [`finalize()`], the strategy-driven final fit /
+//!   aggregate / test stage (Phase IV);
 //! - `rounds` (private) — the policy-bounded round plumbing the stages
-//!   share, including the per-run robust-aggregation context (`RobustCtx`)
-//!   that threads the update guard and aggregation strategy through every
-//!   tolerant stage.
+//!   share.
 //!
-//! Each stage comes in two flavors: a strict variant that requires every
-//! client to reply (used by the baselines and well-behaved tests) and a
-//! `*_tolerant` variant bounded by an [`ff_fl::runtime::RoundPolicy`]. The
-//! engine itself always drives the tolerant path.
+//! Every stage takes one per-run [`RoundCtx`]: the runtime, the
+//! [`ff_fl::runtime::RoundPolicy`] bounding each round, the log of
+//! [`RoundReport`]s, and the robust-aggregation state (update guard,
+//! aggregation rule, masking). The engine builds it with
+//! [`RoundCtx::new`] from its config; the baselines and tests use
+//! [`RoundCtx::strict`], under which every client must reply usably.
+//!
+//! Kernels inside the stages use the ambient worker count (`FF_THREADS`,
+//! [`ff_par::set_global_threads`], [`ff_par::with_threads`]); results are
+//! bit-identical at every count.
 
 pub mod finalize;
 pub mod recommend;
 mod rounds;
 pub mod tune;
 
-pub use finalize::{finalize, finalize_with, finalize_with_tolerant, FinalizeOutcome};
-pub use recommend::{
-    collect_global_meta, collect_global_meta_tolerant, derive_lag_count,
-    federated_seasonal_periods, federated_seasonal_periods_tolerant, run_feature_engineering,
-    run_feature_engineering_tolerant,
-};
-pub use rounds::RobustCtx;
-pub use tune::{evaluate_config, evaluate_config_tolerant};
+pub use finalize::{finalize, FinalizeOutcome};
+pub use recommend::{collect_global_meta, feature_spec, run_feature_engineering};
+pub use rounds::RoundCtx;
+pub use tune::evaluate_config;
 
 use crate::aggregate::GlobalModel;
 use crate::budget::BudgetTracker;
@@ -41,7 +43,6 @@ use crate::ckpt::{
 };
 use crate::client::FedForecasterClient;
 use crate::config::EngineConfig;
-use crate::feature_engineering::GlobalFeatureSpec;
 use crate::report::{RoundReport, RunTelemetry};
 use crate::search_space::{
     pipeline_of, pipeline_space, table2_space, warm_start_configs, warm_start_pipeline_configs,
@@ -198,13 +199,9 @@ impl<'m> FedForecaster<'m> {
 
     fn run_or_resume(&self, rt: &FederatedRuntime, resuming: bool) -> Result<RunResult> {
         self.cfg.validate()?;
-        // Worker threads spawned during the run (FL clients) resolve the
-        // kernel thread count through the process global; the engine thread
-        // itself additionally scopes the config into every pipeline stage.
-        self.cfg.par.install_global();
         let par_before = ff_par::stats();
         let workers_before = ff_par::worker_loads();
-        let mut robust = rounds::RobustCtx::from_config(&self.cfg);
+        let mut ctx = RoundCtx::new(rt, &self.cfg);
         let tracer = self.cfg.trace.tracer();
         if tracer.is_enabled() {
             rt.set_tracer(tracer.clone());
@@ -280,14 +277,11 @@ impl<'m> FedForecaster<'m> {
             phase_mark = now;
             entry
         };
-        let policy = &self.cfg.round_policy;
-        let mut rounds: Vec<RoundReport> = Vec::new();
         // Phase I–II: meta-features → aggregation → recommendation. An
         // explicit portfolio bypasses the meta-model entirely (ablations,
         // registry extensions the meta-model was not trained on).
         let phase_span = tracer.span("phase.meta_features");
-        let par = self.cfg.par;
-        let (global, max_len) = collect_global_meta_tolerant(rt, par, policy, &mut rounds)?;
+        let (global, max_len) = collect_global_meta(&mut ctx)?;
         let recommended: Vec<AlgorithmKind> = if let Some(portfolio) = &self.cfg.portfolio {
             if portfolio.is_empty() {
                 return Err(EngineError::InvalidData("empty portfolio override".into()));
@@ -301,37 +295,13 @@ impl<'m> FedForecaster<'m> {
                 .map_err(EngineError::Model)?
         };
         // Phase III prep: feature engineering with globally agreed params.
-        let spec = if self.cfg.disable_feature_engineering {
-            GlobalFeatureSpec::lags_only(derive_lag_count(&global, self.cfg.max_lags))
-        } else {
-            let periods = federated_seasonal_periods_tolerant(
-                rt,
-                par,
-                max_len,
-                self.cfg.max_seasonal_components,
-                policy,
-                &mut rounds,
-            )?;
-            GlobalFeatureSpec {
-                lags: (1..=derive_lag_count(&global, self.cfg.max_lags)).collect(),
-                seasonal_periods: periods,
-                use_trend: true,
-                use_time: true,
-            }
-        };
+        let spec = feature_spec(&mut ctx, &global, max_len, &self.cfg)?;
         phase_bytes.push(end_phase("meta_features", rt));
-        commit_round_frames(&recorder, &rounds, &mut committed_rounds);
-        checkpoint_phase(&mut ckpt, &replay, &mut replay_phase_cursor, 0, &rounds)?;
+        commit_round_frames(&recorder, &ctx.rounds, &mut committed_rounds);
+        checkpoint_phase(&mut ckpt, &replay, &mut replay_phase_cursor, 0, &ctx.rounds)?;
         drop(phase_span);
         let phase_span = tracer.span("phase.feature_engineering");
-        let kept = run_feature_engineering_tolerant(
-            rt,
-            par,
-            &spec,
-            self.cfg.importance_threshold,
-            policy,
-            &mut rounds,
-        )?;
+        let kept = run_feature_engineering(&mut ctx, &spec, self.cfg.importance_threshold)?;
         // The serving-layer lag recipe: lag columns lead the engineered
         // schema, so when every surviving column is a raw lag the flat
         // (blob-v2) members can be re-fed from series history alone.
@@ -344,8 +314,8 @@ impl<'m> FedForecaster<'m> {
             vec![]
         };
         phase_bytes.push(end_phase("feature_engineering", rt));
-        commit_round_frames(&recorder, &rounds, &mut committed_rounds);
-        checkpoint_phase(&mut ckpt, &replay, &mut replay_phase_cursor, 1, &rounds)?;
+        commit_round_frames(&recorder, &ctx.rounds, &mut committed_rounds);
+        checkpoint_phase(&mut ckpt, &replay, &mut replay_phase_cursor, 1, &ctx.rounds)?;
         drop(phase_span);
 
         // Phase III: Bayesian optimization with warm start. The budget T
@@ -395,8 +365,8 @@ impl<'m> FedForecaster<'m> {
                     }
                     None => failed_trials += 1,
                 }
-                rounds.extend(trial.reports.iter().cloned());
-                commit_round_frames(&recorder, &rounds, &mut committed_rounds);
+                ctx.rounds.extend(trial.reports.iter().cloned());
+                commit_round_frames(&recorder, &ctx.rounds, &mut committed_rounds);
             }
             // Server-side counters the replay cannot recompute restore from
             // the resume point's snapshot. The re-executed setup phases
@@ -406,8 +376,7 @@ impl<'m> FedForecaster<'m> {
             if let Some(snap) = &rep.snapshot {
                 rt.restore_health(&snap.health)?;
                 rt.log().restore_totals(&snap.log);
-                robust
-                    .guard
+                ctx.guard
                     .restore_history(&snap.guard_norms, &snap.guard_losses);
                 failed_trials = snap.failed_trials as usize;
             }
@@ -426,16 +395,9 @@ impl<'m> FedForecaster<'m> {
         while tracker.iterations() == 0 || !tracker.exhausted() {
             let trial_span = tracer.span_labeled("trial", tracker.iterations() as u64 + 1);
             let config = bo.ask().map_err(EngineError::Optimizer)?;
-            let round_mark = rounds.len();
+            let round_mark = ctx.rounds.len();
             trial_index += 1;
-            let trial_loss = match evaluate_config_tolerant(
-                rt,
-                par,
-                &config,
-                policy,
-                &mut rounds,
-                &mut robust,
-            ) {
+            let trial_loss = match evaluate_config(&mut ctx, &config) {
                 Ok(loss) => {
                     bo.tell(&config, loss).map_err(EngineError::Optimizer)?;
                     loss_history.push(loss);
@@ -447,19 +409,19 @@ impl<'m> FedForecaster<'m> {
                 }
                 Err(e) => return Err(e),
             };
-            commit_round_frames(&recorder, &rounds, &mut committed_rounds);
+            commit_round_frames(&recorder, &ctx.rounds, &mut committed_rounds);
             tracker.record_iteration();
             // One atomic commit point per trial: config fingerprint, loss,
             // the trial's round reports, and the post-trial runtime
             // snapshot land in a single durable record, so there is never
             // torn state between the BO tell and the server counters.
             if let Some(sink) = ckpt.as_mut() {
-                let snapshot = RuntimeSnapshot::capture(rt, &robust.guard, failed_trials, &tracker);
+                let snapshot = RuntimeSnapshot::capture(rt, &ctx.guard, failed_trials, &tracker);
                 sink.append(&Record::TrialDone {
                     index: trial_index,
                     config_fp: trial_config_fingerprint(&config),
                     loss: trial_loss,
-                    reports: rounds[round_mark..].to_vec(),
+                    reports: ctx.rounds[round_mark..].to_vec(),
                     snapshot: Some(snapshot),
                 })?;
                 // Engine-level injection: die right after the commit became
@@ -490,25 +452,21 @@ impl<'m> FedForecaster<'m> {
             global_model,
             test_mse,
             members: ensemble_members,
-        } = finalize_with_tolerant(
-            rt,
-            par,
+        } = finalize(
+            &mut ctx,
             &best_config,
             self.cfg.tree_aggregation,
-            policy,
-            &mut rounds,
-            &mut robust,
             ckpt.as_mut(),
         )?;
         phase_bytes.push(end_phase("finalization", rt));
-        commit_round_frames(&recorder, &rounds, &mut committed_rounds);
+        commit_round_frames(&recorder, &ctx.rounds, &mut committed_rounds);
         drop(phase_span);
         drop(run_span);
         let (bytes_to_clients, bytes_to_server) = rt.log().byte_totals();
         let health = rt.health_report();
         if tracer.is_enabled() {
             let par_now = ff_par::stats();
-            tracer.gauge_set("par.workers", par.resolve() as f64);
+            tracer.gauge_set("par.workers", ff_par::effective_threads() as f64);
             tracer.counter_add("par.tasks", par_now.tasks.saturating_sub(par_before.tasks));
             tracer.counter_add(
                 "par.steal_idle_ms",
@@ -551,7 +509,7 @@ impl<'m> FedForecaster<'m> {
             bytes_to_clients,
             bytes_to_server,
             phase_bytes,
-            rounds,
+            rounds: ctx.rounds,
             failed_trials,
             health,
             telemetry,
@@ -745,6 +703,8 @@ pub fn build_runtime(clients: &[TimeSeries], cfg: &EngineConfig) -> Result<Feder
 mod tests {
     use super::*;
     use crate::budget::Budget;
+    use crate::config::TreeAggregation;
+    use crate::feature_engineering::GlobalFeatureSpec;
     use ff_metalearn::kb::KnowledgeBase;
     use ff_metalearn::metamodel::MetaClassifierKind;
     use ff_metalearn::synth::synthetic_kb;
@@ -917,13 +877,14 @@ mod tests {
         let clients = federation();
         let cfg = EngineConfig::default();
         let rt = build_runtime(&clients, &cfg).unwrap();
+        let mut ctx = RoundCtx::strict(&rt);
         let spec = GlobalFeatureSpec::lags_only(4);
-        run_feature_engineering(&rt, &spec, 0.95).unwrap();
+        run_feature_engineering(&mut ctx, &spec, 0.95).unwrap();
         let mut config = Configuration::new();
         config.insert("algorithm".into(), ParamValue::Cat("XGBRegressor".into()));
-        let (model, mse) = finalize(&rt, &config).unwrap();
-        assert!(mse.is_finite());
-        match model {
+        let union = finalize(&mut ctx, &config, TreeAggregation::EnsembleUnion, None).unwrap();
+        assert!(union.test_mse.is_finite());
+        match union.global_model {
             GlobalModel::Ensemble { algorithm, members } => {
                 assert_eq!(algorithm, AlgorithmKind::XGB_REGRESSOR);
                 assert_eq!(members, clients.len());
@@ -931,10 +892,9 @@ mod tests {
             other => panic!("expected ensemble union, got {other:?}"),
         }
         // PerClient mode still works on the same runtime.
-        let (model, mse2) =
-            finalize_with(&rt, &config, crate::config::TreeAggregation::PerClient).unwrap();
-        assert!(matches!(model, GlobalModel::PerClient { .. }));
-        assert!(mse2.is_finite());
+        let local = finalize(&mut ctx, &config, TreeAggregation::PerClient, None).unwrap();
+        assert!(matches!(local.global_model, GlobalModel::PerClient { .. }));
+        assert!(local.test_mse.is_finite());
     }
 
     #[test]
@@ -955,18 +915,21 @@ mod tests {
         let clients = series.split_clients(4);
         let cfg = EngineConfig::default();
         let rt = build_runtime(&clients, &cfg).unwrap();
-        run_feature_engineering(&rt, &GlobalFeatureSpec::lags_only(4), 0.95).unwrap();
+        let mut ctx = RoundCtx::strict(&rt);
+        run_feature_engineering(&mut ctx, &GlobalFeatureSpec::lags_only(4), 0.95).unwrap();
         let mut config = Configuration::new();
         config.insert("algorithm".into(), ParamValue::Cat("XGBRegressor".into()));
-        let (model, auto_mse) =
-            finalize_with(&rt, &config, crate::config::TreeAggregation::Auto).unwrap();
+        let auto = finalize(&mut ctx, &config, TreeAggregation::Auto, None).unwrap();
+        let model = auto.global_model;
+        let auto_mse = auto.test_mse;
         assert!(
             matches!(model, GlobalModel::PerClient { .. }),
             "auto mode should reject the biased union, got {model:?}"
         );
         // And the auto choice should not be worse than the forced union.
-        let (_, union_mse) =
-            finalize_with(&rt, &config, crate::config::TreeAggregation::EnsembleUnion).unwrap();
+        let union_mse = finalize(&mut ctx, &config, TreeAggregation::EnsembleUnion, None)
+            .unwrap()
+            .test_mse;
         assert!(
             auto_mse <= union_mse * 1.01,
             "auto {auto_mse} vs forced union {union_mse}"
@@ -978,8 +941,8 @@ mod tests {
         let clients = federation();
         let cfg = EngineConfig::default();
         let rt = build_runtime(&clients, &cfg).unwrap();
-        let (global, max_len) = collect_global_meta(&rt).unwrap();
-        let lags = derive_lag_count(&global, 10);
+        let (global, max_len) = collect_global_meta(&mut RoundCtx::strict(&rt)).unwrap();
+        let lags = recommend::derive_lag_count(&global, 10);
         assert!((3..=10).contains(&lags));
         assert!(max_len > 0);
     }

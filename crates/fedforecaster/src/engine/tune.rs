@@ -7,65 +7,29 @@
 //! dispatches on their presence (see
 //! [`crate::search_space::pipeline_space`]).
 
-use super::rounds::{
-    aggregate_losses, fit_error, strict_policy, unexpected, usable_round, RobustCtx,
-};
+use super::rounds::{fit_error, unexpected, RoundCtx};
 use crate::client::OP;
-use crate::report::RoundReport;
 use crate::search_space::config_to_map;
 use crate::Result;
 use ff_bayesopt::space::Configuration;
 use ff_fl::config::ConfigMapExt;
 use ff_fl::message::{Instruction, Reply};
-use ff_fl::runtime::{FederatedRuntime, RoundPolicy};
 
 /// Evaluates one configuration across the federation: clients fit locally
-/// and report validation losses; the server aggregates via Equation 1.
-/// Runs [`evaluate_config_tolerant`] under the strict round policy, so a
-/// client that cannot score the configuration fails the evaluation with
-/// [`ff_fl::FlError::Quorum`].
-pub fn evaluate_config(rt: &FederatedRuntime, config: &Configuration) -> Result<f64> {
-    evaluate_config_tolerant(
-        rt,
-        ff_par::ParConfig::auto(),
-        config,
-        &strict_policy(rt),
-        &mut Vec::new(),
-        &mut RobustCtx::permissive(),
-    )
-}
-
-/// Fault-tolerant [`evaluate_config`]: the global loss is aggregated over
-/// the responsive clients with finite validation losses; non-finite losses
-/// and application errors are per-round dropouts. Fails with
+/// and report validation losses; the server aggregates them via Equation 1
+/// over the responsive clients with finite losses (non-finite losses and
+/// application errors are per-round dropouts). Fails with
 /// [`ff_fl::FlError::Quorum`] — which the engine treats as a failed
 /// *trial*, not a failed run — when fewer than `min_responses` usable
 /// losses remain.
-pub fn evaluate_config_tolerant(
-    rt: &FederatedRuntime,
-    par: ff_par::ParConfig,
-    config: &Configuration,
-    policy: &RoundPolicy,
-    rounds: &mut Vec<RoundReport>,
-    ctx: &mut RobustCtx,
-) -> Result<f64> {
-    par.scope(|| evaluate_config_tolerant_inner(rt, config, policy, rounds, ctx))
-}
-
-fn evaluate_config_tolerant_inner(
-    rt: &FederatedRuntime,
-    config: &Configuration,
-    policy: &RoundPolicy,
-    rounds: &mut Vec<RoundReport>,
-    ctx: &mut RobustCtx,
-) -> Result<f64> {
+pub fn evaluate_config(ctx: &mut RoundCtx, config: &Configuration) -> Result<f64> {
     let ins = Instruction::Fit {
         params: vec![],
         config: config_to_map(config).with_str(OP, "fit_eval"),
     };
     // Candidates keep client ids and non-finite losses so the robust path
     // can screen them.
-    let (candidates, idx) = usable_round(rt, "optimization", &ins, policy, rounds, |r| match r {
+    let (candidates, idx) = ctx.usable_round("optimization", &ins, |r| match r {
         Reply::FitRes {
             num_examples,
             metrics,
@@ -76,5 +40,5 @@ fn evaluate_config_tolerant_inner(
         },
         other => Err(unexpected(other)),
     })?;
-    aggregate_losses(rt, candidates, policy, rounds, idx, ctx)
+    ctx.aggregate_losses(candidates, idx)
 }

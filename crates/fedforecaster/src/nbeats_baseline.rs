@@ -3,11 +3,12 @@
 //! consolidated series.
 
 use crate::budget::{Budget, BudgetTracker};
+use crate::engine::RoundCtx;
 use crate::{EngineError, Result};
 use ff_fl::client::{EvalOutput, FitOutput, FlClient};
 use ff_fl::config::{ConfigMap, ConfigMapExt};
 use ff_fl::message::Instruction;
-use ff_fl::runtime::{FederatedRuntime, RoundPolicy};
+use ff_fl::runtime::FederatedRuntime;
 use ff_fl::secure::{mask_contribution, unmask_average};
 use ff_fl::strategy::{aggregate_loss, fedavg, unwrap_eval_replies, unwrap_fit_replies};
 use ff_models::metrics::mse;
@@ -167,11 +168,7 @@ pub fn run_federated_nbeats_opts(
         .collect();
     let rt = FederatedRuntime::new(boxed);
     // Every round needs every client.
-    let strict = RoundPolicy {
-        deadline: None,
-        min_responses: n_clients,
-        ..RoundPolicy::default()
-    };
+    let strict = RoundCtx::strict(&rt).policy;
 
     let mut tracker = BudgetTracker::start(budget);
     // Server-side initialization: broadcast one canonical weight vector so

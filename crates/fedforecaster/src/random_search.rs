@@ -9,10 +9,9 @@
 use crate::budget::BudgetTracker;
 use crate::config::EngineConfig;
 use crate::engine::{
-    build_runtime, collect_global_meta, derive_lag_count, evaluate_config,
-    federated_seasonal_periods, finalize_with, run_feature_engineering, RunResult,
+    build_runtime, collect_global_meta, evaluate_config, feature_spec, finalize,
+    run_feature_engineering, RoundCtx, RunResult,
 };
-use crate::feature_engineering::GlobalFeatureSpec;
 use crate::search_space::{pipeline_of, pipeline_space, table2_space};
 use crate::{EngineError, Result};
 use ff_fl::FlError;
@@ -36,23 +35,10 @@ impl RandomSearch {
     /// Runs the baseline on a federation.
     pub fn run(&self, clients: &[TimeSeries]) -> Result<RunResult> {
         let rt = build_runtime(clients, &self.cfg)?;
-
-        let (global, max_len) = collect_global_meta(&rt)?;
-        let spec = if self.cfg.disable_feature_engineering {
-            GlobalFeatureSpec::lags_only(derive_lag_count(&global, self.cfg.max_lags))
-        } else {
-            GlobalFeatureSpec {
-                lags: (1..=derive_lag_count(&global, self.cfg.max_lags)).collect(),
-                seasonal_periods: federated_seasonal_periods(
-                    &rt,
-                    max_len,
-                    self.cfg.max_seasonal_components,
-                )?,
-                use_trend: true,
-                use_time: true,
-            }
-        };
-        run_feature_engineering(&rt, &spec, self.cfg.importance_threshold)?;
+        let mut ctx = RoundCtx::strict(&rt);
+        let (global, max_len) = collect_global_meta(&mut ctx)?;
+        let spec = feature_spec(&mut ctx, &global, max_len, &self.cfg)?;
+        run_feature_engineering(&mut ctx, &spec, self.cfg.importance_threshold)?;
 
         // Honors the same pipeline switch as the engine so ablations
         // compare like with like (guided vs random over the same space).
@@ -68,7 +54,7 @@ impl RandomSearch {
         let mut tracker = BudgetTracker::start(self.cfg.budget);
         while tracker.iterations() == 0 || !tracker.exhausted() {
             let config = space.sample(&mut rng);
-            let loss = match evaluate_config(&rt, &config) {
+            let loss = match evaluate_config(&mut ctx, &config) {
                 Ok(loss) => loss,
                 // A configuration some client cannot score is the worst
                 // possible trial, never an abort.
@@ -84,15 +70,15 @@ impl RandomSearch {
         }
         let (best_config, best_valid_loss) =
             best.ok_or_else(|| EngineError::InvalidData("no configuration evaluated".into()))?;
-        let (global_model, test_mse) = finalize_with(&rt, &best_config, self.cfg.tree_aggregation)?;
+        let outcome = finalize(&mut ctx, &best_config, self.cfg.tree_aggregation, None)?;
         let (bytes_to_clients, bytes_to_server) = rt.log().byte_totals();
         Ok(RunResult {
-            best_algorithm: global_model.algorithm(),
+            best_algorithm: outcome.global_model.algorithm(),
             best_pipeline: pipeline_of(&best_config).map(|p| p.name().to_string()),
             best_config,
             best_valid_loss,
-            test_mse,
-            global_model,
+            test_mse: outcome.test_mse,
+            global_model: outcome.global_model,
             evaluations: tracker.iterations(),
             loss_history,
             recommended: vec![],

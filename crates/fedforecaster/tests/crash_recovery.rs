@@ -48,11 +48,13 @@ fn wal_path(name: &str) -> PathBuf {
     path
 }
 
+/// The run's config; also sets the process-wide worker count the run
+/// will use to `threads`.
 fn cfg(checkpoint: Option<CkptConfig>, threads: usize) -> EngineConfig {
+    ff_par::set_global_threads(threads);
     EngineConfig {
         budget: Budget::Iterations(BUDGET),
         seed: 123,
-        par: ff_par::ParConfig::with_threads(threads),
         checkpoint,
         ..Default::default()
     }

@@ -52,11 +52,10 @@ fn federation(n_clients: usize, trend: f64, seed: u64) -> Vec<TimeSeries> {
     .split_clients(n_clients)
 }
 
-fn cfg(threads: usize) -> EngineConfig {
+fn cfg() -> EngineConfig {
     EngineConfig {
         budget: Budget::Iterations(4),
         seed: 17,
-        par: ff_par::ParConfig::with_threads(threads),
         ..Default::default()
     }
 }
@@ -73,11 +72,13 @@ fn honest(series: &TimeSeries) -> Box<dyn FlClient> {
     Box::new(FedForecasterClient::new(series, 0.15, 0.15))
 }
 
-/// Asserts the scenario reproduces `expected` at one worker and at four.
+/// Asserts the scenario reproduces `expected` at one worker and at four:
+/// the count is set process-wide (the runtime's client threads read it)
+/// and as this thread's override, which concurrent tests cannot move.
 fn assert_pinned<P: PartialEq + std::fmt::Debug>(expected: P, scenario: impl Fn(usize) -> P) {
     for threads in [1usize, 4] {
         ff_par::set_global_threads(threads);
-        let got = scenario(threads);
+        let got = ff_par::with_threads(threads, || scenario(threads));
         assert_eq!(
             got, expected,
             "golden pin moved at {threads} thread(s): got {got:#x?}"
@@ -88,8 +89,8 @@ fn assert_pinned<P: PartialEq + std::fmt::Debug>(expected: P, scenario: impl Fn(
 #[test]
 fn flat_table2_search_is_pinned() {
     let meta = train_meta();
-    assert_pinned((0xf30d_9466_a988_fba7, 9630, 8886), |threads| {
-        let result = FedForecaster::new(cfg(threads), &meta)
+    assert_pinned((0xf30d_9466_a988_fba7, 9630, 8886), |_| {
+        let result = FedForecaster::new(cfg(), &meta)
             .run(&federation(3, 0.01, 9))
             .unwrap();
         pin(&result)
@@ -99,10 +100,10 @@ fn flat_table2_search_is_pinned() {
 #[test]
 fn pipeline_search_is_pinned() {
     let meta = train_meta();
-    assert_pinned((0x6e2f_bd30_dacf_08e3, 13617, 9642), |threads| {
+    assert_pinned((0x6e2f_bd30_dacf_08e3, 13617, 9642), |_| {
         let cfg = EngineConfig {
             pipelines: Some(PipelineId::builtin().to_vec()),
-            ..cfg(threads)
+            ..cfg()
         };
         let result = FedForecaster::new(cfg, &meta)
             .run(&federation(3, 0.02, 31))
@@ -114,7 +115,7 @@ fn pipeline_search_is_pinned() {
 #[test]
 fn coordinate_median_with_guard_is_pinned() {
     let meta = train_meta();
-    assert_pinned((0xe542_c7cc_5332_4b34, 18786, 17336), |threads| {
+    assert_pinned((0xe542_c7cc_5332_4b34, 18786, 17336), |_| {
         let series = federation(6, 0.01, 9);
         let clients: Vec<Box<dyn FlClient>> = series
             .iter()
@@ -136,7 +137,7 @@ fn coordinate_median_with_guard_is_pinned() {
         let rt = FederatedRuntime::new(clients);
         let cfg = EngineConfig {
             aggregation: AggregationStrategy::CoordinateMedian,
-            ..cfg(threads)
+            ..cfg()
         };
         let result = FedForecaster::new(cfg, &meta).run_on(&rt).unwrap();
         pin(&result)
@@ -156,7 +157,7 @@ fn checkpointed_run_resumed_after_trial_two_is_pinned() {
         let crashed = FedForecaster::new(
             EngineConfig {
                 checkpoint: Some(ck),
-                ..cfg(threads)
+                ..cfg()
             },
             &meta,
         )
@@ -165,7 +166,7 @@ fn checkpointed_run_resumed_after_trial_two_is_pinned() {
         let result = FedForecaster::new(
             EngineConfig {
                 checkpoint: Some(CkptConfig::at(&path)),
-                ..cfg(threads)
+                ..cfg()
             },
             &meta,
         )
@@ -178,7 +179,7 @@ fn checkpointed_run_resumed_after_trial_two_is_pinned() {
 #[test]
 fn chaos_federation_with_panics_and_corruption_is_pinned() {
     let meta = train_meta();
-    assert_pinned((0x88bb_a70d_37ed_04f0, 20553, 14614), |threads| {
+    assert_pinned((0x88bb_a70d_37ed_04f0, 20553, 14614), |_| {
         let series = federation(6, 0.01, 9);
         let clients: Vec<Box<dyn FlClient>> = series
             .iter()
@@ -197,7 +198,7 @@ fn chaos_federation_with_panics_and_corruption_is_pinned() {
                 retries: 1,
                 backoff: Duration::ZERO,
             },
-            ..cfg(threads)
+            ..cfg()
         };
         let result = FedForecaster::new(cfg, &meta).run_on(&rt).unwrap();
         pin(&result)
@@ -206,8 +207,8 @@ fn chaos_federation_with_panics_and_corruption_is_pinned() {
 
 #[test]
 fn random_search_baseline_is_pinned() {
-    assert_pinned((0xdb02_0b41_15de_e542, 14541, 8886), |threads| {
-        let result = RandomSearch::new(cfg(threads))
+    assert_pinned((0xdb02_0b41_15de_e542, 14541, 8886), |_| {
+        let result = RandomSearch::new(cfg())
             .run(&federation(3, 0.01, 9))
             .unwrap();
         pin(&result)

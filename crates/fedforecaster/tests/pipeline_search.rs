@@ -101,16 +101,14 @@ fn pipeline_search_is_deterministic_given_seed() {
 #[test]
 fn pipeline_search_is_bit_identical_across_thread_counts() {
     let meta = tiny_metamodel();
-    let seq = EngineConfig {
-        par: ff_par::ParConfig::sequential(),
-        ..pipeline_cfg()
-    };
-    let par8 = EngineConfig {
-        par: ff_par::ParConfig::with_threads(8),
-        ..pipeline_cfg()
-    };
-    let a = FedForecaster::new(seq, &meta).run(&federation()).unwrap();
-    let b = FedForecaster::new(par8, &meta).run(&federation()).unwrap();
+    ff_par::set_global_threads(1);
+    let a = FedForecaster::new(pipeline_cfg(), &meta)
+        .run(&federation())
+        .unwrap();
+    ff_par::set_global_threads(8);
+    let b = FedForecaster::new(pipeline_cfg(), &meta)
+        .run(&federation())
+        .unwrap();
     assert_eq!(a.best_pipeline, b.best_pipeline);
     assert_eq!(a.loss_history, b.loss_history, "losses diverged");
     assert_eq!(

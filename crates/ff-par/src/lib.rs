@@ -20,10 +20,9 @@
 //!   lowest-indexed panicking task wins, deterministically).
 //!
 //! Thread-count resolution, highest priority first:
-//! 1. a thread-local override installed by [`with_threads`] /
-//!    [`ParConfig::scope`] (scoped to the calling thread);
-//! 2. the process-global count from [`set_global_threads`] /
-//!    [`ParConfig::install_global`];
+//! 1. a thread-local override installed by [`with_threads`] (scoped to
+//!    the calling thread);
+//! 2. the process-global count from [`set_global_threads`];
 //! 3. the `FF_THREADS` environment variable (read once);
 //! 4. [`std::thread::available_parallelism`].
 
@@ -36,61 +35,6 @@ pub use pool::{
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Worker-count policy for a component (0 = inherit the ambient
-/// resolution: thread-local override → global → `FF_THREADS` → hardware).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ParConfig {
-    /// Worker threads; `0` means "auto".
-    pub threads: usize,
-}
-
-impl ParConfig {
-    /// Inherit the ambient thread count (the default).
-    pub fn auto() -> ParConfig {
-        ParConfig { threads: 0 }
-    }
-
-    /// Exactly one worker: the bit-exact sequential fallback.
-    pub fn sequential() -> ParConfig {
-        ParConfig { threads: 1 }
-    }
-
-    /// A fixed worker count.
-    pub fn with_threads(threads: usize) -> ParConfig {
-        ParConfig { threads }
-    }
-
-    /// The worker count this config resolves to right now.
-    pub fn resolve(&self) -> usize {
-        if self.threads != 0 {
-            self.threads
-        } else {
-            effective_threads()
-        }
-    }
-
-    /// Runs `f` with this config's thread count installed as the calling
-    /// thread's override (no-op for `auto`). Determinism does not depend
-    /// on this — it only controls how many workers the kernels under `f`
-    /// may use from this thread.
-    pub fn scope<R>(&self, f: impl FnOnce() -> R) -> R {
-        if self.threads == 0 {
-            f()
-        } else {
-            with_threads(self.threads, f)
-        }
-    }
-
-    /// Installs this config process-wide (no-op for `auto`). Worker threads
-    /// spawned later (e.g. FL client threads) resolve through the global,
-    /// so engines install their configured count here before a run.
-    pub fn install_global(&self) {
-        if self.threads != 0 {
-            set_global_threads(self.threads);
-        }
-    }
-}
 
 /// Process-global worker count; 0 = not yet resolved.
 static GLOBAL_THREADS: AtomicUsize = AtomicUsize::new(0);
@@ -219,14 +163,10 @@ mod tests {
     #[test]
     fn config_resolution_precedence() {
         let _g = global_lock();
-        // Explicit config beats everything.
-        assert_eq!(ParConfig::with_threads(3).resolve(), 3);
-        assert_eq!(ParConfig::sequential().resolve(), 1);
         // Thread-local override beats the global.
         set_global_threads(2);
         with_threads(5, || {
             assert_eq!(effective_threads(), 5);
-            assert_eq!(ParConfig::auto().resolve(), 5);
             // Nested override shadows, then restores.
             with_threads(7, || assert_eq!(effective_threads(), 7));
             assert_eq!(effective_threads(), 5);
@@ -238,12 +178,9 @@ mod tests {
     fn scope_installs_and_restores() {
         let _g = global_lock();
         set_global_threads(2);
-        let seen = ParConfig::with_threads(4).scope(effective_threads);
+        let seen = with_threads(4, effective_threads);
         assert_eq!(seen, 4);
         assert_eq!(effective_threads(), 2);
-        // Auto scope is a pass-through.
-        let seen = ParConfig::auto().scope(effective_threads);
-        assert_eq!(seen, 2);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use fedforecaster::client::{FedForecasterClient, OP};
 use fedforecaster::config::TreeAggregation;
-use fedforecaster::engine::{build_runtime, finalize_with, run_feature_engineering};
+use fedforecaster::engine::{build_runtime, finalize, run_feature_engineering, RoundCtx};
 use fedforecaster::feature_engineering::GlobalFeatureSpec;
 use fedforecaster::prelude::*;
 use ff_bayesopt::space::{Configuration, ParamValue};
@@ -34,7 +34,8 @@ fn federation(n_clients: usize) -> Vec<TimeSeries> {
 fn prepared_runtime(n_clients: usize) -> FederatedRuntime {
     let cfg = EngineConfig::default();
     let rt = build_runtime(&federation(n_clients), &cfg).unwrap();
-    run_feature_engineering(&rt, &GlobalFeatureSpec::lags_only(4), 0.95).unwrap();
+    let spec = GlobalFeatureSpec::lags_only(4);
+    run_feature_engineering(&mut RoundCtx::strict(&rt), &spec, 0.95).unwrap();
     rt
 }
 
@@ -92,14 +93,17 @@ fn tolerant_broadcast_survives_unknown_ops() {
 fn ensemble_and_per_client_aggregation_both_work_and_differ_in_kind() {
     let rt = prepared_runtime(4);
     let config = xgb_config();
-    let (union_model, union_mse) =
-        finalize_with(&rt, &config, TreeAggregation::EnsembleUnion).unwrap();
+    let finalize_as = |mode| {
+        let outcome = finalize(&mut RoundCtx::strict(&rt), &config, mode, None).unwrap();
+        (outcome.global_model, outcome.test_mse)
+    };
+    let (union_model, union_mse) = finalize_as(TreeAggregation::EnsembleUnion);
     assert!(matches!(
         union_model,
         fedforecaster::aggregate::GlobalModel::Ensemble { members: 4, .. }
     ));
     assert!(union_mse.is_finite());
-    let (local_model, local_mse) = finalize_with(&rt, &config, TreeAggregation::PerClient).unwrap();
+    let (local_model, local_mse) = finalize_as(TreeAggregation::PerClient);
     assert!(matches!(
         local_model,
         fedforecaster::aggregate::GlobalModel::PerClient { .. }
@@ -118,7 +122,8 @@ fn communication_grows_linearly_with_rounds() {
     let clients = federation(3);
     let cfg = EngineConfig::default();
     let rt = build_runtime(&clients, &cfg).unwrap();
-    run_feature_engineering(&rt, &GlobalFeatureSpec::lags_only(3), 0.95).unwrap();
+    let spec = GlobalFeatureSpec::lags_only(3);
+    run_feature_engineering(&mut RoundCtx::strict(&rt), &spec, 0.95).unwrap();
     let (_, before_up) = rt.log().byte_totals();
     let fit_ins = Instruction::Fit {
         params: vec![],
