@@ -7,7 +7,7 @@ use crate::dense::Dense;
 use crate::{Layer, Parameterized};
 use ff_linalg::Matrix;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// A ReLU MLP: `Dense → ReLU → … → Dense`.
 #[derive(Debug, Clone)]
@@ -131,13 +131,6 @@ impl Mlp {
     /// Class probabilities for a batch.
     pub fn predict_proba(&self, x: &Matrix) -> Matrix {
         softmax_rows(&self.forward_inference(x))
-    }
-
-    /// Random mini-batch row indices.
-    pub fn sample_batch<R: Rng>(rng: &mut R, n_rows: usize, batch: usize) -> Vec<usize> {
-        (0..batch.min(n_rows))
-            .map(|_| rng.gen_range(0..n_rows))
-            .collect()
     }
 }
 

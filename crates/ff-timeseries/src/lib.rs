@@ -30,7 +30,6 @@ pub mod calendar;
 pub mod decompose;
 pub mod fractal;
 pub mod interpolate;
-pub mod kpss;
 pub mod periodogram;
 pub mod series;
 pub mod stationarity;
