@@ -107,7 +107,7 @@ pub fn finalize(
                 })?
             } else {
                 let mut updates = fit_updates(usable).map_err(EngineError::Federation)?;
-                if ctx.is_robust() {
+                if ctx.strategy.is_robust() {
                     // Robust path: screen per-client coefficient vectors and
                     // feed the verdicts to the health registry before the
                     // configured rule aggregates the survivors.

@@ -22,8 +22,7 @@ use ff_fl::FlError;
 /// append to, and the robust-aggregation state — which aggregation rule
 /// to apply, the stateful pre-aggregation screen (its running medians
 /// span rounds), and whether the final linear fit must go through
-/// pairwise masking. Under FedAvg `is_robust()` is false and every stage
-/// takes its plain path.
+/// pairwise masking. Under FedAvg every stage takes its plain path.
 pub struct RoundCtx<'rt> {
     /// The federation the rounds run on.
     pub(crate) rt: &'rt FederatedRuntime,
@@ -69,11 +68,6 @@ impl<'rt> RoundCtx<'rt> {
             guard: UpdateGuard::new(Default::default()),
             secure: false,
         }
-    }
-
-    /// Whether replies must be screened and robustly aggregated.
-    pub(crate) fn is_robust(&self) -> bool {
-        self.strategy.is_robust()
     }
 
     /// Feeds guard verdicts back into the health registry and the round
@@ -196,7 +190,7 @@ impl<'rt> RoundCtx<'rt> {
         candidates: Vec<(usize, (f64, u64))>,
         idx: usize,
     ) -> Result<f64> {
-        let losses: Vec<(f64, u64)> = if self.is_robust() {
+        let losses: Vec<(f64, u64)> = if self.strategy.is_robust() {
             let candidates = candidates.into_iter().map(|(id, (l, n))| (id, l, n));
             let screened = self.guard.screen_losses(candidates.collect());
             let accepted_ids: Vec<usize> = screened.accepted.iter().map(|(id, _, _)| *id).collect();
