@@ -2,22 +2,23 @@
 //!
 //! The flat portfolio (one [`AlgorithmKind`] = one model fitted on
 //! externally engineered features) is generalized here into *pipelines*:
-//! ordered stages of registered [`NodeSpec`]s that transform the raw series
-//! before an inner regressor, with an optional two-branch shape — a trend
-//! branch joined to the lagged-regression branch by a weighted ensemble
-//! (FEDOT's `polyfit + lagged→ridge` composition). Every node carries its
-//! own namespaced [`ParamDef`]s, so the joint (structure × node × algorithm)
+//! ordered stages of [`NodeId`] nodes that transform the raw series before
+//! an inner regressor, with an optional two-branch shape — a trend branch
+//! joined to the lagged-regression branch by a weighted ensemble (FEDOT's
+//! `polyfit + lagged→ridge` composition). Every node carries its own
+//! namespaced [`ParamDef`]s, so the joint (structure × node × algorithm)
 //! space is tunable by the same Bayesian optimizer that tunes the flat
 //! space, with the same cross-namespace no-leak guarantee.
 //!
-//! Three registries mirror [`crate::spec`]:
-//! - **nodes** ([`NodeId`] / [`register_node`]) — preprocessing operators
-//!   promoted out of the engine's feature-engineering path: lag windowing,
-//!   moving-average and Gaussian smoothing, differencing, polynomial and
-//!   EMA trend extraction, and the two-branch join weight;
-//! - **pipelines** ([`PipelineId`] / [`register_pipeline`]) — named node
-//!   compositions, seeded with seven builtin structures;
-//! - the existing **algorithm** registry supplies the inner regressor.
+//! One registry and two fixed tables:
+//! - **nodes** ([`NodeId`] / [`NodeId::spec`]) — the seven preprocessing
+//!   operators promoted out of the engine's feature-engineering path: lag
+//!   windowing, moving-average and Gaussian smoothing, differencing,
+//!   polynomial and EMA trend extraction, and the two-branch join weight;
+//! - **pipelines** ([`PipelineId`] / [`PipelineId::spec`]) — the seven
+//!   named node compositions the search space ranges over;
+//! - the **algorithm** registry ([`crate::spec`]) supplies the inner
+//!   regressor.
 //!
 //! A fitted [`PipelineModel`] serializes as **blob v3**, which embeds the
 //! full composition (pipeline name, node parameter values, fitted trend
@@ -40,13 +41,12 @@ use crate::spec::{ParamDef, ParamKind, SpecValue};
 use crate::zoo::{build_regressor, AlgorithmKind, HyperParams};
 use crate::{ModelError, Regressor};
 use ff_linalg::Matrix;
-use std::sync::{OnceLock, RwLock};
+use std::sync::LazyLock;
 
-/// How the pipeline executor interprets a node. Extension nodes reuse one
-/// of these roles (with their own parameter domains and defaults); the
-/// role, not the node name, is the execution hook.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NodeRole {
+/// A pipeline node. The variant is what the pipeline executor dispatches
+/// on; [`NodeId::spec`] holds its name, namespace and parameter domain.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum NodeId {
     /// Lag-window feature extraction (the mandatory final stage before the
     /// inner regressor).
     Lagged,
@@ -64,56 +64,29 @@ pub enum NodeRole {
     Join,
 }
 
-/// One registered pipeline node: a named, namespaced, tunable transform.
+impl std::fmt::Debug for NodeId {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}", self.name())
+    }
+}
+
+/// One node's table entry: a named, namespaced, tunable transform.
+#[derive(Debug)]
 pub struct NodeSpec {
-    name: String,
-    prefix: String,
-    role: NodeRole,
+    name: &'static str,
+    prefix: &'static str,
     params: Vec<ParamDef>,
 }
 
-impl std::fmt::Debug for NodeSpec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NodeSpec")
-            .field("name", &self.name)
-            .field("prefix", &self.prefix)
-            .field("role", &self.role)
-            .field("params", &self.params)
-            .finish()
-    }
-}
-
 impl NodeSpec {
-    /// Creates a node spec. Every param key must carry `prefix`, and every
-    /// param must declare its warm value via [`ParamDef::with_warm`]
-    /// (nodes have no grid to derive one from).
-    pub fn new(
-        name: impl Into<String>,
-        prefix: impl Into<String>,
-        role: NodeRole,
-        params: Vec<ParamDef>,
-    ) -> NodeSpec {
-        NodeSpec {
-            name: name.into(),
-            prefix: prefix.into(),
-            role,
-            params,
-        }
-    }
-
     /// Display name (e.g. `lagged`).
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn name(&self) -> &'static str {
+        self.name
     }
 
     /// Namespace prefix every param key starts with (e.g. `node_lag_`).
-    pub fn prefix(&self) -> &str {
-        &self.prefix
-    }
-
-    /// Execution role.
-    pub fn role(&self) -> NodeRole {
-        self.role
+    pub fn prefix(&self) -> &'static str {
+        self.prefix
     }
 
     /// Namespaced parameter definitions.
@@ -122,258 +95,90 @@ impl NodeSpec {
     }
 }
 
-/// Handle into the node registry; the first seven indices are the builtin
-/// nodes (associated consts below).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct NodeId(u16);
-
-impl std::fmt::Debug for NodeId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.spec().name())
-    }
-}
+/// The node table, in [`NodeId`] declaration order. Node params are
+/// `extras`-bound and numeric (they serialize into blob v3 as `f64`s), and
+/// each declares its warm value, which is also its default.
+static NODES: LazyLock<[NodeSpec; 7]> = LazyLock::new(|| {
+    let int = |key: &str, lo, hi, warm: i64| {
+        ParamDef::extra(key, ParamKind::Integer { lo, hi }, warm as f64)
+            .with_warm(SpecValue::Int(warm))
+    };
+    let float = |key: &str, lo, hi, warm: f64| {
+        ParamDef::extra(key, ParamKind::Continuous { lo, hi }, warm)
+            .with_warm(SpecValue::Float(warm))
+    };
+    let node = |name, prefix, param| NodeSpec {
+        name,
+        prefix,
+        params: vec![param],
+    };
+    [
+        node("lagged", "node_lag_", int("node_lag_window", 2, 20, 8)),
+        node("smooth_ma", "node_ma_", int("node_ma_width", 2, 12, 3)),
+        node(
+            "smooth_gauss",
+            "node_gauss_",
+            float("node_gauss_sigma", 0.5, 5.0, 1.5),
+        ),
+        node("diff", "node_diff_", int("node_diff_order", 0, 2, 1)),
+        node("trend_poly", "node_poly_", int("node_poly_degree", 1, 3, 2)),
+        node("trend_ema", "node_ema_", int("node_ema_span", 5, 60, 12)),
+        node(
+            "join",
+            "node_join_",
+            float("node_join_weight", 0.0, 1.0, 1.0),
+        ),
+    ]
+});
 
 impl NodeId {
-    /// Lag-window features.
-    pub const LAGGED: NodeId = NodeId(0);
-    /// Moving-average smoothing.
-    pub const SMOOTH_MA: NodeId = NodeId(1);
-    /// Causal Gaussian smoothing.
-    pub const SMOOTH_GAUSS: NodeId = NodeId(2);
-    /// Differencing.
-    pub const DIFF: NodeId = NodeId(3);
-    /// Polynomial trend branch.
-    pub const TREND_POLY: NodeId = NodeId(4);
-    /// EMA trend branch.
-    pub const TREND_EMA: NodeId = NodeId(5);
-    /// Two-branch ensemble join.
-    pub const JOIN: NodeId = NodeId(6);
-
-    /// The seven builtin nodes in registry order.
+    /// The seven nodes in table order.
     pub fn builtin() -> [NodeId; 7] {
         [
-            NodeId::LAGGED,
-            NodeId::SMOOTH_MA,
-            NodeId::SMOOTH_GAUSS,
-            NodeId::DIFF,
-            NodeId::TREND_POLY,
-            NodeId::TREND_EMA,
-            NodeId::JOIN,
+            NodeId::Lagged,
+            NodeId::SmoothMa,
+            NodeId::SmoothGauss,
+            NodeId::Diff,
+            NodeId::TrendPoly,
+            NodeId::TrendEma,
+            NodeId::Join,
         ]
-    }
-
-    /// Every registered node (builtins first).
-    pub fn all() -> Vec<NodeId> {
-        let n = node_registry().read().expect("node registry lock").len();
-        (0..n as u16).map(NodeId).collect()
     }
 
     /// This node's spec.
     pub fn spec(&self) -> &'static NodeSpec {
-        node_registry().read().expect("node registry lock")[self.0 as usize]
+        &NODES[*self as usize]
     }
 
     /// Display name.
     pub fn name(&self) -> &'static str {
-        self.spec().name.as_str()
+        self.spec().name
     }
 
     /// Parses a display name.
     pub fn from_name(name: &str) -> Option<NodeId> {
-        let reg = node_registry().read().expect("node registry lock");
-        reg.iter()
-            .position(|s| s.name() == name)
-            .map(|i| NodeId(i as u16))
-    }
-
-    /// Registry index.
-    pub fn index(&self) -> usize {
-        self.0 as usize
+        NodeId::builtin().into_iter().find(|n| n.name() == name)
     }
 }
 
-fn node_registry() -> &'static RwLock<Vec<&'static NodeSpec>> {
-    static REGISTRY: OnceLock<RwLock<Vec<&'static NodeSpec>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| {
-        RwLock::new(
-            builtin_nodes()
-                .into_iter()
-                .map(|s| &*Box::leak(Box::new(s)))
-                .collect(),
-        )
-    })
-}
-
-/// Registers an extension node and returns its handle. Mirrors the
-/// algorithm-registry contract: non-empty unique name; `_`-terminated
-/// prefix disjoint from every registered node prefix; every param key
-/// carries the prefix; keys unique; every param warm value finite (node
-/// params are numeric-only so they serialize into blob v3 as `f64`s).
-pub fn register_node(spec: NodeSpec) -> std::result::Result<NodeId, String> {
-    if spec.name.is_empty() {
-        return Err("node name must be non-empty".into());
-    }
-    if spec.prefix.is_empty() || !spec.prefix.ends_with('_') {
-        return Err(format!(
-            "node prefix {:?} must be non-empty and end in '_'",
-            spec.prefix
-        ));
-    }
-    for pd in &spec.params {
-        if !pd.key().starts_with(spec.prefix.as_str()) {
-            return Err(format!(
-                "node param {} must carry the {} namespace prefix",
-                pd.key(),
-                spec.prefix
-            ));
-        }
-        if matches!(pd.kind(), ParamKind::Categorical { .. }) {
-            return Err(format!(
-                "node param {} is categorical; node params must be numeric \
-                 (encode choices as distinct nodes)",
-                pd.key()
-            ));
-        }
-        if !pd.warm().as_f64().is_finite() {
-            return Err(format!(
-                "node param {} has no warm value (use ParamDef::with_warm)",
-                pd.key()
-            ));
-        }
-    }
-    let mut keys: Vec<&str> = spec.params.iter().map(|p| p.key()).collect();
-    keys.sort_unstable();
-    if keys.windows(2).any(|w| w[0] == w[1]) {
-        return Err(format!("node {} has duplicate param keys", spec.name));
-    }
-    let mut reg = node_registry().write().expect("node registry lock");
-    if reg.len() >= u16::MAX as usize {
-        return Err("node registry full".into());
-    }
-    for existing in reg.iter() {
-        if existing.name() == spec.name {
-            return Err(format!("node {} is already registered", spec.name));
-        }
-        if existing.prefix.starts_with(spec.prefix.as_str())
-            || spec.prefix.starts_with(existing.prefix.as_str())
-        {
-            return Err(format!(
-                "node prefix {} collides with registered prefix {}",
-                spec.prefix, existing.prefix
-            ));
-        }
-    }
-    let idx = reg.len() as u16;
-    reg.push(Box::leak(Box::new(spec)));
-    Ok(NodeId(idx))
-}
-
-fn builtin_nodes() -> Vec<NodeSpec> {
-    vec![
-        NodeSpec::new(
-            "lagged",
-            "node_lag_",
-            NodeRole::Lagged,
-            vec![
-                ParamDef::extra("node_lag_window", ParamKind::Integer { lo: 2, hi: 20 }, 8.0)
-                    .with_warm(SpecValue::Int(8)),
-            ],
-        ),
-        NodeSpec::new(
-            "smooth_ma",
-            "node_ma_",
-            NodeRole::SmoothMa,
-            vec![
-                ParamDef::extra("node_ma_width", ParamKind::Integer { lo: 2, hi: 12 }, 3.0)
-                    .with_warm(SpecValue::Int(3)),
-            ],
-        ),
-        NodeSpec::new(
-            "smooth_gauss",
-            "node_gauss_",
-            NodeRole::SmoothGauss,
-            vec![ParamDef::extra(
-                "node_gauss_sigma",
-                ParamKind::Continuous { lo: 0.5, hi: 5.0 },
-                1.5,
-            )
-            .with_warm(SpecValue::Float(1.5))],
-        ),
-        NodeSpec::new(
-            "diff",
-            "node_diff_",
-            NodeRole::Diff,
-            vec![
-                ParamDef::extra("node_diff_order", ParamKind::Integer { lo: 0, hi: 2 }, 1.0)
-                    .with_warm(SpecValue::Int(1)),
-            ],
-        ),
-        NodeSpec::new(
-            "trend_poly",
-            "node_poly_",
-            NodeRole::TrendPoly,
-            vec![
-                ParamDef::extra("node_poly_degree", ParamKind::Integer { lo: 1, hi: 3 }, 2.0)
-                    .with_warm(SpecValue::Int(2)),
-            ],
-        ),
-        NodeSpec::new(
-            "trend_ema",
-            "node_ema_",
-            NodeRole::TrendEma,
-            vec![
-                ParamDef::extra("node_ema_span", ParamKind::Integer { lo: 5, hi: 60 }, 12.0)
-                    .with_warm(SpecValue::Int(12)),
-            ],
-        ),
-        NodeSpec::new(
-            "join",
-            "node_join_",
-            NodeRole::Join,
-            vec![ParamDef::extra(
-                "node_join_weight",
-                ParamKind::Continuous { lo: 0.0, hi: 1.0 },
-                1.0,
-            )
-            .with_warm(SpecValue::Float(1.0))],
-        ),
-    ]
-}
-
-/// A named pipeline structure: ordered stages of registered nodes, with an
-/// optional trend branch joined by [`NodeRole::Join`].
+/// A named pipeline structure: ordered stages of nodes, with an optional
+/// trend branch joined by [`NodeId::Join`].
+#[derive(Debug)]
 pub struct PipelineSpec {
-    name: String,
-    nodes: Vec<NodeId>,
-}
-
-impl std::fmt::Debug for PipelineSpec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PipelineSpec")
-            .field("name", &self.name)
-            .field("nodes", &self.nodes)
-            .finish()
-    }
+    name: &'static str,
+    nodes: &'static [NodeId],
 }
 
 impl PipelineSpec {
-    /// Creates a pipeline spec (validated at [`register_pipeline`] time).
-    pub fn new(name: impl Into<String>, nodes: Vec<NodeId>) -> PipelineSpec {
-        PipelineSpec {
-            name: name.into(),
-            nodes,
-        }
-    }
-
     /// Display name (e.g. `trend_lagged`).
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn name(&self) -> &'static str {
+        self.name
     }
 
     /// The stages, in declaration order (trend branch first, then the
     /// join, then residual preprocessing, then the lag window).
-    pub fn nodes(&self) -> &[NodeId] {
-        &self.nodes
+    pub fn nodes(&self) -> &'static [NodeId] {
+        self.nodes
     }
 
     /// Every node [`ParamDef`] of this pipeline, in node order. This is
@@ -415,8 +220,47 @@ impl PipelineSpec {
     }
 }
 
-/// Handle into the pipeline registry; the first seven indices are the
-/// builtin structures.
+/// The pipeline table, in [`PipelineId`] order. Every structure has
+/// exactly one `Lagged` node, at most one smoothing node, at most one
+/// trend node, and a `Join` exactly when a trend node is present (the
+/// join is what merges the two branches).
+static PIPELINES: [PipelineSpec; 7] = [
+    PipelineSpec {
+        name: "lagged",
+        nodes: &[NodeId::Lagged],
+    },
+    PipelineSpec {
+        name: "smooth_lagged",
+        nodes: &[NodeId::SmoothMa, NodeId::Lagged],
+    },
+    PipelineSpec {
+        name: "gauss_lagged",
+        nodes: &[NodeId::SmoothGauss, NodeId::Lagged],
+    },
+    PipelineSpec {
+        name: "diff_lagged",
+        nodes: &[NodeId::Diff, NodeId::Lagged],
+    },
+    PipelineSpec {
+        name: "trend_lagged",
+        nodes: &[NodeId::TrendPoly, NodeId::Join, NodeId::Lagged],
+    },
+    PipelineSpec {
+        name: "trend_smooth_lagged",
+        nodes: &[
+            NodeId::TrendPoly,
+            NodeId::Join,
+            NodeId::SmoothMa,
+            NodeId::Lagged,
+        ],
+    },
+    PipelineSpec {
+        name: "ema_trend_lagged",
+        nodes: &[NodeId::TrendEma, NodeId::Join, NodeId::Lagged],
+    },
+];
+
+/// Index into the pipeline table (associated consts below).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PipelineId(u16);
 
@@ -443,156 +287,38 @@ impl PipelineId {
     /// Two-branch with an EMA (expanding, causal) trend branch.
     pub const EMA_TREND_LAGGED: PipelineId = PipelineId(6);
 
-    /// The seven builtin structures in registry order.
+    /// The seven structures in table order.
     pub fn builtin() -> [PipelineId; 7] {
-        [
-            PipelineId::LAGGED,
-            PipelineId::SMOOTH_LAGGED,
-            PipelineId::GAUSS_LAGGED,
-            PipelineId::DIFF_LAGGED,
-            PipelineId::TREND_LAGGED,
-            PipelineId::TREND_SMOOTH_LAGGED,
-            PipelineId::EMA_TREND_LAGGED,
-        ]
-    }
-
-    /// Every registered pipeline (builtins first).
-    pub fn all() -> Vec<PipelineId> {
-        let n = pipeline_registry()
-            .read()
-            .expect("pipeline registry lock")
-            .len();
-        (0..n as u16).map(PipelineId).collect()
+        std::array::from_fn(|i| PipelineId(i as u16))
     }
 
     /// This pipeline's spec.
     pub fn spec(&self) -> &'static PipelineSpec {
-        pipeline_registry().read().expect("pipeline registry lock")[self.0 as usize]
+        &PIPELINES[self.0 as usize]
     }
 
     /// Display name.
     pub fn name(&self) -> &'static str {
-        self.spec().name.as_str()
+        self.spec().name
     }
 
     /// Parses a display name.
     pub fn from_name(name: &str) -> Option<PipelineId> {
-        let reg = pipeline_registry().read().expect("pipeline registry lock");
-        reg.iter()
-            .position(|s| s.name() == name)
+        PIPELINES
+            .iter()
+            .position(|s| s.name == name)
             .map(|i| PipelineId(i as u16))
     }
 
-    /// Registry index.
+    /// Table index.
     pub fn index(&self) -> usize {
         self.0 as usize
     }
 
     /// Inverse of [`PipelineId::index`].
     pub fn from_index(idx: usize) -> Option<PipelineId> {
-        let n = pipeline_registry()
-            .read()
-            .expect("pipeline registry lock")
-            .len();
-        (idx < n).then_some(PipelineId(idx as u16))
+        (idx < PIPELINES.len()).then_some(PipelineId(idx as u16))
     }
-}
-
-fn pipeline_registry() -> &'static RwLock<Vec<&'static PipelineSpec>> {
-    static REGISTRY: OnceLock<RwLock<Vec<&'static PipelineSpec>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| {
-        RwLock::new(
-            builtin_pipelines()
-                .into_iter()
-                .map(|s| &*Box::leak(Box::new(s)))
-                .collect(),
-        )
-    })
-}
-
-/// Registers an extension pipeline structure. Validation enforces the
-/// executable-shape contract: non-empty unique name; exactly one
-/// [`NodeRole::Lagged`] node; at most one node per role; a
-/// [`NodeRole::Join`] node exactly when a trend node is present (the join
-/// is what merges the two branches); no duplicate nodes.
-pub fn register_pipeline(spec: PipelineSpec) -> std::result::Result<PipelineId, String> {
-    if spec.name.is_empty() {
-        return Err("pipeline name must be non-empty".into());
-    }
-    if spec.nodes.is_empty() {
-        return Err(format!("pipeline {} has no nodes", spec.name));
-    }
-    let mut role_counts = [0usize; 7];
-    for n in &spec.nodes {
-        role_counts[n.spec().role() as usize] += 1;
-    }
-    let count = |r: NodeRole| role_counts[r as usize];
-    if count(NodeRole::Lagged) != 1 {
-        return Err(format!(
-            "pipeline {} must contain exactly one lagged node",
-            spec.name
-        ));
-    }
-    if role_counts.iter().any(|&c| c > 1) {
-        return Err(format!(
-            "pipeline {} has more than one node of the same role",
-            spec.name
-        ));
-    }
-    let trend = count(NodeRole::TrendPoly) + count(NodeRole::TrendEma);
-    if trend > 1 {
-        return Err(format!(
-            "pipeline {} has more than one trend node",
-            spec.name
-        ));
-    }
-    if (trend == 1) != (count(NodeRole::Join) == 1) {
-        return Err(format!(
-            "pipeline {} must pair a trend branch with exactly one join node",
-            spec.name
-        ));
-    }
-    let mut ids: Vec<NodeId> = spec.nodes.clone();
-    ids.sort_unstable();
-    if ids.windows(2).any(|w| w[0] == w[1]) {
-        return Err(format!("pipeline {} repeats a node", spec.name));
-    }
-    let mut reg = pipeline_registry().write().expect("pipeline registry lock");
-    if reg.len() >= u16::MAX as usize {
-        return Err("pipeline registry full".into());
-    }
-    if reg.iter().any(|p| p.name() == spec.name) {
-        return Err(format!("pipeline {} is already registered", spec.name));
-    }
-    let idx = reg.len() as u16;
-    reg.push(Box::leak(Box::new(spec)));
-    Ok(PipelineId(idx))
-}
-
-fn builtin_pipelines() -> Vec<PipelineSpec> {
-    vec![
-        PipelineSpec::new("lagged", vec![NodeId::LAGGED]),
-        PipelineSpec::new("smooth_lagged", vec![NodeId::SMOOTH_MA, NodeId::LAGGED]),
-        PipelineSpec::new("gauss_lagged", vec![NodeId::SMOOTH_GAUSS, NodeId::LAGGED]),
-        PipelineSpec::new("diff_lagged", vec![NodeId::DIFF, NodeId::LAGGED]),
-        PipelineSpec::new(
-            "trend_lagged",
-            vec![NodeId::TREND_POLY, NodeId::JOIN, NodeId::LAGGED],
-        ),
-        PipelineSpec::new(
-            "trend_smooth_lagged",
-            vec![
-                NodeId::TREND_POLY,
-                NodeId::JOIN,
-                NodeId::SMOOTH_MA,
-                NodeId::LAGGED,
-            ],
-        ),
-        PipelineSpec::new(
-            "ema_trend_lagged",
-            vec![NodeId::TREND_EMA, NodeId::JOIN, NodeId::LAGGED],
-        ),
-    ]
 }
 
 // --- Execution ------------------------------------------------------------
@@ -651,33 +377,32 @@ impl PipelineParams {
             trend: TrendKind::None,
             join_weight: 1.0,
         };
-        for node in spec.nodes() {
-            let ns = node.spec();
-            let read = |i: usize| ns.params()[i].read(hp).as_f64();
-            match ns.role() {
-                NodeRole::Lagged => p.window = (read(0).round() as i64).clamp(1, 64) as usize,
-                NodeRole::SmoothMa => {
+        for &node in spec.nodes() {
+            let read = |i: usize| node.spec().params()[i].read(hp).as_f64();
+            match node {
+                NodeId::Lagged => p.window = (read(0).round() as i64).clamp(1, 64) as usize,
+                NodeId::SmoothMa => {
                     p.smoothing = Smoothing::Ma {
                         width: (read(0).round() as i64).clamp(2, 64) as usize,
                     }
                 }
-                NodeRole::SmoothGauss => {
+                NodeId::SmoothGauss => {
                     p.smoothing = Smoothing::Gauss {
                         sigma: read(0).clamp(0.3, 16.0),
                     }
                 }
-                NodeRole::Diff => p.diff = (read(0).round() as i64).clamp(0, 2) as usize,
-                NodeRole::TrendPoly => {
+                NodeId::Diff => p.diff = (read(0).round() as i64).clamp(0, 2) as usize,
+                NodeId::TrendPoly => {
                     p.trend = TrendKind::Poly {
                         degree: (read(0).round() as i64).clamp(1, 3) as usize,
                     }
                 }
-                NodeRole::TrendEma => {
+                NodeId::TrendEma => {
                     p.trend = TrendKind::Ema {
                         span: read(0).clamp(2.0, 512.0),
                     }
                 }
-                NodeRole::Join => p.join_weight = read(0).clamp(0.0, 1.0),
+                NodeId::Join => p.join_weight = read(0).clamp(0.0, 1.0),
             }
         }
         p
@@ -1062,7 +787,7 @@ impl PipelineModel {
         }
         let pname = r.str(256).map_err(err)?.to_string();
         let pipeline = PipelineId::from_name(&pname)
-            .ok_or_else(|| format!("blob names unregistered pipeline {pname:?}"))?;
+            .ok_or_else(|| format!("blob names unknown pipeline {pname:?}"))?;
         let aname = r.str(256).map_err(err)?.to_string();
         let algorithm = AlgorithmKind::from_name(&aname)
             .ok_or_else(|| format!("blob names unregistered algorithm {aname:?}"))?;
@@ -1372,70 +1097,49 @@ mod tests {
         // The first search target: polyfit trend branch + lagged→regressor
         // branch → weighted ensemble join.
         let spec = PipelineId::TREND_LAGGED.spec();
-        let roles: Vec<NodeRole> = spec.nodes().iter().map(|n| n.spec().role()).collect();
         assert_eq!(
-            roles,
-            [NodeRole::TrendPoly, NodeRole::Join, NodeRole::Lagged]
+            spec.nodes(),
+            [NodeId::TrendPoly, NodeId::Join, NodeId::Lagged]
         );
     }
 
     #[test]
-    fn register_node_validates_contract() {
-        let mk = |name: &str, prefix: &str, params: Vec<ParamDef>| {
-            NodeSpec::new(name, prefix, NodeRole::SmoothMa, params)
-        };
-        assert!(register_node(mk("lagged", "zz_", vec![])).is_err()); // dup name
-        assert!(register_node(mk("x1", "node_lag_", vec![])).is_err()); // prefix clash
-        assert!(register_node(mk("x2", "noend", vec![])).is_err()); // no underscore
-        assert!(register_node(mk(
-            "x3",
-            "nx3_",
-            vec![
-                ParamDef::extra("other_key", ParamKind::Integer { lo: 1, hi: 2 }, 1.0)
-                    .with_warm(SpecValue::Int(1))
-            ]
-        ))
-        .is_err()); // foreign key
-        assert!(register_node(mk(
-            "x4",
-            "nx4_",
-            vec![ParamDef::extra(
-                "nx4_k",
-                ParamKind::Integer { lo: 1, hi: 2 },
-                1.0
-            )]
-        ))
-        .is_err()); // missing warm value
+    fn every_builtin_pipeline_has_an_executable_shape() {
+        // Exactly one lag window, at most one smoothing node, at most one
+        // trend node, a join exactly when a trend branch exists, and no
+        // node twice.
+        for p in PipelineId::builtin() {
+            let nodes = p.spec().nodes();
+            let count = |set: &[NodeId]| nodes.iter().filter(|n| set.contains(n)).count();
+            assert_eq!(count(&[NodeId::Lagged]), 1, "{p:?}");
+            assert!(
+                count(&[NodeId::SmoothMa, NodeId::SmoothGauss]) <= 1,
+                "{p:?}"
+            );
+            let trend = count(&[NodeId::TrendPoly, NodeId::TrendEma]);
+            assert!(trend <= 1, "{p:?}");
+            assert_eq!(count(&[NodeId::Join]), trend, "{p:?}");
+            for n in NodeId::builtin() {
+                assert!(count(&[n]) <= 1, "{p:?} repeats {n:?}");
+            }
+        }
     }
 
     #[test]
-    fn register_pipeline_validates_shape() {
-        assert!(register_pipeline(PipelineSpec::new("p_empty", vec![])).is_err());
-        assert!(register_pipeline(PipelineSpec::new("p_nolag", vec![NodeId::DIFF])).is_err());
-        // Trend without a join.
-        assert!(register_pipeline(PipelineSpec::new(
-            "p_nojoin",
-            vec![NodeId::TREND_POLY, NodeId::LAGGED]
-        ))
-        .is_err());
-        // Join without a trend.
-        assert!(register_pipeline(PipelineSpec::new(
-            "p_notrend",
-            vec![NodeId::JOIN, NodeId::LAGGED]
-        ))
-        .is_err());
-        // Two trend branches.
-        assert!(register_pipeline(PipelineSpec::new(
-            "p_twotrend",
-            vec![
-                NodeId::TREND_POLY,
-                NodeId::TREND_EMA,
-                NodeId::JOIN,
-                NodeId::LAGGED
-            ]
-        ))
-        .is_err());
-        assert!(register_pipeline(PipelineSpec::new("lagged", vec![NodeId::LAGGED])).is_err());
+    fn node_namespaces_are_disjoint_and_numeric() {
+        let nodes = NodeId::builtin();
+        for a in nodes {
+            let spec = a.spec();
+            assert!(spec.prefix().ends_with('_'), "{a:?}");
+            for pd in spec.params() {
+                assert!(pd.key().starts_with(spec.prefix()), "{}", pd.key());
+                assert!(!matches!(pd.kind(), ParamKind::Categorical { .. }));
+                assert!(pd.warm().as_f64().is_finite(), "{}", pd.key());
+            }
+            for b in nodes.into_iter().filter(|&b| b != a) {
+                assert!(!b.spec().prefix().starts_with(spec.prefix()), "{a:?}/{b:?}");
+            }
+        }
     }
 
     #[test]
