@@ -20,7 +20,8 @@ use ff_models::data::{Standardizer, TargetScaler};
 use ff_models::forest::RandomForestRegressor;
 use ff_models::metrics::mse;
 use ff_models::pipeline::{
-    decode_member_blob, encode_external_blob, PipelineId, PipelineModel, RevivedMember,
+    decode_member_blob, encode_external_blob, probe_affine, PipelineId, PipelineModel,
+    RevivedMember,
 };
 use ff_models::zoo::{build_regressor, AlgorithmKind, FinalizeStrategy};
 use ff_models::Regressor;
@@ -296,11 +297,13 @@ impl FedForecasterClient {
         // winners serialize the fitted model for server-side union
         // aggregation; coefficient-average winners derive raw-space
         // (coef, intercept) by probing so the server can FedAvg
-        // comparable weights.
+        // comparable weights. Diverged (non-finite) coefficients ship as
+        // they are, so FedAvg refuses them naming this client.
         let (params, blob) = match algo.spec().finalize() {
-            FinalizeStrategy::CoefficientAverage => {
-                (probe_linear_params(model.as_ref(), x_full.cols()), None)
-            }
+            FinalizeStrategy::CoefficientAverage => (
+                probe_affine(model.as_ref(), x_full.cols()).unwrap_or_default(),
+                None,
+            ),
             FinalizeStrategy::EnsembleUnion => {
                 let blob = model
                     .to_blob()
@@ -482,25 +485,6 @@ impl FedForecasterClient {
             num_examples: y_eval.len() as u64,
             metrics: ConfigMap::new(),
         }
-    }
-}
-
-/// Derives raw-space linear parameters `[coef.., intercept]` by probing the
-/// fitted model with unit vectors — exact for any affine predictor
-/// regardless of internal standardization.
-fn probe_linear_params(model: &dyn Regressor, p: usize) -> Vec<f64> {
-    let mut probe = Matrix::zeros(p + 1, p);
-    for j in 0..p {
-        probe.set(j + 1, j, 1.0);
-    }
-    match model.predict(&probe) {
-        Ok(pred) => {
-            let intercept = pred[0];
-            let mut out: Vec<f64> = (0..p).map(|j| pred[j + 1] - intercept).collect();
-            out.push(intercept);
-            out
-        }
-        Err(_) => vec![],
     }
 }
 
@@ -835,7 +819,7 @@ mod tests {
                     .collect())
             }
         }
-        let p = probe_linear_params(&Affine, 2);
+        let p = probe_affine(&Affine, 2).unwrap_or_default();
         assert!((p[0] - 2.0).abs() < 1e-12);
         assert!((p[1] + 3.0).abs() < 1e-12);
         assert!((p[2] - 7.0).abs() < 1e-12);

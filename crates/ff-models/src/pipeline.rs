@@ -763,8 +763,9 @@ impl PipelineModel {
                 w.bytes(&bytes);
             }
             None => {
-                let affine =
-                    probe_affine(self.model.as_ref(), self.scaler.dim()).ok_or_else(|| {
+                let affine = probe_affine(self.model.as_ref(), self.scaler.dim())
+                    .filter(|a| a.iter().all(|v| v.is_finite()))
+                    .ok_or_else(|| {
                         format!(
                             "pipeline inner model {} is neither blob-serializable nor affine",
                             self.algorithm.name()
@@ -860,8 +861,9 @@ impl PipelineModel {
 
 /// Probes an affine predictor for `[coef.., intercept]` with unit vectors —
 /// exact for any affine model regardless of internal standardization.
-/// `None` when prediction fails or the model is not usable on a zero row.
-fn probe_affine(model: &dyn Regressor, p: usize) -> Option<Vec<f64>> {
+/// `None` when prediction fails; non-finite values are passed through, so
+/// each caller decides what a diverged model means.
+pub fn probe_affine(model: &dyn Regressor, p: usize) -> Option<Vec<f64>> {
     let mut probe = Matrix::zeros(p + 1, p);
     for j in 0..p {
         probe.set(j + 1, j, 1.0);
@@ -870,7 +872,7 @@ fn probe_affine(model: &dyn Regressor, p: usize) -> Option<Vec<f64>> {
     let intercept = pred[0];
     let mut out: Vec<f64> = (0..p).map(|j| pred[j + 1] - intercept).collect();
     out.push(intercept);
-    out.iter().all(|v| v.is_finite()).then_some(out)
+    Some(out)
 }
 
 /// A revived affine inner model (blob-v3 `model_kind = 0`): predicts
