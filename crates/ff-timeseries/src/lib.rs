@@ -27,7 +27,6 @@
 
 pub mod acf;
 pub mod calendar;
-pub mod decompose;
 pub mod fractal;
 pub mod interpolate;
 pub mod periodogram;
