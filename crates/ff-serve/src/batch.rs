@@ -2,9 +2,9 @@
 //! pool, with the fleet runtime's shard discipline.
 //!
 //! A batch of `n` requests is split into contiguous shards sized by
-//! [`ff_par::shard_len`] — a pure function of `(n, policy)`, never of
-//! the live thread count — and each shard is served sequentially on a
-//! pool worker. Shard results come back in shard index order and are
+//! [`ff_par::shard_len`] — a pure function of `n`, never of the live
+//! thread count — and each shard is served sequentially on a pool
+//! worker. Shard results come back in shard index order and are
 //! concatenated, so the response vector is bit-identical at any
 //! `FF_THREADS` setting; threads change wall-clock, never bytes.
 
@@ -32,24 +32,12 @@ pub struct PredictRequest {
 /// A request's outcome: the forecast values, or a typed refusal.
 pub type ForecastResult = Result<Vec<f64>, ServeError>;
 
-/// Shard-sizing policy, mirroring the fleet runtime's knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchPolicy {
-    /// Maximum shards a batch is split into.
-    pub max_shards: usize,
-    /// Minimum requests per shard (avoids per-shard overhead dominating
-    /// tiny batches).
-    pub min_shard: usize,
-}
+/// Most shards a batch is split into.
+const MAX_SHARDS: usize = 64;
 
-impl Default for BatchPolicy {
-    fn default() -> Self {
-        BatchPolicy {
-            max_shards: 64,
-            min_shard: 4,
-        }
-    }
-}
+/// Fewest requests per shard, so per-shard overhead never dominates a
+/// tiny batch.
+const MIN_SHARD: usize = 4;
 
 /// What one batch produced: per-request outcomes in request order, the
 /// per-shard latency partials (shard index order), and the shard shape.
@@ -77,19 +65,12 @@ impl BatchOutcome {
 
 /// Coalesces predict requests and drives them through the pool.
 #[derive(Debug, Clone, Default)]
-pub struct Batcher {
-    policy: BatchPolicy,
-}
+pub struct Batcher;
 
 impl Batcher {
-    /// A batcher with the default shard policy.
+    /// A batcher.
     pub fn new() -> Batcher {
-        Batcher::default()
-    }
-
-    /// A batcher with an explicit shard policy.
-    pub fn with_policy(policy: BatchPolicy) -> Batcher {
-        Batcher { policy }
+        Batcher
     }
 
     /// Serves a batch against the store. Each request resolves its
@@ -111,11 +92,7 @@ impl Batcher {
         requests: &[PredictRequest],
         deadline: Option<(Instant, std::time::Duration)>,
     ) -> BatchOutcome {
-        let shard_len = ff_par::shard_len(
-            requests.len(),
-            self.policy.max_shards,
-            self.policy.min_shard,
-        );
+        let shard_len = ff_par::shard_len(requests.len(), MAX_SHARDS, MIN_SHARD);
         // Shards run on the pool; each returns (outcomes, latencies,
         // histogram) and par_chunks_map hands them back in shard index
         // order — the merge below is deterministic by construction.

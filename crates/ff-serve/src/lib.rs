@@ -48,7 +48,7 @@ mod runtime;
 mod store;
 
 pub use artifact::{crc32, Artifact, ARTIFACT_MAGIC, ARTIFACT_VERSION};
-pub use batch::{BatchOutcome, BatchPolicy, Batcher, ForecastResult, PredictRequest};
+pub use batch::{BatchOutcome, Batcher, ForecastResult, PredictRequest};
 pub use error::{ArtifactError, ServeError};
 pub use runtime::{ServeConfig, ServeRuntime};
 pub use store::{Ensemble, ModelStore};

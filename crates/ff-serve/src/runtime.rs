@@ -11,7 +11,7 @@
 //! every answered request lands in the `serve.latency_us` histogram
 //! scraped through the exposition endpoint.
 
-use crate::batch::{BatchPolicy, Batcher, ForecastResult, PredictRequest};
+use crate::batch::{Batcher, ForecastResult, PredictRequest};
 use crate::error::ServeError;
 use crate::store::ModelStore;
 use ff_trace::{ExpoConfig, ExpoServer, FlightRecorder, RoundFrame, Tracer};
@@ -29,8 +29,6 @@ pub struct ServeConfig {
     /// Wall-clock budget per serve call (`None` = unbounded, the
     /// deterministic path).
     pub deadline: Option<Duration>,
-    /// Shard policy handed to the batcher.
-    pub batch: BatchPolicy,
 }
 
 impl Default for ServeConfig {
@@ -38,7 +36,6 @@ impl Default for ServeConfig {
         ServeConfig {
             tenant_inflight_limit: 64,
             deadline: None,
-            batch: BatchPolicy::default(),
         }
     }
 }
@@ -56,7 +53,6 @@ struct TenantGate {
 pub struct ServeRuntime {
     store: Arc<ModelStore>,
     cfg: ServeConfig,
-    batcher: Batcher,
     tracer: Tracer,
     recorder: FlightRecorder,
     tenants: Mutex<HashMap<String, Arc<TenantGate>>>,
@@ -67,7 +63,6 @@ impl ServeRuntime {
     /// A runtime over `store` with tracing and forensics disabled.
     pub fn new(store: Arc<ModelStore>, cfg: ServeConfig) -> ServeRuntime {
         ServeRuntime {
-            batcher: Batcher::with_policy(cfg.batch),
             store,
             cfg,
             tracer: Tracer::disabled(),
@@ -183,9 +178,7 @@ impl ServeRuntime {
         // The batch itself, over the admitted subset.
         let subset: Vec<PredictRequest> = admitted.iter().map(|&i| requests[i].clone()).collect();
         let deadline = self.cfg.deadline.map(|d| (started + d, d));
-        let outcome = self
-            .batcher
-            .run_with_deadline(&self.store, &subset, deadline);
+        let outcome = Batcher::new().run_with_deadline(&self.store, &subset, deadline);
         for gate in gates.iter().flatten() {
             gate.in_flight.fetch_sub(1, Ordering::AcqRel);
         }
