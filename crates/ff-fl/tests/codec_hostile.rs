@@ -1,11 +1,13 @@
-//! Hostile-input harness for the wire codec. Every hop of a round decodes
-//! bytes a client (or a corrupting link) produced, so
-//! [`Instruction::decode`] and [`Reply::decode`] must refuse every
-//! truncation depth, single bit flip, forged length prefix and trailing
-//! garbage with a typed [`FlError::Codec`] — never a panic, and never an
-//! allocation sized by a forged prefix rather than by the input.
+//! Hostile-input harness for the wire codec and the update compressor.
+//! Every hop of a round decodes bytes a client (or a corrupting link)
+//! produced, so [`Instruction::decode`], [`Reply::decode`] and
+//! [`decompress`] must refuse every truncation depth, single bit flip,
+//! forged length prefix and trailing garbage with a typed
+//! [`FlError::Codec`] — never a panic, and never an allocation sized by a
+//! forged prefix rather than by the input.
 
 use bytes::Bytes;
+use ff_fl::compress::{compress, decompress, Compression};
 use ff_fl::config::{ConfigMap, ConfigValue};
 use ff_fl::message::{Instruction, Reply};
 use ff_fl::FlError;
@@ -54,10 +56,32 @@ static ALLOC: Tracking = Tracking;
 /// message, or one B-tree node of a decoded config map.
 const ALLOC_FLOOR: usize = 1024;
 
-/// Decodes `raw` as an instruction and as a reply. Each decode must
-/// return rather than panic, fail only with a codec error, and allocate
-/// no single block larger than the input (above the floor). Returns
-/// whether each decode succeeded.
+/// Runs one decode of a `len`-byte input. The decode must return rather
+/// than panic, fail only with a codec error, and allocate no single block
+/// larger than `bound` (above the floor). `None` on a codec error.
+fn within_bound<T>(
+    len: usize,
+    bound: usize,
+    decode: impl FnOnce() -> Result<T, FlError>,
+) -> Option<T> {
+    LARGEST.with(|l| l.set(0));
+    TRACKING.with(|t| t.set(true));
+    let result = decode();
+    TRACKING.with(|t| t.set(false));
+    let largest = LARGEST.with(Cell::get);
+    assert!(
+        largest <= bound.max(ALLOC_FLOOR),
+        "a {len}-byte input allocated {largest} bytes"
+    );
+    match result {
+        Ok(value) => Some(value),
+        Err(FlError::Codec(_)) => None,
+        Err(other) => panic!("untyped decode error {other:?}"),
+    }
+}
+
+/// Decodes `raw` as an instruction and as a reply, each within the
+/// input's own size. Returns whether each decode succeeded.
 fn decode_safely(raw: &[u8]) -> [bool; 2] {
     let decoders: [fn(Bytes) -> Result<(), FlError>; 2] = [
         |b| Instruction::decode(b).map(drop),
@@ -65,22 +89,18 @@ fn decode_safely(raw: &[u8]) -> [bool; 2] {
     ];
     decoders.map(|decode| {
         let input = Bytes::copy_from_slice(raw);
-        LARGEST.with(|l| l.set(0));
-        TRACKING.with(|t| t.set(true));
-        let result = decode(input);
-        TRACKING.with(|t| t.set(false));
-        let largest = LARGEST.with(Cell::get);
-        assert!(
-            largest <= raw.len().max(ALLOC_FLOOR),
-            "a {}-byte input allocated {largest} bytes",
-            raw.len()
-        );
-        match result {
-            Ok(()) => true,
-            Err(FlError::Codec(_)) => false,
-            Err(other) => panic!("untyped decode error {other:?}"),
-        }
+        within_bound(raw.len(), raw.len(), || decode(input)).is_some()
     })
+}
+
+/// Decompresses `raw`. Each payload byte may expand into one `f64` (a Q8
+/// value), so the bound is eight bytes per input byte. A success must
+/// hold exactly as many values as the payload's count header names.
+fn decompress_safely(raw: &[u8]) -> Option<Vec<f64>> {
+    let values = within_bound(raw.len(), 8 * raw.len(), || decompress(raw))?;
+    let count = u32::from_le_bytes(raw[1..5].try_into().unwrap());
+    assert_eq!(values.len(), count as usize, "count header disagrees");
+    Some(values)
 }
 
 fn value() -> impl Strategy<Value = ConfigValue> {
@@ -129,6 +149,13 @@ fn reply() -> impl Strategy<Value = Reply> {
         "[a-z ]{0,16}".prop_map(Reply::Error),
         "[a-z ]{0,16}".prop_map(Reply::Panicked),
     ]
+}
+
+/// A compressed update under either scheme.
+fn payload() -> impl Strategy<Value = Vec<u8>> {
+    let scheme = prop_oneof![Just(Compression::F32), Just(Compression::Q8)];
+    (prop::collection::vec(any::<f64>(), 0..24), scheme)
+        .prop_map(|(params, scheme)| compress(&params, scheme))
 }
 
 /// Wire bytes of either message direction.
@@ -209,6 +236,23 @@ fn forged_max_length_prefixes_are_refused() {
     }
 }
 
+#[test]
+fn forged_max_element_counts_are_refused() {
+    for scheme in [Compression::F32, Compression::Q8] {
+        let raw = compress(&[1.0, -2.0, 3.5], scheme);
+        assert!(
+            decompress_safely(&raw).is_some(),
+            "{scheme:?}: unforged refused"
+        );
+        let forged = forge(raw, 1, u32::MAX);
+        assert_eq!(
+            decompress_safely(&forged),
+            None,
+            "{scheme:?}: forged count decoded"
+        );
+    }
+}
+
 proptest! {
     /// Every strict prefix of a valid message is refused.
     #[test]
@@ -246,5 +290,42 @@ proptest! {
         let mut padded = raw;
         padded.extend(garbage);
         prop_assert_eq!(decode_safely(&padded), [false, false]);
+    }
+
+    /// Every strict prefix of a compressed update is refused.
+    #[test]
+    fn every_compressed_truncation_depth_is_refused(raw in payload()) {
+        prop_assert!(decompress_safely(&raw).is_some());
+        for cut in 0..raw.len() {
+            prop_assert_eq!(decompress_safely(&raw[..cut]), None, "cut at {}", cut);
+        }
+    }
+
+    /// Any single bit flip of a compressed update decodes safely: a typed
+    /// error or as many values as the (possibly flipped) header names.
+    #[test]
+    fn compressed_bit_flips_decode_safely(raw in payload()) {
+        for bit in 0..raw.len() * 8 {
+            let mut flipped = raw.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            decompress_safely(&flipped);
+        }
+    }
+
+    /// Any forged element count decodes safely, within the input bound.
+    #[test]
+    fn forged_element_counts_decode_safely(raw in payload(), count in any::<u32>()) {
+        decompress_safely(&forge(raw, 1, count));
+    }
+
+    /// Bytes after a complete compressed update are refused.
+    #[test]
+    fn compressed_trailing_garbage_is_refused(
+        raw in payload(),
+        garbage in prop::collection::vec(any::<u8>(), 1..16),
+    ) {
+        let mut padded = raw;
+        padded.extend(garbage);
+        prop_assert_eq!(decompress_safely(&padded), None);
     }
 }
