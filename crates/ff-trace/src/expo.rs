@@ -44,7 +44,9 @@ impl Default for ExpoConfig {
     }
 }
 
-/// The running exposition server. Dropping it stops the listener thread.
+/// The running exposition server. Dropping it stops the listener thread:
+/// it raises the stop flag and connects once to wake the blocked
+/// `accept`, then joins the thread if that connection went through.
 #[derive(Debug)]
 pub struct ExpoServer {
     addr: SocketAddr,
@@ -62,25 +64,26 @@ impl ExpoServer {
     pub fn start(tracer: Tracer, cfg: ExpoConfig) -> std::io::Result<ExpoServer> {
         let listener = TcpListener::bind(("127.0.0.1", cfg.port))?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
         let served = Arc::new(AtomicU64::new(0));
         let (stop2, served2) = (Arc::clone(&stop), Arc::clone(&served));
         let handle = std::thread::Builder::new()
             .name("ff-expo".into())
             .spawn(move || {
-                while !stop2.load(Ordering::Acquire) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            // Sequential by construction: the accept loop is
-                            // the handler, so at most one connection is ever
-                            // in flight.
+                // `accept` blocks, so the flag is read after it returns:
+                // `Drop` raises the flag, then connects once to wake it.
+                for conn in listener.incoming() {
+                    if stop2.load(Ordering::Acquire) {
+                        break;
+                    }
+                    match conn {
+                        // Sequential by construction: the accept loop is
+                        // the handler, so at most one connection is ever
+                        // in flight.
+                        Ok(stream) => {
                             if handle_conn(stream, &tracer, &cfg).is_ok() {
                                 served2.fetch_add(1, Ordering::Relaxed);
                             }
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(10));
                         }
                         Err(_) => std::thread::sleep(Duration::from_millis(10)),
                     }
@@ -108,8 +111,10 @@ impl ExpoServer {
 impl Drop for ExpoServer {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::Release);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
+        if TcpStream::connect(self.addr).is_ok() {
+            if let Some(h) = self.handle.take() {
+                let _ = h.join();
+            }
         }
     }
 }
@@ -530,6 +535,20 @@ mod tests {
         let (code, _) = scrape(server.addr(), "/nope");
         assert_eq!(code, 404);
         assert!(server.requests_served() >= 3);
+    }
+
+    #[test]
+    fn back_to_back_scrapes_do_not_wait_for_a_poll() {
+        let server = ExpoServer::start(sample_tracer(), ExpoConfig::default()).unwrap();
+        let t = std::time::Instant::now();
+        for _ in 0..20 {
+            assert_eq!(scrape(server.addr(), "/metrics").0, 200);
+        }
+        let elapsed = t.elapsed();
+        assert!(
+            elapsed < Duration::from_millis(100),
+            "20 scrapes took {elapsed:?}"
+        );
     }
 
     #[test]
