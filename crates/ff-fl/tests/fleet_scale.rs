@@ -1,5 +1,6 @@
 //! Fleet-scale acceptance: a 10,000-client federation survives chaos
-//! plus a Byzantine minority, deterministically, in bounded memory.
+//! plus a Byzantine minority, deterministically, in bounded memory —
+//! both the runtime's own aggregation state and the process's peak RSS.
 //!
 //! The fault schedule is seeded from `CHAOS_SEED` (the CI chaos matrix
 //! exports 0, 1, 2) via [`ChaosConfig::fleet_profile`]; every assertion
@@ -24,8 +25,9 @@ fn chaos_seed() -> u64 {
         .unwrap_or(0)
 }
 
-/// Honest client: constant unit parameters, loss = distance to broadcast.
-struct Honest;
+/// Honest client fitting `self.0` coordinates: constant unit parameters,
+/// loss = distance to broadcast.
+struct Honest(usize);
 
 impl FlClient for Honest {
     fn get_properties(&mut self, _config: &ConfigMap) -> ConfigMap {
@@ -33,7 +35,7 @@ impl FlClient for Honest {
     }
     fn fit(&mut self, _params: &[f64], _config: &ConfigMap) -> FitOutput {
         FitOutput {
-            params: vec![1.0; DIM],
+            params: vec![1.0; self.0],
             num_examples: 1,
             metrics: ConfigMap::new(),
         }
@@ -48,14 +50,14 @@ impl FlClient for Honest {
     }
 }
 
-/// Builds the 10,000-client fleet: every client wrapped in its
-/// deterministic chaos profile — `byz` Byzantine, `fault` availability-
-/// faulty, both seeded from `(seed, client_id)`.
-fn chaotic_fleet(seed: u64, byz: f64, fault: f64) -> Vec<Box<dyn FlClient>> {
+/// Builds the 10,000-client fleet of `dim`-coordinate clients: every
+/// client wrapped in its deterministic chaos profile — `byz` Byzantine,
+/// `fault` availability-faulty, both seeded from `(seed, client_id)`.
+fn chaotic_fleet(seed: u64, byz: f64, fault: f64, dim: usize) -> Vec<Box<dyn FlClient>> {
     (0..FLEET)
         .map(|id| {
             let profile = ChaosConfig::fleet_profile(seed, id, byz, fault);
-            Box::new(ChaosClient::new(Box::new(Honest), profile)) as Box<dyn FlClient>
+            Box::new(ChaosClient::new(Box::new(Honest(dim)), profile)) as Box<dyn FlClient>
         })
         .collect()
 }
@@ -92,7 +94,7 @@ fn policy() -> RoundPolicy {
 fn ten_thousand_client_rounds_survive_chaos_and_byzantine() {
     let seed = chaos_seed();
     let (byz, fault) = (0.02, 0.03);
-    let fleet = fleet(chaotic_fleet(seed, byz, fault), 0.1); // cohort of 1,000 per round
+    let fleet = fleet(chaotic_fleet(seed, byz, fault, DIM), 0.1); // cohort of 1,000 per round
     let policy = policy();
 
     // 20 rounds: the 10%-participation sampler cycles the full fleet
@@ -156,7 +158,7 @@ fn fleet_rounds_are_bit_identical_across_thread_counts() {
     let seed = chaos_seed();
     let run = |threads: usize| {
         ff_par::with_threads(threads, || {
-            let fleet = fleet(chaotic_fleet(seed, 0.02, 0.03), 0.1);
+            let fleet = fleet(chaotic_fleet(seed, 0.02, 0.03, DIM), 0.1);
             let policy = policy();
             let mut trace: Vec<RoundTrace> = Vec::new();
             for _ in 0..3 {
@@ -183,7 +185,7 @@ fn fleet_rounds_are_bit_identical_across_thread_counts() {
 fn aggregation_state_is_bounded_by_model_not_cohort() {
     let peak_for = |n: usize| {
         let clients: Vec<Box<dyn FlClient>> = (0..n)
-            .map(|_| Box::new(Honest) as Box<dyn FlClient>)
+            .map(|_| Box::new(Honest(DIM)) as Box<dyn FlClient>)
             .collect();
         fleet(clients, 1.0)
             .run_fit_round(vec![0.0; DIM], ConfigMap::new(), &policy())
@@ -195,5 +197,43 @@ fn aggregation_state_is_bounded_by_model_not_cohort() {
     assert!(
         large < small * 4,
         "10× the cohort cost {small} -> {large} aggregation bytes"
+    );
+}
+
+/// Process-wide peak resident set (`VmHWM`) in MiB, from
+/// `/proc/self/status`; 0.0 where unavailable (non-Linux).
+fn rss_hwm_mb() -> f64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    (status.lines())
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.split_whitespace().next()?.parse::<f64>().ok())
+        .map_or(0.0, |kb| kb / 1024.0)
+}
+
+/// The real-hardware memory ceiling: ten rounds of a 10,000-client,
+/// 64-coordinate chaos fleet (1% Byzantine, 2% flaky links) under
+/// coordinate median with a 10% cohort and no payload retention, at one
+/// worker and at four, must leave the whole process's peak RSS within
+/// 512 MiB.
+#[test]
+fn fleet_rounds_stay_under_the_peak_rss_ceiling() {
+    const RSS_CEILING_MB: f64 = 512.0;
+    const WIDE: usize = 64;
+    for threads in [1, 4] {
+        ff_par::with_threads(threads, || {
+            let fleet = fleet(chaotic_fleet(0, 0.01, 0.02, WIDE), 0.1);
+            fleet.log().set_retention(Retention::Counting { window: 0 });
+            for _ in 0..10 {
+                let out = fleet
+                    .run_fit_round(vec![0.0; WIDE], ConfigMap::new(), &policy())
+                    .unwrap();
+                assert_eq!(out.global.len(), WIDE);
+            }
+        });
+    }
+    let peak = rss_hwm_mb();
+    assert!(
+        peak <= RSS_CEILING_MB,
+        "peak RSS {peak:.1} MiB exceeds the {RSS_CEILING_MB} MiB ceiling"
     );
 }

@@ -143,43 +143,61 @@ fn forensic_dumps_are_bit_identical_across_thread_counts() {
     assert_eq!(one, four, "dumps differ across FF_THREADS 1 vs 4");
 }
 
+/// Minimal HTTP/1.0 GET against the exposition endpoint; returns the
+/// status line and the body.
+fn get(addr: std::net::SocketAddr, path: &str) -> (String, String) {
+    use std::io::{Read as _, Write as _};
+    let mut s = std::net::TcpStream::connect(addr).unwrap();
+    write!(s, "GET {path} HTTP/1.0\r\n\r\n").unwrap();
+    s.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut response = String::new();
+    s.read_to_string(&mut response).unwrap();
+    let (head, body) = response.split_once("\r\n\r\n").unwrap();
+    let status = head.lines().next().unwrap_or_default().to_string();
+    (status, body.to_string())
+}
+
 /// A live scrape taken mid-run is parseable Prometheus text whose
-/// counters match the tracer snapshot taken at the same moment.
+/// counters match the tracer snapshot taken at the same moment, and the
+/// liveness probe reports the run as live.
 #[test]
 fn live_scrape_matches_the_snapshot() {
-    use std::io::{Read as _, Write as _};
+    const ROUNDS: usize = 6;
     let fleet = fleet_with_one_attacker();
     let tracer = Tracer::enabled();
     fleet.set_tracer(tracer.clone());
     let server = ff_trace::ExpoServer::start(tracer.clone(), ff_trace::ExpoConfig::default())
         .expect("bind exposition endpoint");
-    for _ in 0..4 {
+    for _ in 0..ROUNDS {
         fleet
             .run_fit_round(vec![0.0; DIM], ConfigMap::new(), &policy())
             .unwrap();
     }
-    let mut s = std::net::TcpStream::connect(server.addr()).unwrap();
-    write!(s, "GET /metrics HTTP/1.0\r\n\r\n").unwrap();
-    s.shutdown(std::net::Shutdown::Write).unwrap();
-    let mut response = String::new();
-    s.read_to_string(&mut response).unwrap();
-    let body = response.split_once("\r\n\r\n").unwrap().1;
-    ff_trace::validate_exposition(body).expect("invalid exposition format");
+    let (status, body) = get(server.addr(), "/metrics");
+    assert!(status.contains("200"), "/metrics answered {status:?}");
+    ff_trace::validate_exposition(&body).expect("invalid exposition format");
     // No round ran between the scrape and this snapshot, so the scraped
     // counters must agree exactly.
     let snapshot = tracer.snapshot();
+    assert_eq!(snapshot.counter("fl.rounds"), ROUNDS as u64);
     for (name, metric) in [
         ("fl.rounds", "ff_fl_rounds_total"),
         ("fl.updates_rejected", "ff_fl_updates_rejected_total"),
+        ("fl.quarantines", "ff_fl_quarantines_total"),
     ] {
         let expect = snapshot.counter(name);
         assert!(expect > 0, "{name} never incremented");
         assert_eq!(
-            ff_trace::sample_value(body, metric),
+            ff_trace::sample_value(&body, metric),
             Some(expect as f64),
             "scraped {metric} disagrees with the snapshot"
         );
     }
+    let (status, body) = get(server.addr(), "/healthz");
+    assert!(
+        status.contains("200") && body.starts_with("ok"),
+        "/healthz answered {status:?} with {body:?}"
+    );
 }
 
 /// Client that ships NaN parameters from every fit.

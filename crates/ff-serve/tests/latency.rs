@@ -2,11 +2,12 @@
 //! merged in shard index order, must equal one histogram fed every
 //! observation — bucket for bucket, percentile for percentile. The
 //! batcher's p50/p95/p99 are only trustworthy if sharding is invisible
-//! to the numbers.
+//! to the numbers. A replay over a multi-tenant store must also keep its
+//! p99 under a fixed ceiling.
 
 mod common;
 
-use common::{series, v3_artifact, SERIES_LEN};
+use common::{series, v3_artifact, FIT_END, SERIES_LEN};
 use ff_serve::{Batcher, ModelStore, PredictRequest};
 use ff_trace::Histogram;
 use proptest::prelude::*;
@@ -87,4 +88,54 @@ fn the_batcher_accounts_every_served_request_exactly_once() {
         single.record(us as f64);
     }
     assert_hist_eq(&merged, &single);
+}
+
+/// The tail-latency ceiling: 2,048 requests with varying forecast windows
+/// over 64 published models (16 tenants × 4 series), replayed after one
+/// warm-up pass so lazy decode is not billed, keep p99 within 250 ms at
+/// one worker and at four.
+#[test]
+fn replay_p99_stays_under_the_latency_ceiling() {
+    const P99_CEILING_MS: f64 = 250.0;
+    const TENANTS: usize = 16;
+    const MODELS: usize = 64;
+    let per_tenant = MODELS / TENANTS;
+    let key = |k: usize| {
+        (
+            format!("tenant-{}", k / per_tenant),
+            format!("series-{}", k % per_tenant),
+        )
+    };
+    let store = ModelStore::new();
+    for k in 0..MODELS {
+        let (tenant, series_id) = key(k);
+        store.publish(&tenant, &series_id, v3_artifact(k as u64));
+    }
+    let requests: Vec<PredictRequest> = (0..2048usize)
+        .map(|i| {
+            let k = i % MODELS;
+            let (tenant, series_id) = key(k);
+            let start = FIT_END + (i * 3) % 30;
+            PredictRequest {
+                tenant,
+                series: series_id,
+                values: series(k as u64, SERIES_LEN),
+                start,
+                end: start + 1 + i % 8,
+            }
+        })
+        .collect();
+    for threads in [1, 4] {
+        let outcome = ff_par::with_threads(threads, || {
+            let batcher = Batcher::new();
+            let _warm = batcher.run(&store, &requests);
+            batcher.run(&store, &requests)
+        });
+        assert!(outcome.forecasts.iter().all(Result::is_ok));
+        let p99_ms = outcome.latency_histogram().percentile(0.99).unwrap() / 1000.0;
+        assert!(
+            p99_ms <= P99_CEILING_MS,
+            "p99 {p99_ms:.3} ms at {threads} workers exceeds the {P99_CEILING_MS} ms ceiling"
+        );
+    }
 }
