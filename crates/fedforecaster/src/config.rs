@@ -135,8 +135,7 @@ pub struct CkptConfig {
     /// torn tail is discarded and that work re-executes on resume.
     pub fsync: bool,
     /// Crash-injection point for the recovery test harness. `None` in
-    /// production. See [`ff_ckpt::CrashPoint::from_env`] for the
-    /// `FF_CRASH_AT` environment form.
+    /// production.
     pub crash: Option<ff_ckpt::CrashPoint>,
 }
 

@@ -10,8 +10,6 @@ use fedforecaster::prelude::*;
 use fedforecaster::report::ComparisonRow;
 use fedforecaster::FedForecaster;
 use ff_datasets::BenchmarkDataset;
-use ff_fl::client::{EvalOutput, FitOutput, FlClient};
-use ff_fl::config::ConfigMap;
 use ff_metalearn::kb::KnowledgeBase;
 use ff_metalearn::metamodel::{MetaClassifierKind, MetaModel};
 use ff_metalearn::synth::{reallike_kb, synthetic_kb};
@@ -190,38 +188,4 @@ pub fn compare_on_dataset(
         nbeats: avg(&nb),
         best_model,
     }
-}
-
-/// A fleet client for the runtime benches: fits `dim` unit parameters on
-/// one example and reports its distance from the broadcast as its loss.
-pub struct UnitClient(pub usize);
-
-impl FlClient for UnitClient {
-    fn get_properties(&mut self, _config: &ConfigMap) -> ConfigMap {
-        ConfigMap::new()
-    }
-    fn fit(&mut self, _params: &[f64], _config: &ConfigMap) -> FitOutput {
-        FitOutput {
-            params: vec![1.0; self.0],
-            num_examples: 1,
-            metrics: ConfigMap::new(),
-        }
-    }
-    fn evaluate(&mut self, params: &[f64], _config: &ConfigMap) -> EvalOutput {
-        EvalOutput {
-            loss: (1.0 - params.first().copied().unwrap_or(0.0)).abs(),
-            num_examples: 1,
-            metrics: ConfigMap::new(),
-        }
-    }
-}
-
-/// Process-wide peak resident set (`VmHWM`) in MiB, from
-/// `/proc/self/status`; 0.0 where unavailable (non-Linux).
-pub fn rss_hwm_mb() -> f64 {
-    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
-    (status.lines())
-        .find_map(|l| l.strip_prefix("VmHWM:"))
-        .and_then(|v| v.split_whitespace().next()?.parse::<f64>().ok())
-        .map_or(0.0, |kb| kb / 1024.0)
 }

@@ -18,8 +18,7 @@
 //!   temporary sibling, fsynced, and renamed over the original, so a
 //!   crash during compaction leaves either the old log or the new one,
 //!   never a half-written hybrid.
-//! - [`CrashPoint`] — a deterministic crash-injection taxonomy (also
-//!   parsed from the `FF_CRASH_AT` environment variable) so tests and CI
+//! - [`CrashPoint`] — a deterministic crash-injection taxonomy so tests
 //!   can kill a run at any commit point — after record N, halfway
 //!   through a frame, or just before a compaction rename — and assert
 //!   recovery lands on the last valid record.
@@ -142,8 +141,8 @@ pub enum CrashPoint {
 }
 
 impl CrashPoint {
-    /// Parses the `FF_CRASH_AT` syntax: `trial:N`, `record:N`,
-    /// `mid-record:N`, or `pre-rename:N`.
+    /// Parses the textual form: `trial:N`, `record:N`, `mid-record:N`,
+    /// or `pre-rename:N`.
     pub fn parse(s: &str) -> Option<CrashPoint> {
         let (kind, n) = s.split_once(':')?;
         let n: u32 = n.trim().parse().ok()?;
@@ -154,13 +153,6 @@ impl CrashPoint {
             "pre-rename" => Some(CrashPoint::PreRename(n)),
             _ => None,
         }
-    }
-
-    /// Reads the standard `FF_CRASH_AT` environment variable.
-    pub fn from_env() -> Option<CrashPoint> {
-        std::env::var("FF_CRASH_AT")
-            .ok()
-            .and_then(|v| CrashPoint::parse(&v))
     }
 }
 
