@@ -87,6 +87,11 @@ impl XgbRegressor {
         if n == 0 || n > 100_000 {
             return Err(ModelError::InvalidData(format!("bad tree count {n}")));
         }
+        // A count the remaining input cannot hold is truncation, refused
+        // before any room is reserved for it.
+        if n.saturating_mul(crate::tree::MIN_TREE_BYTES) > r.remaining() {
+            return Err(err(crate::ser::SerError::Truncated));
+        }
         let mut trees = Vec::with_capacity(n);
         for _ in 0..n {
             trees.push(GhTree::read_from(&mut r).map_err(err)?);

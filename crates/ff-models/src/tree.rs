@@ -52,6 +52,11 @@ enum Node {
     },
 }
 
+/// The fewest bytes [`GhTree::write_to`] writes for one node (a leaf: tag
+/// and value) and for one tree (node count, one leaf, empty gains).
+const MIN_NODE_BYTES: usize = 1 + 8;
+pub(crate) const MIN_TREE_BYTES: usize = 4 + MIN_NODE_BYTES + 4;
+
 /// A fitted gradient/hessian regression tree.
 #[derive(Debug, Clone)]
 pub struct GhTree {
@@ -272,6 +277,11 @@ impl GhTree {
         let n = r.u32()? as usize;
         if n == 0 || n > 1_000_000 {
             return Err(crate::ser::SerError::BadLength(n as u64));
+        }
+        // A count the remaining input cannot hold is truncation, refused
+        // before any room is reserved for it.
+        if n.saturating_mul(MIN_NODE_BYTES) > r.remaining() {
+            return Err(crate::ser::SerError::Truncated);
         }
         let mut nodes = Vec::with_capacity(n);
         for _ in 0..n {

@@ -1,17 +1,91 @@
-//! Hostile-bytes hardening for the member-blob codecs: truncated and
-//! bit-flipped v2/v3 blobs fed through `ser::Reader`,
-//! [`decode_member_blob`], and [`PipelineModel::from_blob`] must return
-//! `Err` (or, for single flipped bits that land in a value field, a
-//! structurally valid member) — never panic, and never allocate from an
-//! unchecked length prefix. A resumed run decodes blobs it found on disk;
-//! disk contents after a crash are adversarial input.
+//! Hostile-bytes hardening for the member-blob codecs: truncated,
+//! bit-flipped, garbage-extended and forged-length v2/v3 blobs fed
+//! through [`decode_member_blob`] and [`PipelineModel::from_blob`] must
+//! return `Err` (or, for single flipped bits that land in a value field,
+//! a structurally valid member) — never panic, and never allocate a
+//! single block larger than eight bytes per input byte. A resumed run
+//! decodes blobs it found on disk; disk contents after a crash are
+//! adversarial input.
 
 use ff_linalg::Matrix;
 use ff_models::data::{Standardizer, TargetScaler};
 use ff_models::pipeline::{decode_member_blob, encode_external_blob, PipelineId, PipelineModel};
 use ff_models::zoo::{build_regressor, AlgorithmKind, HyperParams};
 use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::OnceLock;
+
+/// Records the largest single allocation requested by the tracking thread.
+struct Tracking;
+
+thread_local! {
+    static TRACKING: Cell<bool> = const { Cell::new(false) };
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note(size: usize) {
+    let _ = TRACKING.try_with(|on| {
+        if on.get() {
+            LARGEST.with(|l| l.set(l.get().max(size)));
+        }
+    });
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, so
+// `Tracking` meets `GlobalAlloc`'s contract wherever `System` does;
+// `note` only touches `Cell`s in const-initialised thread-locals, which
+// never allocate.
+unsafe impl GlobalAlloc for Tracking {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOC: Tracking = Tracking;
+
+/// Allocations any decode may make regardless of input size: an error
+/// message, or a decoded model's fixed-size parts.
+const ALLOC_FLOOR: usize = 1024;
+
+/// Runs `decode` on `bytes` and asserts that it allocated no single block
+/// larger than eight bytes per input byte (above the floor).
+fn bounded<T>(bytes: &[u8], decode: impl FnOnce(&[u8]) -> T) -> T {
+    LARGEST.with(|l| l.set(0));
+    TRACKING.with(|t| t.set(true));
+    let out = decode(bytes);
+    TRACKING.with(|t| t.set(false));
+    let largest = LARGEST.with(Cell::get);
+    assert!(
+        largest <= (8 * bytes.len()).max(ALLOC_FLOOR),
+        "a {}-byte blob allocated {largest} bytes",
+        bytes.len()
+    );
+    out
+}
+
+/// `PipelineModel::from_blob` under the allocation bound.
+fn from_blob(bytes: &[u8]) -> Result<PipelineModel, String> {
+    bounded(bytes, PipelineModel::from_blob)
+}
+
+/// `decode_member_blob` under the allocation bound.
+fn decode_member(bytes: &[u8]) -> bool {
+    bounded(bytes, decode_member_blob).is_ok()
+}
 
 /// A genuine v3 pipeline blob (built once — fitting inside every proptest
 /// case would dominate the runtime).
@@ -67,15 +141,15 @@ proptest! {
         // Every strict prefix must be rejected: the codec is sequential
         // with no padding, so a cut always lands inside some field.
         let cut = ((blob.len() as f64 * frac) as usize).min(blob.len() - 1);
-        prop_assert!(PipelineModel::from_blob(&blob[..cut]).is_err());
-        prop_assert!(decode_member_blob(&blob[..cut]).is_err());
+        prop_assert!(from_blob(&blob[..cut]).is_err());
+        prop_assert!(!decode_member(&blob[..cut]));
     }
 
     #[test]
     fn truncated_v2_blob_is_an_error(frac in 0.0f64..1.0) {
         let blob = v2_blob();
         let cut = ((blob.len() as f64 * frac) as usize).min(blob.len() - 1);
-        prop_assert!(decode_member_blob(&blob[..cut]).is_err());
+        prop_assert!(!decode_member(&blob[..cut]));
     }
 
     #[test]
@@ -86,8 +160,8 @@ proptest! {
         // A flip in a value field may still decode to a valid (different)
         // model; a flip in a length, tag, or name must error. Either way:
         // no panic, no unbounded allocation.
-        let _ = PipelineModel::from_blob(&blob);
-        let _ = decode_member_blob(&blob);
+        let _ = from_blob(&blob);
+        let _ = decode_member(&blob);
     }
 
     #[test]
@@ -95,18 +169,18 @@ proptest! {
         let mut blob = v2_blob().to_vec();
         let byte = byte % blob.len();
         blob[byte] ^= 1 << bit;
-        let _ = decode_member_blob(&blob);
+        let _ = decode_member(&blob);
     }
 
     #[test]
     fn arbitrary_bytes_never_panic(mut bytes in prop::collection::vec(any::<u8>(), 0..512), version in 2u8..=3) {
         // Fully random payloads, plus the same bytes forced onto the two
         // real version tags so the deeper decode paths are exercised.
-        let _ = decode_member_blob(&bytes);
+        let _ = decode_member(&bytes);
         if !bytes.is_empty() {
             bytes[0] = version;
-            let _ = decode_member_blob(&bytes);
-            let _ = PipelineModel::from_blob(&bytes);
+            let _ = decode_member(&bytes);
+            let _ = from_blob(&bytes);
         }
     }
 
@@ -123,7 +197,22 @@ proptest! {
         w.u32(claim);
         let mut bytes = w.finish();
         bytes.extend_from_slice(&[0u8; 64]);
-        prop_assert!(PipelineModel::from_blob(&bytes).is_err());
-        prop_assert!(decode_member_blob(&bytes).is_err());
+        prop_assert!(from_blob(&bytes).is_err());
+        prop_assert!(!decode_member(&bytes));
+    }
+
+    #[test]
+    fn trailing_garbage_never_panics(len in 1usize..=64, salt in any::<u8>()) {
+        // Bytes past the end of a genuine blob: the v3 decoder stops at
+        // its last field, and the v2 decoder reads its model section from
+        // the end, so the garbage lands inside it.
+        let garbage = (0..len).map(|i| (i as u8).wrapping_mul(37) ^ salt);
+        let mut v3 = v3_blob().to_vec();
+        v3.extend(garbage.clone());
+        let _ = from_blob(&v3);
+        let _ = decode_member(&v3);
+        let mut v2 = v2_blob().to_vec();
+        v2.extend(garbage);
+        let _ = decode_member(&v2);
     }
 }
