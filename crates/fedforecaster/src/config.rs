@@ -251,9 +251,11 @@ pub struct EngineConfig {
 
 impl EngineConfig {
     /// Validates cross-field invariants before a run: robust-rule knobs
-    /// in range, and no robust aggregation over masked sums (the guard
-    /// and the robust estimators are definitionally incompatible with a
-    /// server that cannot see per-client updates).
+    /// in range, no robust aggregation over masked sums (the guard and
+    /// the robust estimators are definitionally incompatible with a
+    /// server that cannot see per-client updates), a non-empty
+    /// `pipelines` list, and no entry named twice in `pipelines` or
+    /// `portfolio`.
     pub fn validate(&self) -> Result<()> {
         self.aggregation
             .validate()
@@ -272,9 +274,31 @@ impl EngineConfig {
                     "pipelines: Some([]) selects nothing; use None for the flat search".into(),
                 ));
             }
+            if let Some(p) = first_repeat(pipes) {
+                return Err(EngineError::InvalidData(format!(
+                    "pipelines lists {} twice",
+                    p.name()
+                )));
+            }
+        }
+        if let Some(a) = self.portfolio.as_deref().and_then(first_repeat) {
+            return Err(EngineError::InvalidData(format!(
+                "portfolio lists {} twice",
+                a.name()
+            )));
         }
         Ok(())
     }
+}
+
+/// The first entry that appears again later in `items`. A repeated
+/// algorithm or structure would add its search dimensions twice.
+fn first_repeat<T: PartialEq>(items: &[T]) -> Option<&T> {
+    items
+        .iter()
+        .enumerate()
+        .find(|&(i, item)| items[i + 1..].contains(item))
+        .map(|(_, item)| item)
 }
 
 impl Default for EngineConfig {
@@ -358,6 +382,31 @@ mod tests {
             ..Default::default()
         };
         assert!(ok.validate().is_ok());
+        // A repeated structure or algorithm would add its dimensions to
+        // the search space twice.
+        use ff_models::pipeline::PipelineId;
+        use ff_models::zoo::AlgorithmKind;
+        let repeated_pipeline = EngineConfig {
+            pipelines: Some(vec![PipelineId::LAGGED, PipelineId::LAGGED]),
+            ..Default::default()
+        };
+        assert!(matches!(
+            repeated_pipeline.validate(),
+            Err(EngineError::InvalidData(_))
+        ));
+        let repeated_algorithm = EngineConfig {
+            portfolio: Some(vec![AlgorithmKind::LASSO, AlgorithmKind::LASSO]),
+            ..Default::default()
+        };
+        assert!(matches!(
+            repeated_algorithm.validate(),
+            Err(EngineError::InvalidData(_))
+        ));
+        let distinct = EngineConfig {
+            portfolio: Some(vec![AlgorithmKind::LASSO, AlgorithmKind::XGB_REGRESSOR]),
+            ..Default::default()
+        };
+        assert!(distinct.validate().is_ok());
     }
 
     #[test]

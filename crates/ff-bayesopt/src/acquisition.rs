@@ -1,39 +1,7 @@
-//! Acquisition functions (minimization convention): Expected Improvement
-//! (the paper's choice, §5.1) and Lower Confidence Bound (for the
-//! acquisition ablation).
+//! The acquisition function (minimization convention): Expected
+//! Improvement, the paper's choice (§4.3).
 
 use ff_linalg::special::{normal_cdf, normal_pdf};
-
-/// Which acquisition function guides the search.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Acquisition {
-    /// Expected Improvement with exploration margin `xi` (paper default).
-    ExpectedImprovement {
-        /// Improvement margin.
-        xi: f64,
-    },
-    /// Lower Confidence Bound `μ − κσ` (scored as `−LCB` so that higher is
-    /// better, matching EI's convention).
-    LowerConfidenceBound {
-        /// Exploration weight κ.
-        kappa: f64,
-    },
-}
-
-impl Acquisition {
-    /// Scores a candidate with posterior `(mean, variance)` against the
-    /// current best observed value. Higher is better.
-    pub fn score(&self, mean: f64, variance: f64, best: f64) -> f64 {
-        match *self {
-            Acquisition::ExpectedImprovement { xi } => {
-                expected_improvement(mean, variance, best, xi)
-            }
-            Acquisition::LowerConfidenceBound { kappa } => {
-                -(mean - kappa * variance.max(0.0).sqrt())
-            }
-        }
-    }
-}
 
 /// Expected improvement of a candidate with posterior `(mean, variance)`
 /// over the current best (lowest) observed value, for minimization:
@@ -89,22 +57,5 @@ mod tests {
         let with_margin = expected_improvement(0.9, 0.01, 1.0, 0.5);
         let without = expected_improvement(0.9, 0.01, 1.0, 0.0);
         assert!(with_margin < without);
-    }
-
-    #[test]
-    fn lcb_prefers_low_mean_and_high_variance() {
-        let lcb = Acquisition::LowerConfidenceBound { kappa: 2.0 };
-        let low_mean = lcb.score(0.0, 0.1, 1.0);
-        let high_mean = lcb.score(2.0, 0.1, 1.0);
-        assert!(low_mean > high_mean);
-        let explore = lcb.score(1.0, 4.0, 1.0);
-        let exploit = lcb.score(1.0, 0.01, 1.0);
-        assert!(explore > exploit);
-    }
-
-    #[test]
-    fn acquisition_enum_dispatches_to_ei() {
-        let ei = Acquisition::ExpectedImprovement { xi: 0.0 };
-        assert!((ei.score(0.3, 0.0, 1.0) - 0.7).abs() < 1e-12);
     }
 }

@@ -220,13 +220,19 @@ impl Posterior<'_> {
         ))
     }
 
-    /// [`predict`](Self::predict) at every point of `zs`, bit for bit, with
-    /// one blocked triangular solve for all of them.
-    pub fn predict_block(&self, zs: &[Vec<f64>]) -> Result<Vec<(f64, f64)>> {
-        for z in zs {
-            self.check_dim(z)?;
+    /// [`predict`](Self::predict) at every row of `zs`, bit for bit, with
+    /// one blocked triangular solve for all of them. `zs` holds the points
+    /// row-major, each as long as the training inputs; a trailing partial
+    /// row is a [`BoError::DimensionMismatch`] reporting its length.
+    pub fn predict_block(&self, zs: &[f64]) -> Result<Vec<(f64, f64)>> {
+        let d = self.xs[0].len();
+        let m = zs.len().checked_div(d).unwrap_or(0);
+        if m * d != zs.len() {
+            return Err(BoError::DimensionMismatch {
+                expected: d,
+                got: zs.len() - m * d,
+            });
         }
-        let m = zs.len();
         if m == 0 {
             return Ok(Vec::new());
         }
@@ -235,9 +241,8 @@ impl Posterior<'_> {
         // ascending coordinate, from `Iterator::sum`'s −0.0 — over the
         // points' coordinates laid out lane-major, so they vectorise across
         // points and every entry equals `kernel.eval(xᵢ, z)` bit for bit.
-        let d = zs[0].len();
         let mut lanes = vec![0.0; d * m];
-        for (c, z) in zs.iter().enumerate() {
+        for (c, z) in zs.chunks_exact(d).enumerate() {
             for (k, &v) in z.iter().enumerate() {
                 lanes[k * m + c] = v;
             }
@@ -510,10 +515,7 @@ mod tests {
             got: 1,
         };
         assert_eq!(gp.predict(&[0.1]), Err(mismatch.clone()));
-        assert_eq!(
-            gp.posterior().predict_block(&[vec![0.1]]),
-            Err(mismatch.clone())
-        );
+        assert_eq!(gp.posterior().predict_block(&[0.1]), Err(mismatch.clone()));
         assert!(matches!(
             gp.predict(&[0.1, 0.2, 0.3]),
             Err(BoError::DimensionMismatch { got: 3, .. })

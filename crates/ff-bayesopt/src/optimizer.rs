@@ -5,16 +5,29 @@
 //! asks for the next configuration, evaluates it on the federation, and
 //! tells the observed *global* loss back.
 
-use crate::acquisition::Acquisition;
+use crate::acquisition::expected_improvement;
 use crate::gp::IncrementalGp;
-use crate::space::{Configuration, SearchSpace};
+use crate::space::{Configuration, RawValue, SearchSpace};
 use crate::{BoError, Result};
 use ff_trace::Tracer;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// Purely random configurations asked before the first model-guided step
+/// when no warm start is queued.
+const N_INITIAL: usize = 5;
+/// Candidate pool size for the acquisition argmax.
+const N_CANDIDATES: usize = 500;
+/// Candidates scored per ff-par task: one kernel block and one blocked
+/// triangular solve each.
+const ACQUIRE_BLOCK: usize = 64;
+/// GP observation-noise variance.
+const NOISE: f64 = 1e-4;
+/// Expected Improvement's exploration margin (the paper's acquisition).
+const XI: f64 = 0.01;
+
 /// Gaussian-process Bayesian optimizer over a [`SearchSpace`]
-/// (minimization).
+/// (minimization), guided by Expected Improvement.
 ///
 /// # Examples
 ///
@@ -36,14 +49,6 @@ pub struct BayesOpt {
     space: SearchSpace,
     /// Warm-start configurations evaluated before any model-guided step.
     warm_start: Vec<Configuration>,
-    /// Number of purely random configurations if no warm start is given.
-    pub n_initial: usize,
-    /// Candidate pool size for the acquisition argmax.
-    pub n_candidates: usize,
-    /// Acquisition function (paper default: EI with xi = 0.01).
-    pub acquisition: Acquisition,
-    /// GP observation-noise variance.
-    pub noise: f64,
     observations: Vec<(Configuration, f64)>,
     /// The GP over the encoded observations, extended at each model-guided
     /// ask.
@@ -71,10 +76,6 @@ impl BayesOpt {
         Ok(BayesOpt {
             space,
             warm_start: Vec::new(),
-            n_initial: 5,
-            n_candidates: 500,
-            acquisition: Acquisition::ExpectedImprovement { xi: 0.01 },
-            noise: 1e-4,
             observations: Vec::new(),
             surrogate: IncrementalGp::new(),
             pending: None,
@@ -116,7 +117,7 @@ impl BayesOpt {
         }
         let next = if let Some(cfg) = self.warm_start.pop() {
             cfg
-        } else if self.observations.len() < self.n_initial {
+        } else if self.observations.len() < N_INITIAL {
             self.space.sample(&mut self.rng)
         } else {
             self.model_guided()?
@@ -126,13 +127,10 @@ impl BayesOpt {
     }
 
     fn model_guided(&mut self) -> Result<Configuration> {
-        /// Candidates scored per ff-par task: one kernel block and one
-        /// blocked triangular solve each.
-        const ACQUIRE_BLOCK: usize = 64;
         // Length scale by type-II maximum likelihood over a small grid; the
         // carried factors grow by the observations told since the last ask.
         let fit_span = self.tracer.span("gp.fit");
-        let fitted = self.surrogate.fit(self.noise);
+        let fitted = self.surrogate.fit(NOISE);
         drop(fit_span);
         let gp = match fitted {
             Ok(gp) => gp,
@@ -145,45 +143,42 @@ impl BayesOpt {
             .iter()
             .map(|(_, y)| *y)
             .fold(f64::INFINITY, f64::min);
-        // Draw every candidate and its tie-break jitter sequentially first:
-        // the RNG stream is consumed in exactly the order the historical
-        // one-by-one loop used (sample, jitter, sample, jitter, …), so the
-        // chosen configuration does not depend on the thread count.
-        let cands: Vec<(Configuration, f64)> = (0..self.n_candidates)
-            .map(|_| {
-                let cand = self.space.sample(&mut self.rng);
-                // Tiny jitter breaks exact ties deterministically via the RNG.
-                let jitter = self.rng.gen::<f64>() * 1e-12;
-                (cand, jitter)
-            })
-            .collect();
+        // Draw every candidate and its tie-break jitter sequentially first,
+        // in the RNG order of one `sample` and one jitter per candidate, so
+        // the chosen configuration does not depend on the thread count.
+        // Each candidate lands as its raw values plus its encoded row; only
+        // the winner becomes a `Configuration`.
+        let (p, d) = (self.space.len(), self.space.encoded_dim());
+        let mut raw = vec![RawValue::Int(0); N_CANDIDATES * p];
+        let mut rows = vec![0.0; N_CANDIDATES * d];
+        let mut jitter = vec![0.0; N_CANDIDATES];
+        for ((raw, row), jitter) in raw
+            .chunks_exact_mut(p)
+            .zip(rows.chunks_exact_mut(d))
+            .zip(&mut jitter)
+        {
+            self.space.draw(&mut self.rng, raw, row);
+            // Tiny jitter breaks exact ties deterministically via the RNG.
+            *jitter = self.rng.gen::<f64>() * 1e-12;
+        }
         // Scoring is pure — fixed-size blocks on the ff-par pool, each
         // candidate's prediction bit-identical to a one-at-a-time predict,
         // then the earliest maximum, matching the sequential keep-first
         // semantics.
-        let space = &self.space;
-        let acquisition = &self.acquisition;
-        let blocks = ff_par::par_chunks_map(&cands, ACQUIRE_BLOCK, |_, block| {
-            let zs: Vec<Vec<f64>> = block.iter().map(|(cand, _)| space.encode(cand)).collect();
-            let moments = gp.predict_block(&zs)?;
+        let blocks = ff_par::par_chunks_map(&rows, ACQUIRE_BLOCK * d, |b, block| {
+            let moments = gp.predict_block(block)?;
             Ok(moments
                 .into_iter()
-                .zip(block)
-                .map(|((mean, var), (_, jitter))| acquisition.score(mean, var, best) + jitter)
+                .zip(&jitter[b * ACQUIRE_BLOCK..])
+                .map(|((mean, var), jitter)| expected_improvement(mean, var, best, XI) + jitter)
                 .collect::<Vec<f64>>())
         });
         let scores = blocks.into_iter().collect::<Result<Vec<_>>>()?.concat();
-        let mut best_candidate: Option<(f64, usize)> = None;
-        for (i, &score) in scores.iter().enumerate() {
-            match best_candidate {
-                Some((b, _)) if score <= b => {}
-                _ => best_candidate = Some((score, i)),
-            }
-        }
-        match best_candidate {
-            Some((_, i)) => Ok(cands.into_iter().nth(i).map(|(c, _)| c).unwrap()),
-            None => Ok(self.space.sample(&mut self.rng)),
-        }
+        let chosen = scores
+            .iter()
+            .enumerate()
+            .fold(0, |b, (i, &score)| if score <= scores[b] { b } else { i });
+        Ok(self.space.configuration(&raw[chosen * p..(chosen + 1) * p]))
     }
 
     /// Reports the observed loss for the configuration most recently asked.
@@ -332,22 +327,6 @@ mod tests {
     }
 
     #[test]
-    fn lcb_acquisition_also_optimizes() {
-        let mut bo = BayesOpt::new(space_1d(), 11).unwrap();
-        bo.acquisition = Acquisition::LowerConfidenceBound { kappa: 1.5 };
-        for _ in 0..25 {
-            let cfg = bo.ask().unwrap();
-            let loss = objective(&cfg);
-            bo.tell(&cfg, loss).unwrap();
-        }
-        assert!(
-            bo.best().unwrap().1 < 0.02,
-            "LCB best {}",
-            bo.best().unwrap().1
-        );
-    }
-
-    #[test]
     fn tracer_sees_gp_spans_and_incumbent_gauge() {
         let tracer = Tracer::enabled();
         let mut bo = BayesOpt::new(space_1d(), 7).unwrap();
@@ -358,7 +337,7 @@ mod tests {
             bo.tell(&cfg, loss).unwrap();
         }
         let snap = tracer.snapshot();
-        // n_initial = 5, so later asks are model-guided and timed.
+        // N_INITIAL = 5, so later asks are model-guided and timed.
         assert!(!snap.spans_named("gp.fit").is_empty());
         assert!(!snap.spans_named("gp.acquire").is_empty());
         assert_eq!(snap.gauge("bo.incumbent_loss"), Some(bo.best().unwrap().1));

@@ -39,6 +39,65 @@ pub enum ParamSpec {
     },
 }
 
+impl ParamSpec {
+    /// Encoded width: one dimension per option for a categorical, else one.
+    fn width(&self) -> usize {
+        match self {
+            ParamSpec::Categorical { options } => options.len(),
+            _ => 1,
+        }
+    }
+
+    /// Draws one value with this kind's single `gen_range` call.
+    fn draw<R: Rng>(&self, rng: &mut R) -> RawValue {
+        match self {
+            ParamSpec::Continuous { lo, hi } => RawValue::Float(rng.gen_range(*lo..=*hi)),
+            ParamSpec::LogContinuous { lo, hi } => {
+                RawValue::Float(10f64.powf(rng.gen_range(lo.log10()..=hi.log10())))
+            }
+            ParamSpec::Integer { lo, hi } => RawValue::Int(rng.gen_range(*lo..=*hi)),
+            ParamSpec::Categorical { options } => RawValue::Choice(rng.gen_range(0..options.len())),
+        }
+    }
+
+    /// The unit-cube coordinate of a scalar parameter's value `x`, in raw
+    /// units: its position in `[lo, hi]`, on the log10 scale for
+    /// `LogContinuous`, clamped to `[0, 1]`.
+    fn unit(&self, x: f64) -> f64 {
+        let (x, lo, span) = match *self {
+            ParamSpec::Continuous { lo, hi } => (x, lo, hi - lo),
+            ParamSpec::LogContinuous { lo, hi } => {
+                (x.max(1e-300).log10(), lo.log10(), hi.log10() - lo.log10())
+            }
+            ParamSpec::Integer { lo, hi } => (x, lo as f64, (hi - lo).max(1) as f64),
+            ParamSpec::Categorical { .. } => unreachable!("categoricals encode one-hot"),
+        };
+        ((x - lo) / span.max(1e-300)).clamp(0.0, 1.0)
+    }
+}
+
+/// One drawn value before it becomes a [`ParamValue`]: a float, an
+/// integer, or the index of a categorical option.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum RawValue {
+    Float(f64),
+    Int(i64),
+    Choice(usize),
+}
+
+impl RawValue {
+    fn value(self, spec: &ParamSpec) -> ParamValue {
+        match (self, spec) {
+            (RawValue::Float(v), _) => ParamValue::Float(v),
+            (RawValue::Int(v), _) => ParamValue::Int(v),
+            (RawValue::Choice(i), ParamSpec::Categorical { options }) => {
+                ParamValue::Cat(options[i].clone())
+            }
+            (RawValue::Choice(_), _) => unreachable!("option indices are drawn for categoricals"),
+        }
+    }
+}
+
 /// A concrete sampled value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ParamValue {
@@ -130,11 +189,22 @@ impl Condition {
     }
 }
 
+/// A [`Condition`] resolved when its parameter was added: the index of
+/// the controlling categorical and, per option of it, whether that option
+/// activates the guarded parameter.
+#[derive(Debug, Clone, PartialEq)]
+struct Guard {
+    cond: Condition,
+    key: usize,
+    active: Vec<bool>,
+}
+
 /// An ordered collection of named parameters.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SearchSpace {
     params: Vec<(String, ParamSpec)>,
-    conds: BTreeMap<String, Condition>,
+    /// One entry per parameter; `None` for an unconditional one.
+    guards: Vec<Option<Guard>>,
 }
 
 impl SearchSpace {
@@ -144,32 +214,72 @@ impl SearchSpace {
     }
 
     /// Adds a parameter (builder style).
-    pub fn with(mut self, name: &str, spec: ParamSpec) -> SearchSpace {
-        self.params.push((name.to_string(), spec));
-        self
+    ///
+    /// # Panics
+    ///
+    /// If `name` is already a parameter of the space, or a categorical
+    /// `spec` lists an option twice. Spaces are built by code, so either
+    /// is a bug in the caller.
+    pub fn with(self, name: &str, spec: ParamSpec) -> SearchSpace {
+        self.push(name, spec, None)
     }
 
     /// Adds a parameter that is active only under `cond` (structure-
     /// conditional spaces: pipeline-node and per-algorithm dimensions
     /// guarded by the structure/algorithm categoricals).
-    pub fn with_conditional(mut self, name: &str, spec: ParamSpec, cond: Condition) -> SearchSpace {
-        self.conds.insert(name.to_string(), cond);
+    ///
+    /// # Panics
+    ///
+    /// As [`with`](Self::with), and also if `cond`'s key does not name a
+    /// categorical parameter added earlier.
+    pub fn with_conditional(self, name: &str, spec: ParamSpec, cond: Condition) -> SearchSpace {
+        let (key, options) = self
+            .params
+            .iter()
+            .enumerate()
+            .find_map(|(i, (n, spec))| match spec {
+                ParamSpec::Categorical { options } if n == cond.key() => Some((i, options)),
+                _ => None,
+            })
+            .unwrap_or_else(|| {
+                panic!(
+                    "search space: {name:?} is guarded by {:?}, which is not an earlier \
+                     categorical parameter",
+                    cond.key()
+                )
+            });
+        let active = options.iter().map(|o| cond.options.contains(o)).collect();
+        self.push(name, spec, Some(Guard { cond, key, active }))
+    }
+
+    fn push(mut self, name: &str, spec: ParamSpec, guard: Option<Guard>) -> SearchSpace {
+        assert!(
+            self.params.iter().all(|(n, _)| n != name),
+            "search space: parameter {name:?} is defined twice"
+        );
+        if let ParamSpec::Categorical { options } = &spec {
+            for (i, option) in options.iter().enumerate() {
+                assert!(
+                    !options[..i].contains(option),
+                    "search space: {name:?} lists option {option:?} twice"
+                );
+            }
+        }
         self.params.push((name.to_string(), spec));
+        self.guards.push(guard);
         self
     }
 
     /// The activation guard of a parameter, if it has one.
     pub fn condition(&self, name: &str) -> Option<&Condition> {
-        self.conds.get(name)
+        let i = self.params.iter().position(|(n, _)| n == name)?;
+        self.guards[i].as_ref().map(|g| &g.cond)
     }
 
     /// True when the parameter participates in `config`'s selected
     /// structure (unconditional parameters are always active).
     pub fn is_active(&self, name: &str, config: &Configuration) -> bool {
-        self.conds
-            .get(name)
-            .map(|c| c.holds(config))
-            .unwrap_or(true)
+        self.condition(name).is_none_or(|c| c.holds(config))
     }
 
     /// Parameter count (before one-hot expansion).
@@ -190,34 +300,54 @@ impl SearchSpace {
     /// Dimension of the encoded `[0,1]^d` representation (categoricals
     /// expand to one dimension per option).
     pub fn encoded_dim(&self) -> usize {
-        self.params
-            .iter()
-            .map(|(_, s)| match s {
-                ParamSpec::Categorical { options } => options.len(),
-                _ => 1,
-            })
-            .sum()
+        self.params.iter().map(|(_, s)| s.width()).sum()
     }
 
     /// Samples a uniform random configuration.
     pub fn sample<R: Rng>(&self, rng: &mut R) -> Configuration {
+        let mut raw = vec![RawValue::Int(0); self.len()];
+        self.draw_raw(rng, &mut raw);
+        self.configuration(&raw)
+    }
+
+    /// Draws one value per parameter into `raw`, in parameter order — the
+    /// one place the RNG order of a random configuration is defined.
+    fn draw_raw<R: Rng>(&self, rng: &mut R, raw: &mut [RawValue]) {
+        for (slot, (_, spec)) in raw.iter_mut().zip(&self.params) {
+            *slot = spec.draw(rng);
+        }
+    }
+
+    /// Draws one candidate exactly as [`sample`](Self::sample) does, into
+    /// `raw` (one value per parameter) and its encoding into `row`
+    /// (`encoded_dim()` wide): the row equals `encode` of the sampled
+    /// configuration bit for bit. Guards resolve through option indices.
+    pub(crate) fn draw<R: Rng>(&self, rng: &mut R, raw: &mut [RawValue], row: &mut [f64]) {
+        self.draw_raw(rng, raw);
+        let mut at = 0;
+        for (((_, spec), guard), &value) in self.params.iter().zip(&self.guards).zip(&*raw) {
+            let out = &mut row[at..at + spec.width()];
+            at += out.len();
+            out.fill(0.0);
+            let active = guard
+                .as_ref()
+                .is_none_or(|g| matches!(raw[g.key], RawValue::Choice(i) if g.active[i]));
+            if active {
+                match value {
+                    RawValue::Float(x) => out[0] = spec.unit(x),
+                    RawValue::Int(x) => out[0] = spec.unit(x as f64),
+                    RawValue::Choice(i) => out[i] = 1.0,
+                }
+            }
+        }
+    }
+
+    /// The configuration of a drawn record.
+    pub(crate) fn configuration(&self, raw: &[RawValue]) -> Configuration {
         self.params
             .iter()
-            .map(|(name, spec)| {
-                let value = match spec {
-                    ParamSpec::Continuous { lo, hi } => ParamValue::Float(rng.gen_range(*lo..=*hi)),
-                    ParamSpec::LogContinuous { lo, hi } => {
-                        let l = lo.log10();
-                        let h = hi.log10();
-                        ParamValue::Float(10f64.powf(rng.gen_range(l..=h)))
-                    }
-                    ParamSpec::Integer { lo, hi } => ParamValue::Int(rng.gen_range(*lo..=*hi)),
-                    ParamSpec::Categorical { options } => {
-                        ParamValue::Cat(options[rng.gen_range(0..options.len())].clone())
-                    }
-                };
-                (name.clone(), value)
-            })
+            .zip(raw)
+            .map(|((name, spec), value)| (name.clone(), value.value(spec)))
             .collect()
     }
 
@@ -228,35 +358,26 @@ impl SearchSpace {
     /// surrogate's kernel sees no phantom distance between them.
     pub fn encode(&self, config: &Configuration) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.encoded_dim());
-        for (name, spec) in &self.params {
-            if !self.is_active(name, config) {
-                let width = match spec {
-                    ParamSpec::Categorical { options } => options.len(),
-                    _ => 1,
-                };
-                out.extend(std::iter::repeat_n(0.0, width));
+        for ((name, spec), guard) in self.params.iter().zip(&self.guards) {
+            let at = out.len();
+            out.resize(at + spec.width(), 0.0);
+            if !guard.as_ref().is_none_or(|g| g.cond.holds(config)) {
                 continue;
             }
             let v = config.get(name);
             match spec {
-                ParamSpec::Continuous { lo, hi } => {
-                    let x = v.map(|p| p.as_f64()).unwrap_or(*lo);
-                    out.push(((x - lo) / (hi - lo).max(1e-300)).clamp(0.0, 1.0));
+                ParamSpec::Continuous { lo, .. } | ParamSpec::LogContinuous { lo, .. } => {
+                    out[at] = spec.unit(v.map(|p| p.as_f64()).unwrap_or(*lo));
                 }
-                ParamSpec::LogContinuous { lo, hi } => {
-                    let x = v.map(|p| p.as_f64()).unwrap_or(*lo).max(1e-300);
-                    let l = lo.log10();
-                    let h = hi.log10();
-                    out.push(((x.log10() - l) / (h - l).max(1e-300)).clamp(0.0, 1.0));
-                }
-                ParamSpec::Integer { lo, hi } => {
-                    let x = v.map(|p| p.as_i64()).unwrap_or(*lo) as f64;
-                    out.push(((x - *lo as f64) / (*hi - *lo).max(1) as f64).clamp(0.0, 1.0));
+                ParamSpec::Integer { lo, .. } => {
+                    out[at] = spec.unit(v.map(|p| p.as_i64()).unwrap_or(*lo) as f64);
                 }
                 ParamSpec::Categorical { options } => {
                     let choice = v.map(|p| p.as_str()).unwrap_or("");
-                    for opt in options {
-                        out.push(if opt == choice { 1.0 } else { 0.0 });
+                    for (slot, opt) in out[at..].iter_mut().zip(options) {
+                        if opt == choice {
+                            *slot = 1.0;
+                        }
                     }
                 }
             }
@@ -307,6 +428,7 @@ impl SearchSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -437,5 +559,127 @@ mod tests {
         let s = space();
         assert!(s.is_active("alpha", &Configuration::new()));
         assert!(s.condition("alpha").is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "defined twice")]
+    fn a_repeated_name_is_refused() {
+        let _ = space().with("depth", ParamSpec::Integer { lo: 0, hi: 1 });
+    }
+
+    #[test]
+    #[should_panic(expected = "lists option \"a\" twice")]
+    fn a_repeated_option_is_refused() {
+        let _ = SearchSpace::new().with(
+            "c",
+            ParamSpec::Categorical {
+                options: vec!["a".into(), "b".into(), "a".into()],
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "not an earlier categorical")]
+    fn a_guard_on_a_later_parameter_is_refused() {
+        let _ = SearchSpace::new().with_conditional(
+            "width",
+            ParamSpec::Continuous { lo: 0.0, hi: 1.0 },
+            Condition::equals("pipeline", "plain"),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "not an earlier categorical")]
+    fn a_guard_on_a_scalar_parameter_is_refused() {
+        let _ = space().with_conditional(
+            "width",
+            ParamSpec::Continuous { lo: 0.0, hi: 1.0 },
+            Condition::equals("depth", "3"),
+        );
+    }
+
+    /// One parameter of a generated space: kind, base value, span (0
+    /// gives `lo == hi`; decades for a log range), option count, and the
+    /// bits that choose its guard.
+    type Recipe = (u8, f64, u32, usize, u64);
+
+    fn recipes() -> impl Strategy<Value = Vec<Recipe>> {
+        prop::collection::vec(
+            (0u8..4, -3.0f64..3.0, 0u32..9, 1usize..5, any::<u64>()),
+            1..=12,
+        )
+    }
+
+    /// Builds a space from recipes. Two in three parameters after the
+    /// first categorical are guarded by an earlier categorical (guarded
+    /// or not), active under any subset of its options.
+    fn space_from(recipes: &[Recipe]) -> SearchSpace {
+        let mut space = SearchSpace::new();
+        let mut categoricals: Vec<(String, Vec<String>)> = Vec::new();
+        for (i, &(kind, a, span, n_options, guard)) in recipes.iter().enumerate() {
+            let name = format!("p{i}");
+            let spec = match kind {
+                0 => ParamSpec::Continuous {
+                    lo: a,
+                    hi: a + 0.75 * span as f64,
+                },
+                1 => ParamSpec::LogContinuous {
+                    lo: 10f64.powf(a),
+                    hi: 10f64.powf(a + span as f64),
+                },
+                2 => {
+                    let lo = (10.0 * a) as i64;
+                    ParamSpec::Integer {
+                        lo,
+                        hi: lo + 3 * i64::from(span),
+                    }
+                }
+                _ => ParamSpec::Categorical {
+                    options: (0..n_options).map(|o| format!("{name}_o{o}")).collect(),
+                },
+            };
+            let key = categoricals.get((guard >> 2) as usize % categoricals.len().max(1));
+            space = match key {
+                Some((key, options)) if guard % 3 != 0 => {
+                    let active = options
+                        .iter()
+                        .enumerate()
+                        .filter(|&(o, _)| guard >> (8 + o) & 1 == 1)
+                        .map(|(_, option)| option.clone());
+                    space.with_conditional(&name, spec.clone(), Condition::any_of(key, active))
+                }
+                _ => space.with(&name, spec.clone()),
+            };
+            if let ParamSpec::Categorical { options } = spec {
+                categoricals.push((name, options));
+            }
+        }
+        space
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        /// The acquisition draw path is `sample` followed by `encode`, bit
+        /// for bit: each drawn row is the sampled configuration's
+        /// encoding, the record is that configuration, and both paths
+        /// leave the RNG at the same point.
+        #[test]
+        fn drawn_rows_are_encoded_samples(recipes in recipes(), seed in any::<u64>()) {
+            let space = space_from(&recipes);
+            let mut drawn = StdRng::seed_from_u64(seed);
+            let mut sampled = drawn.clone();
+            let mut raw = vec![RawValue::Int(0); space.len()];
+            let mut row = vec![f64::NAN; space.encoded_dim()];
+            for _ in 0..64 {
+                space.draw(&mut drawn, &mut raw, &mut row);
+                let config = space.sample(&mut sampled);
+                prop_assert_eq!(bits(&row), bits(&space.encode(&config)));
+                prop_assert_eq!(space.configuration(&raw), config);
+            }
+            prop_assert_eq!(drawn.gen::<u64>(), sampled.gen::<u64>());
+        }
     }
 }

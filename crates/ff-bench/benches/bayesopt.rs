@@ -3,10 +3,17 @@
 //! cost of each communication round in §4.3. The sweep spans 16 to 256
 //! observations, so the per-ask growth rate of the incremental surrogate
 //! (O(n²) fit, blocked O(n²) acquisition per candidate block) shows.
+//!
+//! Two spaces are swept: the flat six-algorithm Table 2 space (16
+//! unconditional parameters) and the `train_search` pipeline space (the
+//! Lasso portfolio over every builtin structure: 11 parameters, most of
+//! them guarded), whose masked candidate draws are the fixed part of
+//! every ask that workload pays.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use fedforecaster::search_space::table2_space;
+use fedforecaster::search_space::{pipeline_space, table2_space};
 use ff_bayesopt::optimizer::BayesOpt;
+use ff_models::pipeline::PipelineId;
 use ff_models::zoo::AlgorithmKind;
 
 fn bench_bayesopt(c: &mut Criterion) {
@@ -14,13 +21,21 @@ fn bench_bayesopt(c: &mut Criterion) {
     group.sample_size(10);
     group.measurement_time(std::time::Duration::from_secs(2));
     group.warm_up_time(std::time::Duration::from_millis(500));
-    for n_obs in [16usize, 64, 256] {
-        group.bench_with_input(
-            BenchmarkId::new("ask_after_n_observations", n_obs),
-            &n_obs,
-            |b, &n_obs| {
+    let spaces = [
+        (
+            "ask_after_n_observations",
+            table2_space(&AlgorithmKind::all()),
+        ),
+        (
+            "pipeline_ask_after_n_observations",
+            pipeline_space(&[AlgorithmKind::LASSO], &PipelineId::builtin()),
+        ),
+    ];
+    for (name, space) in &spaces {
+        for n_obs in [16usize, 64, 256] {
+            group.bench_with_input(BenchmarkId::new(name, n_obs), &n_obs, |b, &n_obs| {
                 // Pre-populate an optimizer with n_obs synthetic evaluations.
-                let mut bo = BayesOpt::new(table2_space(&AlgorithmKind::all()), 3).unwrap();
+                let mut bo = BayesOpt::new(space.clone(), 3).unwrap();
                 for i in 0..n_obs {
                     let cfg = bo.ask().unwrap();
                     // A deterministic pseudo-loss keeps the landscape fixed.
@@ -34,8 +49,8 @@ fn bench_bayesopt(c: &mut Criterion) {
                     // by telling and asking again.
                     bo.tell(&cfg, 0.5).unwrap();
                 });
-            },
-        );
+            });
+        }
     }
     group.finish();
 }
