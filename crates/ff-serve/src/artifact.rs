@@ -14,8 +14,9 @@
 //!
 //! Opening verifies frame → checksum → fields → content, in that order,
 //! so a truncated file reports truncation, a flipped bit reports a
-//! checksum mismatch, and a hostile length prefix is rejected before any
-//! allocation happens. Disk contents are adversarial input: a serving
+//! checksum mismatch, and a hostile length prefix or count is rejected
+//! before any allocation happens: no count reserves more than the bytes
+//! left could hold. Disk contents are adversarial input: a serving
 //! process loads whatever survived the last deploy.
 
 use crate::error::ArtifactError;
@@ -126,9 +127,15 @@ impl Artifact {
             1 => Some(r.str(MAX_NAME).map_err(ser_err)?.to_string()),
             t => return Err(ArtifactError::BadTag(t)),
         };
+        // Each count passes its cap, then must fit in the bytes left
+        // (4 per lag; 8 per weight plus 4 per blob length) before it
+        // sizes an allocation.
         let n_lags = r.u32().map_err(ser_err)? as usize;
         if n_lags > MAX_LAGS {
             return Err(ArtifactError::ImplausibleLength(n_lags as u64));
+        }
+        if n_lags > r.remaining() / 4 {
+            return Err(ArtifactError::Truncated);
         }
         let mut lags = Vec::with_capacity(n_lags);
         for _ in 0..n_lags {
@@ -137,6 +144,9 @@ impl Artifact {
         let n_members = r.u32().map_err(ser_err)? as usize;
         if n_members > MAX_MEMBERS {
             return Err(ArtifactError::ImplausibleLength(n_members as u64));
+        }
+        if n_members > r.remaining() / 12 {
+            return Err(ArtifactError::Truncated);
         }
         let mut members = Vec::with_capacity(n_members);
         for _ in 0..n_members {

@@ -1,15 +1,93 @@
 //! Hostile-artifact safety: whatever is on disk, opening it returns a
-//! typed error — never a panic, never an unbounded allocation, never a
-//! silently wrong model. The corruption comes from the checkpoint
-//! crate's fault injectors, so the damage applied here is the same
-//! damage the crash-recovery suite proves the WAL survives.
+//! typed error — never a panic, never a silently wrong model, and never
+//! an allocation sized by a forged count rather than by the input. The
+//! corruption comes from the checkpoint crate's fault injectors, so the
+//! damage applied here is the same damage the crash-recovery suite
+//! proves the WAL survives.
 
 mod common;
 
 use common::{series, v2_artifact, v3_artifact, SERIES_LEN};
 use ff_ckpt::corrupt::{append_garbage, flip_bit, truncate_tail};
 use ff_serve::{crc32, Artifact, ArtifactError, ModelStore, ServeError};
-use std::path::PathBuf;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::path::{Path, PathBuf};
+
+/// Records the largest single allocation requested by the tracking thread.
+struct Tracking;
+
+thread_local! {
+    static TRACKING: Cell<bool> = const { Cell::new(false) };
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note(size: usize) {
+    let _ = TRACKING.try_with(|on| {
+        if on.get() {
+            LARGEST.with(|l| l.set(l.get().max(size)));
+        }
+    });
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, so
+// `Tracking` meets `GlobalAlloc`'s contract wherever `System` does;
+// `note` only touches `Cell`s in const-initialised thread-locals, which
+// never allocate.
+unsafe impl GlobalAlloc for Tracking {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOC: Tracking = Tracking;
+
+/// Allocations any open may make regardless of input size: the path
+/// handed to the OS, or an error message.
+const ALLOC_FLOOR: usize = 1024;
+
+/// Runs `open` over an input of `input_len` bytes and asserts that it
+/// allocated no single block larger than eight bytes per input byte
+/// (above the floor).
+fn bounded(
+    input_len: usize,
+    open: impl FnOnce() -> Result<Artifact, ArtifactError>,
+) -> Result<Artifact, ArtifactError> {
+    LARGEST.with(|l| l.set(0));
+    TRACKING.with(|t| t.set(true));
+    let result = open();
+    TRACKING.with(|t| t.set(false));
+    let largest = LARGEST.with(Cell::get);
+    assert!(
+        largest <= (8 * input_len).max(ALLOC_FLOOR),
+        "a {input_len}-byte artifact allocated {largest} bytes"
+    );
+    result
+}
+
+/// [`Artifact::read_from`] under the allocation bound.
+fn read_bounded(path: &Path) -> Result<Artifact, ArtifactError> {
+    let len = std::fs::metadata(path).expect("metadata").len() as usize;
+    bounded(len, || Artifact::read_from(path))
+}
+
+/// [`Artifact::open`] under the allocation bound.
+fn open_bounded(raw: &[u8]) -> Result<Artifact, ArtifactError> {
+    bounded(raw.len(), || Artifact::open(raw))
+}
 
 /// A scratch directory unique to this test process.
 fn scratch(name: &str) -> PathBuf {
@@ -25,7 +103,7 @@ fn truncation_at_every_depth_is_a_typed_error() {
     for keep in (0..sealed.len()).step_by(7).chain([sealed.len() - 1]) {
         std::fs::write(&path, &sealed).expect("write");
         truncate_tail(&path, (sealed.len() - keep) as u64).expect("truncate");
-        let err = Artifact::read_from(&path).expect_err("prefix must not open");
+        let err = read_bounded(&path).expect_err("prefix must not open");
         assert!(
             matches!(
                 err,
@@ -46,7 +124,7 @@ fn bit_flips_anywhere_in_the_file_are_caught() {
         for bit in [0u8, 3, 7] {
             std::fs::write(&path, &sealed).expect("write");
             flip_bit(&path, offset as u64, bit).expect("flip");
-            let err = Artifact::read_from(&path).expect_err("flipped file must not open");
+            let err = read_bounded(&path).expect_err("flipped file must not open");
             assert!(
                 matches!(
                     err,
@@ -67,7 +145,7 @@ fn appended_garbage_breaks_the_checksum() {
     for n in [1usize, 13, 4096] {
         std::fs::write(&path, &sealed).expect("write");
         append_garbage(&path, n, 0xF0F0 + n as u64).expect("append");
-        let err = Artifact::read_from(&path).expect_err("garbage tail must not open");
+        let err = read_bounded(&path).expect_err("garbage tail must not open");
         assert!(
             matches!(err, ArtifactError::ChecksumMismatch { .. }),
             "{n} garbage bytes: unexpected {err:?}"
@@ -83,7 +161,7 @@ fn pure_garbage_files_are_typed_errors_not_panics() {
         std::fs::write(&path, vec![]).expect("write");
         append_garbage(&path, n, seed).expect("append");
         assert!(
-            Artifact::read_from(&path).is_err(),
+            read_bounded(&path).is_err(),
             "{n} noise bytes opened as an artifact"
         );
     }
@@ -103,32 +181,36 @@ fn frame(payload: &[u8]) -> Vec<u8> {
     out
 }
 
-#[test]
-fn hostile_length_prefixes_cannot_force_allocation() {
-    // algorithm = "x", no pipeline, no lags, then a member count
-    // claiming 4 billion entries — with a valid checksum over it all.
+/// The fields every forged payload leads with: algorithm "x", no
+/// pipeline.
+fn head() -> Vec<u8> {
     let mut payload = Vec::new();
     payload.extend_from_slice(&1u32.to_le_bytes());
     payload.push(b'x');
     payload.push(0); // no pipeline
+    payload
+}
+
+#[test]
+fn hostile_length_prefixes_cannot_force_allocation() {
+    // No lags, then a member count claiming 4 billion entries — with a
+    // valid checksum over it all.
+    let mut payload = head();
     payload.extend_from_slice(&0u32.to_le_bytes()); // no lags
     payload.extend_from_slice(&u32::MAX.to_le_bytes()); // "members"
-    let err = Artifact::open(&frame(&payload)).expect_err("implausible member count");
+    let err = open_bounded(&frame(&payload)).expect_err("implausible member count");
     assert!(
         matches!(err, ArtifactError::ImplausibleLength(_)),
         "unexpected {err:?}"
     );
 
     // A single member whose blob claims to be ~4 GiB.
-    let mut payload = Vec::new();
-    payload.extend_from_slice(&1u32.to_le_bytes());
-    payload.push(b'x');
-    payload.push(0);
+    let mut payload = head();
     payload.extend_from_slice(&0u32.to_le_bytes());
     payload.extend_from_slice(&1u32.to_le_bytes());
     payload.extend_from_slice(&1.0f64.to_le_bytes());
     payload.extend_from_slice(&u32::MAX.to_le_bytes()); // blob length
-    let err = Artifact::open(&frame(&payload)).expect_err("implausible blob length");
+    let err = open_bounded(&frame(&payload)).expect_err("implausible blob length");
     assert!(
         matches!(
             err,
@@ -136,6 +218,45 @@ fn hostile_length_prefixes_cannot_force_allocation() {
         ),
         "unexpected {err:?}"
     );
+}
+
+#[test]
+fn forged_counts_cannot_reserve_beyond_the_input() {
+    // Each count ends its payload. At its cap it claims entries the bytes
+    // left cannot hold; past the cap it is implausible outright. Neither
+    // may size an allocation.
+    let lags = |n: u32| [head(), n.to_le_bytes().to_vec()].concat();
+    let members = |n: u32| [head(), vec![0; 4], n.to_le_bytes().to_vec()].concat();
+    let implausible = |n: u32| ArtifactError::ImplausibleLength(n.into());
+    for (payload, expected) in [
+        (lags(4096), ArtifactError::Truncated),
+        (lags(4097), implausible(4097)),
+        (lags(u32::MAX), implausible(u32::MAX)),
+        (members(65_536), ArtifactError::Truncated),
+        (members(65_537), implausible(65_537)),
+        (members(u32::MAX), implausible(u32::MAX)),
+    ] {
+        assert_eq!(open_bounded(&frame(&payload)), Err(expected));
+    }
+}
+
+#[test]
+fn reframed_cuts_and_bit_flips_decode_within_the_bound() {
+    // Re-sealing each damaged payload behind a valid checksum hands the
+    // damage to the field decoder instead of the CRC.
+    let sealed = v3_artifact(6).seal();
+    let payload = &sealed[5..sealed.len() - 4];
+    for cut in 0..payload.len() {
+        assert!(
+            open_bounded(&frame(&payload[..cut])).is_err(),
+            "a {cut}-byte prefix opened"
+        );
+    }
+    for bit in 0..payload.len() * 8 {
+        let mut flipped = payload.to_vec();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        let _ = open_bounded(&frame(&flipped));
+    }
 }
 
 #[test]
