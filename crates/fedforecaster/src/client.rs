@@ -232,8 +232,8 @@ impl FedForecasterClient {
     }
 
     /// Final pipeline fit on train ++ valid (Algorithm 1 line 24). Ships a
-    /// blob-v3 member for server-side ensemble union; every registered
-    /// algorithm can ship because [`PipelineModel::to_blob`] probes
+    /// blob-v3 member for server-side ensemble union; every algorithm in
+    /// the table can ship because [`PipelineModel::to_blob`] probes
     /// non-codec models into frozen affine form.
     fn pipeline_final_fit(
         &mut self,

@@ -210,8 +210,8 @@ pub struct EngineConfig {
     pub round_policy: RoundPolicy,
     /// Explicit algorithm portfolio. `Some(kinds)` bypasses the meta-model
     /// recommendation (and `disable_warm_start`) and searches exactly these
-    /// algorithms — useful for forcing a single algorithm or exercising a
-    /// newly registered one end-to-end. `None` (the default) uses the
+    /// algorithms — useful for forcing a single algorithm or running an
+    /// ablation. It must be non-empty. `None` (the default) uses the
     /// meta-model recommendation.
     pub portfolio: Option<Vec<ff_models::zoo::AlgorithmKind>>,
     /// Pipeline structures to search jointly with the algorithm portfolio.
@@ -253,9 +253,8 @@ impl EngineConfig {
     /// Validates cross-field invariants before a run: robust-rule knobs
     /// in range, no robust aggregation over masked sums (the guard and
     /// the robust estimators are definitionally incompatible with a
-    /// server that cannot see per-client updates), a non-empty
-    /// `pipelines` list, and no entry named twice in `pipelines` or
-    /// `portfolio`.
+    /// server that cannot see per-client updates), non-empty `pipelines`
+    /// and `portfolio` lists, and no entry named twice in either.
     pub fn validate(&self) -> Result<()> {
         self.aggregation
             .validate()
@@ -281,11 +280,18 @@ impl EngineConfig {
                 )));
             }
         }
-        if let Some(a) = self.portfolio.as_deref().and_then(first_repeat) {
-            return Err(EngineError::InvalidData(format!(
-                "portfolio lists {} twice",
-                a.name()
-            )));
+        if let Some(algos) = &self.portfolio {
+            if algos.is_empty() {
+                return Err(EngineError::InvalidData(
+                    "portfolio: Some([]) selects nothing; use None for the meta-model".into(),
+                ));
+            }
+            if let Some(a) = first_repeat(algos) {
+                return Err(EngineError::InvalidData(format!(
+                    "portfolio lists {} twice",
+                    a.name()
+                )));
+            }
         }
         Ok(())
     }
@@ -382,6 +388,16 @@ mod tests {
             ..Default::default()
         };
         assert!(ok.validate().is_ok());
+        // An empty portfolio is refused before a run writes its checkpoint
+        // header or asks clients for meta-features.
+        let no_algorithms = EngineConfig {
+            portfolio: Some(vec![]),
+            ..Default::default()
+        };
+        assert!(matches!(
+            no_algorithms.validate(),
+            Err(EngineError::InvalidData(_))
+        ));
         // A repeated structure or algorithm would add its dimensions to
         // the search space twice.
         use ff_models::pipeline::PipelineId;

@@ -279,16 +279,13 @@ impl<'m> FedForecaster<'m> {
         };
         // Phase I–II: meta-features → aggregation → recommendation. An
         // explicit portfolio bypasses the meta-model entirely (ablations,
-        // registry extensions the meta-model was not trained on).
+        // forcing one algorithm).
         let phase_span = tracer.span("phase.meta_features");
         let (global, max_len) = collect_global_meta(&mut ctx)?;
         let recommended: Vec<AlgorithmKind> = if let Some(portfolio) = &self.cfg.portfolio {
-            if portfolio.is_empty() {
-                return Err(EngineError::InvalidData("empty portfolio override".into()));
-            }
             portfolio.clone()
         } else if self.cfg.disable_warm_start {
-            AlgorithmKind::all()
+            AlgorithmKind::builtin().to_vec()
         } else {
             self.meta
                 .recommend(global.values(), self.cfg.top_k)
@@ -809,7 +806,7 @@ mod tests {
         let meta = tiny_metamodel();
         let result = FedForecaster::new(cfg, &meta).run(&federation()).unwrap();
         assert!(result.test_mse.is_finite());
-        assert_eq!(result.recommended.len(), AlgorithmKind::all().len());
+        assert_eq!(result.recommended.len(), AlgorithmKind::builtin().len());
     }
 
     #[test]
@@ -823,6 +820,18 @@ mod tests {
         let result = FedForecaster::new(cfg, &meta).run(&federation()).unwrap();
         assert_eq!(result.recommended, vec![AlgorithmKind::LASSO]);
         assert_eq!(result.best_algorithm, AlgorithmKind::LASSO);
+        assert!(!result.rounds.is_empty());
+        assert!(result.rounds.iter().all(|r| r.quorum_met));
+        // A forced linear portfolio deploys one FedAvg-ed affine model.
+        match &result.global_model {
+            GlobalModel::Linear {
+                algorithm, coef, ..
+            } => {
+                assert_eq!(*algorithm, AlgorithmKind::LASSO);
+                assert!(!coef.is_empty());
+            }
+            other => panic!("expected a linear global model, got {other:?}"),
+        }
         // An empty portfolio is a configuration error, not a silent no-op.
         let bad = EngineConfig {
             portfolio: Some(vec![]),

@@ -43,8 +43,8 @@ impl RandomSearch {
         // Honors the same pipeline switch as the engine so ablations
         // compare like with like (guided vs random over the same space).
         let space = match &self.cfg.pipelines {
-            Some(pipes) => pipeline_space(&AlgorithmKind::all(), pipes),
-            None => table2_space(&AlgorithmKind::all()),
+            Some(pipes) => pipeline_space(&AlgorithmKind::builtin(), pipes),
+            None => table2_space(&AlgorithmKind::builtin()),
         };
         let mut rng = StdRng::seed_from_u64(self.cfg.seed);
         let mut best: Option<(ff_bayesopt::space::Configuration, f64)> = None;

@@ -1,17 +1,18 @@
-//! The Table 2 search space and its encodings — registry-driven.
+//! The Table 2 search space and its encodings — driven by the algorithm
+//! table.
 //!
 //! The joint space has a categorical `algorithm` dimension restricted to
 //! the meta-model's recommendations plus every algorithm's hyperparameters
 //! (a flattened conditional space — dimensions of unselected algorithms are
 //! inert, the standard CASH-space trick). All per-algorithm knowledge
 //! (keys, ranges, warm starts, decode) comes from the `ff_models::spec`
-//! registry, so registering a new algorithm extends this space with no
-//! edits here. Conversions are provided to the [`HyperParams`] bundle used
-//! to instantiate models and to [`ConfigMap`]s for transmission to clients.
+//! table, so a new table entry extends this space with no edits here.
+//! Conversions are provided to the [`HyperParams`] bundle used to
+//! instantiate models and to [`ConfigMap`]s for transmission to clients.
 //!
 //! Ranges follow Table 2 exactly, with one normalization documented in
 //! DESIGN.md §4: the printed ElasticNetCV `l1_ratio ∈ [0.3, 10]` is a typo
-//! (the mixing ratio is only defined on `[0, 1]`), so the registry samples
+//! (the mixing ratio is only defined on `[0, 1]`), so the table samples
 //! `[0.3, 1.0]` directly.
 
 use ff_bayesopt::space::{Condition, Configuration, ParamSpec, ParamValue, SearchSpace};
@@ -48,7 +49,7 @@ fn to_spec_value(v: &ParamValue) -> SpecValue {
 }
 
 /// Builds the joint Table 2 search space over the given algorithms by
-/// iterating their registered specs.
+/// iterating their specs.
 pub fn table2_space(algorithms: &[AlgorithmKind]) -> SearchSpace {
     assert!(!algorithms.is_empty());
     let names: Vec<String> = algorithms.iter().map(|a| a.name().to_string()).collect();
@@ -91,7 +92,7 @@ pub fn from_hyperparams(algo: AlgorithmKind, hp: &HyperParams) -> Configuration 
 }
 
 /// Warm-start configurations for the recommended algorithms: each
-/// recommendation seeds one configuration at its registered grid-search
+/// recommendation seeds one configuration at its grid-search
 /// sweet spot (the middle entry of the KB labelling grid).
 pub fn warm_start_configs(algorithms: &[AlgorithmKind]) -> Vec<Configuration> {
     algorithms
@@ -251,9 +252,9 @@ mod tests {
     }
 
     /// Snapshot of the six Table 2 algorithms' space against hard-coded
-    /// literals — the registry must keep producing byte-identical
-    /// dimensions to the pre-registry code. Two intentional deviations are
-    /// baked into the expectations: `enet_l1_ratio` now samples the valid
+    /// literals — the algorithm table must keep producing exactly these
+    /// dimensions. Two intentional deviations are baked into the
+    /// expectations: `enet_l1_ratio` now samples the valid
     /// `[0.3, 1.0]` range (the declared `[0.3, 10]` was a Table 2 typo that
     /// collapsed ~97% of samples onto plain Lasso), and warm starts carry
     /// real grid sweet-spot values (see `warm_start_matches_grid_centers`).
@@ -367,8 +368,9 @@ mod tests {
     }
 
     /// Regression test for the cross-namespace decode leak: dimensions of
-    /// unselected algorithms must never reach `HyperParams`. Pre-registry,
-    /// an SVR config fell back to `lasso_alpha`/`lasso_selection`.
+    /// unselected algorithms must never reach `HyperParams`. Before the
+    /// namespaced specs, an SVR config fell back to
+    /// `lasso_alpha`/`lasso_selection`.
     #[test]
     fn unselected_dimensions_never_leak() {
         let space = table2_space(&AlgorithmKind::builtin());

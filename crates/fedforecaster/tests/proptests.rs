@@ -91,7 +91,7 @@ proptest! {
 
     #[test]
     fn search_space_samples_always_instantiate(seed in 0u64..300) {
-        let space = table2_space(&AlgorithmKind::all());
+        let space = table2_space(&AlgorithmKind::builtin());
         let mut rng = StdRng::seed_from_u64(seed);
         let cfg = space.sample(&mut rng);
         let algo = algorithm_of(&cfg).unwrap();
@@ -105,10 +105,10 @@ proptest! {
 
     #[test]
     fn sample_decode_encode_decode_is_stable(seed in 0u64..500) {
-        // For every registered algorithm: sample → decode → encode →
-        // decode is a fixed point (registry encode/decode are inverse on
+        // For every algorithm: sample → decode → encode → decode is a
+        // fixed point (each spec's encode/decode are inverse on
         // canonicalized values).
-        let space = table2_space(&AlgorithmKind::all());
+        let space = table2_space(&AlgorithmKind::builtin());
         let mut rng = StdRng::seed_from_u64(seed);
         let cfg = space.sample(&mut rng);
         let algo = algorithm_of(&cfg).unwrap();
@@ -123,12 +123,12 @@ proptest! {
     fn unselected_algorithm_dimensions_never_leak(seed in 0u64..300, poison in -1e9f64..1e9) {
         // Poisoning every foreign-namespace dimension must not change the
         // decoded bundle of the selected algorithm.
-        let space = table2_space(&AlgorithmKind::all());
+        let space = table2_space(&AlgorithmKind::builtin());
         let mut rng = StdRng::seed_from_u64(seed);
         let mut cfg = space.sample(&mut rng);
         let algo = algorithm_of(&cfg).unwrap();
         let clean = to_hyperparams(&cfg);
-        for other in AlgorithmKind::all() {
+        for other in AlgorithmKind::builtin() {
             if other == algo {
                 continue;
             }
@@ -144,7 +144,7 @@ proptest! {
         // Joint-space roundtrip across node namespaces: sample → decode →
         // encode → decode → encode is a fixed point for both the selected
         // structure's node params and the selected algorithm's params.
-        let space = pipeline_space(&AlgorithmKind::all(), &PipelineId::builtin());
+        let space = pipeline_space(&AlgorithmKind::builtin(), &PipelineId::builtin());
         let mut rng = StdRng::seed_from_u64(seed);
         let cfg = space.sample(&mut rng);
         let pipe = pipeline_of(&cfg).unwrap();
@@ -177,7 +177,7 @@ proptest! {
         // NOT select (and every foreign algorithm namespace) must not
         // change the decoded bundle — the conditional space's inert
         // dimensions are truly inert.
-        let space = pipeline_space(&AlgorithmKind::all(), &PipelineId::builtin());
+        let space = pipeline_space(&AlgorithmKind::builtin(), &PipelineId::builtin());
         let mut rng = StdRng::seed_from_u64(seed);
         let mut cfg = space.sample(&mut rng);
         let pipe = pipeline_of(&cfg).unwrap();
@@ -191,7 +191,7 @@ proptest! {
                 cfg.insert(pd.key().to_string(), ParamValue::Float(poison));
             }
         }
-        for other in AlgorithmKind::all() {
+        for other in AlgorithmKind::builtin() {
             if other == algo {
                 continue;
             }

@@ -24,7 +24,7 @@ fn bench_bayesopt(c: &mut Criterion) {
     let spaces = [
         (
             "ask_after_n_observations",
-            table2_space(&AlgorithmKind::all()),
+            table2_space(&AlgorithmKind::builtin()),
         ),
         (
             "pipeline_ask_after_n_observations",

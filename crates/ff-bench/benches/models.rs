@@ -30,7 +30,7 @@ fn bench_models(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_secs(2));
     group.warm_up_time(std::time::Duration::from_millis(500));
     let (x, y) = design(1000);
-    for kind in AlgorithmKind::all() {
+    for kind in AlgorithmKind::builtin() {
         group.bench_with_input(BenchmarkId::new("fit", kind.name()), &kind, |b, &kind| {
             b.iter(|| {
                 let mut m = build_regressor(kind, &HyperParams::default());

@@ -16,7 +16,7 @@ use rand::SeedableRng;
 fn main() {
     let args = Args::parse();
     let n_samples = args.usize("samples", 2000);
-    let space = table2_space(&AlgorithmKind::all());
+    let space = table2_space(&AlgorithmKind::builtin());
 
     println!("Table 2: Search Space for Forecasting Algorithms in FedForecaster\n");
     println!("{:<20} {:<22} Range / options", "Parameter", "Type");
@@ -33,7 +33,7 @@ fn main() {
 
     // Verify ranges over a large sample and count per-algorithm coverage.
     let mut rng = StdRng::seed_from_u64(0);
-    let mut counts = vec![0usize; AlgorithmKind::all().len()];
+    let mut counts = vec![0usize; AlgorithmKind::builtin().len()];
     for _ in 0..n_samples {
         let cfg = space.sample(&mut rng);
         let algo = algorithm_of(&cfg).expect("algorithm present");
@@ -51,7 +51,7 @@ fn main() {
     }
     println!("\nSampled {n_samples} configurations; all Table 2 ranges respected.");
     println!("Per-algorithm sample counts (uniform categorical expected):");
-    for (kind, c) in AlgorithmKind::all().into_iter().zip(counts) {
+    for (kind, c) in AlgorithmKind::builtin().into_iter().zip(counts) {
         println!("  {:<20} {}", kind.name(), c);
     }
 }

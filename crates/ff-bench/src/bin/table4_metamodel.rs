@@ -11,6 +11,7 @@ use ff_bench::Args;
 use ff_metalearn::kb::KnowledgeBase;
 use ff_metalearn::metamodel::{evaluate_zoo, MetaClassifierKind};
 use ff_metalearn::synth::{reallike_kb, synthetic_kb};
+use ff_models::zoo::AlgorithmKind;
 use std::time::Instant;
 
 fn main() {
@@ -34,12 +35,12 @@ fn main() {
     );
 
     // Label distribution (context for interpreting F1).
-    let mut counts = vec![0usize; ff_models::zoo::AlgorithmKind::all().len()];
+    let mut counts = vec![0usize; AlgorithmKind::builtin().len()];
     for l in kb.labels() {
         counts[l] += 1;
     }
     eprintln!("[table4] label distribution:");
-    for (kind, c) in ff_models::zoo::AlgorithmKind::all().into_iter().zip(counts) {
+    for (kind, c) in AlgorithmKind::builtin().into_iter().zip(counts) {
         eprintln!("  {:<20} {}", kind.name(), c);
     }
 

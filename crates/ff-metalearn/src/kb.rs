@@ -73,7 +73,7 @@ impl KnowledgeBase {
         }
     }
 
-    /// Class labels as registry indices.
+    /// Class labels as algorithm-table indices.
     pub fn labels(&self) -> Vec<usize> {
         self.records
             .iter()
@@ -139,14 +139,14 @@ pub fn federation_features(clients: &[TimeSeries]) -> Option<(Vec<f64>, Vec<Prep
 /// Grid-searches all Table 2 algorithms over the federation; returns the
 /// winner and its weighted global MSE.
 ///
-/// Near-ties (losses within 0.5% of the best) are broken by registry order:
+/// Near-ties (losses within 0.5% of the best) are broken by table order:
 /// on easy datasets several linear models are statistically equivalent, and
 /// without deterministic tie-breaking the KB labels become unlearnable
 /// noise for the meta-model.
 pub fn grid_search_best(clients: &[PreparedClient]) -> Option<(AlgorithmKind, f64)> {
     // Each algorithm's grid is evaluated independently on the ff-par pool;
-    // collecting in registry order preserves the tie-break semantics below.
-    let kinds = AlgorithmKind::all();
+    // collecting in table order preserves the tie-break semantics below.
+    let kinds = AlgorithmKind::builtin();
     let per_algorithm: Vec<(AlgorithmKind, f64)> = ff_par::run_indexed(kinds.len(), |i| {
         let kind = kinds[i];
         let mut best_for_kind = f64::INFINITY;
@@ -161,7 +161,7 @@ pub fn grid_search_best(clients: &[PreparedClient]) -> Option<(AlgorithmKind, f6
     .flatten()
     .collect();
     let (_, best_loss) = *per_algorithm.iter().min_by(|a, b| a.1.total_cmp(&b.1))?;
-    // First algorithm (registry order) within the tolerance band wins.
+    // First algorithm (table order) within the tolerance band wins.
     per_algorithm
         .into_iter()
         .find(|(_, l)| *l <= best_loss * 1.005)
@@ -226,7 +226,7 @@ mod tests {
         let clients = federation(3, 3);
         let (features, algo, loss) = label_federation(&clients).unwrap();
         assert_eq!(features.len(), GlobalMetaFeatures::dim());
-        assert!(AlgorithmKind::all().contains(&algo));
+        assert!(AlgorithmKind::builtin().contains(&algo));
         assert!(loss.is_finite() && loss >= 0.0);
     }
 
@@ -235,7 +235,7 @@ mod tests {
         let clients = federation(5, 2);
         let (_, prepared) = federation_features(&clients).unwrap();
         let (winner, best_loss) = grid_search_best(&prepared).unwrap();
-        for kind in AlgorithmKind::all() {
+        for kind in AlgorithmKind::builtin() {
             for hp in grid_for(kind) {
                 if let Some(loss) = federated_eval(kind, &hp, &prepared) {
                     assert!(

@@ -151,7 +151,7 @@ impl MetaModel {
         }
         let x = kb_matrix(kb);
         let labels = kb.labels();
-        let n_classes = AlgorithmKind::all().len();
+        let n_classes = AlgorithmKind::builtin().len();
         let mut clf = kind.build(seed);
         clf.fit(&x, &labels, n_classes)?;
         Ok(MetaModel { clf, n_classes })
@@ -193,7 +193,7 @@ pub fn evaluate_zoo(kb: &KnowledgeBase, seed: u64) -> Result<Vec<ZooResult>> {
     }
     let x_valid = kb_matrix(&valid_kb);
     let y_valid = valid_kb.labels();
-    let n_classes = AlgorithmKind::all().len();
+    let n_classes = AlgorithmKind::builtin().len();
     let x_train = kb_matrix(&train_kb);
     let y_train = train_kb.labels();
     let mut out = Vec::new();
@@ -353,6 +353,6 @@ mod tests {
         let kb = synthetic_kb(100);
         let mm = MetaModel::train(&kb, MetaClassifierKind::Logistic, 1).unwrap();
         let rec = mm.recommend(&[0.5, 0.5, 0.25, 0.0], 100).unwrap();
-        assert_eq!(rec.len(), AlgorithmKind::all().len());
+        assert_eq!(rec.len(), AlgorithmKind::builtin().len());
     }
 }

@@ -97,9 +97,9 @@ pub trait Regressor {
     fn predict(&self, x: &Matrix) -> Result<Vec<f64>>;
     /// Serializes the fitted model for ensemble-union aggregation. `None`
     /// (the default) means the model cannot ship as a blob; algorithms
-    /// registered with `FinalizeStrategy::EnsembleUnion` must override this
-    /// and pair it with the decoder given to
-    /// [`spec::AlgorithmSpec::with_model_codec`].
+    /// whose table entry uses `FinalizeStrategy::EnsembleUnion` must
+    /// override this and pair it with the entry's decoder, which
+    /// [`spec::AlgorithmSpec::deserialize_model`] calls.
     fn to_blob(&self) -> Option<Vec<u8>> {
         None
     }

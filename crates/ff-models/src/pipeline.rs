@@ -10,15 +10,15 @@
 //! space is tunable by the same Bayesian optimizer that tunes the flat
 //! space, with the same cross-namespace no-leak guarantee.
 //!
-//! One registry and two fixed tables:
+//! Three fixed tables:
 //! - **nodes** ([`NodeId`] / [`NodeId::spec`]) — the seven preprocessing
 //!   operators promoted out of the engine's feature-engineering path: lag
 //!   windowing, moving-average and Gaussian smoothing, differencing,
 //!   polynomial and EMA trend extraction, and the two-branch join weight;
 //! - **pipelines** ([`PipelineId`] / [`PipelineId::spec`]) — the seven
 //!   named node compositions the search space ranges over;
-//! - the **algorithm** registry ([`crate::spec`]) supplies the inner
-//!   regressor.
+//! - **algorithms** ([`AlgorithmKind`] / [`AlgorithmKind::spec`], in
+//!   [`crate::spec`]) supply the inner regressor.
 //!
 //! A fitted [`PipelineModel`] serializes as **blob v3**, which embeds the
 //! full composition (pipeline name, node parameter values, fitted trend
@@ -791,7 +791,7 @@ impl PipelineModel {
             .ok_or_else(|| format!("blob names unknown pipeline {pname:?}"))?;
         let aname = r.str(256).map_err(err)?.to_string();
         let algorithm = AlgorithmKind::from_name(&aname)
-            .ok_or_else(|| format!("blob names unregistered algorithm {aname:?}"))?;
+            .ok_or_else(|| format!("blob names unknown algorithm {aname:?}"))?;
         let node_values = r.f64s(4096).map_err(err)?;
         let spec = pipeline.spec();
         let defs = spec.params();
@@ -1019,7 +1019,7 @@ fn decode_v2_blob(blob: &[u8]) -> std::result::Result<RevivedMember, String> {
     }
     let name = r.str(256).map_err(err)?.to_string();
     let algo = AlgorithmKind::from_name(&name)
-        .ok_or_else(|| format!("blob names unregistered algorithm {name:?}"))?;
+        .ok_or_else(|| format!("blob names unknown algorithm {name:?}"))?;
     let means = r.f64s(100_000).map_err(err)?;
     let stds = r.f64s(100_000).map_err(err)?;
     if means.len() != stds.len() {

@@ -1,4 +1,4 @@
-//! Self-describing algorithm specifications and the global registry.
+//! Self-describing algorithm specifications and the fixed algorithm table.
 //!
 //! An [`AlgorithmSpec`] carries everything the rest of the system needs to
 //! know about one forecasting algorithm: its display name, its namespaced
@@ -7,12 +7,13 @@
 //! as the Bayesian-optimization warm start and the decode default), its
 //! builder, and its federated finalize strategy. The search-space builder,
 //! the engine's finalize stage, the client's final-fit op, and the
-//! knowledge-base labeller all iterate the registry — adding an algorithm
-//! is one [`register`] call, with no edits to any of those layers.
+//! knowledge-base labeller all read these specs rather than matching on
+//! the algorithm.
 //!
-//! The registry is seeded with the six Table 2 algorithms in the fixed
-//! order used as meta-model class labels; [`register`] appends new entries
-//! behind them so existing labels never shift.
+//! The six Table 2 algorithms form one fixed table indexed by
+//! [`AlgorithmKind`]; an entry's index is its meta-model class label. A
+//! new algorithm is a new entry plus a const, appended at the end so no
+//! existing label shifts.
 
 use crate::boosting::gbdt::XgbRegressor;
 use crate::linear::cd::Selection;
@@ -23,7 +24,7 @@ use crate::linear::quantile::QuantileRegressor;
 use crate::linear::svr::LinearSvr;
 use crate::zoo::HyperParams;
 use crate::Regressor;
-use std::sync::{OnceLock, RwLock};
+use std::sync::LazyLock;
 
 /// How a federation turns per-client final fits into one global model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,7 +34,7 @@ pub enum FinalizeStrategy {
     CoefficientAverage,
     /// Serialize every client's fitted model and deploy the weighted union
     /// `ŷ(x) = Σ αⱼ fⱼ(x)` — requires a model codec (see
-    /// [`AlgorithmSpec::with_model_codec`]).
+    /// [`AlgorithmSpec::deserialize_model`]).
     EnsembleUnion,
 }
 
@@ -118,8 +119,8 @@ enum ParamBinding {
         set: fn(&mut HyperParams, &SpecValue),
         get: fn(&HyperParams) -> SpecValue,
     },
-    /// Reads/writes `HyperParams::extras[key]` as an `f64` — lets extension
-    /// algorithms carry novel hyperparameters without touching the struct.
+    /// Reads/writes `HyperParams::extras[key]` as an `f64` — how pipeline
+    /// nodes carry their parameters without touching the struct.
     Extra { default: f64 },
 }
 
@@ -129,8 +130,8 @@ pub struct ParamDef {
     key: String,
     kind: ParamKind,
     binding: ParamBinding,
-    /// Grid sweet-spot value, filled by [`AlgorithmSpec::new`] from the
-    /// middle grid entry.
+    /// Grid sweet-spot value, filled from an algorithm's middle grid entry
+    /// (or declared by [`ParamDef::with_warm`]).
     warm: SpecValue,
 }
 
@@ -173,7 +174,7 @@ impl ParamDef {
     }
 
     /// Sets the warm (decode-fallback) value explicitly, canonicalized for
-    /// the domain. [`AlgorithmSpec::new`] derives warm values from the grid
+    /// the domain. Algorithm params take their warm values from the grid
     /// sweet spot; pipeline nodes (see [`crate::pipeline`]) have no grid, so
     /// their defs declare the warm value directly.
     pub fn with_warm(mut self, value: SpecValue) -> ParamDef {
@@ -249,21 +250,20 @@ impl ParamDef {
     }
 }
 
-/// Builder closure type: instantiates a fresh regressor from a bundle.
-pub type BuildFn = dyn Fn(&HyperParams) -> Box<dyn Regressor + Send + Sync> + Send + Sync;
-/// Model codec: revives a serialized model for ensemble-union evaluation.
-pub type DeserializeFn =
-    dyn Fn(&[u8]) -> std::result::Result<Box<dyn Regressor + Send + Sync>, String> + Send + Sync;
+/// A freshly built or revived model.
+type Model = Box<dyn Regressor + Send + Sync>;
+/// Revives a model from the bytes its [`Regressor::to_blob`] wrote.
+type Decoder = fn(&[u8]) -> std::result::Result<Model, String>;
 
 /// Everything the system knows about one forecasting algorithm.
 pub struct AlgorithmSpec {
-    name: String,
-    prefix: String,
+    name: &'static str,
+    prefix: &'static str,
     finalize: FinalizeStrategy,
-    build: Box<BuildFn>,
+    build: fn(&HyperParams) -> Model,
     grid: Vec<HyperParams>,
     params: Vec<ParamDef>,
-    deserialize: Option<Box<DeserializeFn>>,
+    deserialize: Option<Decoder>,
 }
 
 impl std::fmt::Debug for AlgorithmSpec {
@@ -278,15 +278,16 @@ impl std::fmt::Debug for AlgorithmSpec {
 }
 
 impl AlgorithmSpec {
-    /// Creates a spec. Each [`ParamDef`]'s warm value is derived from the
+    /// One table entry. Each [`ParamDef`]'s warm value is taken from the
     /// middle grid entry, so "grid sweet spot" is true by construction.
-    pub fn new(
-        name: impl Into<String>,
-        prefix: impl Into<String>,
+    fn new(
+        name: &'static str,
+        prefix: &'static str,
         finalize: FinalizeStrategy,
-        build: impl Fn(&HyperParams) -> Box<dyn Regressor + Send + Sync> + Send + Sync + 'static,
+        build: fn(&HyperParams) -> Model,
         grid: Vec<HyperParams>,
         mut params: Vec<ParamDef>,
+        deserialize: Option<Decoder>,
     ) -> AlgorithmSpec {
         if let Some(center) = grid.get(grid.len() / 2) {
             for pd in &mut params {
@@ -294,38 +295,24 @@ impl AlgorithmSpec {
             }
         }
         AlgorithmSpec {
-            name: name.into(),
-            prefix: prefix.into(),
+            name,
+            prefix,
             finalize,
-            build: Box::new(build),
+            build,
             grid,
             params,
-            deserialize: None,
+            deserialize,
         }
     }
 
-    /// Attaches the model codec required by
-    /// [`FinalizeStrategy::EnsembleUnion`]. The model side of the codec is
-    /// [`Regressor::to_blob`].
-    pub fn with_model_codec(
-        mut self,
-        deserialize: impl Fn(&[u8]) -> std::result::Result<Box<dyn Regressor + Send + Sync>, String>
-            + Send
-            + Sync
-            + 'static,
-    ) -> AlgorithmSpec {
-        self.deserialize = Some(Box::new(deserialize));
-        self
-    }
-
     /// Display name (the "Best Model" column of Table 3).
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn name(&self) -> &'static str {
+        self.name
     }
 
     /// Namespace prefix every param key starts with (e.g. `lasso_`).
-    pub fn prefix(&self) -> &str {
-        &self.prefix
+    pub fn prefix(&self) -> &'static str {
+        self.prefix
     }
 
     /// Federated finalize strategy.
@@ -349,13 +336,12 @@ impl AlgorithmSpec {
     }
 
     /// Revives a model serialized by [`Regressor::to_blob`]. Errors when
-    /// the spec has no codec (only possible for coefficient-average specs —
-    /// [`register`] requires a codec for ensemble-union specs).
+    /// the spec has no codec, which only coefficient-average entries lack.
     pub fn deserialize_model(
         &self,
         bytes: &[u8],
     ) -> std::result::Result<Box<dyn Regressor + Send + Sync>, String> {
-        match &self.deserialize {
+        match self.deserialize {
             Some(f) => f(bytes),
             None => Err(format!("algorithm {} has no model codec", self.name)),
         }
@@ -392,19 +378,14 @@ impl AlgorithmSpec {
     }
 }
 
-/// A handle into the algorithm registry. The first six indices are the
-/// Table 2 algorithms (associated consts below); [`register`] returns
-/// handles for extensions.
+/// An index into the algorithm table: the six Table 2 algorithms
+/// (associated consts below), whose index is the meta-model class label.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AlgorithmKind(u16);
 
 impl std::fmt::Debug for AlgorithmKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let reg = registry().read().expect("registry lock");
-        match reg.get(self.0 as usize) {
-            Some(spec) => write!(f, "{}", spec.name()),
-            None => write!(f, "AlgorithmKind({})", self.0),
-        }
+        write!(f, "{}", self.name())
     }
 }
 
@@ -424,50 +405,34 @@ impl AlgorithmKind {
 
     /// The six Table 2 algorithms, in meta-model class-label order.
     pub fn builtin() -> [AlgorithmKind; 6] {
-        [
-            AlgorithmKind::LASSO,
-            AlgorithmKind::LINEAR_SVR,
-            AlgorithmKind::ELASTIC_NET_CV,
-            AlgorithmKind::XGB_REGRESSOR,
-            AlgorithmKind::HUBER_REGRESSOR,
-            AlgorithmKind::QUANTILE_REGRESSOR,
-        ]
-    }
-
-    /// Every registered algorithm (builtins first, then extensions in
-    /// registration order).
-    pub fn all() -> Vec<AlgorithmKind> {
-        let n = registry().read().expect("registry lock").len();
-        (0..n as u16).map(AlgorithmKind).collect()
+        std::array::from_fn(|i| AlgorithmKind(i as u16))
     }
 
     /// This algorithm's spec.
     pub fn spec(&self) -> &'static AlgorithmSpec {
-        registry().read().expect("registry lock")[self.0 as usize]
+        &ALGORITHMS[self.0 as usize]
     }
 
     /// The display name (matches the "Best Model" column of Table 3).
     pub fn name(&self) -> &'static str {
-        self.spec().name.as_str()
+        self.spec().name
     }
 
     /// Parses a display name.
     pub fn from_name(name: &str) -> Option<AlgorithmKind> {
-        let reg = registry().read().expect("registry lock");
-        reg.iter()
-            .position(|s| s.name() == name)
-            .map(|i| AlgorithmKind(i as u16))
+        AlgorithmKind::builtin()
+            .into_iter()
+            .find(|k| k.name() == name)
     }
 
-    /// Registry index (the class label used by the meta-model).
+    /// Table index (the class label used by the meta-model).
     pub fn index(&self) -> usize {
         self.0 as usize
     }
 
     /// Inverse of [`AlgorithmKind::index`].
     pub fn from_index(idx: usize) -> Option<AlgorithmKind> {
-        let n = registry().read().expect("registry lock").len();
-        (idx < n).then_some(AlgorithmKind(idx as u16))
+        AlgorithmKind::builtin().get(idx).copied()
     }
 
     /// True for algorithms whose final federated model is built by
@@ -477,84 +442,7 @@ impl AlgorithmKind {
     }
 }
 
-fn registry() -> &'static RwLock<Vec<&'static AlgorithmSpec>> {
-    static REGISTRY: OnceLock<RwLock<Vec<&'static AlgorithmSpec>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| {
-        RwLock::new(
-            builtin_specs()
-                .into_iter()
-                .map(|s| &*Box::leak(Box::new(s)))
-                .collect(),
-        )
-    })
-}
-
-/// Registers an extension algorithm and returns its handle. Specs live for
-/// the process lifetime (they are leaked into the registry).
-///
-/// Validation enforces the registry contract:
-/// - non-empty display name, unique across the registry;
-/// - a namespace prefix ending in `_`, disjoint from every registered
-///   prefix (neither may be a prefix of the other), and carried by every
-///   param key;
-/// - a non-empty grid (warm starts come from its middle entry);
-/// - a model codec when the finalize strategy is
-///   [`FinalizeStrategy::EnsembleUnion`].
-pub fn register(spec: AlgorithmSpec) -> std::result::Result<AlgorithmKind, String> {
-    if spec.name.is_empty() {
-        return Err("algorithm name must be non-empty".into());
-    }
-    if spec.prefix.is_empty() || !spec.prefix.ends_with('_') {
-        return Err(format!(
-            "prefix {:?} must be non-empty and end in '_'",
-            spec.prefix
-        ));
-    }
-    if spec.grid.is_empty() {
-        return Err(format!("algorithm {} has an empty grid", spec.name));
-    }
-    if spec.finalize == FinalizeStrategy::EnsembleUnion && spec.deserialize.is_none() {
-        return Err(format!(
-            "ensemble-union algorithm {} needs a model codec (with_model_codec)",
-            spec.name
-        ));
-    }
-    for pd in &spec.params {
-        if !pd.key.starts_with(spec.prefix.as_str()) {
-            return Err(format!(
-                "param {} must carry the {} namespace prefix",
-                pd.key, spec.prefix
-            ));
-        }
-    }
-    let mut keys: Vec<&str> = spec.params.iter().map(|p| p.key.as_str()).collect();
-    keys.sort_unstable();
-    if keys.windows(2).any(|w| w[0] == w[1]) {
-        return Err(format!("algorithm {} has duplicate param keys", spec.name));
-    }
-    let mut reg = registry().write().expect("registry lock");
-    if reg.len() >= u16::MAX as usize {
-        return Err("registry full".into());
-    }
-    for existing in reg.iter() {
-        if existing.name() == spec.name {
-            return Err(format!("algorithm {} is already registered", spec.name));
-        }
-        if existing.prefix.starts_with(spec.prefix.as_str())
-            || spec.prefix.starts_with(existing.prefix.as_str())
-        {
-            return Err(format!(
-                "prefix {} collides with registered prefix {}",
-                spec.prefix, existing.prefix
-            ));
-        }
-    }
-    let idx = reg.len() as u16;
-    reg.push(Box::leak(Box::new(spec)));
-    Ok(AlgorithmKind(idx))
-}
-
-// --- Field accessors shared by the builtin specs --------------------------
+// --- Field accessors shared by the table entries ---------------------------
 
 fn set_alpha(hp: &mut HyperParams, v: &SpecValue) {
     hp.alpha = v.as_f64();
@@ -601,9 +489,10 @@ fn alpha_param(key: &str) -> ParamDef {
     )
 }
 
-fn builtin_specs() -> Vec<AlgorithmSpec> {
+/// The algorithm table, in [`AlgorithmKind`] order.
+static ALGORITHMS: LazyLock<[AlgorithmSpec; 6]> = LazyLock::new(|| {
     let base = HyperParams::default;
-    vec![
+    [
         AlgorithmSpec::new(
             "Lasso",
             "lasso_",
@@ -617,6 +506,7 @@ fn builtin_specs() -> Vec<AlgorithmSpec> {
                 alpha_param("lasso_alpha"),
                 selection_param("lasso_selection"),
             ],
+            None,
         ),
         AlgorithmSpec::new(
             "LinearSVR",
@@ -645,6 +535,7 @@ fn builtin_specs() -> Vec<AlgorithmSpec> {
                     get_epsilon,
                 ),
             ],
+            None,
         ),
         AlgorithmSpec::new(
             "ElasticNetCV",
@@ -667,6 +558,7 @@ fn builtin_specs() -> Vec<AlgorithmSpec> {
                 ),
                 selection_param("enet_selection"),
             ],
+            None,
         ),
         AlgorithmSpec::new(
             "XGBRegressor",
@@ -722,12 +614,12 @@ fn builtin_specs() -> Vec<AlgorithmSpec> {
                     |hp| SpecValue::Float(hp.subsample),
                 ),
             ],
-        )
-        .with_model_codec(|bytes| {
-            XgbRegressor::from_bytes(bytes)
-                .map(|m| Box::new(m) as Box<dyn Regressor + Send + Sync>)
-                .map_err(|e| e.to_string())
-        }),
+            Some(|bytes| {
+                XgbRegressor::from_bytes(bytes)
+                    .map(|m| Box::new(m) as Model)
+                    .map_err(|e| e.to_string())
+            }),
+        ),
         AlgorithmSpec::new(
             "HuberRegressor",
             "huber_",
@@ -752,6 +644,7 @@ fn builtin_specs() -> Vec<AlgorithmSpec> {
                 ),
                 alpha_param("huber_alpha"),
             ],
+            None,
         ),
         AlgorithmSpec::new(
             "QuantileRegressor",
@@ -775,9 +668,10 @@ fn builtin_specs() -> Vec<AlgorithmSpec> {
                     |hp| SpecValue::Float(hp.quantile),
                 ),
             ],
+            None,
         ),
     ]
-}
+});
 
 #[cfg(test)]
 mod tests {
@@ -844,64 +738,48 @@ mod tests {
     }
 
     #[test]
-    fn register_validates_contract() {
-        let dummy = |_: &HyperParams| -> Box<dyn Regressor + Send + Sync> {
-            Box::new(Lasso::new(0.1, Selection::Cyclic))
-        };
-        // Duplicate name.
-        let dup = AlgorithmSpec::new(
-            "Lasso",
-            "zzz_",
-            FinalizeStrategy::CoefficientAverage,
-            dummy,
-            vec![HyperParams::default()],
-            vec![],
-        );
-        assert!(register(dup).is_err());
-        // Prefix collision.
-        let clash = AlgorithmSpec::new(
-            "Other",
-            "lasso_",
-            FinalizeStrategy::CoefficientAverage,
-            dummy,
-            vec![HyperParams::default()],
-            vec![],
-        );
-        assert!(register(clash).is_err());
-        // Non-namespaced key.
-        let loose = AlgorithmSpec::new(
-            "Loose",
-            "loose_",
-            FinalizeStrategy::CoefficientAverage,
-            dummy,
-            vec![HyperParams::default()],
-            vec![ParamDef::extra(
-                "alpha",
-                ParamKind::Continuous { lo: 0.0, hi: 1.0 },
-                0.5,
-            )],
-        );
-        assert!(register(loose).is_err());
-        // Union without a codec.
-        let uncodec = AlgorithmSpec::new(
-            "Uncodec",
-            "uncodec_",
-            FinalizeStrategy::EnsembleUnion,
-            dummy,
-            vec![HyperParams::default()],
-            vec![],
-        );
-        assert!(register(uncodec).is_err());
-        // Empty grid.
-        let nogrid = AlgorithmSpec::new(
-            "NoGrid",
-            "nogrid_",
-            FinalizeStrategy::CoefficientAverage,
-            dummy,
-            vec![],
-            vec![],
-        );
-        assert!(register(nogrid).is_err());
+    fn algorithm_table_keeps_the_namespace_contract() {
+        let specs: Vec<&AlgorithmSpec> =
+            AlgorithmKind::builtin().iter().map(|k| k.spec()).collect();
+        let node_prefixes: Vec<&str> = crate::pipeline::NodeId::builtin()
+            .iter()
+            .map(|n| n.spec().prefix())
+            .collect();
+        for (i, a) in specs.iter().enumerate() {
+            assert!(!a.name.is_empty(), "entry {i} has no name");
+            assert!(a.prefix.ends_with('_'), "{}: prefix {:?}", a.name, a.prefix);
+            assert!(!a.grid.is_empty(), "{} has an empty grid", a.name);
+            assert_eq!(
+                a.deserialize.is_some(),
+                a.finalize == FinalizeStrategy::EnsembleUnion,
+                "{}: a decoder exactly when ensemble-union",
+                a.name
+            );
+            let mut keys: Vec<&str> = a.params.iter().map(|p| p.key()).collect();
+            assert!(
+                keys.iter().all(|k| k.starts_with(a.prefix)),
+                "{}: {keys:?}",
+                a.name
+            );
+            keys.sort_unstable();
+            assert!(keys.windows(2).all(|w| w[0] != w[1]), "{}", a.name);
+            for b in &specs[i + 1..] {
+                assert_ne!(a.name, b.name);
+                assert!(
+                    !a.prefix.starts_with(b.prefix) && !b.prefix.starts_with(a.prefix),
+                    "{} / {}",
+                    a.prefix,
+                    b.prefix
+                );
+            }
+            for node in &node_prefixes {
+                assert!(
+                    !a.prefix.starts_with(node) && !node.starts_with(a.prefix),
+                    "{} / {node}",
+                    a.prefix
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! The forecasting-algorithm zoo: the shared [`HyperParams`] bundle and
-//! registry-backed helpers for instantiating any registered algorithm.
+//! table-backed helpers for instantiating any of the algorithms.
 //!
-//! The portfolio itself lives in [`crate::spec`] — the six Table 2
-//! algorithms are pre-registered, and extensions join via
-//! [`crate::spec::register`]. This module is shared by the knowledge-base
-//! labeller (`ff-metalearn`), which grid searches over the registry, and by
-//! the FedForecaster engine, which maps meta-model recommendations and
+//! The portfolio itself lives in [`crate::spec`] — a fixed table of the six
+//! Table 2 algorithms. This module is shared by the knowledge-base labeller
+//! (`ff-metalearn`), which grid searches over the table, and by the
+//! FedForecaster engine, which maps meta-model recommendations and
 //! Bayesian-optimization configurations onto concrete model instances.
 
 use crate::linear::cd::Selection;
@@ -14,9 +13,9 @@ use std::collections::BTreeMap;
 
 pub use crate::spec::{AlgorithmKind, FinalizeStrategy};
 
-/// Plain hyperparameter bundle for instantiating any registered algorithm —
-/// the union of all builtin per-algorithm hyperparameters with sensible
-/// defaults, plus an open-ended `extras` map for extension algorithms.
+/// Plain hyperparameter bundle for instantiating any of the algorithms —
+/// the union of all per-algorithm hyperparameters with sensible defaults,
+/// plus an open-ended `extras` map for pipeline-node parameters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HyperParams {
     /// Regularization strength (`Lasso`, `Huber`, `Quantile`).
@@ -41,8 +40,9 @@ pub struct HyperParams {
     pub subsample: f64,
     /// Target quantile.
     pub quantile: f64,
-    /// Numeric hyperparameters of extension algorithms, keyed by their
-    /// namespaced param key (see `ParamDef::extra` in [`crate::spec`]).
+    /// Numeric pipeline-node parameters, keyed by their namespaced param
+    /// key (see `ParamDef::extra` in [`crate::spec`] and
+    /// [`crate::pipeline`]).
     pub extras: BTreeMap<String, f64>,
 }
 
@@ -66,7 +66,7 @@ impl Default for HyperParams {
 }
 
 /// Instantiates a regressor of the given kind with the given
-/// hyperparameters (delegates to the algorithm's registered builder).
+/// hyperparameters (delegates to the algorithm's table builder).
 ///
 /// # Examples
 ///
@@ -100,12 +100,12 @@ mod tests {
 
     #[test]
     fn registry_roundtrips() {
-        for kind in AlgorithmKind::all() {
+        for kind in AlgorithmKind::builtin() {
             assert_eq!(AlgorithmKind::from_name(kind.name()), Some(kind));
             assert_eq!(AlgorithmKind::from_index(kind.index()), Some(kind));
         }
         assert!(AlgorithmKind::from_name("NBeats").is_none());
-        assert!(AlgorithmKind::from_index(AlgorithmKind::all().len()).is_none());
+        assert!(AlgorithmKind::from_index(AlgorithmKind::builtin().len()).is_none());
     }
 
     #[test]
@@ -113,7 +113,7 @@ mod tests {
         let n = 80;
         let x = Matrix::from_fn(n, 2, |i, j| ((i * (j + 1)) % 13) as f64 * 0.1);
         let y: Vec<f64> = (0..n).map(|i| x.get(i, 0) * 2.0 + 1.0).collect();
-        for kind in AlgorithmKind::all() {
+        for kind in AlgorithmKind::builtin() {
             let mut model = build_regressor(kind, &HyperParams::default());
             model
                 .fit(&x, &y)
