@@ -49,6 +49,13 @@ pub fn schwert_max_lag(n: usize) -> usize {
 /// deterministic terms; the t-statistic of the `y_{t-1}` coefficient is the
 /// test statistic. More negative ⇒ stronger evidence of stationarity.
 pub fn adf_test_with_lags(y: &[f64], lags: usize, reg: AdfRegression) -> Result<AdfResult> {
+    adf_fit(y, lags, reg).map(|(result, _)| result)
+}
+
+/// One ADF regression at a fixed lag order: the test result plus the
+/// fit's AIC, `rows · ln(RSS / rows) + 2 · cols`, which [`adf_test`]
+/// compares across lag orders.
+fn adf_fit(y: &[f64], lags: usize, reg: AdfRegression) -> Result<(AdfResult, f64)> {
     let n = y.len();
     let det_terms = match reg {
         AdfRegression::Constant => 1,
@@ -82,12 +89,15 @@ pub fn adf_test_with_lags(y: &[f64], lags: usize, reg: AdfRegression) -> Result<
     let fit = solve::ols_with_stats(&x, &target).map_err(|e| TsError::Numerical(e.to_string()))?;
     let statistic = fit.t_stat(0);
     let critical = critical_values(reg);
-    Ok(AdfResult {
+    let sigma2 = (fit.rss / rows as f64).max(1e-300);
+    let aic = rows as f64 * sigma2.ln() + 2.0 * cols as f64;
+    let result = AdfResult {
         statistic,
         lags,
         critical,
         stationary: statistic < critical[1],
-    })
+    };
+    Ok((result, aic))
 }
 
 /// ADF test with automatic lag selection: tries Schwert's maximum and
@@ -112,13 +122,10 @@ pub fn adf_test(y: &[f64], reg: AdfRegression) -> Result<AdfResult> {
     let max_lag = schwert_max_lag(n).min(n / 4);
     let mut best: Option<(f64, AdfResult)> = None;
     for lags in 0..=max_lag {
-        let res = match adf_test_with_lags(y, lags, reg) {
-            Ok(r) => r,
+        let (res, aic) = match adf_fit(y, lags, reg) {
+            Ok(fit) => fit,
             Err(_) => break,
         };
-        // AIC needs the RSS: recompute cheaply from a second fit would be
-        // wasteful, so fold it into the loop via a lightweight refit.
-        let aic = adf_aic(y, lags, reg)?;
         match &best {
             Some((best_aic, _)) if aic >= *best_aic => {}
             _ => best = Some((aic, res)),
@@ -126,39 +133,6 @@ pub fn adf_test(y: &[f64], reg: AdfRegression) -> Result<AdfResult> {
     }
     best.map(|(_, r)| r)
         .ok_or_else(|| TsError::Numerical("ADF failed for all lag orders".into()))
-}
-
-fn adf_aic(y: &[f64], lags: usize, reg: AdfRegression) -> Result<f64> {
-    let det_terms = match reg {
-        AdfRegression::Constant => 1,
-        AdfRegression::ConstantTrend => 2,
-    };
-    let n = y.len();
-    let rows = n.saturating_sub(lags + 1);
-    let cols = 1 + lags + det_terms;
-    if rows < cols + 4 {
-        return Err(TsError::TooShort {
-            needed: lags + cols + 5,
-            got: n,
-        });
-    }
-    let dy: Vec<f64> = y.windows(2).map(|w| w[1] - w[0]).collect();
-    let mut x = Matrix::zeros(rows, cols);
-    let mut target = Vec::with_capacity(rows);
-    for (r, t) in (lags..dy.len()).enumerate() {
-        target.push(dy[t]);
-        x.set(r, 0, y[t]);
-        for j in 1..=lags {
-            x.set(r, j, dy[t - j]);
-        }
-        x.set(r, lags + 1, 1.0);
-        if det_terms == 2 {
-            x.set(r, lags + 2, (t + 1) as f64);
-        }
-    }
-    let fit = solve::ols_with_stats(&x, &target).map_err(|e| TsError::Numerical(e.to_string()))?;
-    let sigma2 = (fit.rss / rows as f64).max(1e-300);
-    Ok(rows as f64 * sigma2.ln() + 2.0 * cols as f64)
 }
 
 /// Convenience: is the series stationary at the 5% level? Series too short
