@@ -13,13 +13,14 @@
 //! - [`runtime::FederatedRuntime`]: the in-process simulation engine and
 //!   its one round loop, from eight clients to a 10,000-client fleet:
 //!   clients run on at most 64 host threads the runtime owns, rounds can
-//!   sample a seeded cohort ([`runtime::CohortSampler`]), and fold rounds
-//!   stream-aggregate replies in O(model) server memory, bit-identically
-//!   across thread counts.
+//!   sample a seeded cohort ([`runtime::CohortSampler`]), and every round
+//!   returns its healthy replies in client order, bit-identically across
+//!   thread counts.
 //! - [`strategy`]: FedAvg weighted parameter averaging and weighted loss
 //!   aggregation (`α_j = |D_j| / |D|`, Equation 1 of the paper).
-//! - [`stream::StreamAgg`]: the one aggregation path — every rule but
-//!   Krum folds through it, in batch or streamed round by round.
+//! - [`robust::AggregationStrategy::aggregate`]: the one aggregation
+//!   path — the caller screens a round's replies, then every rule
+//!   aggregates the survivors in one batch.
 //! - [`log::MessageLog`]: a transcript of every transmitted payload with
 //!   byte counts — used by the test suite to assert that no raw
 //!   time-series samples ever leave a client.
@@ -68,7 +69,6 @@ pub mod robust;
 pub mod runtime;
 pub mod secure;
 pub mod strategy;
-pub mod stream;
 
 /// Errors produced by the federated runtime.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -7,13 +7,12 @@
 //! the server-side defenses:
 //!
 //! - [`AggregationStrategy`], the config-level selector threaded through
-//!   the engine and the runtime's fold rounds: FedAvg, coordinate median,
-//!   trimmed mean, norm clipping and Krum / Multi-Krum (Blanchard et al.,
-//!   NeurIPS 2017). Every rule but Krum aggregates through [`StreamAgg`];
-//!   Krum is the one batch-only rule,
-//! - an [`UpdateGuard`] that screens every reply *before* aggregation
-//!   (dimension check, non-finite rejection, update-norm / loss outlier
-//!   screens against a running per-round median), and
+//!   the engine: FedAvg, coordinate median, trimmed mean, norm clipping
+//!   and Krum / Multi-Krum (Blanchard et al., NeurIPS 2017), each a batch
+//!   rule over one round's updates,
+//! - an [`UpdateGuard`] that screens every round's replies *before*
+//!   aggregation (dimension check, non-finite rejection, update-norm /
+//!   loss outlier screens against a running per-round median), and
 //! - a weighted-median variant of the Equation-1 global loss so a single
 //!   lying client cannot skew the BO objective.
 //!
@@ -26,7 +25,6 @@
 use std::collections::VecDeque;
 
 use crate::strategy::aggregate_loss;
-use crate::stream::{MeanAcc, StreamAgg};
 use crate::{FlError, Result};
 
 // ---------------------------------------------------------------------------
@@ -104,21 +102,30 @@ pub fn robust_aggregate_loss(losses: &[(f64, u64)]) -> Result<f64> {
 // Batch rules
 // ---------------------------------------------------------------------------
 
+/// One `(client_id, params, num_examples)` update.
+type Update = (usize, Vec<f64>, u64);
+
 /// `(params-slice, weight)` views of the finite updates, plus the count
 /// of non-finite updates dropped on the way.
 type FiniteUpdates<'a> = (Vec<(&'a [f64], f64)>, usize);
 
 /// Keeps `(params-slice, weight)` views of the finite, non-empty updates
-/// and counts how many non-finite updates were dropped on the way.
-fn finite_updates(updates: &[(Vec<f64>, u64)]) -> Result<FiniteUpdates<'_>> {
+/// and checks that they share one dimension. Empty updates are skipped
+/// (clients whose results travel in metrics). A non-finite update fails
+/// with [`FlError::NonFiniteUpdate`] naming its sender when `strict` (the
+/// mean rules: one NaN poisons an average) and is dropped and counted
+/// otherwise.
+fn finite_updates(updates: &[Update], strict: bool) -> Result<FiniteUpdates<'_>> {
     let mut dropped = 0usize;
     let mut keep: Vec<(&[f64], f64)> = Vec::new();
-    for (p, w) in updates {
+    for (id, p, w) in updates {
         if p.is_empty() {
-            continue; // clients without parameters, as in fedavg
+            continue;
         }
         if p.iter().all(|v| v.is_finite()) {
             keep.push((p.as_slice(), *w as f64));
+        } else if strict {
+            return Err(FlError::NonFiniteUpdate { client: *id });
         } else {
             dropped += 1;
         }
@@ -140,6 +147,43 @@ fn finite_updates(updates: &[(Vec<f64>, u64)]) -> Result<FiniteUpdates<'_>> {
     Ok((keep, dropped))
 }
 
+/// Weighted mean `Σ wᵢθᵢ / Σ wᵢ` of `(params, weight)` views, in order —
+/// the crate's one weighted-mean loop, shared by FedAvg, norm clipping,
+/// the untrimmed trimmed mean and Multi-Krum, so they agree bit for bit
+/// on identical inputs. Each weight joins the total first, then `w·θ`
+/// joins each coordinate; with `max_norm`, an update longer than it is
+/// rescaled per coordinate to that norm (no clipped copy is allocated).
+fn weighted_mean(keep: &[(&[f64], f64)], max_norm: Option<f64>) -> Result<Vec<f64>> {
+    let mut acc = vec![0.0; keep.first().map_or(0, |(p, _)| p.len())];
+    let mut total_w = 0.0;
+    for &(p, w) in keep {
+        total_w += w;
+        let scale = max_norm.and_then(|max_norm| {
+            let norm = p.iter().map(|v| v * v).sum::<f64>().sqrt();
+            (norm > max_norm).then(|| max_norm / norm)
+        });
+        match scale {
+            Some(scale) => {
+                for (a, &v) in acc.iter_mut().zip(p) {
+                    *a += w * (v * scale);
+                }
+            }
+            None => {
+                for (a, &v) in acc.iter_mut().zip(p) {
+                    *a += w * v;
+                }
+            }
+        }
+    }
+    if total_w <= 0.0 {
+        return Err(FlError::Client("zero total weight".into()));
+    }
+    for a in acc.iter_mut() {
+        *a /= total_w;
+    }
+    Ok(acc)
+}
+
 /// Applies `rule` to each coordinate's `(value, weight)` column.
 fn per_coordinate(
     keep: &[(&[f64], f64)],
@@ -158,19 +202,21 @@ fn per_coordinate(
 /// Exact per-coordinate weighted median over the finite updates.
 /// Tolerates any minority (by weight) of arbitrarily corrupted updates
 /// per coordinate.
-pub(crate) fn coordinate_median(updates: &[(Vec<f64>, u64)]) -> Result<Vec<f64>> {
-    per_coordinate(&finite_updates(updates)?.0, |col| weighted_median(col))
+fn coordinate_median(updates: &[Update]) -> Result<Vec<f64>> {
+    per_coordinate(&finite_updates(updates, false)?.0, |col| {
+        weighted_median(col)
+    })
 }
 
 /// Exact per-coordinate trimmed weighted mean over the finite updates:
 /// sort each coordinate's values, drop `⌊trim_ratio · n⌋` entries from
 /// each end, and take the weighted mean of the rest. `trim_ratio = 0` is
 /// exactly FedAvg (bit-for-bit).
-pub(crate) fn trimmed_mean(updates: &[(Vec<f64>, u64)], trim_ratio: f64) -> Result<Vec<f64>> {
-    let (keep, _) = finite_updates(updates)?;
+fn trimmed_mean(updates: &[Update], trim_ratio: f64) -> Result<Vec<f64>> {
+    let (keep, _) = finite_updates(updates, false)?;
     let k = (trim_ratio * keep.len() as f64).floor() as usize;
     if k == 0 {
-        return MeanAcc::mean_of(keep);
+        return weighted_mean(&keep, None);
     }
     per_coordinate(&keep, |col| {
         col.sort_by(|a, b| a.0.total_cmp(&b.0));
@@ -189,11 +235,8 @@ pub(crate) fn trimmed_mean(updates: &[(Vec<f64>, u64)], trim_ratio: f64) -> Resu
 /// the selected update is returned verbatim; `m > 1` averages the
 /// selection). Requires `n ≥ 2f + 3` whenever `f > 0`; non-finite updates
 /// are dropped and count against the attacker budget `f`.
-fn krum(updates: &[(Vec<f64>, u64)], f: usize, m: usize) -> Result<Vec<f64>> {
-    if m == 0 {
-        return Err(FlError::Client("Krum needs m ≥ 1".into()));
-    }
-    let (keep, dropped) = finite_updates(updates)?;
+fn krum(updates: &[Update], f: usize, m: usize) -> Result<Vec<f64>> {
+    let (keep, dropped) = finite_updates(updates, false)?;
     // Non-finite updates were definitionally adversarial and already
     // dropped, so they count against the assumed attacker budget.
     let f = f.saturating_sub(dropped);
@@ -230,7 +273,8 @@ fn krum(updates: &[(Vec<f64>, u64)], f: usize, m: usize) -> Result<Vec<f64>> {
     if m == 1 {
         return Ok(keep[scores[0].1].0.to_vec());
     }
-    MeanAcc::mean_of(scores[..m].iter().map(|&(_, i)| keep[i]))
+    let selected: Vec<(&[f64], f64)> = scores[..m].iter().map(|&(_, i)| keep[i]).collect();
+    weighted_mean(&selected, None)
 }
 
 // ---------------------------------------------------------------------------
@@ -322,29 +366,27 @@ impl AggregationStrategy {
     }
 
     /// Aggregates `(client_id, params, num_examples)` updates under this
-    /// rule. Every rule but Krum folds through a [`StreamAgg`] whose exact
-    /// buffer never spills, so the result is exact. A non-finite update
-    /// under a mean-family rule fails with [`FlError::NonFiniteUpdate`]
-    /// naming its client id; the rank rules and Krum drop non-finite
-    /// updates.
+    /// rule, after [`validate`](Self::validate). Empty updates are
+    /// skipped and the rest must share one dimension. A non-finite update
+    /// under FedAvg or norm clipping fails with
+    /// [`FlError::NonFiniteUpdate`] naming its client id; the rank rules
+    /// and Krum drop non-finite updates.
     pub fn aggregate(
         &self,
         updates: impl IntoIterator<Item = (usize, Vec<f64>, u64)>,
     ) -> Result<Vec<f64>> {
-        let selection = match *self {
-            AggregationStrategy::Krum { f } => Some((f, 1)),
-            AggregationStrategy::MultiKrum { f, m } => Some((f, m)),
-            _ => None,
-        };
-        if let Some((f, m)) = selection {
-            let batch: Vec<(Vec<f64>, u64)> = updates.into_iter().map(|(_, p, n)| (p, n)).collect();
-            return krum(&batch, f, m);
+        self.validate()?;
+        let updates: Vec<Update> = updates.into_iter().collect();
+        match *self {
+            AggregationStrategy::FedAvg => weighted_mean(&finite_updates(&updates, true)?.0, None),
+            AggregationStrategy::NormClippedFedAvg { max_norm } => {
+                weighted_mean(&finite_updates(&updates, true)?.0, Some(max_norm))
+            }
+            AggregationStrategy::CoordinateMedian => coordinate_median(&updates),
+            AggregationStrategy::TrimmedMean { trim_ratio } => trimmed_mean(&updates, trim_ratio),
+            AggregationStrategy::Krum { f } => krum(&updates, f, 1),
+            AggregationStrategy::MultiKrum { f, m } => krum(&updates, f, m),
         }
-        let mut agg = StreamAgg::new(self, usize::MAX)?;
-        for (id, params, n) in updates {
-            agg.fold_from(id, params, n)?;
-        }
-        agg.finalize()
     }
 
     /// Aggregates client losses: Equation-1 weighted mean under FedAvg,
@@ -456,11 +498,11 @@ pub struct Screened<T> {
     pub rejected: Vec<(usize, RejectReason)>,
 }
 
-/// Server-side validator run on every reply before a robust aggregator
-/// sees it. Stateful: it keeps a bounded history of per-round medians so
-/// the outlier screens compare against what honest clients have looked
-/// like recently, not just against the current (possibly majority-
-/// corrupt) round.
+/// Server-side validator run on every round's replies before a robust
+/// aggregator sees them. Stateful: it keeps a bounded history of
+/// per-round medians so the outlier screens compare against what honest
+/// clients have looked like recently, not just against the current
+/// (possibly majority-corrupt) round.
 #[derive(Debug, Clone)]
 pub struct UpdateGuard {
     policy: GuardPolicy,
@@ -471,10 +513,7 @@ pub struct UpdateGuard {
 /// The per-reply half of the fit screen: dimension against `expected`
 /// (when known) and finiteness. `Ok` carries the update's L2 norm for the
 /// outlier screen.
-pub(crate) fn check_update(
-    params: &[f64],
-    expected: Option<usize>,
-) -> std::result::Result<f64, RejectReason> {
+fn check_update(params: &[f64], expected: Option<usize>) -> std::result::Result<f64, RejectReason> {
     if let Some(expected) = expected.filter(|&d| d != params.len()) {
         return Err(RejectReason::DimensionMismatch {
             got: params.len(),
@@ -489,7 +528,7 @@ pub(crate) fn check_update(
 
 /// The per-reply half of the loss screen: finite and non-negative (the
 /// engine's losses are MSE-family).
-pub(crate) fn check_loss(loss: f64) -> std::result::Result<(), RejectReason> {
+fn check_loss(loss: f64) -> std::result::Result<(), RejectReason> {
     if !loss.is_finite() {
         return Err(RejectReason::NonFinite);
     }
@@ -656,37 +695,6 @@ impl UpdateGuard {
         }
     }
 
-    /// Frozen `(norm, loss)` screen medians for a fold round, which
-    /// screens each reply as it arrives and so needs its median fixed
-    /// before the round starts: the lower median of the remembered
-    /// per-round medians alone, floored at `MEDIAN_FLOOR`. `None` (no
-    /// history yet) bypasses that ratio screen — the first round has no
-    /// notion yet of what honest clients look like.
-    pub fn frozen_medians(&self) -> (Option<f64>, Option<f64>) {
-        let frozen = |h: &VecDeque<f64>| (!h.is_empty()).then(|| Self::running_median(h, &[]));
-        (frozen(&self.norm_medians), frozen(&self.loss_medians))
-    }
-
-    /// Commits a fold round's accepted values — update norms for a fit
-    /// round, losses otherwise — to the history exactly as the batch
-    /// screens would. Sorts `values` in place.
-    pub fn commit(&mut self, fit: bool, values: &mut [f64]) {
-        let cap = self.policy.history;
-        let history = if fit {
-            &mut self.norm_medians
-        } else {
-            &mut self.loss_medians
-        };
-        if let Some(m) = plain_median(values) {
-            Self::remember(history, cap, m);
-        }
-    }
-
-    /// The thresholds this guard screens with.
-    pub fn policy(&self) -> &GuardPolicy {
-        &self.policy
-    }
-
     /// Exports the remembered per-round medians,
     /// `(norm_medians, loss_medians)` oldest-first, for durable
     /// checkpointing.
@@ -782,7 +790,7 @@ mod tests {
             (vec![0.9, -1.1], 1),
             (vec![1e9, -1e9], 1), // attacker
         ];
-        let agg = coordinate_median(&updates).unwrap();
+        let agg = exact(AggregationStrategy::CoordinateMedian, &updates).unwrap();
         assert!((1.0..=1.1).contains(&agg[0]), "got {agg:?}");
         assert!((-1.1..=-0.9).contains(&agg[1]), "got {agg:?}");
     }
@@ -790,14 +798,18 @@ mod tests {
     #[test]
     fn coordinate_median_drops_nan_updates() {
         let updates = vec![(vec![1.0], 1u64), (vec![f64::NAN], 1), (vec![3.0], 1)];
-        let agg = coordinate_median(&updates).unwrap();
+        let agg = exact(AggregationStrategy::CoordinateMedian, &updates).unwrap();
         assert_eq!(agg, vec![2.0]);
     }
 
     #[test]
     fn trimmed_mean_zero_ratio_is_fedavg() {
         let updates = vec![(vec![1.0, 2.0], 3u64), (vec![-0.5, 0.25], 7)];
-        let tm = trimmed_mean(&updates, 0.0).unwrap();
+        let tm = exact(
+            AggregationStrategy::TrimmedMean { trim_ratio: 0.0 },
+            &updates,
+        )
+        .unwrap();
         let fa = eq1(&updates);
         let tm_bits: Vec<u64> = tm.iter().map(|v| v.to_bits()).collect();
         let fa_bits: Vec<u64> = fa.iter().map(|v| v.to_bits()).collect();
@@ -812,7 +824,11 @@ mod tests {
             (vec![3.0], 1),
             (vec![1e12], 1), // attacker
         ];
-        let agg = trimmed_mean(&updates, 0.25).unwrap();
+        let agg = exact(
+            AggregationStrategy::TrimmedMean { trim_ratio: 0.25 },
+            &updates,
+        )
+        .unwrap();
         // One entry trimmed per end: mean of {2, 3}.
         assert!((agg[0] - 2.5).abs() < 1e-12, "got {agg:?}");
     }
@@ -852,7 +868,7 @@ mod tests {
             .collect();
         updates.push((vec![1e9, 1e9], 1)); // attacker
         updates.push((vec![-1e9, 1e9], 1)); // attacker
-        let agg = krum(&updates, 2, 1).unwrap();
+        let agg = exact(AggregationStrategy::Krum { f: 2 }, &updates).unwrap();
         // The winner is one of the honest clusters, never an attacker.
         assert!(agg[0] < 2.0, "krum picked an attacker: {agg:?}");
         assert!(updates[..5].iter().any(|(p, _)| *p == agg));
@@ -867,15 +883,15 @@ mod tests {
             (vec![4.0], 1),
             (vec![5.0], 1),
         ];
-        let agg = krum(&updates, 0, 5).unwrap();
+        let agg = exact(AggregationStrategy::MultiKrum { f: 0, m: 5 }, &updates).unwrap();
         assert!((agg[0] - 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn krum_enforces_population_bound() {
         let updates = vec![(vec![1.0], 1u64), (vec![2.0], 1), (vec![3.0], 1)];
-        assert!(krum(&updates, 1, 1).is_err());
-        assert!(krum(&updates, 0, 1).is_ok());
+        assert!(exact(AggregationStrategy::Krum { f: 1 }, &updates).is_err());
+        assert!(exact(AggregationStrategy::Krum { f: 0 }, &updates).is_ok());
     }
 
     #[test]
@@ -1028,7 +1044,6 @@ mod tests {
         let mut restored = UpdateGuard::new(GuardPolicy::default());
         restored.restore_history(&norms, &losses);
         assert_eq!(restored.history(), guard.history());
-        assert_eq!(restored.frozen_medians(), guard.frozen_medians());
         // Same future round, same verdicts — including the outlier.
         let round = vec![(0, vec![3.0, 0.0], 10), (1, vec![1e9, 0.0], 10)];
         let a = guard.screen_updates(round.clone());

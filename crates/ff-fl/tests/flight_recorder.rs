@@ -1,21 +1,25 @@
-//! End-to-end forensics: a fleet under Byzantine attack must leave a
-//! deterministic flight-recorder trail — a dump naming the quarantined
-//! client and its round, bit-identical across thread counts — and the
-//! live exposition endpoint must serve a scrape whose counters match the
-//! in-process snapshot.
+//! End-to-end forensics: a fleet with one crashing and one Byzantine
+//! client must leave a deterministic flight-recorder trail — a dump
+//! naming the quarantined crasher and its round, bit-identical across
+//! thread counts — and the live exposition endpoint must serve a scrape
+//! whose counters match the in-process snapshot. Each round runs through
+//! `run_round` and is then screened and aggregated the way the engine's
+//! `RoundCtx` does it.
 
 use ff_fl::chaos::{AdversarialMode, ChaosClient};
 use ff_fl::client::{EvalOutput, FitOutput, FlClient};
 use ff_fl::config::ConfigMap;
 use ff_fl::health::ClientState;
-use ff_fl::robust::{AggregationStrategy, GuardPolicy, RejectReason};
+use ff_fl::message::Instruction;
+use ff_fl::robust::{AggregationStrategy, GuardPolicy, UpdateGuard};
 use ff_fl::runtime::{FederatedRuntime, RoundPolicy};
-use ff_fl::FlError;
+use ff_fl::strategy::fit_updates;
 use ff_trace::{FlightRecorder, RecorderConfig, Tracer, Trigger};
 
 const FLEET: usize = 200;
 const DIM: usize = 8;
 const BYZANTINE_ID: usize = 5;
+const CRASHER_ID: usize = 9;
 
 /// Honest client: constant unit parameters, one example.
 struct Honest;
@@ -41,27 +45,21 @@ impl FlClient for Honest {
     }
 }
 
-/// Full-participation fleet with exactly one persistent attacker.
-fn fleet_with_one_attacker() -> FederatedRuntime {
+/// Full-participation fleet with one persistent attacker and one client
+/// that panics on every call.
+fn fleet_with_two_faults() -> FederatedRuntime {
     let clients: Vec<Box<dyn FlClient>> = (0..FLEET)
-        .map(|id| {
-            if id == BYZANTINE_ID {
-                Box::new(ChaosClient::adversarial(
-                    Box::new(Honest),
-                    AdversarialMode::ScaleBy(1e9),
-                    7,
-                )) as Box<dyn FlClient>
-            } else {
-                Box::new(Honest) as Box<dyn FlClient>
-            }
+        .map(|id| match id {
+            BYZANTINE_ID => Box::new(ChaosClient::adversarial(
+                Box::new(Honest),
+                AdversarialMode::ScaleBy(1e9),
+                7,
+            )) as Box<dyn FlClient>,
+            CRASHER_ID => Box::new(ChaosClient::panicking(Box::new(Honest))),
+            _ => Box::new(Honest),
         })
         .collect();
     FederatedRuntime::new(clients)
-        .with_strategy(
-            AggregationStrategy::CoordinateMedian,
-            GuardPolicy::default(),
-        )
-        .unwrap()
 }
 
 fn policy() -> RoundPolicy {
@@ -73,55 +71,79 @@ fn policy() -> RoundPolicy {
     }
 }
 
+/// One coordinate-median fit round, screened and aggregated the way the
+/// engine's `RoundCtx` does it: screen the updates, book each verdict
+/// with the runtime, aggregate the survivors.
+fn fit_round(fleet: &FederatedRuntime, guard: &mut UpdateGuard) {
+    let fit = Instruction::Fit {
+        params: vec![0.0; DIM],
+        config: ConfigMap::new(),
+    };
+    let out = fleet.run_round(&fit, &policy()).unwrap();
+    let screened = guard.screen_updates(fit_updates(out.replies).unwrap());
+    for (id, _) in &screened.rejected {
+        fleet.record_update_rejected(*id);
+    }
+    for (id, _, _) in &screened.accepted {
+        fleet.record_update_accepted(*id);
+    }
+    let global = AggregationStrategy::CoordinateMedian
+        .aggregate(screened.accepted)
+        .unwrap();
+    assert_eq!(global, vec![1.0; DIM]);
+}
+
 /// Runs `rounds` fit rounds with a fresh recorder; returns the recorder.
 fn run_recorded(rounds: usize) -> FlightRecorder {
-    let fleet = fleet_with_one_attacker();
+    let fleet = fleet_with_two_faults();
     let recorder = FlightRecorder::enabled(RecorderConfig::default());
     fleet.set_recorder(recorder.clone());
+    let mut guard = UpdateGuard::new(GuardPolicy::default());
     for _ in 0..rounds {
-        fleet
-            .run_fit_round(vec![0.0; DIM], ConfigMap::new(), &policy())
-            .unwrap();
+        fit_round(&fleet, &mut guard);
     }
+    assert_eq!(
+        fleet.client_state(CRASHER_ID),
+        Some(ClientState::Quarantined)
+    );
     recorder
 }
 
-/// The headline forensic guarantee: the quarantine of the attacker fires
-/// a dump whose triggering frame names the client and the round it
-/// happened in.
+/// The headline forensic guarantee: the quarantine of the crasher, booked
+/// inside the round after its second consecutive crash, fires a dump
+/// whose triggering frame names the client and the round it happened in.
 #[test]
-fn byzantine_quarantine_dump_names_the_client_and_round() {
+fn crash_quarantine_dump_names_the_client_and_round() {
     let recorder = run_recorded(6);
     let dumps = recorder.dumps();
-    assert!(!dumps.is_empty(), "attack produced no forensic dump");
+    assert!(!dumps.is_empty(), "the crashes produced no forensic dump");
     let quarantine_dump = dumps
         .iter()
         .find(|d| d.trigger == Trigger::Quarantine)
         .expect("no quarantine-triggered dump");
-    // The triggering frame is the dump's last: it must name the attacker
+    // The triggering frame is the dump's last: it must name the crasher
     // and carry the dump's round number.
     let last = quarantine_dump.frames.last().unwrap();
     assert_eq!(last.round, quarantine_dump.round);
     assert!(
-        last.quarantined.contains(&(BYZANTINE_ID as u64)),
-        "quarantine frame {:?} does not name client {BYZANTINE_ID}",
+        last.quarantined.contains(&(CRASHER_ID as u64)),
+        "quarantine frame {:?} does not name client {CRASHER_ID}",
         last.quarantined
     );
-    // The ring history leading up to it shows the guard rejecting the
-    // same client in earlier rounds.
-    let rejected_earlier = quarantine_dump
-        .frames
-        .iter()
-        .any(|f| f.rejected.iter().any(|(id, _)| *id == BYZANTINE_ID as u64));
+    // The ring history leading up to it shows the same client dropping
+    // out of an earlier round.
+    let dropped_earlier = quarantine_dump.frames.iter().any(|f| {
+        f.round < quarantine_dump.round && f.dropouts.iter().any(|(id, _)| *id == CRASHER_ID as u64)
+    });
     assert!(
-        rejected_earlier,
-        "dump history shows no guard rejection of the attacker"
+        dropped_earlier,
+        "dump history shows no earlier dropout of the crasher"
     );
     // The JSON-lines export names the client too (string-level check so
     // the serialized forensics are useful without this crate).
     let text = quarantine_dump.to_json_lines();
     assert!(text.contains("\"trigger\":\"quarantine\""));
-    assert!(text.contains(&format!("\"quarantined\":[{BYZANTINE_ID}]")));
+    assert!(text.contains(&format!("\"quarantined\":[{CRASHER_ID}]")));
 }
 
 /// Forensic dumps carry no wall-clock data, so the full serialized dump
@@ -163,15 +185,14 @@ fn get(addr: std::net::SocketAddr, path: &str) -> (String, String) {
 #[test]
 fn live_scrape_matches_the_snapshot() {
     const ROUNDS: usize = 6;
-    let fleet = fleet_with_one_attacker();
+    let fleet = fleet_with_two_faults();
     let tracer = Tracer::enabled();
     fleet.set_tracer(tracer.clone());
     let server = ff_trace::ExpoServer::start(tracer.clone(), ff_trace::ExpoConfig::default())
         .expect("bind exposition endpoint");
+    let mut guard = UpdateGuard::new(GuardPolicy::default());
     for _ in 0..ROUNDS {
-        fleet
-            .run_fit_round(vec![0.0; DIM], ConfigMap::new(), &policy())
-            .unwrap();
+        fit_round(&fleet, &mut guard);
     }
     let (status, body) = get(server.addr(), "/metrics");
     assert!(status.contains("200"), "/metrics answered {status:?}");
@@ -198,67 +219,4 @@ fn live_scrape_matches_the_snapshot() {
         status.contains("200") && body.starts_with("ok"),
         "/healthz answered {status:?} with {body:?}"
     );
-}
-
-/// Client that ships NaN parameters from every fit.
-struct NanUpdate;
-
-impl FlClient for NanUpdate {
-    fn get_properties(&mut self, _config: &ConfigMap) -> ConfigMap {
-        ConfigMap::new()
-    }
-    fn fit(&mut self, _params: &[f64], _config: &ConfigMap) -> FitOutput {
-        FitOutput {
-            params: vec![f64::NAN; DIM],
-            num_examples: 1,
-            metrics: ConfigMap::new(),
-        }
-    }
-    fn evaluate(&mut self, _params: &[f64], _config: &ConfigMap) -> EvalOutput {
-        EvalOutput {
-            loss: 0.0,
-            num_examples: 1,
-            metrics: ConfigMap::new(),
-        }
-    }
-}
-
-/// A NaN update fails a plain FedAvg fold round — but only after the
-/// round is booked: the sender's rejection escalates its health and the
-/// round's frame is committed with `non_finite` set, so every round that
-/// samples the client leaves a trail instead of failing silently.
-#[test]
-fn non_finite_fedavg_update_is_penalised_and_recorded_before_the_error() {
-    let clients: Vec<Box<dyn FlClient>> = (0..8)
-        .map(|id| {
-            if id == 3 {
-                Box::new(NanUpdate) as Box<dyn FlClient>
-            } else {
-                Box::new(Honest)
-            }
-        })
-        .collect();
-    let fleet = FederatedRuntime::new(clients);
-    let recorder = FlightRecorder::enabled(RecorderConfig::default());
-    fleet.set_recorder(recorder.clone());
-    let err = fleet
-        .run_fit_round(vec![0.0; DIM], ConfigMap::new(), &policy())
-        .unwrap_err();
-    assert_eq!(err, FlError::NonFiniteUpdate { client: 3 });
-    assert_eq!(
-        fleet.client_state(3),
-        Some(ClientState::Suspect),
-        "the sender was not penalised"
-    );
-    assert_eq!(fleet.health_report().clients[3].byzantine, 1);
-    let frames = recorder.frames();
-    assert_eq!(frames.len(), 1, "the failed round committed no frame");
-    assert!(frames[0].non_finite);
-    assert_eq!(
-        frames[0].rejected,
-        vec![(3, RejectReason::NonFinite.to_string())]
-    );
-    // A second strike quarantines the sender like any repeat offender.
-    let _ = fleet.run_fit_round(vec![0.0; DIM], ConfigMap::new(), &policy());
-    assert_eq!(fleet.client_state(3), Some(ClientState::Quarantined));
 }

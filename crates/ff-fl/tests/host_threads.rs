@@ -5,7 +5,10 @@
 
 use ff_fl::client::{EvalOutput, FitOutput, FlClient};
 use ff_fl::config::ConfigMap;
+use ff_fl::message::Instruction;
+use ff_fl::robust::AggregationStrategy;
 use ff_fl::runtime::{FederatedRuntime, RoundPolicy, MAX_HOSTS};
+use ff_fl::strategy::fit_updates;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -68,11 +71,16 @@ fn ten_thousand_clients_run_on_at_most_max_hosts_threads() {
         deadline: None,
         ..RoundPolicy::default()
     };
-    let out = rt
-        .run_fit_round(vec![0.0], ConfigMap::new(), &policy)
-        .unwrap();
-    assert_eq!(out.accepted.len(), FLEET);
-    assert_eq!(out.global, vec![1.0]);
+    let fit = Instruction::Fit {
+        params: vec![0.0],
+        config: ConfigMap::new(),
+    };
+    let out = rt.run_round(&fit, &policy).unwrap();
+    assert_eq!(out.replies.len(), FLEET);
+    // FedAvg, as the engine's `RoundCtx` aggregates it: no screen.
+    let updates = fit_updates(out.replies).unwrap();
+    let global = AggregationStrategy::FedAvg.aggregate(updates).unwrap();
+    assert_eq!(global, vec![1.0]);
     // Hosts, plus whatever ff-par workers the process may run, plus the
     // harness's main and test threads.
     let budget = MAX_HOSTS + ff_par::effective_threads() + 2;

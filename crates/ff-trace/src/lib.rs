@@ -41,7 +41,6 @@
 
 mod hist;
 mod json;
-mod sketch;
 mod summary;
 mod tracer;
 
@@ -54,6 +53,5 @@ pub use hist::{Histogram, BUCKETS_PER_DOUBLING, ZERO_BUCKET};
 pub use json::{push_json_f64, push_json_str, to_json_lines};
 pub use profile::{folded_stacks, CriticalHop, Profile, SelfTimeRow};
 pub use recorder::{FlightRecorder, ForensicDump, RecorderConfig, RoundFrame, Trigger, Triggers};
-pub use sketch::{QuantileSketch, SKETCH_BUCKETS_PER_DOUBLING};
 pub use summary::{fmt_bytes, fmt_us, render_summary, ClientCommsRow};
 pub use tracer::{EventRecord, MetricId, PhaseTotal, SpanGuard, SpanRecord, Telemetry, Tracer};
