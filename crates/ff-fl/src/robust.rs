@@ -900,6 +900,111 @@ mod tests {
         assert_eq!(agg, vec![7.0]);
     }
 
+    /// Textbook weighted mean, written independently of
+    /// [`weighted_mean`]: weights totalled first, then `w·θ` per
+    /// coordinate, each update rescaled to `max_norm` first when longer.
+    fn reference_mean(updates: &[(Vec<f64>, u64)], max_norm: Option<f64>) -> Vec<f64> {
+        let mut acc = vec![0.0; updates[0].0.len()];
+        let mut total = 0.0;
+        for (p, w) in updates {
+            let wf = *w as f64;
+            total += wf;
+            let norm = p.iter().map(|v| v * v).sum::<f64>().sqrt();
+            let scale = max_norm.filter(|&m| norm > m).map(|m| m / norm);
+            for (a, &v) in acc.iter_mut().zip(p) {
+                *a += match scale {
+                    Some(s) => wf * (v * s),
+                    None => wf * v,
+                };
+            }
+        }
+        acc.iter().map(|a| a / total).collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `n` updates of dimension `dim` with coordinates in `[-10, 10)` and
+    /// weights in `1..=9`, from a fixed LCG.
+    fn synth_updates(n: usize, dim: usize, seed: u64) -> Vec<(Vec<f64>, u64)> {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        (0..n)
+            .map(|_| {
+                let p: Vec<f64> = (0..dim).map(|_| (next() - 0.5) * 20.0).collect();
+                let w = 1 + (next() * 9.0) as u64;
+                (p, w)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fedavg_is_bit_identical_to_the_textbook_loop() {
+        let updates = synth_updates(37, 8, 3);
+        let agg = exact(AggregationStrategy::FedAvg, &updates).unwrap();
+        assert_eq!(bits(&agg), bits(&reference_mean(&updates, None)));
+    }
+
+    #[test]
+    fn clipped_fedavg_is_bit_identical_to_the_textbook_loop() {
+        let mut updates = synth_updates(20, 6, 9);
+        updates.push((vec![1e9; 6], 2)); // must be clipped
+        let agg = clipped(5.0, &updates);
+        assert_eq!(bits(&agg), bits(&reference_mean(&updates, Some(5.0))));
+    }
+
+    #[test]
+    fn empty_params_are_skipped_and_dim_mismatch_rejected() {
+        // The empty update's 100 examples join no total.
+        let agg = exact(
+            AggregationStrategy::FedAvg,
+            &[(vec![], 100), (vec![2.0], 1)],
+        );
+        assert_eq!(agg, Ok(vec![2.0]));
+        let mismatched = [(vec![], 100), (vec![2.0], 1), (vec![1.0, 2.0], 1)];
+        assert!(exact(AggregationStrategy::FedAvg, &mismatched).is_err());
+    }
+
+    #[test]
+    fn non_finite_handling_per_rule_family() {
+        // Mean rules: error, naming the sender rather than its position.
+        let updates = vec![
+            (3, vec![1.0], 1u64),
+            (7, vec![f64::NAN], 1),
+            (5, vec![3.0], 1),
+        ];
+        for strategy in [
+            AggregationStrategy::FedAvg,
+            AggregationStrategy::NormClippedFedAvg { max_norm: 5.0 },
+        ] {
+            assert_eq!(
+                strategy.aggregate(updates.clone()),
+                Err(FlError::NonFiniteUpdate { client: 7 }),
+                "{}",
+                strategy.name()
+            );
+        }
+        // Rank rules and Krum: drop the update and aggregate the rest.
+        for strategy in [
+            AggregationStrategy::CoordinateMedian,
+            AggregationStrategy::TrimmedMean { trim_ratio: 0.0 },
+            AggregationStrategy::MultiKrum { f: 0, m: 2 },
+        ] {
+            assert_eq!(
+                strategy.aggregate(updates.clone()),
+                Ok(vec![2.0]),
+                "{}",
+                strategy.name()
+            );
+        }
+    }
+
     #[test]
     fn strategy_aggregation_names_the_non_finite_sender() {
         let updates = vec![(4, vec![1.0], 1u64), (9, vec![f64::NAN], 1)];
