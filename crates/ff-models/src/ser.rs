@@ -18,6 +18,9 @@ pub enum SerError {
     BadTag(u8),
     /// A length field exceeded sanity bounds.
     BadLength(u64),
+    /// A tree node's child or feature index points outside the tree, or
+    /// a child at or before its own node.
+    BadIndex(u64),
 }
 
 impl std::fmt::Display for SerError {
@@ -26,6 +29,7 @@ impl std::fmt::Display for SerError {
             SerError::Truncated => write!(f, "truncated model blob"),
             SerError::BadTag(t) => write!(f, "unknown tag {t}"),
             SerError::BadLength(n) => write!(f, "implausible length {n}"),
+            SerError::BadIndex(i) => write!(f, "bad node or feature index {i}"),
         }
     }
 }

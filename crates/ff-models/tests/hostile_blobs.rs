@@ -8,6 +8,7 @@
 //! adversarial input.
 
 use ff_linalg::Matrix;
+use ff_models::boosting::gbdt::XgbRegressor;
 use ff_models::data::{Standardizer, TargetScaler};
 use ff_models::pipeline::{decode_member_blob, encode_external_blob, PipelineId, PipelineModel};
 use ff_models::zoo::{build_regressor, AlgorithmKind, HyperParams};
@@ -130,6 +131,75 @@ fn v2_blob() -> &'static [u8] {
             &model.to_blob().unwrap(),
         )
     })
+}
+
+/// An `XgbRegressor` blob holding one hand-built tree: a split node per
+/// `(feature, left, right)` entry, then `leaves` leaf nodes, then `width`
+/// feature gains.
+fn one_tree_blob(splits: &[(u32, u32, u32)], leaves: usize, width: usize) -> Vec<u8> {
+    let mut w = ff_models::ser::Writer::new();
+    w.u8(1);
+    w.f64(0.0);
+    w.f64(0.1);
+    w.u32(1);
+    w.u32((splits.len() + leaves) as u32);
+    for &(feature, left, right) in splits {
+        w.u8(1);
+        w.u32(feature);
+        w.f64(0.5);
+        w.u32(left);
+        w.u32(right);
+    }
+    for _ in 0..leaves {
+        w.u8(0);
+        w.f64(1.0);
+    }
+    w.f64s(&vec![0.0; width]);
+    w.finish()
+}
+
+/// `model` inside a v2 member blob, the form FFSV serving decodes.
+fn xgb_member(model: &[u8]) -> Vec<u8> {
+    let x = Matrix::from_fn(4, 2, |i, j| (i + j) as f64);
+    encode_external_blob(
+        AlgorithmKind::XGB_REGRESSOR,
+        &Standardizer::fit(&x),
+        &TargetScaler::fit(&[1.0, 2.0, 3.0, 4.0]),
+        model,
+    )
+}
+
+/// Whether both decoders refuse a tree blob: `XgbRegressor::from_bytes`
+/// directly and `decode_member_blob` inside a member blob.
+fn tree_refused(model: &[u8]) -> bool {
+    XgbRegressor::from_bytes(model).is_err() && !decode_member(&xgb_member(model))
+}
+
+#[test]
+fn hand_built_preorder_tree_decodes() {
+    // The shape every fitted tree has: each left child right after its
+    // split, so the refusals below are about the bad index alone.
+    let model = one_tree_blob(&[(1, 1, 2)], 2, 2);
+    assert!(XgbRegressor::from_bytes(&model).is_ok());
+    assert!(decode_member(&xgb_member(&model)));
+}
+
+#[test]
+fn self_loop_tree_is_refused() {
+    // The root's left child is the root: prediction would never end.
+    assert!(tree_refused(&one_tree_blob(&[(0, 0, 1)], 1, 2)));
+}
+
+#[test]
+fn back_edge_tree_is_refused() {
+    // Node 1 sends its left branch back to the root.
+    assert!(tree_refused(&one_tree_blob(&[(0, 1, 2), (1, 0, 2)], 1, 2)));
+}
+
+#[test]
+fn out_of_range_feature_is_refused() {
+    // A split on feature 2 of a two-feature tree would index past the row.
+    assert!(tree_refused(&one_tree_blob(&[(2, 1, 2)], 2, 2)));
 }
 
 proptest! {

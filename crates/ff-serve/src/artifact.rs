@@ -199,6 +199,7 @@ fn ser_err(e: SerError) -> ArtifactError {
         SerError::Truncated => ArtifactError::Truncated,
         SerError::BadLength(n) => ArtifactError::ImplausibleLength(n),
         SerError::BadTag(t) => ArtifactError::BadTag(t),
+        e @ SerError::BadIndex(_) => ArtifactError::Invalid(e.to_string()),
     }
 }
 
