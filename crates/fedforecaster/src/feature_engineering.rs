@@ -1,12 +1,13 @@
 //! Client-side automated feature engineering (§4.2).
 //!
 //! Given the *globally agreed* parameters (lag count from the aggregated
-//! meta-features, seasonal periods from the federated weighted periodogram)
-//! each client builds, from its own private data only:
+//! meta-features, seasonal periods from the federated periodogram) each
+//! client builds, from its own private data only:
 //!
-//! 1. **Trend feature** — a Prophet-style trend (flat / piecewise-linear /
-//!    logistic chosen by ADF) fitted on the training split and evaluated at
-//!    every row's index.
+//! 1. **Trend feature** — a causal trend: an expanding exponential moving
+//!    average whose value at row `t` summarizes observations strictly
+//!    before `t` ([`causal_trend`]). It plays the role of the paper's
+//!    Prophet trend component without leaking the current value.
 //! 2. **Time features** — cyclic encodings of hour-of-day, day-of-week, and
 //!    month-of-year from the row's timestamp.
 //! 3. **Lag features** — the agreed number of lagged target values.

@@ -1,8 +1,8 @@
 //! Householder QR factorization and least-squares solves.
 //!
-//! The ADF stationarity regressions and Prophet-style trend fits solve tall
-//! least-squares systems whose Gram matrices can be poorly conditioned;
-//! QR is the numerically safe path for those.
+//! The ADF stationarity regressions solve tall least-squares systems
+//! whose Gram matrices can be poorly conditioned; QR is the numerically
+//! safe path for those.
 
 use crate::{LinalgError, Matrix, Result};
 

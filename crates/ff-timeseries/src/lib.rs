@@ -9,16 +9,15 @@
 //!   splitting and federated client splitting.
 //! - [`interpolate`]: linear interpolation of missing-value gaps (§4.2).
 //! - [`stats`]: moments (skewness, kurtosis), histograms, entropy, and
-//!   KL divergence between client distributions (Table 1).
+//!   KL divergence between histograms (Table 1).
 //! - [`acf`]: autocorrelation and partial autocorrelation (Durbin–Levinson)
 //!   with significant-lag detection (Table 1, lag features).
 //! - [`stationarity`]: the Augmented Dickey–Fuller test and differencing
-//!   (Table 1 stationarity meta-features, §4.2.1 trend logic).
+//!   (Table 1 stationarity meta-features).
 //! - [`periodogram`]: FFT periodogram, seasonality-component detection, and
-//!   the cross-client *weighted periodogram* of §4.2.1(4).
+//!   the shared log-period grid on which clients report their spectra for
+//!   the federated periodogram of §4.2.1(4).
 //! - [`fractal`]: Higuchi fractal dimension (Table 1).
-//! - [`trend`]: simplified Prophet — piecewise-linear changepoint trend and
-//!   logistic growth trend (§4.2.1(1)).
 //! - [`calendar`]: civil-calendar decomposition of unix timestamps for the
 //!   time features of §4.2.1(2).
 //! - [`synthesis`]: configurable synthetic series generation (used by the
@@ -34,7 +33,6 @@ pub mod series;
 pub mod stationarity;
 pub mod stats;
 pub mod synthesis;
-pub mod trend;
 pub mod wilcoxon;
 pub mod windowing;
 

@@ -2,7 +2,10 @@
 //!
 //! Table 1 needs "Detected seasonality components" and "Periods of
 //! seasonality components"; §4.2.1(4) extracts the top-N seasonal components
-//! using a *weighted periodogram across all clients*.
+//! from a periodogram across all clients. Each client reports its spectrum
+//! on a shared log-period grid ([`spectrum_on_grid`]); the server sums the
+//! reports and picks peaks ([`peaks_on_grid`]), so no raw sample leaves a
+//! client.
 
 use ff_linalg::fft;
 
@@ -77,7 +80,7 @@ fn dedup_harmonics(cands: &mut Vec<Seasonality>) {
 }
 
 /// Number of points on the shared log-period spectral grid used by the
-/// federated weighted-periodogram protocol.
+/// federated periodogram protocol.
 pub const SPECTRAL_GRID_LEN: usize = 256;
 
 /// The shared log-spaced period grid from 2 samples up to `max_period`.
@@ -105,7 +108,7 @@ pub fn spectrum_on_grid(values: &[f64], grid_periods: &[f64]) -> Vec<f64> {
         .collect()
 }
 
-/// Server-side peak picking over a (weight-)aggregated grid spectrum.
+/// Server-side peak picking over an aggregated grid spectrum.
 /// `longest` is the longest client length (bounds credible periods).
 pub fn peaks_on_grid(
     grid_periods: &[f64],
@@ -121,46 +124,6 @@ pub fn peaks_on_grid(
     fs.reverse();
     ps.reverse();
     peaks_from_spectrum(&fs, &ps, max_components, threshold_factor, longest)
-}
-
-/// The §4.2.1(4) *weighted periodogram*: per-client periodograms are
-/// interpolated onto a common frequency grid and averaged with the given
-/// weights (typically `|D_j| / |D|`), then peaks are picked from the
-/// aggregate spectrum. This lets all clients agree on a shared set of
-/// seasonal components without sharing raw data.
-pub fn weighted_seasonality(
-    clients: &[&[f64]],
-    weights: &[f64],
-    max_components: usize,
-    threshold_factor: f64,
-) -> Vec<Seasonality> {
-    assert_eq!(clients.len(), weights.len());
-    if clients.is_empty() {
-        return Vec::new();
-    }
-    let longest = clients.iter().map(|c| c.len()).max().unwrap_or(0);
-    if longest < 8 {
-        return Vec::new();
-    }
-    let periods = log_period_grid(longest as f64 / 2.0);
-    let mut agg_power = vec![0.0; periods.len()];
-    let wsum: f64 = weights.iter().sum::<f64>().max(1e-300);
-    // Per-client FFTs run on the ff-par pool; the weighted accumulation
-    // stays sequential in client order, so the aggregate spectrum is
-    // bit-identical at every thread count.
-    let specs = ff_par::par_map_indexed(clients, |_, client| spectrum_on_grid(client, &periods));
-    for (spec, &w) in specs.iter().zip(weights) {
-        for (a, s) in agg_power.iter_mut().zip(spec) {
-            *a += w / wsum * s;
-        }
-    }
-    peaks_on_grid(
-        &periods,
-        &agg_power,
-        max_components,
-        threshold_factor,
-        longest,
-    )
 }
 
 /// Linear interpolation of a spectrum at frequency `f` (0 outside range).
@@ -231,52 +194,22 @@ mod tests {
     }
 
     #[test]
-    fn weighted_periodogram_finds_shared_period() {
-        // Three clients observe the same period-12 cycle with phase shifts.
-        let clients: Vec<Vec<f64>> = (0..3)
-            .map(|c| {
-                (0..512)
-                    .map(|t| (2.0 * PI * (t as f64 + 30.0 * c as f64) / 12.0).sin())
-                    .collect()
-            })
-            .collect();
-        let refs: Vec<&[f64]> = clients.iter().map(|c| c.as_slice()).collect();
-        let s = weighted_seasonality(&refs, &[1.0, 1.0, 1.0], 3, 5.0);
-        assert!(!s.is_empty());
-        assert!((s[0].period - 12.0).abs() < 1.0, "period={}", s[0].period);
-    }
-
-    #[test]
-    fn weighted_periodogram_weights_matter() {
-        // Heavy client has period 10, light client period 50; the top
-        // component should come from the heavy client.
-        let heavy = sine(10.0, 512, 1.0);
-        let light = sine(50.0, 512, 1.0);
-        let s = weighted_seasonality(&[&heavy, &light], &[0.95, 0.05], 1, 2.0);
-        assert!(!s.is_empty());
-        assert!((s[0].period - 10.0).abs() < 1.0, "period={}", s[0].period);
-    }
-
-    #[test]
-    fn weighted_seasonality_is_thread_count_invariant() {
-        let clients: Vec<Vec<f64>> = (0..5)
-            .map(|c| {
-                (0..256)
-                    .map(|t| (2.0 * PI * t as f64 / (10.0 + c as f64)).sin())
-                    .collect()
-            })
-            .collect();
-        let refs: Vec<&[f64]> = clients.iter().map(|c| c.as_slice()).collect();
-        let w = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let seq = ff_par::with_threads(1, || weighted_seasonality(&refs, &w, 3, 2.0));
-        for &threads in &[2usize, 8] {
-            let par = ff_par::with_threads(threads, || weighted_seasonality(&refs, &w, 3, 2.0));
-            assert_eq!(par.len(), seq.len(), "threads={threads}");
-            for (a, b) in par.iter().zip(&seq) {
-                assert_eq!(a.period.to_bits(), b.period.to_bits());
-                assert_eq!(a.power.to_bits(), b.power.to_bits());
+    fn grid_spectra_find_shared_period() {
+        // Three clients observe the same period-12 cycle with phase shifts;
+        // their summed grid spectra peak at the shared period.
+        let grid = log_period_grid(256.0);
+        let mut agg = vec![0.0; grid.len()];
+        for c in 0..3 {
+            let x: Vec<f64> = (0..512)
+                .map(|t| (2.0 * PI * (t as f64 + 30.0 * c as f64) / 12.0).sin())
+                .collect();
+            for (a, s) in agg.iter_mut().zip(spectrum_on_grid(&x, &grid)) {
+                *a += s;
             }
         }
+        let s = peaks_on_grid(&grid, &agg, 3, 5.0, 512);
+        assert!(!s.is_empty());
+        assert!((s[0].period - 12.0).abs() < 1.0, "period={}", s[0].period);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! These feed the Table 1 meta-features: skewness, kurtosis, the entropy
 //! aggregation of target stationarity across clients, and the KL divergence
-//! among clients' value distributions.
+//! among clients' value histograms (which `ff-metalearn` computes from the
+//! histograms the clients report).
 
 use ff_linalg::vector;
 
@@ -132,37 +133,6 @@ pub fn kl_divergence(p: &[f64], q: &[f64], eps: f64) -> f64 {
         .sum()
 }
 
-/// Pairwise KL divergences among client samples over a shared histogram
-/// support — the "KL Div. among clients' distribution" meta-feature.
-///
-/// Returns the `D(p_i ‖ p_j)` values for all ordered pairs `i ≠ j`.
-pub fn pairwise_client_kl(clients: &[Vec<f64>], bins: usize) -> Vec<f64> {
-    let all: Vec<f64> = clients
-        .iter()
-        .flatten()
-        .copied()
-        .filter(|v| !v.is_nan())
-        .collect();
-    if all.is_empty() || clients.len() < 2 {
-        return Vec::new();
-    }
-    let lo = all.iter().cloned().fold(f64::INFINITY, f64::min);
-    let hi = all.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let hists: Vec<Histogram> = clients
-        .iter()
-        .map(|c| Histogram::new(c, bins, lo, hi))
-        .collect();
-    let mut out = Vec::new();
-    for (i, hi_) in hists.iter().enumerate() {
-        for (j, hj) in hists.iter().enumerate() {
-            if i != j {
-                out.push(kl_divergence(&hi_.probs, &hj.probs, 1e-9));
-            }
-        }
-    }
-    out
-}
-
 /// Simple summary of a sample used by the meta-feature aggregators.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
@@ -265,14 +235,6 @@ mod tests {
         let q = [0.9, 0.1];
         assert!(kl_divergence(&p, &p, 1e-9).abs() < 1e-9);
         assert!(kl_divergence(&p, &q, 1e-9) > 0.1);
-    }
-
-    #[test]
-    fn pairwise_kl_count_and_identical_clients() {
-        let a = vec![1.0, 2.0, 3.0, 4.0];
-        let kls = pairwise_client_kl(&[a.clone(), a.clone(), a], 8);
-        assert_eq!(kls.len(), 6); // 3 clients → 6 ordered pairs
-        assert!(kls.iter().all(|&k| k.abs() < 1e-6));
     }
 
     #[test]

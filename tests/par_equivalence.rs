@@ -15,7 +15,6 @@ use ff_metalearn::metamodel::{MetaClassifierKind, MetaModel};
 use ff_metalearn::synth::synthetic_kb;
 use ff_models::forest::RandomForestRegressor;
 use ff_models::Regressor;
-use ff_timeseries::periodogram::weighted_seasonality;
 use ff_timeseries::synthesis::{generate, SeasonSpec, SynthesisSpec, TrendSpec};
 use ff_timeseries::TimeSeries;
 
@@ -98,25 +97,6 @@ fn forest_fit_bits_are_thread_invariant() {
             bits(&f.predict(&x).unwrap()),
             bits(f.feature_importances().unwrap()),
         )
-    });
-}
-
-#[test]
-fn weighted_seasonality_bits_are_thread_invariant() {
-    let clients: Vec<Vec<f64>> = (0..6)
-        .map(|c| {
-            (0..400)
-                .map(|t| (2.0 * std::f64::consts::PI * t as f64 / (9.0 + c as f64)).sin())
-                .collect()
-        })
-        .collect();
-    let refs: Vec<&[f64]> = clients.iter().map(|c| c.as_slice()).collect();
-    let w: Vec<f64> = (1..=6).map(|i| i as f64).collect();
-    assert_thread_invariant(|| {
-        weighted_seasonality(&refs, &w, 3, 2.0)
-            .into_iter()
-            .map(|s| (s.period.to_bits(), s.power.to_bits()))
-            .collect::<Vec<_>>()
     });
 }
 
