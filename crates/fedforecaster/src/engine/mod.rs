@@ -53,7 +53,6 @@ use ff_bayesopt::space::Configuration;
 use ff_ckpt::{CkptError, CrashPoint};
 use ff_fl::client::FlClient;
 use ff_fl::health::HealthReport;
-use ff_fl::log::Retention;
 use ff_fl::runtime::FederatedRuntime;
 use ff_fl::FlError;
 use ff_metalearn::metamodel::MetaModel;
@@ -661,20 +660,12 @@ fn build_telemetry(
 /// exogenous covariates via
 /// [`FedForecasterClient::with_exogenous`]); pair with
 /// [`FedForecaster::run_on`].
-///
-/// Engine runtimes default to [`Retention::Counting`]: a tuning run ships
-/// megabytes of model blobs per round, so retaining every payload forever
-/// (the old behavior) grows without bound. Byte totals stay exact; tests
-/// that must scan all traffic (the privacy leak check) opt back into
-/// [`Retention::Full`] via [`ff_fl::log::MessageLog::set_retention`].
 pub fn build_runtime_from(clients: Vec<FedForecasterClient>) -> FederatedRuntime {
     let boxed: Vec<Box<dyn FlClient>> = clients
         .into_iter()
         .map(|c| Box::new(c) as Box<dyn FlClient>)
         .collect();
-    let rt = FederatedRuntime::new(boxed);
-    rt.log().set_retention(Retention::counting_default());
-    rt
+    FederatedRuntime::new(boxed)
 }
 
 /// Spawns the federated runtime with one [`FedForecasterClient`] per series.

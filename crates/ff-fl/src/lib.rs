@@ -21,9 +21,10 @@
 //! - [`robust::AggregationStrategy::aggregate`]: the one aggregation
 //!   path — the caller screens a round's replies, then every rule
 //!   aggregates the survivors in one batch.
-//! - [`log::MessageLog`]: a transcript of every transmitted payload with
-//!   byte counts — used by the test suite to assert that no raw
-//!   time-series samples ever leave a client.
+//! - [`log::MessageLog`]: exact message and byte counters of every
+//!   transmission, in total and per client. It keeps no payloads; the
+//!   test suite checks that no raw time-series samples ever leave a
+//!   client by reading each reply at [`client::FlClient::wire_transform`].
 //!
 //! # Fault tolerance
 //!

@@ -1,21 +1,16 @@
-//! A transcript of every message that crossed the client boundary.
+//! Exact traffic accounting for every message that crossed the client
+//! boundary: message and byte totals in each direction, per client, and
+//! (with a tracer attached) per-message byte histograms.
 //!
-//! The privacy claim of the paper — only statistics, losses, and model
-//! parameters leave a client — becomes a testable property here: the
-//! integration suite replays the log and asserts no raw sample sequences
-//! appear in any payload.
-//!
-//! Retaining every payload forever is the original sin of this module:
-//! a long tuning run clones megabytes of model blobs per round into the
-//! log and never frees them. [`Retention`] fixes that — the default
-//! [`Retention::Full`] keeps the historical behavior for tests, while
-//! [`Retention::Counting`] (what the engine uses) keeps exact per-client
-//! byte/message totals plus only a bounded window of recent payloads so
-//! leak checks still have material to scan.
+//! The log keeps no payloads. Its counters are part of the checkpointed
+//! run state ([`LogTotals`]) and feed the communication reports. The
+//! privacy claim of the paper — only statistics, losses, and model
+//! parameters leave a client — is checked at the wire instead: the
+//! integration suite wraps each client and scans every reply at
+//! [`crate::client::FlClient::wire_transform`].
 
 use ff_trace::Tracer;
 use parking_lot::Mutex;
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Direction of a logged message.
@@ -27,40 +22,7 @@ pub enum Direction {
     ToServer,
 }
 
-/// One logged transmission.
-#[derive(Debug, Clone)]
-pub struct LogEntry {
-    /// Client involved.
-    pub client_id: usize,
-    /// Direction of travel.
-    pub direction: Direction,
-    /// The full encoded payload.
-    pub payload: Vec<u8>,
-}
-
-/// How much payload history the log retains. Byte and message *totals*
-/// are always exact regardless of mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Retention {
-    /// Keep every payload (unbounded memory — only for short runs and
-    /// the privacy test, which must scan all traffic).
-    Full,
-    /// Keep only the most recent `window` payloads; older ones are
-    /// dropped after their bytes are counted.
-    Counting {
-        /// Number of recent payloads retained for leak checks.
-        window: usize,
-    },
-}
-
-impl Retention {
-    /// The counting mode with the default leak-check window.
-    pub fn counting_default() -> Retention {
-        Retention::Counting { window: 256 }
-    }
-}
-
-/// Exact per-client traffic totals, maintained in every retention mode.
+/// Exact per-client traffic totals.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClientComms {
     /// Bytes sent server → this client.
@@ -72,7 +34,7 @@ pub struct ClientComms {
 }
 
 /// Durable snapshot of a [`MessageLog`]'s exact counters, as exported by
-/// [`MessageLog::export_totals`]. Payloads are not part of it.
+/// [`MessageLog::export_totals`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LogTotals {
     /// Messages recorded in either direction.
@@ -87,8 +49,6 @@ pub struct LogTotals {
 
 #[derive(Debug, Default)]
 struct LogState {
-    retention: Option<Retention>, // None = Full
-    window: VecDeque<LogEntry>,
     recorded: usize,
     to_client_bytes: usize,
     to_server_bytes: usize,
@@ -104,32 +64,9 @@ pub struct MessageLog {
 }
 
 impl MessageLog {
-    /// Creates an empty log with [`Retention::Full`].
+    /// Creates an empty log.
     pub fn new() -> MessageLog {
         MessageLog::default()
-    }
-
-    /// Creates an empty log with the given retention mode.
-    pub fn with_retention(retention: Retention) -> MessageLog {
-        let log = MessageLog::new();
-        log.set_retention(retention);
-        log
-    }
-
-    /// Switches retention mode. Moving to `Counting` trims the retained
-    /// window immediately; totals are unaffected.
-    pub fn set_retention(&self, retention: Retention) {
-        let mut s = self.inner.lock();
-        s.retention = match retention {
-            Retention::Full => None,
-            r => Some(r),
-        };
-        trim(&mut s);
-    }
-
-    /// The current retention mode.
-    pub fn retention(&self) -> Retention {
-        self.inner.lock().retention.unwrap_or(Retention::Full)
     }
 
     /// Attaches a tracer: subsequent messages feed the
@@ -175,27 +112,10 @@ impl MessageLog {
                 s.tracer
                     .record_labeled(name, client_id as u64, payload.len() as f64);
             }
-            // An empty counting window retains nothing: skip the copy.
-            if s.retention != Some(Retention::Counting { window: 0 }) {
-                s.window.push_back(LogEntry {
-                    client_id,
-                    direction,
-                    payload: payload.to_vec(),
-                });
-                trim(&mut s);
-            }
         }
     }
 
-    /// Snapshot of the retained entries (all of them under
-    /// [`Retention::Full`], the recent window under
-    /// [`Retention::Counting`]).
-    pub fn entries(&self) -> Vec<LogEntry> {
-        self.inner.lock().window.iter().cloned().collect()
-    }
-
     /// Total bytes sent in each direction: `(to_clients, to_server)`.
-    /// Exact in every retention mode.
     pub fn byte_totals(&self) -> (usize, usize) {
         let s = self.inner.lock();
         (s.to_client_bytes, s.to_server_bytes)
@@ -207,8 +127,7 @@ impl MessageLog {
         per_client_totals(&s)
     }
 
-    /// Number of messages recorded (not merely retained). Exact in every
-    /// retention mode.
+    /// Number of messages recorded.
     pub fn len(&self) -> usize {
         self.inner.lock().recorded
     }
@@ -218,14 +137,7 @@ impl MessageLog {
         self.inner.lock().recorded == 0
     }
 
-    /// Number of payloads currently held in memory.
-    pub fn retained(&self) -> usize {
-        self.inner.lock().window.len()
-    }
-
-    /// Exports the exact traffic totals for durable checkpointing. The
-    /// retained payload window is deliberately excluded — it exists only
-    /// for leak checks on live traffic and is not part of resume state.
+    /// Exports the exact traffic totals for durable checkpointing.
     pub fn export_totals(&self) -> LogTotals {
         let s = self.inner.lock();
         LogTotals {
@@ -237,8 +149,8 @@ impl MessageLog {
     }
 
     /// Overwrites the totals with a previously exported snapshot. Used on
-    /// resume to fast-forward counters past replayed work; the payload
-    /// window and retention mode are untouched.
+    /// resume to fast-forward counters past replayed work; the tracer is
+    /// untouched.
     pub fn restore_totals(&self, totals: &LogTotals) {
         let mut s = self.inner.lock();
         s.recorded = totals.recorded;
@@ -252,28 +164,6 @@ impl MessageLog {
             s.per_client[id] = comms;
         }
     }
-
-    /// Searches retained client→server payloads for a run of consecutive
-    /// f64 values equal to `needle` (a fragment of raw client data). Used
-    /// by the privacy test: if a client leaked its raw series, the exact
-    /// little-endian byte pattern of `needle` would appear in some
-    /// payload. Under [`Retention::Counting`] only the recent window is
-    /// scanned — the privacy test opts into [`Retention::Full`].
-    pub fn leaks_float_run(&self, needle: &[f64]) -> bool {
-        if needle.is_empty() {
-            return false;
-        }
-        let pattern: Vec<u8> = needle.iter().flat_map(|v| v.to_le_bytes()).collect();
-        let s = self.inner.lock();
-        s.window
-            .iter()
-            .filter(|e| e.direction == Direction::ToServer)
-            .any(|e| {
-                e.payload
-                    .windows(pattern.len())
-                    .any(|w| w == pattern.as_slice())
-            })
-    }
 }
 
 /// `(id, totals)` of every client that was messaged, by id.
@@ -282,14 +172,6 @@ fn per_client_totals(s: &LogState) -> Vec<(usize, ClientComms)> {
         .filter(|(_, c)| c.messages > 0)
         .map(|(id, &c)| (id, c))
         .collect()
-}
-
-fn trim(s: &mut LogState) {
-    if let Some(Retention::Counting { window }) = s.retention {
-        while s.window.len() > window {
-            s.window.pop_front();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -314,33 +196,12 @@ mod tests {
     }
 
     #[test]
-    fn detects_leaked_float_runs() {
+    fn totals_are_exact_per_client() {
         let log = MessageLog::new();
-        let secret = [1.5f64, -2.25, 3.125];
-        let mut payload = vec![0xABu8; 4];
-        payload.extend(secret.iter().flat_map(|v| v.to_le_bytes()));
-        log.record(0, Direction::ToServer, &payload);
-        assert!(log.leaks_float_run(&secret));
-        assert!(!log.leaks_float_run(&[9.0, 9.0, 9.0]));
-    }
-
-    #[test]
-    fn to_client_payloads_do_not_count_as_leaks() {
-        let log = MessageLog::new();
-        let secret = [7.0f64, 8.0];
-        let payload: Vec<u8> = secret.iter().flat_map(|v| v.to_le_bytes()).collect();
-        log.record(0, Direction::ToClient, &payload);
-        assert!(!log.leaks_float_run(&secret));
-    }
-
-    #[test]
-    fn counting_mode_bounds_memory_but_keeps_exact_totals() {
-        let log = MessageLog::with_retention(Retention::Counting { window: 4 });
         for i in 0..100usize {
             log.record(i % 3, Direction::ToServer, &[0u8; 10]);
         }
         assert_eq!(log.len(), 100);
-        assert_eq!(log.retained(), 4);
         assert_eq!(log.byte_totals(), (0, 1000));
         let totals = log.client_totals();
         assert_eq!(totals.len(), 3);
@@ -351,44 +212,18 @@ mod tests {
     }
 
     #[test]
-    fn counting_window_still_catches_recent_leaks() {
-        let log = MessageLog::with_retention(Retention::Counting { window: 8 });
-        let secret = [4.75f64, -1.5];
-        for _ in 0..50 {
-            log.record(0, Direction::ToServer, &[0u8; 16]);
-        }
-        let payload: Vec<u8> = secret.iter().flat_map(|v| v.to_le_bytes()).collect();
-        log.record(1, Direction::ToServer, &payload);
-        assert!(log.leaks_float_run(&secret));
-    }
-
-    #[test]
-    fn switching_to_counting_trims_immediately() {
-        let log = MessageLog::new();
-        for _ in 0..10 {
-            log.record(0, Direction::ToClient, &[1u8; 4]);
-        }
-        assert_eq!(log.retained(), 10);
-        log.set_retention(Retention::Counting { window: 2 });
-        assert_eq!(log.retained(), 2);
-        assert_eq!(log.len(), 10);
-        assert_eq!(log.byte_totals(), (40, 0));
-    }
-
-    #[test]
     fn totals_round_trip_without_payloads() {
-        let log = MessageLog::with_retention(Retention::Counting { window: 2 });
+        let log = MessageLog::new();
         for i in 0..20usize {
             log.record(i % 3, Direction::ToServer, &[0u8; 7]);
             log.record(i % 3, Direction::ToClient, &[0u8; 11]);
         }
         let totals = log.export_totals();
-        let fresh = MessageLog::with_retention(Retention::Counting { window: 2 });
+        let fresh = MessageLog::new();
         fresh.restore_totals(&totals);
         assert_eq!(fresh.len(), log.len());
         assert_eq!(fresh.byte_totals(), log.byte_totals());
         assert_eq!(fresh.client_totals(), log.client_totals());
-        assert_eq!(fresh.retained(), 0, "payloads must not be restored");
         // Counters keep advancing correctly after the restore.
         fresh.record(9, Direction::ToServer, &[0u8; 5]);
         assert_eq!(fresh.len(), 41);

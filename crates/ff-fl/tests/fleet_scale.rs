@@ -12,7 +12,6 @@ use ff_fl::chaos::{ChaosClient, ChaosConfig};
 use ff_fl::client::{EvalOutput, FitOutput, FlClient};
 use ff_fl::config::ConfigMap;
 use ff_fl::health::ClientState;
-use ff_fl::log::Retention;
 use ff_fl::message::Instruction;
 use ff_fl::robust::{AggregationStrategy, GuardPolicy, UpdateGuard};
 use ff_fl::runtime::{FederatedRuntime, RoundOutcome, RoundPolicy};
@@ -65,14 +64,11 @@ fn chaotic_fleet(seed: u64, byz: f64, fault: f64, dim: usize) -> Vec<Box<dyn FlC
         .collect()
 }
 
-/// A fleet sampling `fraction` of its clients per round, keeping only a
-/// bounded window of message payloads.
+/// A fleet sampling `fraction` of its clients per round.
 fn fleet(clients: Vec<Box<dyn FlClient>>, fraction: f64) -> FederatedRuntime {
-    let rt = FederatedRuntime::new(clients)
+    FederatedRuntime::new(clients)
         .with_cohort(fraction, 42)
-        .unwrap();
-    rt.log().set_retention(Retention::counting_default());
-    rt
+        .unwrap()
 }
 
 /// One coordinate-median fit round of `dim` coordinates, screened and
@@ -208,9 +204,8 @@ fn rss_hwm_mb() -> f64 {
 
 /// The real-hardware memory ceiling: ten rounds of a 10,000-client,
 /// 64-coordinate chaos fleet (1% Byzantine, 2% flaky links) under
-/// coordinate median with a 10% cohort and no payload retention, at one
-/// worker and at four, must leave the whole process's peak RSS within
-/// 512 MiB.
+/// coordinate median with a 10% cohort, at one worker and at four, must
+/// leave the whole process's peak RSS within 512 MiB.
 #[test]
 fn fleet_rounds_stay_under_the_peak_rss_ceiling() {
     const RSS_CEILING_MB: f64 = 512.0;
@@ -218,7 +213,6 @@ fn fleet_rounds_stay_under_the_peak_rss_ceiling() {
     for threads in [1, 4] {
         ff_par::with_threads(threads, || {
             let fleet = fleet(chaotic_fleet(0, 0.01, 0.02, WIDE), 0.1);
-            fleet.log().set_retention(Retention::Counting { window: 0 });
             let mut guard = guard();
             for _ in 0..10 {
                 let (_, _, global) = fit_round(&fleet, &mut guard, WIDE);

@@ -1,14 +1,19 @@
 //! Cross-crate integration tests: the full Algorithm 1 pipeline driven
-//! through the public API, including the privacy invariant over the
-//! federated message log.
+//! through the public API, including the privacy invariant over every
+//! reply that crosses the wire.
 
-use fedforecaster::engine::{build_runtime, FedForecaster};
+use fedforecaster::client::FedForecasterClient;
+use fedforecaster::engine::FedForecaster;
 use fedforecaster::prelude::*;
+use ff_fl::client::{EvalOutput, FitOutput, FlClient};
+use ff_fl::config::ConfigMap;
+use ff_fl::runtime::FederatedRuntime;
 use ff_metalearn::kb::KnowledgeBase;
 use ff_metalearn::metamodel::{MetaClassifierKind, MetaModel};
 use ff_metalearn::synth::synthetic_kb;
 use ff_timeseries::synthesis::{generate, SeasonSpec, SynthesisSpec, TrendSpec};
 use ff_timeseries::TimeSeries;
+use std::sync::{Arc, Mutex};
 
 fn metamodel() -> MetaModel {
     let kb = KnowledgeBase::build(&synthetic_kb(12), &[3], 50);
@@ -48,6 +53,36 @@ fn end_to_end_engine_run() {
     assert_eq!(result.evaluations, 8);
 }
 
+/// A client that forwards every call to the engine's client and keeps a
+/// copy of each reply exactly as it crosses the wire, after the inner
+/// client's own `wire_transform`.
+struct WireTap {
+    inner: FedForecasterClient,
+    replies: Arc<Mutex<Vec<Vec<u8>>>>,
+}
+
+impl FlClient for WireTap {
+    fn get_properties(&mut self, config: &ConfigMap) -> ConfigMap {
+        self.inner.get_properties(config)
+    }
+
+    fn fit(&mut self, params: &[f64], config: &ConfigMap) -> FitOutput {
+        self.inner.fit(params, config)
+    }
+
+    fn evaluate(&mut self, params: &[f64], config: &ConfigMap) -> EvalOutput {
+        self.inner.evaluate(params, config)
+    }
+
+    fn wire_transform(&mut self, encoded_reply: Vec<u8>) -> Option<Vec<u8>> {
+        let sent = self.inner.wire_transform(encoded_reply);
+        if let Some(bytes) = &sent {
+            self.replies.lock().unwrap().push(bytes.clone());
+        }
+        sent
+    }
+}
+
 #[test]
 fn privacy_no_raw_samples_cross_the_wire() {
     // The invariant behind the paper's privacy claim: no run of raw
@@ -58,16 +93,25 @@ fn privacy_no_raw_samples_cross_the_wire() {
         ..Default::default()
     };
     let clients = seasonal_federation(3, 2);
-    let rt = build_runtime(&clients, &cfg).unwrap();
-    // Engine runtimes default to bounded Counting retention; this test
-    // must scan *every* payload, so keep the full transcript.
-    rt.log().set_retention(ff_fl::log::Retention::Full);
-    let engine = FedForecaster::new(cfg, &meta);
-    let result = engine.run_on(&rt).unwrap();
+    let replies = Arc::new(Mutex::new(Vec::new()));
+    let tapped: Vec<Box<dyn FlClient>> = clients
+        .iter()
+        .map(|s| {
+            Box::new(WireTap {
+                inner: FedForecasterClient::new(s, cfg.valid_fraction, cfg.test_fraction),
+                replies: Arc::clone(&replies),
+            }) as Box<dyn FlClient>
+        })
+        .collect();
+    let rt = FederatedRuntime::new(tapped);
+    let result = FedForecaster::new(cfg, &meta).run_on(&rt).unwrap();
     assert!(result.test_mse.is_finite());
 
-    let log = rt.log();
-    assert!(!log.is_empty());
+    let replies = replies.lock().unwrap();
+    assert!(!replies.is_empty());
+    // The tap saw every byte the server received.
+    let tapped_bytes: usize = replies.iter().map(Vec::len).sum();
+    assert_eq!(tapped_bytes, rt.log().byte_totals().1);
     for c in &clients {
         let values = c.values();
         // Check several raw fragments from each client's private split.
@@ -76,8 +120,11 @@ fn privacy_no_raw_samples_cross_the_wire() {
             if fragment.iter().any(|v| v.is_nan()) {
                 continue;
             }
+            let pattern: Vec<u8> = fragment.iter().flat_map(|v| v.to_le_bytes()).collect();
             assert!(
-                !log.leaks_float_run(fragment),
+                !replies
+                    .iter()
+                    .any(|r| r.windows(pattern.len()).any(|w| w == pattern.as_slice())),
                 "raw sample run leaked to the server"
             );
         }
