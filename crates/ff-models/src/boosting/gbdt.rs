@@ -96,6 +96,12 @@ impl XgbRegressor {
         for _ in 0..n {
             trees.push(GhTree::read_from(&mut r).map_err(err)?);
         }
+        let p = trees[0].feature_gains.len();
+        if trees.iter().any(|t| t.feature_gains.len() != p) {
+            return Err(ModelError::InvalidData(
+                "trees disagree on their feature count".into(),
+            ));
+        }
         let mut out = XgbRegressor::new(n, 0, learning_rate.max(1e-3), 0.0, 1.0);
         out.base = base;
         out.learning_rate = learning_rate;
@@ -171,6 +177,15 @@ impl Regressor for XgbRegressor {
     fn predict(&self, x: &Matrix) -> Result<Vec<f64>> {
         if self.trees.is_empty() {
             return Err(ModelError::NotFitted);
+        }
+        // Every tree has this width (`fit` and `from_bytes` see to it), and
+        // a split on a feature past the row's end would panic.
+        let p = self.trees[0].feature_gains.len();
+        if x.cols() != p {
+            return Err(ModelError::InvalidData(format!(
+                "{} cols vs trees over {p} features",
+                x.cols()
+            )));
         }
         Ok((0..x.rows())
             .map(|i| {

@@ -99,7 +99,10 @@ pub trait Regressor {
     /// (the default) means the model cannot ship as a blob; algorithms
     /// whose table entry uses `FinalizeStrategy::EnsembleUnion` must
     /// override this and pair it with the entry's decoder, which
-    /// [`spec::AlgorithmSpec::deserialize_model`] calls.
+    /// [`spec::AlgorithmSpec::deserialize_model`] calls. A decoded model
+    /// must refuse, at [`Regressor::predict`], a matrix whose width is not
+    /// the one it was fitted on: the member decoders check a blob's scaler
+    /// against its model that way.
     fn to_blob(&self) -> Option<Vec<u8>> {
         None
     }

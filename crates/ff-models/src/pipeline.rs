@@ -824,6 +824,13 @@ impl PipelineModel {
         if means.len() != stds.len() {
             return Err("scaler shape mismatch".into());
         }
+        if means.len() != params.window {
+            return Err(format!(
+                "pipeline {pname} has a {}-lag window but a {}-column scaler",
+                params.window,
+                means.len()
+            ));
+        }
         let ymean = r.f64().map_err(err)?;
         let ystd = r.f64().map_err(err)?;
         let model: Box<dyn Regressor + Send + Sync> = match r.u8().map_err(err)? {
@@ -843,6 +850,7 @@ impl PipelineModel {
             }
             k => return Err(format!("unknown model kind {k}")),
         };
+        check_model_width(model.as_ref(), means.len())?;
         Ok(PipelineModel {
             pipeline,
             algorithm,
@@ -1033,6 +1041,7 @@ fn decode_v2_blob(blob: &[u8]) -> std::result::Result<RevivedMember, String> {
     }
     let model_bytes = &blob[blob.len() - model_len..];
     let model = algo.spec().deserialize_model(model_bytes)?;
+    check_model_width(model.as_ref(), means.len())?;
     Ok(RevivedMember::SingleNode {
         scaler: Standardizer::from_parts(means, stds),
         yscaler: TargetScaler {
@@ -1041,6 +1050,17 @@ fn decode_v2_blob(blob: &[u8]) -> std::result::Result<RevivedMember, String> {
         },
         model,
     })
+}
+
+/// Refuses a revived model that does not read `width` columns, the width
+/// of the scaler in front of it. Every decoded model refuses a matrix of
+/// another width at predict (see [`Regressor::to_blob`]), so a zero-row
+/// probe checks the width without predicting anything.
+fn check_model_width(model: &dyn Regressor, width: usize) -> std::result::Result<(), String> {
+    match model.predict(&Matrix::zeros(0, width)) {
+        Ok(_) => Ok(()),
+        Err(e) => Err(format!("model does not fit its {width}-column scaler: {e}")),
+    }
 }
 
 #[cfg(test)]

@@ -12,6 +12,7 @@ use ff_models::boosting::gbdt::XgbRegressor;
 use ff_models::data::{Standardizer, TargetScaler};
 use ff_models::pipeline::{decode_member_blob, encode_external_blob, PipelineId, PipelineModel};
 use ff_models::zoo::{build_regressor, AlgorithmKind, HyperParams};
+use ff_models::Regressor;
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -133,29 +134,39 @@ fn v2_blob() -> &'static [u8] {
     })
 }
 
-/// An `XgbRegressor` blob holding one hand-built tree: a split node per
-/// `(feature, left, right)` entry, then `leaves` leaf nodes, then `width`
-/// feature gains.
-fn one_tree_blob(splits: &[(u32, u32, u32)], leaves: usize, width: usize) -> Vec<u8> {
+/// A hand-built tree: `(splits, leaves, width)`.
+type Tree<'a> = (&'a [(u32, u32, u32)], usize, usize);
+
+/// An `XgbRegressor` blob holding hand-built trees: per tree, a split
+/// node per `(feature, left, right)` entry, then `leaves` leaf nodes, then
+/// `width` feature gains.
+fn trees_blob(trees: &[Tree]) -> Vec<u8> {
     let mut w = ff_models::ser::Writer::new();
     w.u8(1);
     w.f64(0.0);
     w.f64(0.1);
-    w.u32(1);
-    w.u32((splits.len() + leaves) as u32);
-    for &(feature, left, right) in splits {
-        w.u8(1);
-        w.u32(feature);
-        w.f64(0.5);
-        w.u32(left);
-        w.u32(right);
+    w.u32(trees.len() as u32);
+    for &(splits, leaves, width) in trees {
+        w.u32((splits.len() + leaves) as u32);
+        for &(feature, left, right) in splits {
+            w.u8(1);
+            w.u32(feature);
+            w.f64(0.5);
+            w.u32(left);
+            w.u32(right);
+        }
+        for _ in 0..leaves {
+            w.u8(0);
+            w.f64(1.0);
+        }
+        w.f64s(&vec![0.0; width]);
     }
-    for _ in 0..leaves {
-        w.u8(0);
-        w.f64(1.0);
-    }
-    w.f64s(&vec![0.0; width]);
     w.finish()
+}
+
+/// [`trees_blob`] with one tree.
+fn one_tree_blob(splits: &[(u32, u32, u32)], leaves: usize, width: usize) -> Vec<u8> {
+    trees_blob(&[(splits, leaves, width)])
 }
 
 /// `model` inside a v2 member blob, the form FFSV serving decodes.
@@ -200,6 +211,68 @@ fn back_edge_tree_is_refused() {
 fn out_of_range_feature_is_refused() {
     // A split on feature 2 of a two-feature tree would index past the row.
     assert!(tree_refused(&one_tree_blob(&[(2, 1, 2)], 2, 2)));
+}
+
+#[test]
+fn trees_of_different_widths_are_refused() {
+    // Each tree is sound on its own, but no row suits both: a row as wide
+    // as the first tree's would be indexed past its end by the second.
+    assert!(tree_refused(&trees_blob(&[
+        (&[(1, 1, 2)], 2, 2),
+        (&[(4, 1, 2)], 2, 5),
+    ])));
+}
+
+/// A hand-built v3 `lagged` member around the XGB `model`: node value
+/// `window`, then an identity scaler `scaler` columns wide.
+fn lagged_member(window: usize, scaler: usize, model: &[u8]) -> Vec<u8> {
+    let mut w = ff_models::ser::Writer::new();
+    w.u8(3);
+    w.str(PipelineId::LAGGED.name());
+    w.str(AlgorithmKind::XGB_REGRESSOR.name());
+    w.f64s(&[window as f64]);
+    w.u8(0); // no trend
+    w.f64s(&vec![0.0; scaler]);
+    w.f64s(&vec![1.0; scaler]);
+    w.f64(0.0);
+    w.f64(1.0);
+    w.u8(1); // codec bytes follow
+    w.bytes(model);
+    w.finish()
+}
+
+#[test]
+fn v2_scaler_narrower_than_its_trees_is_refused() {
+    // A 2-column scaler around a tree that splits on feature 4 of 5:
+    // every scaled row would be indexed past its end.
+    let model = one_tree_blob(&[(4, 1, 2)], 2, 5);
+    assert!(!decode_member(&xgb_member(&model)));
+    let xgb = XgbRegressor::from_bytes(&model).unwrap();
+    assert!(xgb.predict(&Matrix::zeros(3, 2)).is_err());
+    assert!(xgb.predict(&Matrix::zeros(3, 6)).is_err());
+    assert_eq!(xgb.predict(&Matrix::zeros(3, 5)).unwrap(), vec![0.1; 3]);
+}
+
+#[test]
+fn v3_window_wider_than_its_scaler_is_refused() {
+    // Window 12 builds 12-column rows for an 8-column scaler; the trees
+    // agree with the scaler, so the window alone is at fault.
+    let model = one_tree_blob(&[(7, 1, 2)], 2, 8);
+    assert!(from_blob(&lagged_member(12, 8, &model)).is_err());
+    assert!(!decode_member(&lagged_member(12, 8, &model)));
+    // Control: the same member with an 8-lag window decodes and predicts.
+    let member = decode_member_blob(&lagged_member(8, 8, &model)).unwrap();
+    let values: Vec<f64> = (0..20).map(f64::from).collect();
+    assert_eq!(member.predict_series(&values, 10, 12).unwrap().len(), 2);
+}
+
+#[test]
+fn v3_trees_wider_than_the_window_are_refused() {
+    // Window 3 and a 3-column scaler around a tree that splits on
+    // feature 7 of 8.
+    let model = one_tree_blob(&[(7, 1, 2)], 2, 8);
+    assert!(from_blob(&lagged_member(3, 3, &model)).is_err());
+    assert!(!decode_member(&lagged_member(3, 3, &model)));
 }
 
 proptest! {

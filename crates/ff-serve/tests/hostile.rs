@@ -9,10 +9,18 @@ mod common;
 
 use common::{series, v2_artifact, v3_artifact, SERIES_LEN};
 use ff_ckpt::corrupt::{append_garbage, flip_bit, truncate_tail};
-use ff_serve::{crc32, Artifact, ArtifactError, ModelStore, ServeError};
+use ff_linalg::Matrix;
+use ff_models::data::{Standardizer, TargetScaler};
+use ff_models::pipeline::encode_external_blob;
+use ff_models::zoo::{build_regressor, AlgorithmKind, HyperParams};
+use ff_serve::{
+    crc32, Artifact, ArtifactError, Ensemble, ModelStore, PredictRequest, ServeConfig, ServeError,
+    ServeRuntime,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Records the largest single allocation requested by the tracking thread.
 struct Tracking;
@@ -288,6 +296,52 @@ fn garbage_member_blobs_inside_a_valid_seal_fail_typed_at_decode() {
     );
     let err = store.resolve("acme", "cut").expect_err("truncated member");
     assert!(matches!(err, ServeError::Model(_)), "unexpected {err:?}");
+}
+
+#[test]
+fn a_member_narrower_than_its_trees_is_refused_at_decode() {
+    // A flat member whose 2-column scaler fronts trees fitted on 5
+    // features, the target living in the last one: its trees split past
+    // the end of every 2-lag row. Decoding must refuse it, and serving
+    // must answer with the typed error instead of panicking.
+    let x = Matrix::from_fn(40, 5, |i, j| ((i * (j + 2)) % 11) as f64);
+    let y: Vec<f64> = (0..40).map(|i| x.get(i, 4)).collect();
+    let mut model = build_regressor(AlgorithmKind::XGB_REGRESSOR, &HyperParams::default());
+    model.fit(&x, &y).expect("xgb fit");
+    let narrow = Matrix::from_fn(40, 2, |i, j| x.get(i, j));
+    let artifact = Artifact {
+        algorithm: "XGBRegressor".into(),
+        pipeline: None,
+        lags: vec![1, 2],
+        members: vec![(
+            1.0,
+            encode_external_blob(
+                AlgorithmKind::XGB_REGRESSOR,
+                &Standardizer::fit(&narrow),
+                &TargetScaler::fit(&y),
+                &model.to_blob().expect("xgb blob"),
+            ),
+        )],
+    };
+    let artifact = Artifact::open(&artifact.seal()).expect("frame itself is valid");
+    let err = Ensemble::decode(&artifact).expect_err("width mismatch");
+    assert!(matches!(err, ServeError::Model(_)), "unexpected {err:?}");
+
+    let store = Arc::new(ModelStore::new());
+    store.publish("acme", "wide", artifact);
+    let rt = ServeRuntime::new(store, ServeConfig::default());
+    let out = rt.serve(&[PredictRequest {
+        tenant: "acme".into(),
+        series: "wide".into(),
+        values: series(1, SERIES_LEN),
+        start: 120,
+        end: 125,
+    }]);
+    assert!(
+        matches!(out[0], Err(ServeError::Model(_))),
+        "unexpected {:?}",
+        out[0]
+    );
 }
 
 #[test]
