@@ -627,7 +627,6 @@ impl CkptSink {
         tracer: Tracer,
     ) -> Result<CkptSink> {
         let mut wal = Wal::create(&cfg.path).map_err(EngineError::Checkpoint)?;
-        wal.set_fsync(cfg.fsync);
         wal.arm_crash(cfg.crash);
         let mut sink = CkptSink {
             wal: Some(wal),
@@ -715,7 +714,6 @@ impl CkptSink {
         let read = read_wal(&cfg.path).map_err(EngineError::Checkpoint)?;
         let mut wal = Wal::open_append(&cfg.path, read.valid_len, read.records.len() as u64)
             .map_err(EngineError::Checkpoint)?;
-        wal.set_fsync(cfg.fsync);
         wal.arm_crash(cfg.crash);
         let mut replay = Replay {
             phases: Vec::new(),

@@ -130,23 +130,18 @@ pub struct CkptConfig {
     /// Compact the log (drop superseded runtime snapshots via atomic
     /// rewrite) once it exceeds this many bytes. `None` never compacts.
     pub compact_after_bytes: Option<u64>,
-    /// Fsync after every appended record (the default). Disabling trades
-    /// the durability of the last record for throughput — on a crash the
-    /// torn tail is discarded and that work re-executes on resume.
-    pub fsync: bool,
     /// Crash-injection point for the recovery test harness. `None` in
     /// production.
     pub crash: Option<ff_ckpt::CrashPoint>,
 }
 
 impl CkptConfig {
-    /// Checkpointing to `path` with production defaults: fsync on, no
-    /// compaction, no crash injection.
+    /// Checkpointing to `path` with production defaults: no compaction,
+    /// no crash injection. Every appended record is fsynced.
     pub fn at(path: impl Into<std::path::PathBuf>) -> CkptConfig {
         CkptConfig {
             path: path.into(),
             compact_after_bytes: None,
-            fsync: true,
             crash: None,
         }
     }

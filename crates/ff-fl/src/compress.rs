@@ -7,7 +7,6 @@
 //! compose with [`crate::config::ConfigValue::Bytes`] payloads.
 
 use crate::{FlError, Result};
-use ff_trace::Tracer;
 
 /// Compression scheme for a flat f64 parameter vector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,25 +47,6 @@ pub fn compress(params: &[f64], scheme: Compression) -> Vec<u8> {
                 let q = ((p - lo) * scale).round().clamp(0.0, 255.0) as u8;
                 out.push(q);
             }
-        }
-    }
-    out
-}
-
-/// [`compress`] plus telemetry: when the tracer is enabled, records the
-/// bytes saved versus raw f64 encoding (`fl.compress_bytes_saved`
-/// counter) and the achieved compression ratio (`fl.compress_ratio`
-/// histogram — mergeable across clients like any other histogram).
-pub fn compress_traced(params: &[f64], scheme: Compression, tracer: &Tracer) -> Vec<u8> {
-    let out = compress(params, scheme);
-    if tracer.is_enabled() {
-        let raw = params.len() * 8;
-        tracer.counter_add(
-            "fl.compress_bytes_saved",
-            raw.saturating_sub(out.len()) as u64,
-        );
-        if !out.is_empty() {
-            tracer.record("fl.compress_ratio", raw as f64 / out.len() as f64);
         }
     }
     out
@@ -170,26 +150,6 @@ mod tests {
             decompress(&[7, 0, 0, 0, 0]),
             Err(FlError::Codec(_))
         ));
-    }
-
-    #[test]
-    fn traced_compression_records_savings() {
-        let tracer = Tracer::enabled();
-        let p = params();
-        let c = compress_traced(&p, Compression::Q8, &tracer);
-        assert_eq!(c, compress(&p, Compression::Q8));
-        let snap = tracer.snapshot();
-        assert_eq!(
-            snap.counter("fl.compress_bytes_saved") as usize,
-            p.len() * 8 - c.len()
-        );
-        let ratio = snap.histogram("fl.compress_ratio").unwrap();
-        assert_eq!(ratio.count(), 1);
-        assert!(ratio.min().unwrap() > 6.0);
-        // Disabled tracer: identical bytes, no metrics.
-        let off = Tracer::disabled();
-        assert_eq!(compress_traced(&p, Compression::Q8, &off), c);
-        assert!(off.snapshot().histograms.is_empty());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Special functions: `erf` and the standard normal distribution.
 //!
-//! Consumers: Expected Improvement in `ff-bayesopt`, significance thresholds
-//! in `ff-timeseries`, and the Wilcoxon signed-rank normal approximation.
+//! Consumers: Expected Improvement in `ff-bayesopt` and the Wilcoxon
+//! signed-rank normal approximation in `ff-timeseries`.
 
 use std::f64::consts::{PI, SQRT_2};
 
@@ -25,66 +25,6 @@ pub fn normal_pdf(x: f64) -> f64 {
 /// Standard normal cumulative distribution function.
 pub fn normal_cdf(x: f64) -> f64 {
     0.5 * (1.0 + erf(x / SQRT_2))
-}
-
-/// Standard normal quantile (inverse CDF), Acklam's algorithm
-/// (relative error < 1.15e-9 on (0, 1)).
-///
-/// Returns `±INFINITY` at the boundaries and NaN outside `[0, 1]`.
-pub fn normal_quantile(p: f64) -> f64 {
-    if p.is_nan() || !(0.0..=1.0).contains(&p) {
-        return f64::NAN;
-    }
-    if p == 0.0 {
-        return f64::NEG_INFINITY;
-    }
-    if p == 1.0 {
-        return f64::INFINITY;
-    }
-    const A: [f64; 6] = [
-        -3.969683028665376e+01,
-        2.209460984245205e+02,
-        -2.759285104469687e+02,
-        1.383_577_518_672_69e2,
-        -3.066479806614716e+01,
-        2.506628277459239e+00,
-    ];
-    const B: [f64; 5] = [
-        -5.447609879822406e+01,
-        1.615858368580409e+02,
-        -1.556989798598866e+02,
-        6.680131188771972e+01,
-        -1.328068155288572e+01,
-    ];
-    const C: [f64; 6] = [
-        -7.784894002430293e-03,
-        -3.223964580411365e-01,
-        -2.400758277161838e+00,
-        -2.549732539343734e+00,
-        4.374664141464968e+00,
-        2.938163982698783e+00,
-    ];
-    const D: [f64; 4] = [
-        7.784695709041462e-03,
-        3.224671290700398e-01,
-        2.445134137142996e+00,
-        3.754408661907416e+00,
-    ];
-    const P_LOW: f64 = 0.02425;
-    if p < P_LOW {
-        let q = (-2.0 * p.ln()).sqrt();
-        (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    } else if p <= 1.0 - P_LOW {
-        let q = p - 0.5;
-        let r = q * q;
-        (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
-            / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
-    } else {
-        let q = (-2.0 * (1.0 - p).ln()).sqrt();
-        -(((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    }
 }
 
 #[cfg(test)]
@@ -111,25 +51,5 @@ mod tests {
     fn normal_pdf_peak_and_symmetry() {
         assert!((normal_pdf(0.0) - 0.3989422804).abs() < 1e-9);
         assert!((normal_pdf(1.3) - normal_pdf(-1.3)).abs() < 1e-15);
-    }
-
-    #[test]
-    fn quantile_inverts_cdf() {
-        for &p in &[0.001, 0.01, 0.025, 0.1, 0.5, 0.9, 0.975, 0.99, 0.999] {
-            let x = normal_quantile(p);
-            assert!(
-                (normal_cdf(x) - p).abs() < 2e-7,
-                "p={p} x={x} cdf={}",
-                normal_cdf(x)
-            );
-        }
-    }
-
-    #[test]
-    fn quantile_edge_cases() {
-        assert_eq!(normal_quantile(0.0), f64::NEG_INFINITY);
-        assert_eq!(normal_quantile(1.0), f64::INFINITY);
-        assert!(normal_quantile(-0.1).is_nan());
-        assert!(normal_quantile(1.1).is_nan());
     }
 }

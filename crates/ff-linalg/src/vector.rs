@@ -11,18 +11,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(&x, &y)| x * y).sum()
 }
 
-/// Euclidean (L2) norm.
-#[inline]
-pub fn norm2(a: &[f64]) -> f64 {
-    dot(a, a).sqrt()
-}
-
-/// L1 norm.
-#[inline]
-pub fn norm1(a: &[f64]) -> f64 {
-    a.iter().map(|x| x.abs()).sum()
-}
-
 /// In-place `y += alpha * x`.
 #[inline]
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
@@ -85,13 +73,6 @@ pub fn argmax(a: &[f64]) -> Option<usize> {
     best.map(|(i, _)| i)
 }
 
-/// Index of the minimum element (first on ties); `None` for empty input
-/// or when every element is NaN.
-pub fn argmin(a: &[f64]) -> Option<usize> {
-    let neg: Vec<f64> = a.iter().map(|&x| -x).collect();
-    argmax(&neg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,8 +80,6 @@ mod tests {
     #[test]
     fn dot_norms() {
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
-        assert_eq!(norm2(&[3.0, 4.0]), 5.0);
-        assert_eq!(norm1(&[-3.0, 4.0]), 7.0);
     }
 
     #[test]
@@ -129,7 +108,6 @@ mod tests {
         assert_eq!(argmax(&[1.0, f64::NAN, 3.0, 2.0]), Some(2));
         assert_eq!(argmax(&[]), None);
         assert_eq!(argmax(&[f64::NAN]), None);
-        assert_eq!(argmin(&[3.0, 1.0, 2.0]), Some(1));
     }
 
     #[test]

@@ -29,11 +29,6 @@ pub fn mae(y_true: &[f64], y_pred: &[f64]) -> f64 {
         / y_true.len() as f64
 }
 
-/// Root mean squared error.
-pub fn rmse(y_true: &[f64], y_pred: &[f64]) -> f64 {
-    mse(y_true, y_pred).sqrt()
-}
-
 /// Coefficient of determination R².
 pub fn r2(y_true: &[f64], y_pred: &[f64]) -> f64 {
     let mean = ff_linalg::vector::mean(y_true);
@@ -164,7 +159,6 @@ mod tests {
         let p = [1.0, 2.0, 5.0];
         assert!((mse(&t, &p) - 4.0 / 3.0).abs() < 1e-12);
         assert!((mae(&t, &p) - 2.0 / 3.0).abs() < 1e-12);
-        assert!((rmse(&t, &p) - (4.0f64 / 3.0).sqrt()).abs() < 1e-12);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Augmented Dickey–Fuller stationarity test and differencing.
 //!
 //! Table 1 uses stationarity meta-features at the raw series, the first
-//! difference, and the second difference; §4.2.1(1) uses ADF to decide which
-//! trend model to fit.
+//! difference, and the second difference.
 
 use crate::{Result, TsError};
 use ff_linalg::{solve, Matrix};
@@ -43,18 +42,14 @@ pub fn schwert_max_lag(n: usize) -> usize {
     (12.0 * (n as f64 / 100.0).powf(0.25)).floor() as usize
 }
 
-/// Augmented Dickey–Fuller test with a fixed lag order.
+/// One Augmented Dickey–Fuller regression at a fixed lag order.
 ///
 /// Regresses `Δy_t` on `y_{t-1}`, `lags` lagged differences, and the chosen
 /// deterministic terms; the t-statistic of the `y_{t-1}` coefficient is the
 /// test statistic. More negative ⇒ stronger evidence of stationarity.
-pub fn adf_test_with_lags(y: &[f64], lags: usize, reg: AdfRegression) -> Result<AdfResult> {
-    adf_fit(y, lags, reg).map(|(result, _)| result)
-}
-
-/// One ADF regression at a fixed lag order: the test result plus the
-/// fit's AIC, `rows · ln(RSS / rows) + 2 · cols`, which [`adf_test`]
-/// compares across lag orders.
+/// Returns the test result plus the fit's AIC,
+/// `rows · ln(RSS / rows) + 2 · cols`, which [`adf_test`] compares across
+/// lag orders.
 fn adf_fit(y: &[f64], lags: usize, reg: AdfRegression) -> Result<(AdfResult, f64)> {
     let n = y.len();
     let det_terms = match reg {
@@ -136,8 +131,7 @@ pub fn adf_test(y: &[f64], reg: AdfRegression) -> Result<AdfResult> {
 }
 
 /// Convenience: is the series stationary at the 5% level? Series too short
-/// to test default to `false` (non-stationary is the safe assumption for
-/// trend handling).
+/// to test default to `false` (non-stationary is the safe assumption).
 pub fn is_stationary(y: &[f64]) -> bool {
     adf_test(y, AdfRegression::Constant)
         .map(|r| r.stationary)

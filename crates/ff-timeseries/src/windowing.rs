@@ -42,11 +42,6 @@ pub fn lag_matrix(values: &[f64], lags: &[usize]) -> Option<(Matrix, Vec<f64>)> 
     Some((x, y))
 }
 
-/// The default lag set when nothing better is known: `1..=max_lag`.
-pub fn default_lags(max_lag: usize) -> Vec<usize> {
-    (1..=max_lag.max(1)).collect()
-}
-
 /// Builds aligned train/validation lag matrices for one-step-ahead
 /// evaluation with teacher forcing: validation rows may draw their lags
 /// from the tail of the training split (true history), never from model
@@ -135,11 +130,5 @@ mod tests {
     fn train_valid_split_too_short_is_none() {
         assert!(train_valid_lag_split(&[1.0], &[2.0], &[3]).is_none());
         assert!(train_valid_lag_split(&[1.0, 2.0, 3.0, 4.0], &[], &[1]).is_none());
-    }
-
-    #[test]
-    fn default_lags_dense() {
-        assert_eq!(default_lags(3), vec![1, 2, 3]);
-        assert_eq!(default_lags(0), vec![1]);
     }
 }
