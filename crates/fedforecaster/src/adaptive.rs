@@ -172,7 +172,7 @@ fn evaluate_fixed_config(
     let (global, max_len) = collect_global_meta(&mut ctx)?;
     let spec = feature_spec(&mut ctx, &global, max_len, cfg)?;
     run_feature_engineering(&mut ctx, &spec, cfg.importance_threshold)?;
-    Ok(finalize(&mut ctx, best_config, cfg.tree_aggregation, None)?.test_mse)
+    Ok(finalize(&mut ctx, best_config, cfg.tree_aggregation)?.test_mse)
 }
 
 #[cfg(test)]
@@ -319,7 +319,7 @@ mod tests {
         let (global, max_len) = collect_global_meta(&mut ctx).unwrap();
         let spec = feature_spec(&mut ctx, &global, max_len, &eval_cfg).unwrap();
         run_feature_engineering(&mut ctx, &spec, eval_cfg.importance_threshold).unwrap();
-        let mut loss_as = |mode| finalize(&mut ctx, &best, mode, None).unwrap().test_mse;
+        let mut loss_as = |mode| finalize(&mut ctx, &best, mode).unwrap().test_mse;
         let per_client = loss_as(TreeAggregation::PerClient);
         let union = loss_as(TreeAggregation::EnsembleUnion);
         assert_ne!(per_client.to_bits(), union.to_bits(), "modes must differ");

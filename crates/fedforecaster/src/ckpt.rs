@@ -4,13 +4,14 @@
 //! Every commit point of a run appends one [`Record`]: the run header,
 //! each setup-phase completion, each finished trial (bundled with a
 //! [`RuntimeSnapshot`] of the server-side counters so resume can
-//! fast-forward them), the finalized member blobs, and the run footer.
-//! [`crate::engine::FedForecaster::resume_on`] replays the log: setup
-//! phases re-execute live (client-side feature state is a pure function
-//! of the data and the recorded phase fingerprints verify the match),
-//! recorded trials replay as `ask`/`tell` pairs without any federated
-//! round, the runtime counters restore from the last snapshot, and the
-//! run continues to a bit-identical [`crate::engine::RunResult`].
+//! fast-forward them), and the run footer. The log is only appended to,
+//! except that [`CkptSink::resume`] cuts a torn tail and the footer of a
+//! completed run. [`crate::engine::FedForecaster::resume_on`] replays the
+//! log: setup phases re-execute live (client-side feature state is a pure
+//! function of the data and the recorded phase fingerprints verify the
+//! match), recorded trials replay as `ask`/`tell` pairs without any
+//! federated round, the runtime counters restore from the last snapshot,
+//! and the run continues to a bit-identical [`crate::engine::RunResult`].
 //!
 //! Everything here is `Option`-gated by
 //! [`crate::config::EngineConfig::checkpoint`]: a `None` config never
@@ -28,11 +29,10 @@ use ff_trace::Tracer;
 
 /// Engine record-format version inside the WAL payloads (the WAL frames
 /// themselves are versioned separately by [`ff_ckpt::MAGIC`]).
-pub const FORMAT: u32 = 1;
+pub const FORMAT: u32 = 2;
 
 const MAX_VEC: usize = 1 << 20;
 const MAX_STR: usize = 1 << 14;
-const MAX_BLOB: usize = 1 << 26;
 
 fn bad(e: SerError) -> CkptError {
     CkptError::Corrupt(format!("undecodable checkpoint record: {e}"))
@@ -223,20 +223,8 @@ pub enum Record {
         loss: Option<f64>,
         /// Round reports appended by this trial.
         reports: Vec<RoundReport>,
-        /// Post-trial server state. Compaction strips every snapshot but
-        /// the newest; resume uses the last one present.
-        snapshot: Option<RuntimeSnapshot>,
-    },
-    /// Durable artifact: the serialized member models collected by
-    /// ensemble finalization, with their example-count weights. Resume
-    /// re-executes finalization live (clients must refit their final
-    /// models anyway), so this record is for post-hoc inspection and
-    /// deployment tooling, not replay.
-    FinalMembers {
-        /// Winning algorithm name.
-        algorithm: String,
-        /// `(blob, weight)` per contributing client.
-        members: Vec<(Vec<u8>, f64)>,
+        /// Post-trial server state; resume restores the last trial's.
+        snapshot: RuntimeSnapshot,
     },
     /// Run footer: the [`run_fingerprint`] of the returned result.
     RunDone {
@@ -476,25 +464,10 @@ impl Record {
                 for rep in reports {
                     enc_report(&mut w, rep);
                 }
-                match snapshot {
-                    Some(s) => {
-                        w.u8(1);
-                        enc_snapshot(&mut w, s);
-                    }
-                    None => w.u8(0),
-                }
-            }
-            Record::FinalMembers { algorithm, members } => {
-                w.u8(3);
-                w.str(algorithm);
-                w.u32(members.len() as u32);
-                for (blob, weight) in members {
-                    w.bytes(blob);
-                    w.f64(*weight);
-                }
+                enc_snapshot(&mut w, snapshot);
             }
             Record::RunDone { result_fp } => {
-                w.u8(4);
+                w.u8(3);
                 w.u64(*result_fp);
             }
         }
@@ -537,33 +510,15 @@ impl Record {
                 for _ in 0..n {
                     reports.push(dec_report(&mut r)?);
                 }
-                let snapshot = match r.u8().map_err(bad)? {
-                    0 => None,
-                    _ => Some(dec_snapshot(&mut r)?),
-                };
                 Record::TrialDone {
                     index,
                     config_fp,
                     loss,
                     reports,
-                    snapshot,
+                    snapshot: dec_snapshot(&mut r)?,
                 }
             }
-            3 => {
-                let algorithm = r.str(MAX_STR).map_err(bad)?.to_string();
-                let n = r.u32().map_err(bad)? as usize;
-                if n > MAX_VEC {
-                    return Err(bad(SerError::BadLength(n as u64)));
-                }
-                let mut members = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    let blob = r.bytes(MAX_BLOB).map_err(bad)?.to_vec();
-                    let weight = r.f64().map_err(bad)?;
-                    members.push((blob, weight));
-                }
-                Record::FinalMembers { algorithm, members }
-            }
-            4 => Record::RunDone {
+            3 => Record::RunDone {
                 result_fp: r.u64().map_err(bad)?,
             },
             t => return Err(CkptError::Corrupt(format!("unknown record tag {t}"))),
@@ -606,14 +561,10 @@ pub struct Replay {
 // ---------------------------------------------------------------------------
 
 /// The engine's handle on the checkpoint log: encodes records, appends
-/// them durably, tracks `ckpt.records` / `ckpt.bytes` counters, and
-/// compacts the log (dropping superseded snapshots) past the configured
-/// size threshold.
+/// them durably, and tracks the `ckpt.records` / `ckpt.bytes` counters.
 pub struct CkptSink {
-    wal: Option<Wal>,
-    cfg: CkptConfig,
+    wal: Wal,
     tracer: Tracer,
-    compactions_seen: u32,
 }
 
 impl CkptSink {
@@ -628,12 +579,7 @@ impl CkptSink {
     ) -> Result<CkptSink> {
         let mut wal = Wal::create(&cfg.path).map_err(EngineError::Checkpoint)?;
         wal.arm_crash(cfg.crash);
-        let mut sink = CkptSink {
-            wal: Some(wal),
-            cfg: cfg.clone(),
-            tracer,
-            compactions_seen: 0,
-        };
+        let mut sink = CkptSink { wal, tracer };
         sink.append(&Record::RunStart {
             seed,
             config_fp,
@@ -648,10 +594,9 @@ impl CkptSink {
     /// header does not match this run's seed / config / client count is
     /// refused.
     ///
-    /// Records past the resume point — trials whose snapshot an earlier
-    /// compaction stripped, final members, the run footer — are dropped
-    /// by an atomic rewrite so the log stays canonical: that work
-    /// re-executes live and recommits.
+    /// The resume point is the last phase or trial record. Only the run
+    /// footer of a completed run can follow it; [`Wal::open_append`] cuts
+    /// it, with any torn tail, and the resumed run commits a new one.
     pub fn resume(
         cfg: &CkptConfig,
         seed: u64,
@@ -692,27 +637,11 @@ impl CkptSink {
                 )))
             }
         }
-        // Resume point: the last trial that still carries a snapshot.
-        // Phases always precede trials, so the kept prefix is the header,
-        // every phase record, and the trials up to that point.
-        let mut last_snap: Option<usize> = None;
-        let mut prefix_end = 1; // past RunStart
-        for (i, rec) in decoded.iter().enumerate() {
-            match rec {
-                Record::PhaseDone { .. } => prefix_end = i + 1,
-                Record::TrialDone {
-                    snapshot: Some(_), ..
-                } => last_snap = Some(i),
-                _ => {}
-            }
-        }
-        let keep = last_snap.map(|i| i + 1).unwrap_or(prefix_end);
-        if keep < decoded.len() {
-            let kept_raw: Vec<Vec<u8>> = read.records[..keep].to_vec();
-            ff_ckpt::rewrite(&cfg.path, &kept_raw).map_err(EngineError::Checkpoint)?;
-        }
-        let read = read_wal(&cfg.path).map_err(EngineError::Checkpoint)?;
-        let mut wal = Wal::open_append(&cfg.path, read.valid_len, read.records.len() as u64)
+        let keep = decoded
+            .iter()
+            .rposition(|r| matches!(r, Record::PhaseDone { .. } | Record::TrialDone { .. }))
+            .map_or(1, |i| i + 1);
+        let mut wal = Wal::open_append(&cfg.path, read.prefix_len(keep), keep as u64)
             .map_err(EngineError::Checkpoint)?;
         wal.arm_crash(cfg.crash);
         let mut replay = Replay {
@@ -722,7 +651,6 @@ impl CkptSink {
         };
         for rec in decoded.into_iter().take(keep) {
             match rec {
-                Record::RunStart { .. } => {}
                 Record::PhaseDone { phase, fp } => replay.phases.push((phase, fp)),
                 Record::TrialDone {
                     config_fp,
@@ -731,120 +659,35 @@ impl CkptSink {
                     snapshot,
                     ..
                 } => {
-                    if let Some(s) = snapshot {
-                        replay.snapshot = Some(s);
-                    }
+                    replay.snapshot = Some(snapshot);
                     replay.trials.push(ReplayTrial {
                         config_fp,
                         loss,
                         reports,
                     });
                 }
-                Record::FinalMembers { .. } | Record::RunDone { .. } => {}
+                Record::RunStart { .. } | Record::RunDone { .. } => {}
             }
         }
-        let sink = CkptSink {
-            wal: Some(wal),
-            cfg: cfg.clone(),
-            tracer,
-            compactions_seen: 0,
-        };
-        Ok((sink, Some(replay)))
+        Ok((CkptSink { wal, tracer }, Some(replay)))
     }
 
-    /// Appends one record durably, then compacts if the log passed the
-    /// configured size threshold.
+    /// Appends one record durably.
     pub fn append(&mut self, rec: &Record) -> Result<()> {
         let payload = rec.encode();
-        let wal = self.wal.as_mut().ok_or_else(|| {
-            EngineError::Checkpoint(CkptError::Io(
-                "checkpoint log lost to an earlier crash".into(),
-            ))
-        })?;
-        wal.append(&payload).map_err(EngineError::Checkpoint)?;
+        self.wal.append(&payload).map_err(EngineError::Checkpoint)?;
         if self.tracer.is_enabled() {
             self.tracer.counter_add("ckpt.records", 1);
             self.tracer
                 .counter_add("ckpt.bytes", payload.len() as u64 + FRAME_HEADER);
         }
-        if let Some(limit) = self.cfg.compact_after_bytes {
-            if wal.bytes() > limit {
-                self.compact()?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Compaction: strip every runtime snapshot except the newest (older
-    /// ones are superseded — resume only ever reads the last) and
-    /// atomically rewrite the log.
-    fn compact(&mut self) -> Result<()> {
-        let wal = self.wal.take().ok_or_else(|| {
-            EngineError::Checkpoint(CkptError::Io(
-                "checkpoint log lost to an earlier crash".into(),
-            ))
-        })?;
-        let read = read_wal(wal.path()).map_err(EngineError::Checkpoint)?;
-        let decoded: Vec<Record> = read
-            .records
-            .iter()
-            .map(|p| Record::decode(p))
-            .collect::<ff_ckpt::Result<_>>()
-            .map_err(EngineError::Checkpoint)?;
-        let last_snap = decoded.iter().rposition(|r| {
-            matches!(
-                r,
-                Record::TrialDone {
-                    snapshot: Some(_),
-                    ..
-                }
-            )
-        });
-        let kept: Vec<Vec<u8>> = decoded
-            .into_iter()
-            .enumerate()
-            .map(|(i, rec)| match rec {
-                Record::TrialDone {
-                    index,
-                    config_fp,
-                    loss,
-                    reports,
-                    snapshot,
-                } => Record::TrialDone {
-                    index,
-                    config_fp,
-                    loss,
-                    reports,
-                    snapshot: if Some(i) == last_snap { snapshot } else { None },
-                }
-                .encode(),
-                other => other.encode(),
-            })
-            .collect();
-        self.compactions_seen += 1;
-        let crash_now =
-            matches!(self.cfg.crash, Some(CrashPoint::PreRename(n)) if n == self.compactions_seen);
-        let new_wal = wal
-            .rewrite(&kept, crash_now)
-            .map_err(EngineError::Checkpoint)?;
-        self.wal = Some(new_wal);
         Ok(())
     }
 
     /// The armed crash point (engine-level [`CrashPoint::AfterTrial`]
     /// injection reads this).
     pub fn crash_point(&self) -> Option<CrashPoint> {
-        self.cfg.crash
-    }
-
-    /// Records durably appended to the underlying log this process.
-    pub fn records(&self) -> u64 {
-        self.wal.as_ref().map(|w| w.records()).unwrap_or(0)
-    }
-
-    /// Current byte length of the log.
-    pub fn bytes(&self) -> u64 {
-        self.wal.as_ref().map(|w| w.bytes()).unwrap_or(0)
+        self.wal.crash_point()
     }
 }
 
@@ -917,18 +760,14 @@ mod tests {
                 config_fp: 0xABCD,
                 loss: Some(0.125),
                 reports: vec![sample_report("optimization")],
-                snapshot: Some(sample_snapshot()),
+                snapshot: sample_snapshot(),
             },
             Record::TrialDone {
                 index: 6,
                 config_fp: 0xEF01,
                 loss: None,
                 reports: vec![],
-                snapshot: None,
-            },
-            Record::FinalMembers {
-                algorithm: "XGBRegressor".into(),
-                members: vec![(vec![1, 2, 3], 100.0), (vec![], 50.0)],
+                snapshot: sample_snapshot(),
             },
             Record::RunDone { result_fp: 77 },
         ];
@@ -964,7 +803,7 @@ mod tests {
             config_fp: 2,
             loss: Some(3.0),
             reports: vec![sample_report("optimization")],
-            snapshot: Some(sample_snapshot()),
+            snapshot: sample_snapshot(),
         }
         .encode();
         for cut in 0..full.len() {
@@ -976,9 +815,17 @@ mod tests {
         let mut garbled = full.clone();
         garbled[4] = 200; // unknown tag
         assert!(Record::decode(&garbled).is_err());
-        let mut wrong_format = full;
+        let mut wrong_format = full.clone();
         wrong_format[0] = 9;
         assert!(Record::decode(&wrong_format).is_err());
+        // A format-1 record (its trial snapshot behind a presence byte)
+        // is refused by its stamp, before any field is read.
+        let mut format_1 = full;
+        format_1[..4].copy_from_slice(&1u32.to_le_bytes());
+        assert!(matches!(
+            Record::decode(&format_1),
+            Err(CkptError::Corrupt(m)) if m.contains("format 1")
+        ));
     }
 
     #[test]

@@ -117,8 +117,8 @@ impl TraceConfig {
 /// Durable checkpointing of a run (see DESIGN.md §16). When set on
 /// [`EngineConfig::checkpoint`], the engine appends a CRC-framed record
 /// to a write-ahead log at every commit point — run start, phase
-/// completion, each completed trial (with a runtime snapshot), final
-/// member blobs, run completion — and
+/// completion, each completed trial (with a runtime snapshot), run
+/// completion — and
 /// [`crate::engine::FedForecaster::resume_on`] replays that log to continue a
 /// killed run to a bit-identical result. `None` (the default) costs
 /// nothing: no file, no bytes, no allocations.
@@ -127,21 +127,17 @@ pub struct CkptConfig {
     /// Path of the write-ahead log file. Created (or truncated) on a
     /// fresh run; read and appended to on resume.
     pub path: std::path::PathBuf,
-    /// Compact the log (drop superseded runtime snapshots via atomic
-    /// rewrite) once it exceeds this many bytes. `None` never compacts.
-    pub compact_after_bytes: Option<u64>,
     /// Crash-injection point for the recovery test harness. `None` in
     /// production.
     pub crash: Option<ff_ckpt::CrashPoint>,
 }
 
 impl CkptConfig {
-    /// Checkpointing to `path` with production defaults: no compaction,
-    /// no crash injection. Every appended record is fsynced.
+    /// Checkpointing to `path` with no crash injection. Every appended
+    /// record is fsynced.
     pub fn at(path: impl Into<std::path::PathBuf>) -> CkptConfig {
         CkptConfig {
             path: path.into(),
-            compact_after_bytes: None,
             crash: None,
         }
     }

@@ -10,7 +10,6 @@
 
 use super::rounds::{fit_error, unexpected, RoundCtx};
 use crate::aggregate::GlobalModel;
-use crate::ckpt::{CkptSink, Record};
 use crate::client::OP;
 use crate::config::TreeAggregation;
 use crate::search_space::{algorithm_of, config_to_map, pipeline_of};
@@ -46,17 +45,10 @@ pub struct FinalizeOutcome {
 /// (`EnsembleUnion` winners) renormalize over whichever clients delivered
 /// a final model; the union deployment is "available" when every
 /// *survivor* of the final-fit round contributed a blob.
-///
-/// With a checkpoint sink, `EnsembleUnion` winners durably record their
-/// collected member blobs ([`Record::FinalMembers`]) before deployment —
-/// a post-hoc artifact for inspection and serving, not a replay input
-/// (resume always re-executes finalization live, since the clients'
-/// final-model state cannot be restored from the server).
 pub fn finalize(
     ctx: &mut RoundCtx,
     best_config: &Configuration,
     tree_aggregation: TreeAggregation,
-    ckpt: Option<&mut CkptSink>,
 ) -> Result<FinalizeOutcome> {
     let algorithm = algorithm_of(best_config)
         .ok_or_else(|| EngineError::InvalidData("config has no algorithm".into()))?;
@@ -143,9 +135,7 @@ pub fn finalize(
                 members: vec![],
             })
         }
-        FinalizeStrategy::EnsembleUnion => {
-            finalize_union(ctx, algorithm, usable, tree_aggregation, ckpt)
-        }
+        FinalizeStrategy::EnsembleUnion => finalize_union(ctx, algorithm, usable, tree_aggregation),
     }
 }
 
@@ -157,7 +147,6 @@ fn finalize_union(
     algorithm: ff_models::zoo::AlgorithmKind,
     usable: Vec<(usize, Reply)>,
     tree_aggregation: TreeAggregation,
-    ckpt: Option<&mut CkptSink>,
 ) -> Result<FinalizeOutcome> {
     let mut blobs: Vec<Vec<u8>> = Vec::new();
     let mut weights: Vec<f64> = Vec::new();
@@ -174,21 +163,14 @@ fn finalize_union(
             }
         }
     }
-    // The member set outlives this function twice over: once durably in
-    // the checkpoint WAL, once in the outcome so the run can seal a
-    // serving artifact. Clone it here, before deployment moves the blobs
-    // into round configs.
+    // The member set outlives this function in the outcome, so the run
+    // can seal a serving artifact. Clone it here, before deployment moves
+    // the blobs into round configs.
     let exported: Vec<(Vec<u8>, f64)> = blobs
         .iter()
         .zip(&weights)
         .map(|(b, &w)| (b.clone(), w))
         .collect();
-    if let Some(sink) = ckpt {
-        sink.append(&Record::FinalMembers {
-            algorithm: algorithm.name().to_string(),
-            members: exported.clone(),
-        })?;
-    }
     let union_available = blobs.len() == usable.len() && !blobs.is_empty();
     let members = blobs.len();
     // Takes the blobs by value: the ConfigMap absorbs them without

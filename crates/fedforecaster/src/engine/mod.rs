@@ -5,7 +5,7 @@
 //! The pipeline is decomposed into stage modules, one public entry point
 //! per stage:
 //! - [`recommend`] — [`collect_global_meta`], the federated
-//!   [`feature_spec`] (lag count and weighted periodogram), and
+//!   [`feature_spec`] (lag count and the clients' summed spectra), and
 //!   [`run_feature_engineering`] (Phases I–III prep);
 //! - [`tune`] — [`evaluate_config`], one federated evaluation per
 //!   configuration of the Bayesian optimization loop (Phase III);
@@ -418,7 +418,7 @@ impl<'m> FedForecaster<'m> {
                     config_fp: trial_config_fingerprint(&config),
                     loss: trial_loss,
                     reports: ctx.rounds[round_mark..].to_vec(),
-                    snapshot: Some(snapshot),
+                    snapshot,
                 })?;
                 // Engine-level injection: die right after the commit became
                 // durable, the worst case for double-execution bugs.
@@ -448,12 +448,7 @@ impl<'m> FedForecaster<'m> {
             global_model,
             test_mse,
             members: ensemble_members,
-        } = finalize(
-            &mut ctx,
-            &best_config,
-            self.cfg.tree_aggregation,
-            ckpt.as_mut(),
-        )?;
+        } = finalize(&mut ctx, &best_config, self.cfg.tree_aggregation)?;
         phase_bytes.push(end_phase("finalization", rt));
         commit_round_frames(&recorder, &ctx.rounds, &mut committed_rounds);
         drop(phase_span);
@@ -882,7 +877,7 @@ mod tests {
         run_feature_engineering(&mut ctx, &spec, 0.95).unwrap();
         let mut config = Configuration::new();
         config.insert("algorithm".into(), ParamValue::Cat("XGBRegressor".into()));
-        let union = finalize(&mut ctx, &config, TreeAggregation::EnsembleUnion, None).unwrap();
+        let union = finalize(&mut ctx, &config, TreeAggregation::EnsembleUnion).unwrap();
         assert!(union.test_mse.is_finite());
         match union.global_model {
             GlobalModel::Ensemble { algorithm, members } => {
@@ -892,7 +887,7 @@ mod tests {
             other => panic!("expected ensemble union, got {other:?}"),
         }
         // PerClient mode still works on the same runtime.
-        let local = finalize(&mut ctx, &config, TreeAggregation::PerClient, None).unwrap();
+        let local = finalize(&mut ctx, &config, TreeAggregation::PerClient).unwrap();
         assert!(matches!(local.global_model, GlobalModel::PerClient { .. }));
         assert!(local.test_mse.is_finite());
     }
@@ -919,7 +914,7 @@ mod tests {
         run_feature_engineering(&mut ctx, &GlobalFeatureSpec::lags_only(4), 0.95).unwrap();
         let mut config = Configuration::new();
         config.insert("algorithm".into(), ParamValue::Cat("XGBRegressor".into()));
-        let auto = finalize(&mut ctx, &config, TreeAggregation::Auto, None).unwrap();
+        let auto = finalize(&mut ctx, &config, TreeAggregation::Auto).unwrap();
         let model = auto.global_model;
         let auto_mse = auto.test_mse;
         assert!(
@@ -927,7 +922,7 @@ mod tests {
             "auto mode should reject the biased union, got {model:?}"
         );
         // And the auto choice should not be worse than the forced union.
-        let union_mse = finalize(&mut ctx, &config, TreeAggregation::EnsembleUnion, None)
+        let union_mse = finalize(&mut ctx, &config, TreeAggregation::EnsembleUnion)
             .unwrap()
             .test_mse;
         assert!(

@@ -70,7 +70,7 @@ impl RandomSearch {
         }
         let (best_config, best_valid_loss) =
             best.ok_or_else(|| EngineError::InvalidData("no configuration evaluated".into()))?;
-        let outcome = finalize(&mut ctx, &best_config, self.cfg.tree_aggregation, None)?;
+        let outcome = finalize(&mut ctx, &best_config, self.cfg.tree_aggregation)?;
         let (bytes_to_clients, bytes_to_server) = rt.log().byte_totals();
         Ok(RunResult {
             best_algorithm: outcome.global_model.algorithm(),

@@ -59,7 +59,7 @@ fn disabled_checkpoint_path_makes_no_allocations() {
             .unwrap();
         fedforecaster::engine::checkpoint_phase(&mut sink, &replay, &mut cursor, 1, &rounds)
             .unwrap();
-        // The trial and finalization commit points are `if let Some(sink)`
+        // The trial and run-end commit points are `if let Some(sink)`
         // around the same `Option` — the None arm is the same branch this
         // exercises.
         assert!(sink.is_none());

@@ -153,7 +153,7 @@ fn checkpointed_run_resumed_after_trial_two_is_pinned() {
         let path = dir.join(format!("resume-{threads}.wal"));
         let _ = std::fs::remove_file(&path);
         let mut ck = CkptConfig::at(&path);
-        ck.crash = Some(CrashPoint::parse("trial:2").unwrap());
+        ck.crash = Some(CrashPoint::AfterTrial(2));
         let crashed = FedForecaster::new(
             EngineConfig {
                 checkpoint: Some(ck),

@@ -14,14 +14,15 @@
 //!   the clean prefix. A crash mid-write, a truncated file, or flipped
 //!   bits in the tail lose at most the records after the damage — never
 //!   a panic, never an unbounded allocation from a hostile length field.
-//! - [`rewrite`] — atomic compaction: the replacement log is written to a
-//!   temporary sibling, fsynced, and renamed over the original, so a
-//!   crash during compaction leaves either the old log or the new one,
-//!   never a half-written hybrid.
+//! - [`Wal::open_append`] — the only way a log shrinks: it cuts the file
+//!   to the clean prefix [`read_wal`] found, or to the first records'
+//!   [`WalRead::prefix_len`], and syncs before appending. Every other
+//!   write is an append, so a crash at any instant leaves a valid log,
+//!   followed at most by one torn frame.
 //! - [`CrashPoint`] — a deterministic crash-injection taxonomy so tests
-//!   can kill a run at any commit point — after record N, halfway
-//!   through a frame, or just before a compaction rename — and assert
-//!   recovery lands on the last valid record.
+//!   can kill a run at any commit point — after trial N, after record N,
+//!   or halfway through a frame — and assert recovery lands on the last
+//!   valid record.
 //! - [`corrupt`] — fault injectors (truncation, bit flips, garbage
 //!   tails) for recovery tests.
 //!
@@ -135,25 +136,6 @@ pub enum CrashPoint {
     /// Die halfway through writing the Nth record's frame, leaving a
     /// torn tail on disk.
     MidRecord(u32),
-    /// Die during the Nth [`rewrite`] after the temporary file is
-    /// written but before the atomic rename — the old log must survive.
-    PreRename(u32),
-}
-
-impl CrashPoint {
-    /// Parses the textual form: `trial:N`, `record:N`, `mid-record:N`,
-    /// or `pre-rename:N`.
-    pub fn parse(s: &str) -> Option<CrashPoint> {
-        let (kind, n) = s.split_once(':')?;
-        let n: u32 = n.trim().parse().ok()?;
-        match kind.trim() {
-            "trial" => Some(CrashPoint::AfterTrial(n)),
-            "record" => Some(CrashPoint::AfterRecord(n)),
-            "mid-record" => Some(CrashPoint::MidRecord(n)),
-            "pre-rename" => Some(CrashPoint::PreRename(n)),
-            _ => None,
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -198,9 +180,10 @@ impl Wal {
     }
 
     /// Opens the log for appending after recovery: the file is truncated
-    /// to `valid_len` (the clean-prefix length reported by [`read_wal`]),
-    /// discarding any torn tail, and `records` restores the append
-    /// counter.
+    /// to `valid_len` and synced, and `records` restores the append
+    /// counter. Pass [`WalRead::valid_len`] to discard only a torn tail,
+    /// or [`WalRead::prefix_len`] to also drop the records after a
+    /// resume point.
     pub fn open_append(path: &Path, valid_len: u64, records: u64) -> Result<Wal> {
         let mut file = OpenOptions::new()
             .write(true)
@@ -228,8 +211,7 @@ impl Wal {
         self.fsync = fsync;
     }
 
-    /// Arms a crash point. The next append (or rewrite via
-    /// [`Wal::rewrite`]) matching the point returns
+    /// Arms a crash point. The next append matching the point returns
     /// [`CkptError::Crash`] after leaving the exact on-disk state a real
     /// crash at that instant would leave.
     pub fn arm_crash(&mut self, crash: Option<CrashPoint>) {
@@ -295,75 +277,6 @@ impl Wal {
     pub fn records(&self) -> u64 {
         self.records
     }
-
-    /// The log's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Atomically replaces the log's contents with `records` (compaction)
-    /// and returns a fresh writer positioned after them. `crash_now`
-    /// injects [`CrashPoint::PreRename`]: the temporary file is written
-    /// and synced, but the rename never happens — the original log is
-    /// untouched, which is exactly the atomicity recovery relies on.
-    pub fn rewrite(self, records: &[Vec<u8>], crash_now: bool) -> Result<Wal> {
-        let path = self.path.clone();
-        let fsync = self.fsync;
-        let crash = self.crash;
-        drop(self);
-        rewrite_inner(&path, records, crash_now)?;
-        let read = read_wal(&path)?;
-        let mut wal = Wal::open_append(&path, read.valid_len, read.records.len() as u64)?;
-        wal.set_fsync(fsync);
-        wal.arm_crash(crash);
-        Ok(wal)
-    }
-}
-
-/// Atomically rewrites the log at `path` to contain exactly `records`.
-/// Write-temp + fsync + rename: a crash anywhere leaves either the old
-/// log or the complete new one.
-pub fn rewrite(path: &Path, records: &[Vec<u8>]) -> Result<()> {
-    rewrite_inner(path, records, false)
-}
-
-fn rewrite_inner(path: &Path, records: &[Vec<u8>], crash_before_rename: bool) -> Result<()> {
-    let tmp = path.with_extension("wal.tmp");
-    {
-        let mut file = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&tmp)
-            .map_err(|e| io_err(&tmp, "create", e))?;
-        file.write_all(&MAGIC)
-            .map_err(|e| io_err(&tmp, "write header of", e))?;
-        for payload in records {
-            if payload.len() as u64 > MAX_RECORD_LEN as u64 {
-                return Err(CkptError::Corrupt(format!(
-                    "record of {} bytes exceeds MAX_RECORD_LEN",
-                    payload.len()
-                )));
-            }
-            file.write_all(&(payload.len() as u32).to_le_bytes())
-                .and_then(|_| file.write_all(&crc32(payload).to_le_bytes()))
-                .and_then(|_| file.write_all(payload))
-                .map_err(|e| io_err(&tmp, "write to", e))?;
-        }
-        file.sync_all().map_err(|e| io_err(&tmp, "sync", e))?;
-    }
-    if crash_before_rename {
-        return Err(CkptError::Crash(CrashPoint::PreRename(0)));
-    }
-    std::fs::rename(&tmp, path).map_err(|e| io_err(path, "rename over", e))?;
-    // Persist the directory entry too, where the platform allows opening
-    // a directory read-only (Linux does).
-    if let Some(dir) = path.parent() {
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -386,6 +299,19 @@ impl WalRead {
     /// Whether recovery had to discard a damaged tail.
     pub fn is_torn(&self) -> bool {
         self.dropped_bytes > 0
+    }
+
+    /// Byte length of the log's first `n` records (all of them when `n`
+    /// exceeds the count): pass it to [`Wal::open_append`] with `n` to
+    /// cut every later record.
+    pub fn prefix_len(&self, n: usize) -> u64 {
+        let frames: u64 = self
+            .records
+            .iter()
+            .take(n)
+            .map(|r| FRAME_HEADER + r.len() as u64)
+            .sum();
+        MAGIC.len() as u64 + frames
     }
 }
 
@@ -491,6 +417,26 @@ mod tests {
     }
 
     #[test]
+    fn open_append_at_a_prefix_drops_the_later_records() {
+        let path = tmp("prefix.wal");
+        let mut wal = Wal::create(&path).unwrap();
+        for i in 0..5u8 {
+            wal.append(&vec![i; i as usize]).unwrap();
+        }
+        let read = read_wal(&path).unwrap();
+        assert_eq!(read.prefix_len(0), MAGIC.len() as u64);
+        assert_eq!(read.prefix_len(5), read.valid_len);
+        assert_eq!(read.prefix_len(99), read.valid_len);
+        let mut wal = Wal::open_append(&path, read.prefix_len(2), 2).unwrap();
+        wal.append(b"next").unwrap();
+        assert_eq!(wal.records(), 3);
+        let read = read_wal(&path).unwrap();
+        assert_eq!(read.records, vec![vec![], vec![1u8], b"next".to_vec()]);
+        assert!(!read.is_torn());
+        assert_eq!(read.valid_len, wal.bytes());
+    }
+
+    #[test]
     fn mid_record_crash_leaves_recoverable_torn_tail() {
         let path = tmp("torn.wal");
         let mut wal = Wal::create(&path).unwrap();
@@ -524,35 +470,6 @@ mod tests {
     }
 
     #[test]
-    fn rewrite_compacts_atomically() {
-        let path = tmp("rewrite.wal");
-        let mut wal = Wal::create(&path).unwrap();
-        for i in 0..5u8 {
-            wal.append(&[i]).unwrap();
-        }
-        let kept: Vec<Vec<u8>> = vec![vec![3], vec![4]];
-        let mut wal = wal.rewrite(&kept, false).unwrap();
-        wal.append(&[5]).unwrap();
-        let read = read_wal(&path).unwrap();
-        assert_eq!(read.records, vec![vec![3u8], vec![4], vec![5]]);
-    }
-
-    #[test]
-    fn pre_rename_crash_preserves_the_old_log() {
-        let path = tmp("prerename.wal");
-        let mut wal = Wal::create(&path).unwrap();
-        wal.append(b"keep-me").unwrap();
-        let err = wal.rewrite(&[b"replacement".to_vec()], true).unwrap_err();
-        assert!(matches!(err, CkptError::Crash(CrashPoint::PreRename(_))));
-        let read = read_wal(&path).unwrap();
-        assert_eq!(
-            read.records,
-            vec![b"keep-me".to_vec()],
-            "old log must survive"
-        );
-    }
-
-    #[test]
     fn oversized_record_rejected_on_both_ends() {
         let path = tmp("oversize.wal");
         let mut wal = Wal::create(&path).unwrap();
@@ -575,27 +492,5 @@ mod tests {
         assert!(matches!(read_wal(&path), Err(CkptError::Corrupt(_))));
         std::fs::write(&path, b"abc").unwrap();
         assert!(matches!(read_wal(&path), Err(CkptError::Corrupt(_))));
-    }
-
-    #[test]
-    fn crash_point_parsing() {
-        assert_eq!(
-            CrashPoint::parse("trial:3"),
-            Some(CrashPoint::AfterTrial(3))
-        );
-        assert_eq!(
-            CrashPoint::parse("record:12"),
-            Some(CrashPoint::AfterRecord(12))
-        );
-        assert_eq!(
-            CrashPoint::parse("mid-record:1"),
-            Some(CrashPoint::MidRecord(1))
-        );
-        assert_eq!(
-            CrashPoint::parse("pre-rename:2"),
-            Some(CrashPoint::PreRename(2))
-        );
-        assert_eq!(CrashPoint::parse("nonsense"), None);
-        assert_eq!(CrashPoint::parse("trial:x"), None);
     }
 }

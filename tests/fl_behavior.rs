@@ -94,7 +94,7 @@ fn ensemble_and_per_client_aggregation_both_work_and_differ_in_kind() {
     let rt = prepared_runtime(4);
     let config = xgb_config();
     let finalize_as = |mode| {
-        let outcome = finalize(&mut RoundCtx::strict(&rt), &config, mode, None).unwrap();
+        let outcome = finalize(&mut RoundCtx::strict(&rt), &config, mode).unwrap();
         (outcome.global_model, outcome.test_mse)
     };
     let (union_model, union_mse) = finalize_as(TreeAggregation::EnsembleUnion);
