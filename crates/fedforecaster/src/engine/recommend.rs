@@ -1,6 +1,6 @@
 //! Phases I–III prep: meta-feature collection and aggregation, the
-//! federated feature spec (lag-count agreement and the weighted
-//! periodogram), and federated feature engineering (§4.2).
+//! federated feature spec (lag-count agreement and the sum of the
+//! clients' spectra), and federated feature engineering (§4.2).
 //!
 //! The recommendation feeds both search flavors: it is the whole space
 //! for the flat Table 2 search, and the algorithm axis of the composed
@@ -41,8 +41,9 @@ pub fn collect_global_meta(ctx: &mut RoundCtx) -> Result<(GlobalMetaFeatures, us
 /// The globally agreed feature spec (§4.2.1): lags `1..=L` with `L` the
 /// aggregated pACF lag count (§4.2.1(3)), plus — unless
 /// [`EngineConfig::disable_feature_engineering`] asks for raw lags only —
-/// trend and time features and the seasonal periods of the federated
-/// weighted periodogram (§4.2.1(4)).
+/// trend and time features and the seasonal periods of the clients'
+/// spectra, summed with equal weight (§4.2.1(4); DESIGN.md §4 on the
+/// paper's size weights).
 pub fn feature_spec(
     ctx: &mut RoundCtx,
     global: &GlobalMetaFeatures,
@@ -68,10 +69,14 @@ pub(super) fn derive_lag_count(global: &GlobalMetaFeatures, max_lags: usize) -> 
     (raw.round() as usize).clamp(3, max_lags.max(3))
 }
 
-/// §4.2.1(4): the federated weighted periodogram. Clients return spectral
-/// summaries on a shared log-period grid; the server sums them and picks
-/// the top-N peaks. If nobody returns a usable spectrum the spec degrades
-/// to no seasonality features rather than failing.
+/// §4.2.1(4): the federated periodogram. Clients return spectral
+/// summaries on a shared log-period grid, each normalized to unit total
+/// power; the server sums them with equal weight and picks the top-N
+/// peaks. The paper weights client `j` by |D_j|/|D|; the two agree when
+/// every client holds the same number of samples, and otherwise a small
+/// client moves the periods as much as the largest (DESIGN.md §4).
+/// If nobody returns a usable spectrum the spec degrades to no
+/// seasonality features rather than failing.
 fn seasonal_periods(ctx: &mut RoundCtx, max_len: usize, max_components: usize) -> Result<Vec<f64>> {
     if max_len < 16 {
         return Ok(vec![]);

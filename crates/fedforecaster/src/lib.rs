@@ -14,8 +14,8 @@
 //!    top-K forecasting algorithms.
 //! 2. **Feature engineering** (§4.2): clients build trend, time, lag, and
 //!    seasonality features using globally agreed parameters (lag count from
-//!    the aggregated meta-features; seasonal periods from the federated
-//!    weighted periodogram), then a Random-Forest importance vote selects
+//!    the aggregated meta-features; seasonal periods from the sum of the
+//!    clients' spectra), then a Random-Forest importance vote selects
 //!    the features covering 95% of cumulative importance.
 //! 3. **Hyperparameter tuning** (§4.3): GP Bayesian optimization with
 //!    Expected Improvement, warm-started with the recommendations, asks

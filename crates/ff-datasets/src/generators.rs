@@ -231,7 +231,8 @@ mod tests {
     #[test]
     fn commodity_price_is_random_walk_like() {
         let s = commodity_price(3000, 5);
-        assert!(!stationarity::is_stationary(s.values()));
+        let adf = stationarity::adf_test(s.values(), stationarity::AdfRegression::Constant);
+        assert!(!adf.unwrap().stationary);
         assert!(s.values().iter().all(|&v| v > 0.0));
     }
 

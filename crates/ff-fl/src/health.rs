@@ -373,15 +373,6 @@ impl HealthReport {
     pub fn count(&self, state: ClientState) -> usize {
         self.clients.iter().filter(|c| c.state == state).count()
     }
-
-    /// Ids of clients currently in `state`.
-    pub fn ids_in(&self, state: ClientState) -> Vec<usize> {
-        self.clients
-            .iter()
-            .filter(|c| c.state == state)
-            .map(|c| c.client_id)
-            .collect()
-    }
 }
 
 impl std::fmt::Display for HealthReport {
@@ -814,7 +805,13 @@ mod tests {
         assert_eq!(report.count(ClientState::Healthy), 1);
         assert_eq!(report.count(ClientState::Suspect), 1);
         assert_eq!(report.count(ClientState::Quarantined), 1);
-        assert_eq!(report.ids_in(ClientState::Quarantined), vec![2]);
+        let quarantined: Vec<usize> = report
+            .clients
+            .iter()
+            .filter(|c| c.state == ClientState::Quarantined)
+            .map(|c| c.client_id)
+            .collect();
+        assert_eq!(quarantined, vec![2]);
         let rendered = report.to_string();
         assert!(rendered.contains("1 healthy / 1 suspect / 1 quarantined"));
     }

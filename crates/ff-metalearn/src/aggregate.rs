@@ -130,11 +130,6 @@ impl GlobalMetaFeatures {
         &self.values
     }
 
-    /// Reconstructs from a raw vector (server→client broadcast).
-    pub fn from_values(values: Vec<f64>) -> GlobalMetaFeatures {
-        GlobalMetaFeatures { values }
-    }
-
     /// Names of the vector entries, in order. Length equals
     /// [`GlobalMetaFeatures::dim`].
     pub fn feature_names() -> Vec<String> {
@@ -303,13 +298,5 @@ mod tests {
     #[should_panic(expected = "at least one client")]
     fn empty_client_list_panics() {
         GlobalMetaFeatures::aggregate(&[]);
-    }
-
-    #[test]
-    fn roundtrip_from_values() {
-        let clients = [client(1), client(2)];
-        let g = GlobalMetaFeatures::aggregate(&clients);
-        let g2 = GlobalMetaFeatures::from_values(g.values().to_vec());
-        assert_eq!(g, g2);
     }
 }

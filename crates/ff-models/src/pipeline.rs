@@ -933,15 +933,6 @@ pub enum RevivedMember {
 }
 
 impl RevivedMember {
-    /// Expected engineered-feature dimension (`None` for pipeline members,
-    /// which consume the raw series instead).
-    pub fn feature_dim(&self) -> Option<usize> {
-        match self {
-            RevivedMember::SingleNode { scaler, .. } => Some(scaler.dim()),
-            RevivedMember::Pipeline(_) => None,
-        }
-    }
-
     /// Predicts from pre-engineered feature rows (single-node members
     /// only).
     pub fn predict_features(&self, x: &Matrix) -> std::result::Result<Vec<f64>, String> {
@@ -1303,7 +1294,6 @@ mod tests {
             &model.to_blob().unwrap(),
         );
         let member = decode_member_blob(&blob).unwrap();
-        assert_eq!(member.feature_dim(), Some(3));
         let revived = member.predict_features(&x).unwrap();
         for (a, b) in direct.iter().zip(&revived) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -1326,7 +1316,6 @@ mod tests {
         .unwrap();
         let blob = m.to_blob().unwrap();
         let member = decode_member_blob(&blob).unwrap();
-        assert!(member.feature_dim().is_none());
         let a = m.predict_range(&v, 120, 150).unwrap();
         let b = member.predict_series(&v, 120, 150).unwrap();
         for (x, y) in a.iter().zip(&b) {

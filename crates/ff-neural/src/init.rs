@@ -2,13 +2,6 @@
 
 use rand::Rng;
 
-/// Xavier/Glorot uniform initialization: `U(-a, a)` with
-/// `a = sqrt(6 / (fan_in + fan_out))`.
-pub fn xavier_uniform<R: Rng>(rng: &mut R, fan_in: usize, fan_out: usize) -> f64 {
-    let a = (6.0 / (fan_in + fan_out) as f64).sqrt();
-    rng.gen_range(-a..a)
-}
-
 /// He/Kaiming uniform initialization for ReLU networks:
 /// `U(-a, a)` with `a = sqrt(6 / fan_in)`.
 pub fn he_uniform<R: Rng>(rng: &mut R, fan_in: usize) -> f64 {
@@ -21,16 +14,6 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn xavier_within_bounds() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let a = (6.0f64 / 20.0).sqrt();
-        for _ in 0..100 {
-            let w = xavier_uniform(&mut rng, 10, 10);
-            assert!(w.abs() < a);
-        }
-    }
 
     #[test]
     fn he_scales_with_fan_in() {

@@ -130,14 +130,6 @@ pub fn adf_test(y: &[f64], reg: AdfRegression) -> Result<AdfResult> {
         .ok_or_else(|| TsError::Numerical("ADF failed for all lag orders".into()))
 }
 
-/// Convenience: is the series stationary at the 5% level? Series too short
-/// to test default to `false` (non-stationary is the safe assumption).
-pub fn is_stationary(y: &[f64]) -> bool {
-    adf_test(y, AdfRegression::Constant)
-        .map(|r| r.stationary)
-        .unwrap_or(false)
-}
-
 /// n-th order difference of a series.
 pub fn difference(y: &[f64], order: usize) -> Vec<f64> {
     let mut out = y.to_vec();
@@ -202,7 +194,7 @@ mod tests {
             y.push(y.last().unwrap() + e);
         }
         let d = difference(&y, 1);
-        assert!(is_stationary(&d));
+        assert!(adf_test(&d, AdfRegression::Constant).unwrap().stationary);
     }
 
     #[test]
@@ -212,7 +204,7 @@ mod tests {
         for e in noise {
             y.push(0.5 * y.last().unwrap() + e);
         }
-        assert!(is_stationary(&y));
+        assert!(adf_test(&y, AdfRegression::Constant).unwrap().stationary);
     }
 
     #[test]

@@ -52,6 +52,6 @@ pub use expo::{render_prometheus, sample_value, validate_exposition, ExpoConfig,
 pub use hist::{Histogram, BUCKETS_PER_DOUBLING, ZERO_BUCKET};
 pub use json::{push_json_f64, push_json_str, to_json_lines};
 pub use profile::{folded_stacks, CriticalHop, Profile, SelfTimeRow};
-pub use recorder::{FlightRecorder, ForensicDump, RecorderConfig, RoundFrame, Trigger, Triggers};
+pub use recorder::{FlightRecorder, ForensicDump, RecorderConfig, RoundFrame, Trigger};
 pub use summary::{fmt_bytes, fmt_us, render_summary, ClientCommsRow};
 pub use tracer::{EventRecord, MetricId, PhaseTotal, SpanGuard, SpanRecord, Telemetry, Tracer};

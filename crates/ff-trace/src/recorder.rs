@@ -20,30 +20,6 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
-/// What the flight recorder watches for. All on by default.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Triggers {
-    /// Dump when a round newly quarantines a client.
-    pub quarantine: bool,
-    /// Dump when a round fails its response quorum.
-    pub quorum_failure: bool,
-    /// Dump when the update guard rejects at least one reply.
-    pub guard_rejection: bool,
-    /// Dump when a reply is screened out for a non-finite loss.
-    pub non_finite_loss: bool,
-}
-
-impl Default for Triggers {
-    fn default() -> Self {
-        Triggers {
-            quarantine: true,
-            quorum_failure: true,
-            guard_rejection: true,
-            non_finite_loss: true,
-        }
-    }
-}
-
 /// Flight-recorder configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecorderConfig {
@@ -53,8 +29,6 @@ pub struct RecorderConfig {
     /// Maximum forensic dumps retained per run; later triggers are
     /// counted but their dumps dropped (the first incidents matter most).
     pub max_dumps: usize,
-    /// Which distress signals trigger a dump.
-    pub triggers: Triggers,
 }
 
 impl Default for RecorderConfig {
@@ -62,7 +36,6 @@ impl Default for RecorderConfig {
         RecorderConfig {
             capacity: 64,
             max_dumps: 8,
-            triggers: Triggers::default(),
         }
     }
 }
@@ -148,20 +121,18 @@ impl Default for RoundFrame {
 }
 
 impl RoundFrame {
-    /// The most severe trigger this frame carries under `triggers`, if any.
-    fn trigger(&self, triggers: &Triggers) -> Option<Trigger> {
-        if triggers.quarantine && !self.quarantined.is_empty() {
+    /// The most severe trigger this frame carries, if any.
+    fn trigger(&self) -> Option<Trigger> {
+        if !self.quarantined.is_empty() {
             return Some(Trigger::Quarantine);
         }
-        if triggers.quorum_failure && !self.quorum_met {
+        if !self.quorum_met {
             return Some(Trigger::QuorumFailure);
         }
-        if triggers.non_finite_loss
-            && (self.non_finite || self.loss.is_some_and(|l| !l.is_finite()))
-        {
+        if self.non_finite || self.loss.is_some_and(|l| !l.is_finite()) {
             return Some(Trigger::NonFiniteLoss);
         }
-        if triggers.guard_rejection && !self.rejected.is_empty() {
+        if !self.rejected.is_empty() {
             return Some(Trigger::GuardRejection);
         }
         None
@@ -287,7 +258,7 @@ impl FlightRecorder {
         FlightRecorder { inner: None }
     }
 
-    /// An enabled recorder with the given ring capacity and triggers.
+    /// An enabled recorder with the given ring capacity and dump cap.
     pub fn enabled(cfg: RecorderConfig) -> FlightRecorder {
         let cfg = RecorderConfig {
             capacity: cfg.capacity.max(1),
@@ -315,7 +286,7 @@ impl FlightRecorder {
         let inner = self.inner.as_ref()?;
         let frame = make();
         let mut s = inner.lock();
-        let trigger = frame.trigger(&s.cfg.triggers);
+        let trigger = frame.trigger();
         if s.ring.len() == s.cfg.capacity {
             s.ring.pop_front();
         }
@@ -427,7 +398,6 @@ mod tests {
         let r = FlightRecorder::enabled(RecorderConfig {
             capacity: 4,
             max_dumps: 1,
-            ..Default::default()
         });
         assert_eq!(r.commit_with(|| frame(1)), None);
         // Rejection + quarantine in one frame: quarantine wins.
@@ -468,23 +438,6 @@ mod tests {
             ..frame(2)
         });
         assert_eq!(fired2, Some(Trigger::NonFiniteLoss));
-    }
-
-    #[test]
-    fn triggers_can_be_masked() {
-        let r = FlightRecorder::enabled(RecorderConfig {
-            triggers: Triggers {
-                guard_rejection: false,
-                ..Triggers::default()
-            },
-            ..Default::default()
-        });
-        let fired = r.commit_with(|| RoundFrame {
-            rejected: vec![(1, "ignored".into())],
-            ..frame(1)
-        });
-        assert_eq!(fired, None);
-        assert!(r.dumps().is_empty());
     }
 
     #[test]

@@ -152,7 +152,6 @@ proptest! {
         let r = ff_trace::FlightRecorder::enabled(ff_trace::RecorderConfig {
             capacity,
             max_dumps: 4,
-            ..Default::default()
         });
         for (i, d) in distress.iter().enumerate() {
             r.commit_with(|| arb_frame(i as u64 + 1, *d));
