@@ -13,7 +13,7 @@
 
 use crate::boosting::histogram::{BinMapper, HistogramTree};
 use crate::boosting::oblivious::ObliviousTree;
-use crate::tree::{GhTree, GhTreeConfig};
+use crate::tree::{GhTree, GhTreeConfig, SortedDesign};
 use crate::{Classifier, ModelError, Result};
 use ff_linalg::Matrix;
 use rand::rngs::StdRng;
@@ -109,16 +109,11 @@ impl BoostedClassifier {
         }
         s
     }
-}
 
-impl Classifier for BoostedClassifier {
-    fn fit(&mut self, x: &Matrix, labels: &[usize], n_classes: usize) -> Result<()> {
-        if x.rows() == 0 || x.rows() != labels.len() {
-            return Err(ModelError::InvalidData("bad shapes".into()));
-        }
-        if labels.iter().any(|&l| l >= n_classes) {
-            return Err(ModelError::InvalidData("label out of range".into()));
-        }
+    /// Fits the ensemble on checked inputs with `rng`. Every round refits
+    /// all rows of the same design, so the exact learner sorts its
+    /// features once here rather than once per tree.
+    fn boost(&mut self, x: &Matrix, labels: &[usize], n_classes: usize, rng: &mut StdRng) {
         let n = x.rows();
         self.n_classes = n_classes;
         // Base scores: log class priors.
@@ -136,7 +131,7 @@ impl Classifier for BoostedClassifier {
             None
         };
         let binned = mapper.as_ref().map(|m| m.quantize(x));
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let design = (self.learner == WeakLearner::Exact).then(|| SortedDesign::new(x));
         let rows: Vec<usize> = (0..n).collect();
         let cfg = GhTreeConfig {
             max_depth: self.depth,
@@ -163,9 +158,14 @@ impl Classifier for BoostedClassifier {
                     vec![1.0; n]
                 };
                 let tree = match self.learner {
-                    WeakLearner::Exact => {
-                        FittedTree::Exact(GhTree::fit(x, &grad, &hess, &rows, &cfg, &mut rng))
-                    }
+                    WeakLearner::Exact => FittedTree::Exact(GhTree::fit_sorted(
+                        design.as_ref().expect("the exact learner sorts its design"),
+                        &grad,
+                        &hess,
+                        &rows,
+                        &cfg,
+                        rng,
+                    )),
                     WeakLearner::Histogram => FittedTree::Histogram(HistogramTree::fit(
                         binned.as_ref().unwrap(),
                         mapper.as_ref().unwrap(),
@@ -194,6 +194,18 @@ impl Classifier for BoostedClassifier {
             }
             self.trees.push(round_trees);
         }
+    }
+}
+
+impl Classifier for BoostedClassifier {
+    fn fit(&mut self, x: &Matrix, labels: &[usize], n_classes: usize) -> Result<()> {
+        if x.rows() == 0 || x.rows() != labels.len() {
+            return Err(ModelError::InvalidData("bad shapes".into()));
+        }
+        if labels.iter().any(|&l| l >= n_classes) {
+            return Err(ModelError::InvalidData("label out of range".into()));
+        }
+        self.boost(x, labels, n_classes, &mut StdRng::seed_from_u64(self.seed));
         Ok(())
     }
 
@@ -327,5 +339,99 @@ mod tests {
         let x = Matrix::zeros(2, 1);
         let mut clf = xgb_classifier(2, 2, 0.3);
         assert!(clf.fit(&x, &[0, 3], 2).is_err());
+    }
+
+    /// The exact learner's boosting loop before the ensemble shared one
+    /// presort: each tree's [`GhTree::fit`] sorts the rows again.
+    fn per_round_sort_trees(
+        clf: &BoostedClassifier,
+        x: &Matrix,
+        labels: &[usize],
+        n_classes: usize,
+        rng: &mut StdRng,
+    ) -> Vec<GhTree> {
+        let n = x.rows();
+        let mut counts = vec![1.0; n_classes];
+        for &l in labels {
+            counts[l] += 1.0;
+        }
+        let total: f64 = counts.iter().sum();
+        let base: Vec<f64> = counts.iter().map(|c| (c / total).ln()).collect();
+        let rows: Vec<usize> = (0..n).collect();
+        let cfg = GhTreeConfig {
+            max_depth: clf.depth,
+            min_child_weight: 1.0,
+            lambda: clf.lambda,
+            feature_subsample: 1.0,
+            random_thresholds: false,
+        };
+        let mut scores = Matrix::from_fn(n, n_classes, |_, c| base[c]);
+        let mut trees = Vec::new();
+        for _ in 0..clf.n_rounds {
+            let probs = crate::classifiers::logistic::softmax(&scores);
+            for c in 0..n_classes {
+                let grad: Vec<f64> = (0..n)
+                    .map(|i| probs.get(i, c) - f64::from(u8::from(labels[i] == c)))
+                    .collect();
+                let hess: Vec<f64> = if clf.second_order {
+                    (0..n)
+                        .map(|i| (probs.get(i, c) * (1.0 - probs.get(i, c))).max(1e-6))
+                        .collect()
+                } else {
+                    vec![1.0; n]
+                };
+                let tree = GhTree::fit(x, &grad, &hess, &rows, &cfg, rng);
+                for i in 0..n {
+                    let v = scores.get(i, c) + clf.learning_rate * tree.predict_row(x.row(i));
+                    scores.set(i, c, v);
+                }
+                trees.push(tree);
+            }
+        }
+        trees
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(32))]
+
+        /// The exact learner's trees, first- and second-order, are
+        /// bit-identical to sorting the rows again for every tree, and the
+        /// fit draws the same random numbers.
+        #[test]
+        fn exact_classifier_matches_the_per_round_sort(
+            seed in proptest::prelude::any::<u64>(),
+            n in 2usize..60,
+            p in 1usize..5,
+            n_classes in 2usize..4,
+            n_rounds in 1usize..6,
+            depth in 1usize..6,
+            second_order in proptest::prelude::any::<bool>(),
+        ) {
+            use rand::{Rng, SeedableRng};
+            let mut data = StdRng::seed_from_u64(seed);
+            let x = crate::tree::tests::tie_heavy(n, p, &mut data);
+            let labels: Vec<usize> = (0..n).map(|_| data.gen_range(0..n_classes)).collect();
+            let mut clf = if second_order {
+                xgb_classifier(n_rounds, depth, 0.3)
+            } else {
+                gradient_boosting_classifier(n_rounds, depth, 0.3)
+            };
+            let mut r1 = StdRng::seed_from_u64(seed ^ 7);
+            let mut r2 = r1.clone();
+            clf.boost(&x, &labels, n_classes, &mut r1);
+            let slow = per_round_sort_trees(&clf, &x, &labels, n_classes, &mut r2);
+            let fast: Vec<Vec<u8>> = clf
+                .trees
+                .iter()
+                .flatten()
+                .map(|t| match t {
+                    FittedTree::Exact(t) => crate::tree::tests::gh_bits(t),
+                    _ => unreachable!("the exact learner grows exact trees"),
+                })
+                .collect();
+            let slow: Vec<Vec<u8>> = slow.iter().map(crate::tree::tests::gh_bits).collect();
+            proptest::prop_assert_eq!(fast, slow);
+            proptest::prop_assert_eq!(r1.gen::<u64>(), r2.gen::<u64>());
+        }
     }
 }

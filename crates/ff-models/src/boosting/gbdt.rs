@@ -5,7 +5,7 @@
 //! `w = −G/(H + λ)`, exact greedy splits, row subsampling per tree, and
 //! shrinkage.
 
-use crate::tree::{GhTree, GhTreeConfig};
+use crate::tree::{GhTree, GhTreeConfig, SortedDesign};
 use crate::{validate_xy, ModelError, Regressor, Result};
 use ff_linalg::Matrix;
 use rand::rngs::StdRng;
@@ -129,19 +129,14 @@ impl XgbRegressor {
         }
         Ok(gains)
     }
-}
 
-impl Regressor for XgbRegressor {
-    fn to_blob(&self) -> Option<Vec<u8>> {
-        self.to_bytes().ok()
-    }
-
-    fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<()> {
-        validate_xy(x, y)?;
+    /// Fits the ensemble, drawing each round's row subsample from `rng`.
+    /// Every round refits rows of the same design, so its features are
+    /// sorted once here rather than once per tree.
+    fn boost(&mut self, x: &Matrix, y: &[f64], rng: &mut StdRng) {
         let n = x.rows();
         self.base = ff_linalg::vector::mean(y);
         let mut pred = vec![self.base; n];
-        let mut rng = StdRng::seed_from_u64(self.seed);
         let cfg = GhTreeConfig {
             max_depth: self.max_depth,
             min_child_weight: 1.0,
@@ -149,10 +144,12 @@ impl Regressor for XgbRegressor {
             feature_subsample: 1.0,
             random_thresholds: false,
         };
+        let design = SortedDesign::new(x);
         self.trees.clear();
         let hess = vec![1.0; n];
         for _ in 0..self.n_estimators {
             let grad: Vec<f64> = pred.iter().zip(y).map(|(&p, &t)| p - t).collect();
+            // Ascending, as `GhTree::fit_sorted` requires.
             let rows: Vec<usize> = if self.subsample < 1.0 {
                 (0..n)
                     .filter(|_| rng.gen::<f64>() < self.subsample)
@@ -165,12 +162,23 @@ impl Regressor for XgbRegressor {
             } else {
                 rows
             };
-            let tree = GhTree::fit(x, &grad, &hess, &rows, &cfg, &mut rng);
+            let tree = GhTree::fit_sorted(&design, &grad, &hess, &rows, &cfg, rng);
             for (p, i) in pred.iter_mut().zip(0..n) {
                 *p += self.learning_rate * tree.predict_row(x.row(i));
             }
             self.trees.push(tree);
         }
+    }
+}
+
+impl Regressor for XgbRegressor {
+    fn to_blob(&self) -> Option<Vec<u8>> {
+        self.to_bytes().ok()
+    }
+
+    fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<()> {
+        validate_xy(x, y)?;
+        self.boost(x, y, &mut StdRng::seed_from_u64(self.seed));
         Ok(())
     }
 
@@ -302,5 +310,79 @@ mod tests {
         let mut bad = blob.clone();
         bad[0] = 99;
         assert!(XgbRegressor::from_bytes(&bad).is_err());
+    }
+
+    /// The boosting loop before the ensemble shared one presort: each
+    /// round's [`GhTree::fit`] sorts that round's rows again.
+    fn per_round_sort_trees(
+        m: &XgbRegressor,
+        x: &Matrix,
+        y: &[f64],
+        rng: &mut StdRng,
+    ) -> Vec<GhTree> {
+        let n = x.rows();
+        let mut pred = vec![ff_linalg::vector::mean(y); n];
+        let cfg = GhTreeConfig {
+            max_depth: m.max_depth,
+            min_child_weight: 1.0,
+            lambda: m.reg_lambda,
+            feature_subsample: 1.0,
+            random_thresholds: false,
+        };
+        let hess = vec![1.0; n];
+        let mut trees = Vec::new();
+        for _ in 0..m.n_estimators {
+            let grad: Vec<f64> = pred.iter().zip(y).map(|(&p, &t)| p - t).collect();
+            let rows: Vec<usize> = if m.subsample < 1.0 {
+                (0..n).filter(|_| rng.gen::<f64>() < m.subsample).collect()
+            } else {
+                (0..n).collect()
+            };
+            let rows = if rows.len() < 2 {
+                (0..n).collect()
+            } else {
+                rows
+            };
+            let tree = GhTree::fit(x, &grad, &hess, &rows, &cfg, rng);
+            for (p, i) in pred.iter_mut().zip(0..n) {
+                *p += m.learning_rate * tree.predict_row(x.row(i));
+            }
+            trees.push(tree);
+        }
+        trees
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(32))]
+
+        /// Sorting the design once per ensemble grows every round's tree
+        /// bit-identical to sorting each round's rows again, and draws the
+        /// same random numbers, with all rows and with a row subsample.
+        #[test]
+        fn xgb_matches_the_per_round_sort(
+            seed in proptest::prelude::any::<u64>(),
+            n in 2usize..80,
+            p in 1usize..6,
+            n_estimators in 1usize..10,
+            max_depth in 0usize..7,
+            lambda in 0usize..2,
+            subsample in 0.05f64..1.0,
+        ) {
+            let mut data = StdRng::seed_from_u64(seed);
+            let x = crate::tree::tests::tie_heavy(n, p, &mut data);
+            let y: Vec<f64> = (0..n).map(|_| data.gen::<f64>() * 6.0 - 3.0).collect();
+            for subsample in [1.0, subsample] {
+                let mut m = XgbRegressor::new(n_estimators, max_depth, 0.3, lambda as f64, subsample);
+                let mut r1 = StdRng::seed_from_u64(seed ^ 7);
+                let mut r2 = r1.clone();
+                m.boost(&x, &y, &mut r1);
+                let slow = per_round_sort_trees(&m, &x, &y, &mut r2);
+                let bits = |trees: &[GhTree]| -> Vec<Vec<u8>> {
+                    trees.iter().map(crate::tree::tests::gh_bits).collect()
+                };
+                proptest::prop_assert_eq!(bits(&m.trees), bits(&slow), "subsample {}", subsample);
+                proptest::prop_assert_eq!(r1.gen::<u64>(), r2.gen::<u64>());
+            }
+        }
     }
 }

@@ -52,13 +52,19 @@ pub struct CdFit {
 
 /// Solves the elastic-net problem by coordinate descent.
 ///
-/// `x` should be standardized by the caller for good conditioning. `alpha`
-/// is the overall regularization strength, `l1_ratio ∈ [0, 1]` mixes L1 vs
-/// L2. Converges when the largest coefficient update in a pass falls below
-/// `tol`.
+/// `xt` is the design transposed, one row per feature, so each coordinate
+/// update reads its column contiguously; callers make it once per fit. The
+/// solve uses the first `y.len()` rows of the design, so forward-chaining
+/// folds are row prefixes of one layout. The design should be standardized
+/// by the caller for good conditioning. `alpha` is the overall
+/// regularization strength, `l1_ratio ∈ [0, 1]` mixes L1 vs L2. Converges
+/// when the largest coefficient update in a pass falls below `tol`.
+///
+/// # Panics
+/// Panics if `y` is longer than the design's columns.
 #[allow(clippy::too_many_arguments)] // solver knobs are clearest as a flat list
 pub fn coordinate_descent(
-    x: &Matrix,
+    xt: &Matrix,
     y: &[f64],
     alpha: f64,
     l1_ratio: f64,
@@ -67,22 +73,18 @@ pub fn coordinate_descent(
     tol: f64,
     seed: u64,
 ) -> CdFit {
-    let n = x.rows();
-    let p = x.cols();
+    let n = y.len();
+    let p = xt.rows();
+    assert!(n <= xt.cols(), "{n} targets for a {}-row design", xt.cols());
     let nf = n as f64;
     let l1 = alpha * l1_ratio;
     let l2 = alpha * (1.0 - l1_ratio);
+    let col = |j: usize| &xt.row(j)[..n];
 
-    // Precompute column squared norms / n.
-    let mut col_sq = vec![0.0; p];
-    for i in 0..n {
-        for (c, &v) in col_sq.iter_mut().zip(x.row(i)) {
-            *c += v * v;
-        }
-    }
-    for c in col_sq.iter_mut() {
-        *c /= nf;
-    }
+    // Column squared norms / n, each summed in row order.
+    let col_sq: Vec<f64> = (0..p)
+        .map(|j| col(j).iter().fold(0.0, |c, &v| c + v * v) / nf)
+        .collect();
 
     let mut coef = vec![0.0; p];
     let y_mean = ff_linalg::vector::mean(y);
@@ -103,17 +105,15 @@ pub fn coordinate_descent(
             if col_sq[j] <= 1e-300 {
                 continue;
             }
-            // rho_j = (1/n) x_jᵀ r + col_sq[j] * coef[j]
-            let mut rho = 0.0;
-            for i in 0..n {
-                rho += x.get(i, j) * resid[i];
-            }
-            rho = rho / nf + col_sq[j] * coef[j];
+            // rho_j = (1/n) x_jᵀ r + col_sq[j] * coef[j], summed in row order.
+            let xj = col(j);
+            let rho = xj.iter().zip(&resid).fold(0.0, |rho, (&v, &r)| rho + v * r);
+            let rho = rho / nf + col_sq[j] * coef[j];
             let new = soft_threshold(rho, l1) / (col_sq[j] + l2);
             let delta = new - coef[j];
             if delta != 0.0 {
-                for i in 0..n {
-                    resid[i] -= delta * x.get(i, j);
+                for (r, &v) in resid.iter_mut().zip(xj) {
+                    *r -= delta * v;
                 }
                 coef[j] = new;
                 max_delta = max_delta.max(delta.abs());
@@ -139,10 +139,95 @@ pub fn coordinate_descent(
     }
 }
 
+/// The row-major solver the column-major one replaced, kept as the
+/// reference its fits must match bit for bit: it reads a row-major design
+/// a column at a time and solves on all of its rows.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn coordinate_descent(
+        x: &Matrix,
+        y: &[f64],
+        alpha: f64,
+        l1_ratio: f64,
+        selection: Selection,
+        max_passes: usize,
+        tol: f64,
+        seed: u64,
+    ) -> CdFit {
+        let n = x.rows();
+        let p = x.cols();
+        let nf = n as f64;
+        let l1 = alpha * l1_ratio;
+        let l2 = alpha * (1.0 - l1_ratio);
+        let mut col_sq = vec![0.0; p];
+        for i in 0..n {
+            for (c, &v) in col_sq.iter_mut().zip(x.row(i)) {
+                *c += v * v;
+            }
+        }
+        for c in col_sq.iter_mut() {
+            *c /= nf;
+        }
+        let mut coef = vec![0.0; p];
+        let mut intercept = ff_linalg::vector::mean(y);
+        let mut resid: Vec<f64> = y.iter().map(|&v| v - intercept).collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut passes = 0;
+        for pass in 0..max_passes {
+            passes = pass + 1;
+            let mut max_delta = 0.0f64;
+            for step in 0..p {
+                let j = match selection {
+                    Selection::Cyclic => step,
+                    Selection::Random => rng.gen_range(0..p),
+                };
+                if col_sq[j] <= 1e-300 {
+                    continue;
+                }
+                let mut rho = 0.0;
+                for i in 0..n {
+                    rho += x.get(i, j) * resid[i];
+                }
+                rho = rho / nf + col_sq[j] * coef[j];
+                let new = soft_threshold(rho, l1) / (col_sq[j] + l2);
+                let delta = new - coef[j];
+                if delta != 0.0 {
+                    for i in 0..n {
+                        resid[i] -= delta * x.get(i, j);
+                    }
+                    coef[j] = new;
+                    max_delta = max_delta.max(delta.abs());
+                }
+            }
+            let r_mean = ff_linalg::vector::mean(&resid);
+            if r_mean.abs() > 0.0 {
+                intercept += r_mean;
+                for r in resid.iter_mut() {
+                    *r -= r_mean;
+                }
+                max_delta = max_delta.max(r_mean.abs());
+            }
+            if max_delta < tol {
+                break;
+            }
+        }
+        CdFit {
+            coef,
+            intercept,
+            passes,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::data::Standardizer;
 
+    /// The design transposed (one row per feature) and its targets.
     fn design() -> (Matrix, Vec<f64>) {
         // y = 2 x0 − 1 x1 + 3, x2 is pure noise-free junk (constant 0 signal).
         let n = 60;
@@ -160,13 +245,13 @@ mod tests {
             rows.push(vec![a, b, c]);
             y.push(2.0 * a - b + 3.0);
         }
-        (Matrix::from_fn(n, 3, |i, j| rows[i][j]), y)
+        (Matrix::from_fn(3, n, |j, i| rows[i][j]), y)
     }
 
     #[test]
     fn unregularized_recovers_ols() {
-        let (x, y) = design();
-        let fit = coordinate_descent(&x, &y, 1e-9, 1.0, Selection::Cyclic, 500, 1e-10, 0);
+        let (xt, y) = design();
+        let fit = coordinate_descent(&xt, &y, 1e-9, 1.0, Selection::Cyclic, 500, 1e-10, 0);
         assert!((fit.coef[0] - 2.0).abs() < 1e-4, "{:?}", fit.coef);
         assert!((fit.coef[1] + 1.0).abs() < 1e-4);
         assert!(fit.coef[2].abs() < 1e-4);
@@ -175,8 +260,8 @@ mod tests {
 
     #[test]
     fn strong_l1_zeroes_weak_feature() {
-        let (x, y) = design();
-        let fit = coordinate_descent(&x, &y, 0.3, 1.0, Selection::Cyclic, 500, 1e-10, 0);
+        let (xt, y) = design();
+        let fit = coordinate_descent(&xt, &y, 0.3, 1.0, Selection::Cyclic, 500, 1e-10, 0);
         assert_eq!(fit.coef[2], 0.0, "junk feature should be exactly zero");
         assert!(fit.coef[0].abs() < 2.0, "L1 must shrink");
         assert!(fit.coef[0] > 0.5, "signal must survive");
@@ -184,9 +269,9 @@ mod tests {
 
     #[test]
     fn random_selection_converges_to_same_solution() {
-        let (x, y) = design();
-        let a = coordinate_descent(&x, &y, 0.05, 1.0, Selection::Cyclic, 2000, 1e-12, 0);
-        let b = coordinate_descent(&x, &y, 0.05, 1.0, Selection::Random, 4000, 1e-12, 9);
+        let (xt, y) = design();
+        let a = coordinate_descent(&xt, &y, 0.05, 1.0, Selection::Cyclic, 2000, 1e-12, 0);
+        let b = coordinate_descent(&xt, &y, 0.05, 1.0, Selection::Random, 4000, 1e-12, 9);
         for (ca, cb) in a.coef.iter().zip(&b.coef) {
             assert!((ca - cb).abs() < 1e-3, "{:?} vs {:?}", a.coef, b.coef);
         }
@@ -194,8 +279,8 @@ mod tests {
 
     #[test]
     fn l2_component_shrinks_without_sparsity() {
-        let (x, y) = design();
-        let fit = coordinate_descent(&x, &y, 0.5, 0.0, Selection::Cyclic, 500, 1e-10, 0);
+        let (xt, y) = design();
+        let fit = coordinate_descent(&xt, &y, 0.5, 0.0, Selection::Cyclic, 500, 1e-10, 0);
         // Pure ridge: coefficients shrink but normally stay nonzero.
         assert!(fit.coef[0] > 0.1 && fit.coef[0] < 2.0);
         assert!(fit.coef[1] < -0.1 && fit.coef[1] > -1.0);
@@ -206,5 +291,63 @@ mod tests {
         assert_eq!(soft_threshold(3.0, 1.0), 2.0);
         assert_eq!(soft_threshold(-3.0, 1.0), -2.0);
         assert_eq!(soft_threshold(0.5, 1.0), 0.0);
+    }
+
+    /// Every bit of a fit: coefficients, intercept and pass count.
+    fn cd_bits(fit: &CdFit) -> (Vec<u64>, u64, usize) {
+        let coef = fit.coef.iter().map(|c| c.to_bits()).collect();
+        (coef, fit.intercept.to_bits(), fit.passes)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(32))]
+
+        /// The column-major solver fits bit-identically to the row-major
+        /// reference, pass for pass, on the whole design and on a row
+        /// prefix of the same layout, under both selections, every mix and
+        /// alphas from 1e-6 to 1, over constant and tie-heavy columns, raw
+        /// and standardized.
+        #[test]
+        fn column_major_solver_matches_the_row_major_reference(
+            seed in proptest::prelude::any::<u64>(),
+            n in 1usize..100,
+            p in 1usize..9,
+            log_alpha in -6.0f64..0.0,
+            max_passes in 1usize..120,
+            standardize in proptest::prelude::any::<bool>(),
+        ) {
+            let mut data = StdRng::seed_from_u64(seed);
+            let raw = crate::tree::tests::tie_heavy(n, p, &mut data);
+            let x = if standardize { Standardizer::fit(&raw).transform(&raw) } else { raw };
+            let y: Vec<f64> = (0..n)
+                .map(|i| x.get(i, 0) * 1.5 - x.get(i, p - 1) + data.gen::<f64>() - 0.5)
+                .collect();
+            let xt = x.transpose();
+            let prefix = data.gen_range(1..=n);
+            for m in [n, prefix] {
+                let x_m = Matrix::from_fn(m, p, |i, j| x.get(i, j));
+                for selection in [Selection::Cyclic, Selection::Random] {
+                    for l1_ratio in [0.0, 0.3, 1.0] {
+                        for alpha in [1e-6, 10f64.powf(log_alpha), 1.0] {
+                            let fast = coordinate_descent(
+                                &xt, &y[..m], alpha, l1_ratio, selection, max_passes, 1e-7, seed,
+                            );
+                            let slow = reference::coordinate_descent(
+                                &x_m, &y[..m], alpha, l1_ratio, selection, max_passes, 1e-7, seed,
+                            );
+                            proptest::prop_assert_eq!(
+                                cd_bits(&fast),
+                                cd_bits(&slow),
+                                "alpha {} l1_ratio {} {:?} rows {}",
+                                alpha,
+                                l1_ratio,
+                                selection,
+                                m
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

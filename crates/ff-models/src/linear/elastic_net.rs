@@ -12,10 +12,9 @@ use ff_linalg::Matrix;
 /// Elastic-net with internal CV over alpha.
 #[derive(Debug, Clone)]
 pub struct ElasticNetCv {
-    /// L1/L2 mixing ratio. Values are clamped into `[0, 1]`; Table 2 samples
-    /// the raw hyperparameter from `[0.3, 10]`, which we map through
-    /// `min(raw, 1.0)` (raw > 1 behaves as pure lasso), mirroring how an
-    /// out-of-range value degenerates.
+    /// L1/L2 mixing ratio, clamped into `[0, 1]`. The algorithm table
+    /// samples it from `[0.3, 1.0]` directly: Table 2's printed `[0.3, 10]`
+    /// is a typo (DESIGN.md §4).
     pub l1_ratio: f64,
     /// Coordinate selection order.
     pub selection: Selection,
@@ -64,15 +63,15 @@ impl Regressor for ElasticNetCv {
         let xs = scaler.transform(x);
         let ys: Vec<f64> = y.iter().map(|&v| target.scale(v)).collect();
         let n = xs.rows();
+        // One column-major layout serves the alpha grid, every fold (a row
+        // prefix) and the final fit.
+        let xt = xs.transpose();
 
         // Alpha grid: alpha_max kills all coefficients; go down 3 decades.
         let alpha_max = {
             let mut m = 0.0f64;
-            for j in 0..xs.cols() {
-                let mut dot = 0.0;
-                for i in 0..n {
-                    dot += xs.get(i, j) * ys[i];
-                }
+            for j in 0..xt.rows() {
+                let dot = xt.row(j).iter().zip(&ys).fold(0.0, |d, (&v, &t)| d + v * t);
                 m = m.max(dot.abs() / n as f64);
             }
             (m / self.l1_ratio.max(1e-3)).max(1e-6)
@@ -93,9 +92,8 @@ impl Regressor for ElasticNetCv {
                 if cut < 8 || cut >= end {
                     continue;
                 }
-                let xtr = Matrix::from_fn(cut, xs.cols(), |i, j| xs.get(i, j));
                 let fit = coordinate_descent(
-                    &xtr,
+                    &xt,
                     &ys[..cut],
                     alpha,
                     self.l1_ratio,
@@ -119,7 +117,7 @@ impl Regressor for ElasticNetCv {
         }
 
         let fit = coordinate_descent(
-            &xs,
+            &xt,
             &ys,
             best.1,
             self.l1_ratio,
@@ -231,5 +229,99 @@ mod tests {
         m.fit(&xtr, &y[..100]).unwrap();
         let pred = m.predict(&xte).unwrap();
         assert!(mse(&y[100..], &pred) < 0.1);
+    }
+
+    /// The fit ElasticNetCV made before it laid its design out once: the
+    /// row-major reference solver on a fresh copy of each fold's rows.
+    /// Returns the best alpha, coefficients and intercept.
+    fn per_alpha_copy_fit(m: &ElasticNetCv, x: &Matrix, y: &[f64]) -> (f64, Vec<f64>, f64) {
+        use crate::linear::cd::reference::coordinate_descent;
+        let scaler = Standardizer::fit(x);
+        let target = TargetScaler::fit(y);
+        let xs = scaler.transform(x);
+        let ys: Vec<f64> = y.iter().map(|&v| target.scale(v)).collect();
+        let n = xs.rows();
+        let alpha_max = {
+            let mut mx = 0.0f64;
+            for j in 0..xs.cols() {
+                let mut dot = 0.0;
+                for i in 0..n {
+                    dot += xs.get(i, j) * ys[i];
+                }
+                mx = mx.max(dot.abs() / n as f64);
+            }
+            (mx / m.l1_ratio.max(1e-3)).max(1e-6)
+        };
+        let alphas: Vec<f64> = (0..m.n_alphas)
+            .map(|k| alpha_max * 10f64.powf(-3.0 * k as f64 / (m.n_alphas - 1).max(1) as f64))
+            .collect();
+        let folds = m.n_folds.min(n / 4).max(1);
+        let mut best = (f64::INFINITY, alphas[0]);
+        for &alpha in &alphas {
+            let mut cv_err = 0.0;
+            let mut used = 0;
+            for f in 0..folds {
+                let cut = n * (f + folds) / (2 * folds);
+                let end = (cut + n / (2 * folds)).min(n);
+                if cut < 8 || cut >= end {
+                    continue;
+                }
+                let xtr = Matrix::from_fn(cut, xs.cols(), |i, j| xs.get(i, j));
+                let fit = coordinate_descent(
+                    &xtr,
+                    &ys[..cut],
+                    alpha,
+                    m.l1_ratio,
+                    m.selection,
+                    150,
+                    1e-6,
+                    7,
+                );
+                for i in cut..end {
+                    let p = ff_linalg::vector::dot(xs.row(i), &fit.coef) + fit.intercept;
+                    cv_err += (p - ys[i]) * (p - ys[i]);
+                    used += 1;
+                }
+            }
+            if used > 0 {
+                cv_err /= used as f64;
+                if cv_err < best.0 {
+                    best = (cv_err, alpha);
+                }
+            }
+        }
+        let fit = coordinate_descent(&xs, &ys, best.1, m.l1_ratio, m.selection, 300, 1e-7, 7);
+        (best.1, fit.coef, fit.intercept)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(24))]
+
+        /// Solving every fold on a row prefix of one column-major layout
+        /// selects the same alpha and fits the same coefficients and
+        /// intercept, bit for bit, as copying each fold's rows per alpha.
+        #[test]
+        fn elastic_net_cv_matches_the_per_alpha_copy_reference(
+            seed in proptest::prelude::any::<u64>(),
+            n in 2usize..100,
+            p in 1usize..7,
+            ratio in 0usize..4,
+            random in proptest::prelude::any::<bool>(),
+        ) {
+            use rand::{Rng, SeedableRng};
+            let mut data = rand::rngs::StdRng::seed_from_u64(seed);
+            let x = crate::tree::tests::tie_heavy(n, p, &mut data);
+            let y: Vec<f64> = (0..n)
+                .map(|i| 2.0 * x.get(i, 0) - x.get(i, p - 1) + data.gen::<f64>())
+                .collect();
+            let selection = if random { Selection::Random } else { Selection::Cyclic };
+            let mut m = ElasticNetCv::new([0.0, 0.3, 0.7, 1.0][ratio], selection);
+            m.fit(&x, &y).unwrap();
+            let (alpha, coef, intercept) = per_alpha_copy_fit(&m, &x, &y);
+            let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(m.best_alpha().unwrap().to_bits(), alpha.to_bits());
+            proptest::prop_assert_eq!(bits(m.coefficients().unwrap()), bits(&coef));
+            proptest::prop_assert_eq!(m.intercept().unwrap().to_bits(), intercept.to_bits());
+        }
     }
 }

@@ -47,7 +47,7 @@ impl Regressor for Lasso {
         let xs = scaler.transform(x);
         let ys: Vec<f64> = y.iter().map(|&v| target.scale(v)).collect();
         let fit = coordinate_descent(
-            &xs,
+            &xs.transpose(),
             &ys,
             self.alpha,
             1.0,

@@ -89,17 +89,17 @@ impl Presorted {
                 cols[f * m + s] = v;
             }
         }
-        let mut sorted = Vec::new();
-        if presort {
-            sorted.reserve_exact(m * p);
-            for f in 0..p {
-                let col = &cols[f * m..(f + 1) * m];
-                sorted.extend(0..m);
-                // Stable: equal values stay in slot order, which is the
-                // root's row order.
-                sorted[f * m..].sort_by(|&a, &b| col[a].total_cmp(&col[b]));
-            }
-        }
+        let sorted = if presort {
+            sort_columns(&cols, m)
+        } else {
+            Vec::new()
+        };
+        Presorted::with(m, p, cols, sorted)
+    }
+
+    /// The finder over `m` slots of `p` features with these values and
+    /// orders, its nodes not yet split.
+    fn with(m: usize, p: usize, cols: Vec<f64>, sorted: Vec<usize>) -> Presorted {
         Presorted {
             m,
             p,
@@ -214,6 +214,68 @@ impl Presorted {
     }
 }
 
+/// Sorts each `m`-long column of `cols` by (`total_cmp` of the value,
+/// slot). The sort is stable, so equal values stay in slot order.
+fn sort_columns(cols: &[f64], m: usize) -> Vec<usize> {
+    let mut sorted = Vec::with_capacity(cols.len());
+    for (f, col) in cols.chunks_exact(m.max(1)).enumerate() {
+        sorted.extend(0..m);
+        sorted[f * m..].sort_by(|&a, &b| col[a].total_cmp(&col[b]));
+    }
+    sorted
+}
+
+/// A design whose features are sorted once for a boosted ensemble, whose
+/// every tree refits ascending rows of it.
+///
+/// A tree's finder takes each feature's order by a stable filter of the
+/// design's: that lists the tree's rows by (value, row), which is (value,
+/// slot) because slots keep the rows' ascending order, so each order is
+/// exactly what sorting the tree's rows again would give.
+pub(crate) struct SortedDesign {
+    /// The design transposed: row `f` holds feature `f` by row.
+    xt: Matrix,
+    /// Per feature, rows `0..n` by (value, row): `sorted[f * n..(f + 1) * n]`.
+    sorted: Vec<usize>,
+}
+
+impl SortedDesign {
+    /// Lays `x` out by feature and sorts each feature once.
+    pub(crate) fn new(x: &Matrix) -> SortedDesign {
+        let xt = x.transpose();
+        let sorted = sort_columns(xt.as_slice(), x.rows());
+        SortedDesign { xt, sorted }
+    }
+
+    /// The finder over `rows`, which must ascend, with each feature's
+    /// order filtered from the design's when `presort` is set.
+    fn finder(&self, rows: &[usize], presort: bool) -> Presorted {
+        assert!(
+            rows.windows(2).all(|w| w[0] < w[1]),
+            "an ensemble's tree rows must ascend"
+        );
+        let (n, m, p) = (self.xt.cols(), rows.len(), self.xt.rows());
+        let mut cols = Vec::with_capacity(m * p);
+        for f in 0..p {
+            let col = self.xt.row(f);
+            cols.extend(rows.iter().map(|&i| col[i]));
+        }
+        let mut sorted = Vec::new();
+        if presort {
+            // Each row's slot in the tree, or `usize::MAX` when it sits out.
+            let mut slot = vec![usize::MAX; n];
+            for (s, &i) in rows.iter().enumerate() {
+                slot[i] = s;
+            }
+            sorted.reserve_exact(m * p);
+            for order in self.sorted.chunks_exact(n.max(1)) {
+                sorted.extend(order.iter().map(|&i| slot[i]).filter(|&s| s != usize::MAX));
+            }
+        }
+        Presorted::with(m, p, cols, sorted)
+    }
+}
+
 #[derive(Debug, Clone)]
 enum Node {
     Leaf {
@@ -258,12 +320,43 @@ impl GhTree {
         cfg: &GhTreeConfig,
         rng: &mut StdRng,
     ) -> GhTree {
+        let finder = Presorted::new(x, rows, Self::scans_orders(cfg));
+        Self::grow(finder, grad, hess, rows, cfg, rng)
+    }
+
+    /// [`GhTree::fit`] over ascending `rows` of a design sorted once for
+    /// the whole ensemble: the same tree, without sorting again.
+    pub(crate) fn fit_sorted(
+        design: &SortedDesign,
+        grad: &[f64],
+        hess: &[f64],
+        rows: &[usize],
+        cfg: &GhTreeConfig,
+        rng: &mut StdRng,
+    ) -> GhTree {
+        let finder = design.finder(rows, Self::scans_orders(cfg));
+        Self::grow(finder, grad, hess, rows, cfg, rng)
+    }
+
+    /// Whether a fit under `cfg` scans sorted cut points at all.
+    fn scans_orders(cfg: &GhTreeConfig) -> bool {
+        !cfg.random_thresholds && cfg.max_depth > 0
+    }
+
+    fn grow(
+        finder: Presorted,
+        grad: &[f64],
+        hess: &[f64],
+        rows: &[usize],
+        cfg: &GhTreeConfig,
+        rng: &mut StdRng,
+    ) -> GhTree {
         let mut tree = GhTree {
             nodes: Vec::new(),
-            feature_gains: vec![0.0; x.cols()],
+            feature_gains: vec![0.0; finder.p],
         };
         let mut fit = GhFit {
-            finder: Presorted::new(x, rows, !cfg.random_thresholds && cfg.max_depth > 0),
+            finder,
             grad: rows.iter().map(|&i| grad[i]).collect(),
             hess: rows.iter().map(|&i| hess[i]).collect(),
         };
@@ -726,7 +819,7 @@ fn right_counts(rc: &mut [f64], counts: &[f64], lc: &[f64]) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rand::SeedableRng;
 
@@ -1135,7 +1228,7 @@ mod tests {
     /// A tie-heavy design: each column is constant, takes two or three
     /// distinct values, mixes -0.0 and +0.0, or is continuous on a coarse
     /// grid (so it ties too).
-    fn tie_heavy(n: usize, p: usize, rng: &mut StdRng) -> Matrix {
+    pub(crate) fn tie_heavy(n: usize, p: usize, rng: &mut StdRng) -> Matrix {
         let kinds: Vec<usize> = (0..p).map(|_| rng.gen_range(0..4)).collect();
         let levels = rng.gen_range(2..4);
         Matrix::from_fn(n, p, |_, j| match kinds[j] {
@@ -1156,7 +1249,7 @@ mod tests {
     }
 
     /// Every bit of a regression tree: its serialized nodes and gains.
-    fn gh_bits(tree: &GhTree) -> Vec<u8> {
+    pub(crate) fn gh_bits(tree: &GhTree) -> Vec<u8> {
         let mut w = crate::ser::Writer::new();
         tree.write_to(&mut w);
         w.finish()

@@ -38,8 +38,9 @@ proptest! {
     #[test]
     fn cd_objective_decreases_with_weaker_regularization(x in design(40, 2)) {
         let y: Vec<f64> = (0..40).map(|i| 3.0 * x.get(i, 0) - x.get(i, 1)).collect();
-        let weak = coordinate_descent(&x, &y, 1e-6, 1.0, Selection::Cyclic, 300, 1e-9, 0);
-        let strong = coordinate_descent(&x, &y, 1.0, 1.0, Selection::Cyclic, 300, 1e-9, 0);
+        let xt = x.transpose();
+        let weak = coordinate_descent(&xt, &y, 1e-6, 1.0, Selection::Cyclic, 300, 1e-9, 0);
+        let strong = coordinate_descent(&xt, &y, 1.0, 1.0, Selection::Cyclic, 300, 1e-9, 0);
         let sse = |coef: &[f64], b: f64| -> f64 {
             (0..40).map(|i| {
                 let p = ff_linalg::vector::dot(x.row(i), coef) + b;
