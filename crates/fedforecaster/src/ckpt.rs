@@ -475,8 +475,9 @@ impl Record {
     }
 
     /// Decodes a WAL payload. Any structural defect — wrong format
-    /// version, unknown tag, truncation, implausible length — is a
-    /// [`CkptError::Corrupt`], never a panic or unbounded allocation.
+    /// version, unknown tag, truncation, implausible length, bytes left
+    /// after the record — is a [`CkptError::Corrupt`], never a panic or
+    /// unbounded allocation.
     pub fn decode(payload: &[u8]) -> ff_ckpt::Result<Record> {
         let mut r = Reader::new(payload);
         let format = r.u32().map_err(bad)?;
@@ -523,6 +524,12 @@ impl Record {
             },
             t => return Err(CkptError::Corrupt(format!("unknown record tag {t}"))),
         };
+        if !r.is_exhausted() {
+            return Err(CkptError::Corrupt(format!(
+                "{} trailing bytes after a checkpoint record",
+                r.remaining()
+            )));
+        }
         Ok(rec)
     }
 }
@@ -826,6 +833,37 @@ mod tests {
             Record::decode(&format_1),
             Err(CkptError::Corrupt(m)) if m.contains("format 1")
         ));
+    }
+
+    #[test]
+    fn trailing_bytes_after_a_record_are_corrupt() {
+        let records = [
+            Record::RunStart {
+                seed: 42,
+                config_fp: 0xDEAD_BEEF,
+                n_clients: 3,
+            },
+            Record::PhaseDone { phase: 1, fp: 99 },
+            Record::TrialDone {
+                index: 5,
+                config_fp: 0xABCD,
+                loss: Some(0.125),
+                reports: vec![sample_report("optimization")],
+                snapshot: sample_snapshot(),
+            },
+            Record::RunDone { result_fp: 7 },
+        ];
+        for rec in records {
+            let mut bytes = rec.encode();
+            bytes.extend_from_slice(&[0xAA; 5]);
+            assert!(
+                matches!(
+                    Record::decode(&bytes),
+                    Err(CkptError::Corrupt(m)) if m.contains("5 trailing bytes")
+                ),
+                "{rec:?} decoded with trailing bytes"
+            );
+        }
     }
 
     #[test]
