@@ -13,7 +13,7 @@ use ff_metalearn::kb::KnowledgeBase;
 use ff_metalearn::metamodel::{MetaClassifierKind, MetaModel};
 use ff_timeseries::synthesis::{generate, SeasonSpec, SynthesisSpec, TrendSpec};
 use ff_timeseries::TimeSeries;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 const BUDGET: usize = 5;
@@ -40,12 +40,18 @@ fn federation() -> Vec<TimeSeries> {
     s.split_clients(3)
 }
 
-fn wal_path(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ff-crash-recovery-{}", std::process::id()));
+/// A log path, not yet written, in a fresh directory of its own; see
+/// [`clean_up`].
+fn scratch(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("ff-crash-recovery-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(name);
-    let _ = std::fs::remove_file(&path);
-    path
+    dir.join("log.wal")
+}
+
+/// Removes the directory [`scratch`] made for `path`.
+fn clean_up(path: &Path) {
+    let _ = std::fs::remove_dir_all(path.parent().unwrap());
 }
 
 /// The run's config; also sets the process-wide worker count the run
@@ -80,15 +86,14 @@ fn expect_injected_crash(result: Result<RunResult, EngineError>, what: &str) {
     }
 }
 
-/// Crashes a run at `point`, then resumes with the crash disarmed and
-/// returns the resumed result's fingerprint.
-fn crash_then_resume(name: &str, point: CrashPoint, threads: usize) -> u64 {
-    let path = wal_path(name);
-    let mut ck = CkptConfig::at(&path);
+/// Crashes a run logging to `path` at `point`, then resumes with the
+/// crash disarmed and returns the resumed result's fingerprint.
+fn crash_then_resume(path: &Path, point: CrashPoint, threads: usize) -> u64 {
+    let mut ck = CkptConfig::at(path);
     ck.crash = Some(point);
     let crashed = FedForecaster::new(cfg(Some(ck), threads), &train_meta()).run(&federation());
-    expect_injected_crash(crashed, name);
-    let resumed = FedForecaster::new(cfg(Some(CkptConfig::at(&path)), threads), &train_meta())
+    expect_injected_crash(crashed, &format!("{point:?}"));
+    let resumed = FedForecaster::new(cfg(Some(CkptConfig::at(path)), threads), &train_meta())
         .resume(&federation())
         .unwrap();
     run_fingerprint(&resumed)
@@ -96,7 +101,7 @@ fn crash_then_resume(name: &str, point: CrashPoint, threads: usize) -> u64 {
 
 #[test]
 fn checkpointed_run_matches_uncheckpointed_baseline() {
-    let path = wal_path("clean.wal");
+    let path = scratch("clean");
     let result = FedForecaster::new(cfg(Some(CkptConfig::at(&path)), 1), &train_meta())
         .run(&federation())
         .unwrap();
@@ -122,13 +127,16 @@ fn checkpointed_run_matches_uncheckpointed_baseline() {
         Record::RunDone { result_fp } => assert_eq!(*result_fp, fp),
         other => panic!("log should end with RunDone, got {other:?}"),
     }
+    clean_up(&path);
 }
 
 #[test]
 fn kill_after_each_trial_resumes_bit_identical() {
     for n in 1..=BUDGET as u32 {
-        let fp = crash_then_resume(&format!("trial{n}.wal"), CrashPoint::AfterTrial(n), 1);
+        let path = scratch(&format!("trial{n}"));
+        let fp = crash_then_resume(&path, CrashPoint::AfterTrial(n), 1);
         assert_eq!(fp, baseline_fp(), "resume after trial {n} diverged");
+        clean_up(&path);
     }
 }
 
@@ -136,16 +144,18 @@ fn kill_after_each_trial_resumes_bit_identical() {
 fn kill_after_record_resumes_bit_identical() {
     // Record 1 is the run header; 2–3 the phase commits; 4+ the trials.
     for n in [1u32, 2, 3, 4, 6] {
-        let fp = crash_then_resume(&format!("record{n}.wal"), CrashPoint::AfterRecord(n), 1);
+        let path = scratch(&format!("record{n}"));
+        let fp = crash_then_resume(&path, CrashPoint::AfterRecord(n), 1);
         assert_eq!(fp, baseline_fp(), "resume after record {n} diverged");
+        clean_up(&path);
     }
 }
 
 #[test]
 fn kill_mid_record_leaves_torn_tail_and_resumes_bit_identical() {
     for n in [1u32, 3, 5] {
-        let name = format!("midrecord{n}.wal");
-        let path = wal_path(&name);
+        let name = format!("midrecord{n}");
+        let path = scratch(&name);
         let mut ck = CkptConfig::at(&path);
         ck.crash = Some(CrashPoint::MidRecord(n));
         let crashed = FedForecaster::new(cfg(Some(ck), 1), &train_meta()).run(&federation());
@@ -162,6 +172,7 @@ fn kill_mid_record_leaves_torn_tail_and_resumes_bit_identical() {
             baseline_fp(),
             "resume over torn record {n} diverged"
         );
+        clean_up(&path);
     }
 }
 
@@ -170,8 +181,8 @@ fn resume_is_bit_identical_across_thread_counts() {
     // Crash single-threaded, resume on four workers — and vice versa.
     // The checkpoint fingerprint deliberately excludes the thread policy;
     // PR 5/6's determinism contract makes the results interchangeable.
+    let path = scratch("threads14");
     let fp_1_to_4 = {
-        let path = wal_path("threads14.wal");
         let mut ck = CkptConfig::at(&path);
         ck.crash = Some(CrashPoint::AfterTrial(3));
         expect_injected_crash(
@@ -184,8 +195,11 @@ fn resume_is_bit_identical_across_thread_counts() {
         run_fingerprint(&resumed)
     };
     assert_eq!(fp_1_to_4, baseline_fp(), "1-thread crash → 4-thread resume");
-    let fp_4_to_1 = crash_then_resume("threads41.wal", CrashPoint::AfterTrial(2), 4);
+    clean_up(&path);
+    let path = scratch("threads41");
+    let fp_4_to_1 = crash_then_resume(&path, CrashPoint::AfterTrial(2), 4);
     assert_eq!(fp_4_to_1, baseline_fp(), "4-thread crash → 1-thread resume");
+    clean_up(&path);
 }
 
 #[test]
@@ -204,8 +218,8 @@ fn corrupted_tail_after_crash_still_resumes_bit_identical() {
         }),
     ];
     for (what, corrupt_fn) in corruptions {
-        let name = format!("corrupt-{what}.wal");
-        let path = wal_path(&name);
+        let name = format!("corrupt-{what}");
+        let path = scratch(&name);
         let mut ck = CkptConfig::at(&path);
         ck.crash = Some(CrashPoint::AfterTrial(3));
         expect_injected_crash(
@@ -221,12 +235,13 @@ fn corrupted_tail_after_crash_still_resumes_bit_identical() {
             baseline_fp(),
             "resume after {what} tail diverged"
         );
+        clean_up(&path);
     }
 }
 
 #[test]
 fn resume_over_a_completed_log_reproduces_the_result() {
-    let path = wal_path("completed.wal");
+    let path = scratch("completed");
     let engine_cfg = cfg(Some(CkptConfig::at(&path)), 1);
     let first = FedForecaster::new(engine_cfg.clone(), &train_meta())
         .run(&federation())
@@ -253,16 +268,18 @@ fn resume_over_a_completed_log_reproduces_the_result() {
     expected.extend(std::iter::repeat_n("trial", first.evaluations));
     expected.push("done");
     assert_eq!(kinds, expected);
+    clean_up(&path);
 }
 
 #[test]
 fn resume_on_a_missing_log_degrades_to_a_fresh_run() {
-    let path = wal_path("never-written.wal");
+    let path = scratch("never-written");
     let result = FedForecaster::new(cfg(Some(CkptConfig::at(&path)), 1), &train_meta())
         .resume(&federation())
         .unwrap();
     assert_eq!(run_fingerprint(&result), baseline_fp());
     assert!(path.exists(), "the fresh run should have started a new log");
+    clean_up(&path);
 }
 
 #[test]
@@ -275,7 +292,7 @@ fn resume_without_checkpoint_config_is_refused() {
 
 #[test]
 fn log_from_a_different_run_is_refused() {
-    let path = wal_path("foreign.wal");
+    let path = scratch("foreign");
     let mut ck = CkptConfig::at(&path);
     ck.crash = Some(CrashPoint::AfterTrial(2));
     expect_injected_crash(
@@ -298,11 +315,12 @@ fn log_from_a_different_run_is_refused() {
     assert!(FedForecaster::new(other, &train_meta())
         .resume(&federation())
         .is_err());
+    clean_up(&path);
 }
 
 #[test]
 fn a_file_that_was_never_a_log_is_a_clean_error() {
-    let path = wal_path("nonsense.wal");
+    let path = scratch("nonsense");
     std::fs::write(&path, b"this was never a checkpoint log").unwrap();
     let err = FedForecaster::new(cfg(Some(CkptConfig::at(&path)), 1), &train_meta())
         .resume(&federation())
@@ -311,4 +329,5 @@ fn a_file_that_was_never_a_log_is_a_clean_error() {
         matches!(err, EngineError::Checkpoint(CkptError::Corrupt(_))),
         "got {err}"
     );
+    clean_up(&path);
 }

@@ -147,11 +147,11 @@ fn coordinate_median_with_guard_is_pinned() {
 #[test]
 fn checkpointed_run_resumed_after_trial_two_is_pinned() {
     let meta = train_meta();
+    let dir = std::env::temp_dir().join(format!("ff-engine-golden-{}-resume", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
     assert_pinned((0xf30d_9466_a988_fba7, 9630, 8886), |threads| {
-        let dir = std::env::temp_dir().join(format!("ff-engine-golden-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("resume-{threads}.wal"));
-        let _ = std::fs::remove_file(&path);
         let mut ck = CkptConfig::at(&path);
         ck.crash = Some(CrashPoint::AfterTrial(2));
         let crashed = FedForecaster::new(
@@ -174,6 +174,7 @@ fn checkpointed_run_resumed_after_trial_two_is_pinned() {
         .unwrap();
         pin(&result)
     });
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -72,13 +72,13 @@ pub fn append_garbage(path: &Path, bytes: usize, seed: u64) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::{clean_up, scratch};
     use crate::{read_wal, Wal};
     use std::path::PathBuf;
 
-    fn wal_with(n: u8, name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("ff-ckpt-corrupt-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(name);
+    /// A log of `n` records in `test`'s own scratch directory.
+    fn wal_with(n: u8, test: &str) -> PathBuf {
+        let path = scratch(test);
         let mut wal = Wal::create(&path).unwrap();
         for i in 0..n {
             wal.append(&[i; 64]).unwrap();
@@ -88,31 +88,34 @@ mod tests {
 
     #[test]
     fn truncation_loses_only_the_tail() {
-        let path = wal_with(5, "trunc.wal");
+        let path = wal_with(5, "corrupt-trunc");
         truncate_tail(&path, 10).unwrap();
         let read = read_wal(&path).unwrap();
         assert_eq!(read.records.len(), 4);
         assert!(read.is_torn());
+        clean_up(&path);
     }
 
     #[test]
     fn bit_flip_in_last_record_drops_it() {
-        let path = wal_with(3, "flip.wal");
+        let path = wal_with(3, "corrupt-flip");
         let len = std::fs::metadata(&path).unwrap().len();
         flip_bit(&path, len - 20, 3).unwrap();
         let read = read_wal(&path).unwrap();
         assert_eq!(read.records.len(), 2, "CRC must catch the flipped bit");
         assert!(read.is_torn());
         assert!(flip_bit(&path, len + 5, 0).is_err());
+        clean_up(&path);
     }
 
     #[test]
     fn garbage_tail_is_discarded() {
-        let path = wal_with(2, "garbage.wal");
+        let path = wal_with(2, "corrupt-garbage");
         append_garbage(&path, 37, 99).unwrap();
         let read = read_wal(&path).unwrap();
         assert_eq!(read.records.len(), 2);
         assert!(read.is_torn());
         assert_eq!(read.dropped_bytes, 37);
+        clean_up(&path);
     }
 }

@@ -362,10 +362,17 @@ pub fn read_wal(path: &Path) -> Result<WalRead> {
 mod tests {
     use super::*;
 
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("ff-ckpt-test-{}", std::process::id()));
+    /// A log file path in a fresh per-test directory; see [`clean_up`].
+    pub(crate) fn scratch(test: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("ff-ckpt-test-{}-{test}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
+        dir.join("log.wal")
+    }
+
+    /// Removes the directory [`scratch`] made for `path`.
+    pub(crate) fn clean_up(path: &Path) {
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 
     #[test]
@@ -377,7 +384,7 @@ mod tests {
 
     #[test]
     fn append_read_roundtrip() {
-        let path = tmp("roundtrip.wal");
+        let path = scratch("roundtrip");
         let mut wal = Wal::create(&path).unwrap();
         for i in 0..10u8 {
             wal.append(&[i; 33]).unwrap();
@@ -388,23 +395,25 @@ mod tests {
         assert_eq!(read.records[7], vec![7u8; 33]);
         assert!(!read.is_torn());
         assert_eq!(read.valid_len, wal.bytes());
+        clean_up(&path);
     }
 
     #[test]
     fn empty_records_and_empty_log_are_fine() {
-        let path = tmp("empty.wal");
+        let path = scratch("empty");
         let mut wal = Wal::create(&path).unwrap();
         wal.append(&[]).unwrap();
         let read = read_wal(&path).unwrap();
         assert_eq!(read.records, vec![Vec::<u8>::new()]);
-        let path2 = tmp("empty2.wal");
+        let path2 = path.with_file_name("empty.wal");
         Wal::create(&path2).unwrap();
         assert!(read_wal(&path2).unwrap().records.is_empty());
+        clean_up(&path);
     }
 
     #[test]
     fn open_append_continues_the_log() {
-        let path = tmp("reopen.wal");
+        let path = scratch("reopen");
         let mut wal = Wal::create(&path).unwrap();
         wal.append(b"one").unwrap();
         drop(wal);
@@ -414,11 +423,12 @@ mod tests {
         assert_eq!(wal.records(), 2);
         let read = read_wal(&path).unwrap();
         assert_eq!(read.records, vec![b"one".to_vec(), b"two".to_vec()]);
+        clean_up(&path);
     }
 
     #[test]
     fn open_append_at_a_prefix_drops_the_later_records() {
-        let path = tmp("prefix.wal");
+        let path = scratch("prefix");
         let mut wal = Wal::create(&path).unwrap();
         for i in 0..5u8 {
             wal.append(&vec![i; i as usize]).unwrap();
@@ -434,11 +444,12 @@ mod tests {
         assert_eq!(read.records, vec![vec![], vec![1u8], b"next".to_vec()]);
         assert!(!read.is_torn());
         assert_eq!(read.valid_len, wal.bytes());
+        clean_up(&path);
     }
 
     #[test]
     fn mid_record_crash_leaves_recoverable_torn_tail() {
-        let path = tmp("torn.wal");
+        let path = scratch("torn");
         let mut wal = Wal::create(&path).unwrap();
         wal.arm_crash(Some(CrashPoint::MidRecord(3)));
         wal.append(b"alpha").unwrap();
@@ -454,11 +465,12 @@ mod tests {
         let read = read_wal(&path).unwrap();
         assert_eq!(read.records.len(), 3);
         assert!(!read.is_torn());
+        clean_up(&path);
     }
 
     #[test]
     fn after_record_crash_is_durable_first() {
-        let path = tmp("after.wal");
+        let path = scratch("after");
         let mut wal = Wal::create(&path).unwrap();
         wal.arm_crash(Some(CrashPoint::AfterRecord(2)));
         wal.append(b"a").unwrap();
@@ -467,11 +479,12 @@ mod tests {
         let read = read_wal(&path).unwrap();
         assert_eq!(read.records.len(), 2, "the crashing append was durable");
         assert!(!read.is_torn());
+        clean_up(&path);
     }
 
     #[test]
     fn oversized_record_rejected_on_both_ends() {
-        let path = tmp("oversize.wal");
+        let path = scratch("oversize");
         let mut wal = Wal::create(&path).unwrap();
         wal.append(b"fine").unwrap();
         // Forge a frame claiming a huge length: the reader must stop at
@@ -483,14 +496,16 @@ mod tests {
         let read = read_wal(&path).unwrap();
         assert_eq!(read.records.len(), 1);
         assert!(read.is_torn());
+        clean_up(&path);
     }
 
     #[test]
     fn missing_magic_is_corrupt_not_panic() {
-        let path = tmp("nomagic.wal");
+        let path = scratch("nomagic");
         std::fs::write(&path, b"whatever this is").unwrap();
         assert!(matches!(read_wal(&path), Err(CkptError::Corrupt(_))));
         std::fs::write(&path, b"abc").unwrap();
         assert!(matches!(read_wal(&path), Err(CkptError::Corrupt(_))));
+        clean_up(&path);
     }
 }

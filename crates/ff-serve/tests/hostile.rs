@@ -97,17 +97,23 @@ fn open_bounded(raw: &[u8]) -> Result<Artifact, ArtifactError> {
     bounded(raw.len(), || Artifact::open(raw))
 }
 
-/// A scratch directory unique to this test process.
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ff-serve-hostile-{}", std::process::id()));
+/// An artifact path in a fresh per-test directory; see [`clean_up`].
+fn scratch(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("ff-serve-hostile-{}-{test}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("scratch dir");
-    dir.join(name)
+    dir.join("artifact.ffsv")
+}
+
+/// Removes the directory [`scratch`] made for `path`.
+fn clean_up(path: &Path) {
+    let _ = std::fs::remove_dir_all(path.parent().expect("scratch dir"));
 }
 
 #[test]
 fn truncation_at_every_depth_is_a_typed_error() {
     let sealed = v3_artifact(1).seal();
-    let path = scratch("truncated.ffsv");
+    let path = scratch("truncated");
     for keep in (0..sealed.len()).step_by(7).chain([sealed.len() - 1]) {
         std::fs::write(&path, &sealed).expect("write");
         truncate_tail(&path, (sealed.len() - keep) as u64).expect("truncate");
@@ -122,12 +128,13 @@ fn truncation_at_every_depth_is_a_typed_error() {
             "keep {keep}: unexpected {err:?}"
         );
     }
+    clean_up(&path);
 }
 
 #[test]
 fn bit_flips_anywhere_in_the_file_are_caught() {
     let sealed = v2_artifact(2, &[1, 2, 12]).seal();
-    let path = scratch("flipped.ffsv");
+    let path = scratch("flipped");
     for offset in (0..sealed.len()).step_by(11) {
         for bit in [0u8, 3, 7] {
             std::fs::write(&path, &sealed).expect("write");
@@ -144,12 +151,13 @@ fn bit_flips_anywhere_in_the_file_are_caught() {
             );
         }
     }
+    clean_up(&path);
 }
 
 #[test]
 fn appended_garbage_breaks_the_checksum() {
     let sealed = v3_artifact(3).seal();
-    let path = scratch("garbage.ffsv");
+    let path = scratch("garbage");
     for n in [1usize, 13, 4096] {
         std::fs::write(&path, &sealed).expect("write");
         append_garbage(&path, n, 0xF0F0 + n as u64).expect("append");
@@ -159,11 +167,12 @@ fn appended_garbage_breaks_the_checksum() {
             "{n} garbage bytes: unexpected {err:?}"
         );
     }
+    clean_up(&path);
 }
 
 #[test]
 fn pure_garbage_files_are_typed_errors_not_panics() {
-    let path = scratch("noise.ffsv");
+    let path = scratch("noise");
     for seed in 0..16u64 {
         let n = (seed as usize * 37) % 512;
         std::fs::write(&path, vec![]).expect("write");
@@ -173,6 +182,7 @@ fn pure_garbage_files_are_typed_errors_not_panics() {
             "{n} noise bytes opened as an artifact"
         );
     }
+    clean_up(&path);
 }
 
 /// Re-seals arbitrary payload bytes behind a *valid* frame: correct
