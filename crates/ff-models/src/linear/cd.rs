@@ -61,7 +61,7 @@ pub struct CdFit {
 /// when the largest coefficient update in a pass falls below `tol`.
 ///
 /// # Panics
-/// Panics if `y` is longer than the design's columns.
+/// Panics if `y` has more entries than the design has rows (`xt.cols()`).
 #[allow(clippy::too_many_arguments)] // solver knobs are clearest as a flat list
 pub fn coordinate_descent(
     xt: &Matrix,

@@ -9,9 +9,10 @@
 //!
 //! Both trees search exact-greedy splits through one presorted finder:
 //! each fit sorts every feature once, and each split carries those orders
-//! into its children in linear time. The trees it builds are bit-identical
-//! to sorting every node's rows per feature (the reference the unit tests
-//! compare against).
+//! into its children in linear time. A boosted ensemble sorts its design
+//! once for all its rounds (`GhTree::fit_sorted`). The trees it builds
+//! are bit-identical to sorting every node's rows per feature (the
+//! reference the unit tests compare against).
 
 use ff_linalg::Matrix;
 use rand::rngs::StdRng;
