@@ -81,9 +81,7 @@ impl GaussianProcess {
         let n = xs.len();
         let (ys_n, y_mean, y_std) = standardize(ys);
 
-        // Kernel entries are pairwise-independent, so the parallel fill is
-        // bit-identical to the sequential one at any thread count.
-        let mut k = Matrix::from_fn_par(n, n, |i, j| kernel.eval(&xs[i], &xs[j]));
+        let mut k = Matrix::from_fn(n, n, |i, j| kernel.eval(&xs[i], &xs[j]));
         k.add_diagonal(diagonal_noise(noise));
         let factor =
             CholeskyFactor::new_with_jitter(&k, JITTER, JITTER_TRIES).map_err(numerical)?;

@@ -10,12 +10,11 @@
 //! `fl.*` counters, and commits one flight-recorder frame.
 //! [`run_round`] returns the healthy replies; the caller screens them
 //! ([`UpdateGuard`](crate::robust::UpdateGuard)) and aggregates them
-//! ([`AggregationStrategy`](crate::robust::AggregationStrategy)). A round
-//! with a deadline runs on the hosts, so a hung client can be abandoned;
-//! one without a deadline has nothing to abandon and runs on the `ff-par`
-//! pool in tasks of about eight clients. Either way replies come back
-//! sorted by client id and the partition depends only on the round, so
-//! results do not depend on `FF_THREADS`.
+//! ([`AggregationStrategy`](crate::robust::AggregationStrategy)). Every
+//! round runs on the hosts: under a deadline a host that misses it is
+//! abandoned, and without one the round waits for every host. Replies
+//! come back sorted by client id and the partition depends only on the
+//! federation size, so results do not depend on `FF_THREADS`.
 //!
 //! [`run_round`]: FederatedRuntime::run_round
 
@@ -30,7 +29,6 @@ use ff_trace::{FlightRecorder, RoundFrame, Tracer};
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -39,10 +37,6 @@ use std::time::{Duration, Instant};
 /// pool; capping the host count bounds a 10,000-client fleet to 64
 /// threads while federations of up to 64 clients keep one per client.
 pub const MAX_HOSTS: usize = 64;
-
-/// Clients per ff-par task in rounds without a deadline: smaller rounds
-/// run on the calling thread instead of paying for worker spawns.
-const MIN_TASK: usize = 8;
 
 /// Per-round fault-tolerance policy.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -183,11 +177,6 @@ struct HostOut {
 }
 
 struct Host {
-    /// Id of the host's first client.
-    first: usize,
-    /// The host's clients, driven by the host thread — or, in rounds
-    /// without a deadline, by whichever thread locks them.
-    clients: Arc<Mutex<Vec<Box<dyn FlClient>>>>,
     /// Jobs over the host's admitted clients, in id order. `None` once
     /// shut down: a closed channel stops the host.
     tx: Option<Sender<(Job, Vec<usize>)>>,
@@ -279,63 +268,43 @@ fn drive(client: &mut dyn FlClient, id: usize, encoded: &Bytes) -> (Option<Bytes
     (Some(raw.clone()), Reply::decode(raw))
 }
 
-/// A job's results in the making: one host's batch, or in a
-/// deadline-free round one pool task's run of hosts, in id order.
-struct JobRun<'a> {
-    job: &'a Job,
-    outcomes: Vec<(usize, Result<Reply>)>,
-    /// Raw replies, logged once per job so parallel jobs do not contend
-    /// on the log per message.
-    raws: Vec<(usize, Bytes)>,
-}
-
-impl<'a> JobRun<'a> {
-    fn new(job: &'a Job) -> JobRun<'a> {
-        JobRun {
-            job,
-            outcomes: Vec::new(),
-            raws: Vec::new(),
-        }
-    }
-
-    /// Drives `ids` of the host whose clients start at id `first`.
-    fn drive(&mut self, first: usize, clients: &mut [Box<dyn FlClient>], ids: &[usize]) {
-        for &id in ids {
-            let outcome = if self.job.deadline.is_some_and(|at| Instant::now() >= at) {
-                Err(FlError::Timeout(id))
-            } else {
-                let (raw, reply) = drive(clients[id - first].as_mut(), id, &self.job.encoded);
-                self.raws.extend(raw.map(|raw| (id, raw)));
-                match reply {
-                    Ok(Reply::Panicked(_)) => Err(FlError::ClientPanicked(id)),
-                    other => other,
-                }
-            };
-            self.outcomes.push((id, outcome));
-        }
-    }
-
-    fn finish(self, log: &MessageLog) -> HostOut {
-        let raws = self.raws.iter().map(|(id, raw)| (*id, &raw[..]));
-        log.record_all(Direction::ToServer, raws);
-        HostOut {
-            seq: self.job.seq,
-            outcomes: self.outcomes,
-        }
-    }
-}
-
+/// Drives the host's clients, which start at id `first`, through each
+/// job's ids in order. A client the host cannot start before the job's
+/// deadline times out without being driven.
 fn host_loop(
     first: usize,
-    clients: Arc<Mutex<Vec<Box<dyn FlClient>>>>,
+    mut clients: Vec<Box<dyn FlClient>>,
     log: MessageLog,
     rx: Receiver<(Job, Vec<usize>)>,
     tx: Sender<HostOut>,
 ) {
     while let Ok((job, ids)) = rx.recv() {
-        let mut run = JobRun::new(&job);
-        run.drive(first, &mut clients.lock(), &ids);
-        if tx.send(run.finish(&log)).is_err() {
+        let mut outcomes = Vec::with_capacity(ids.len());
+        // Raw replies, logged once per job so hosts do not contend on the
+        // log per message.
+        let mut raws: Vec<(usize, Bytes)> = Vec::new();
+        for id in ids {
+            let outcome = if job.deadline.is_some_and(|at| Instant::now() >= at) {
+                Err(FlError::Timeout(id))
+            } else {
+                let (raw, reply) = drive(clients[id - first].as_mut(), id, &job.encoded);
+                raws.extend(raw.map(|raw| (id, raw)));
+                match reply {
+                    Ok(Reply::Panicked(_)) => Err(FlError::ClientPanicked(id)),
+                    other => other,
+                }
+            };
+            outcomes.push((id, outcome));
+        }
+        log.record_all(
+            Direction::ToServer,
+            raws.iter().map(|(id, raw)| (*id, &raw[..])),
+        );
+        let out = HostOut {
+            seq: job.seq,
+            outcomes,
+        };
+        if tx.send(out).is_err() {
             return;
         }
     }
@@ -393,15 +362,13 @@ impl FederatedRuntime {
         let mut clients = clients.into_iter();
         let hosts = (0..n.div_ceil(per_host))
             .map(|h| {
-                let mine = Arc::new(Mutex::new(clients.by_ref().take(per_host).collect()));
+                let mine = clients.by_ref().take(per_host).collect();
                 let (tx, host_rx) = unbounded();
                 let (host_tx, rx) = unbounded();
-                let (first, log, shared) = (h * per_host, log.clone(), mine.clone());
+                let (first, log) = (h * per_host, log.clone());
                 let join =
-                    std::thread::spawn(move || host_loop(first, shared, log, host_rx, host_tx));
+                    std::thread::spawn(move || host_loop(first, mine, log, host_rx, host_tx));
                 Host {
-                    first,
-                    clients: mine,
                     tx: Some(tx),
                     rx,
                     join: Some(join),
@@ -542,15 +509,6 @@ impl FederatedRuntime {
             let batches: Vec<&[usize]> = pending
                 .chunk_by(|a, b| a / self.per_host == b / self.per_host)
                 .collect();
-            // Without a deadline there is no hung client to abandon, so
-            // the ff-par pool drives the hosts' clients directly in tasks
-            // of about MIN_TASK clients, and the round skips two thread
-            // handoffs per host.
-            let per_task = match deadline {
-                None => MIN_TASK.div_ceil(pending.len() / batches.len()),
-                Some(_) => 1,
-            };
-            let jobs: Vec<&[&[usize]]> = batches.chunks(per_task).collect();
             self.log.record_all(
                 Direction::ToClient,
                 pending.iter().map(|&id| (id, &encoded[..])),
@@ -561,39 +519,16 @@ impl FederatedRuntime {
                 encoded: encoded.clone(),
                 deadline,
             };
-            let outs: Vec<std::result::Result<HostOut, Vec<(usize, FlError)>>> = match deadline {
-                None => ff_par::par_map_indexed(&jobs, |_, task| {
-                    let mut run = JobRun::new(&job);
-                    for ids in task.iter() {
-                        let host = host_of(ids);
-                        run.drive(host.first, &mut host.clients.lock(), ids);
-                    }
-                    Ok(run.finish(&self.log))
-                }),
-                Some(_) => {
-                    let seqs: Vec<Option<u64>> = batches
-                        .iter()
-                        .map(|ids| host_of(ids).send(&job, ids))
-                        .collect();
-                    (batches.iter().zip(seqs))
-                        .map(|(ids, seq)| {
-                            let out = match seq {
-                                Some(seq) => host_of(ids).collect(seq, deadline),
-                                None => Err(RecvTimeoutError::Disconnected),
-                            };
-                            out.map_err(|lost| {
-                                let error: fn(usize) -> FlError = match lost {
-                                    RecvTimeoutError::Timeout => FlError::Timeout,
-                                    RecvTimeoutError::Disconnected => FlError::ClientUnavailable,
-                                };
-                                ids.iter().map(|&id| (id, error(id))).collect()
-                            })
-                        })
-                        .collect()
-                }
-            };
+            let seqs: Vec<Option<u64>> = batches
+                .iter()
+                .map(|ids| host_of(ids).send(&job, ids))
+                .collect();
             let mut failures: Vec<(usize, FlError)> = Vec::new();
-            for out in outs {
+            for (ids, seq) in batches.iter().zip(seqs) {
+                let out = match seq {
+                    Some(seq) => host_of(ids).collect(seq, deadline),
+                    None => Err(RecvTimeoutError::Disconnected),
+                };
                 match out {
                     Ok(out) => {
                         for (id, outcome) in out.outcomes {
@@ -603,7 +538,13 @@ impl FederatedRuntime {
                             }
                         }
                     }
-                    Err(lost) => failures.extend(lost),
+                    Err(lost) => {
+                        let error: fn(usize) -> FlError = match lost {
+                            RecvTimeoutError::Timeout => FlError::Timeout,
+                            RecvTimeoutError::Disconnected => FlError::ClientUnavailable,
+                        };
+                        failures.extend(ids.iter().map(|&id| (id, error(id))));
+                    }
                 }
             }
             let misses = failures

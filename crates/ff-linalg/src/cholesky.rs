@@ -3,9 +3,10 @@
 //! Used by the Gaussian-process surrogate in `ff-bayesopt` and by ridge
 //! solvers: for a symmetric positive-definite `A`, computes lower-triangular
 //! `L` with `L Lᵀ = A`, then solves `A x = b` by forward/back substitution.
-//! A factor can also grow by one bordered row at a time
-//! ([`CholeskyFactor::push_row`], [`GrowingCholesky`]), bit for bit what
-//! factoring the grown matrix from scratch gives.
+//! [`CholeskyFactor::new`] grows its factor one bordered row at a time
+//! ([`CholeskyFactor::push_row`]), so a factor grown row by row, as
+//! [`GrowingCholesky`] grows one, is bit for bit what factoring the grown
+//! matrix from scratch gives.
 
 use crate::{LinalgError, Matrix, Result};
 
@@ -31,12 +32,9 @@ impl CholeskyFactor {
     /// is encountered; callers that work with nearly-singular kernels should
     /// prefer [`CholeskyFactor::new_with_jitter`].
     ///
-    /// Large matrices use a blocked right-looking sweep whose trailing
-    /// update runs row-parallel on the ff-par pool. Every element's
-    /// subtractions are still applied in ascending-`k` order starting from
-    /// `a[i][j]`, exactly as the textbook left-looking loop does, so the
-    /// factor (and the first failing pivot, if any) is bit-identical to the
-    /// sequential algorithm at every thread count.
+    /// The factor grows one row at a time through
+    /// [`push_row`](Self::push_row), whose entries are the textbook
+    /// left-looking sums in ascending `k`.
     pub fn new(a: &Matrix) -> Result<Self> {
         if a.rows() != a.cols() {
             return Err(LinalgError::DimensionMismatch {
@@ -48,78 +46,14 @@ impl CholeskyFactor {
         if n == 0 {
             return Err(LinalgError::Empty);
         }
-        /// Columns factored per panel before the trailing update.
-        const PANEL: usize = 32;
-        // Seed the lower triangle with `a`; partial sums live in place
-        // between panels (f64 stores are exact, so spilling the running sum
-        // to memory does not change its bits).
-        let mut l = Matrix::zeros(n, n);
+        let mut factor = CholeskyFactor {
+            packed: Vec::with_capacity(row_start(n)),
+            n: 0,
+        };
         for i in 0..n {
-            for j in 0..=i {
-                l.set(i, j, a.get(i, j));
-            }
+            factor.push_row(&a.row(i)[..=i])?;
         }
-        let mut p0 = 0;
-        while p0 < n {
-            let p1 = (p0 + PANEL).min(n);
-            // Factor the panel columns sequentially (each column depends on
-            // the previous ones).
-            for j in p0..p1 {
-                let mut sum = l.get(j, j);
-                for k in p0..j {
-                    sum -= l.get(j, k) * l.get(j, k);
-                }
-                if sum <= 0.0 || !sum.is_finite() {
-                    return Err(LinalgError::NotPositiveDefinite);
-                }
-                let d = sum.sqrt();
-                l.set(j, j, d);
-                for i in (j + 1)..n {
-                    let mut sum = l.get(i, j);
-                    for k in p0..j {
-                        sum -= l.get(i, k) * l.get(j, k);
-                    }
-                    l.set(i, j, sum / d);
-                }
-            }
-            if p1 < n {
-                Self::trailing_update(&mut l, n, p0, p1);
-            }
-            p0 = p1;
-        }
-        let mut packed = Vec::with_capacity(row_start(n + 1));
-        for i in 0..n {
-            packed.extend_from_slice(&l.row(i)[..=i]);
-        }
-        Ok(CholeskyFactor { packed, n })
-    }
-
-    /// Subtracts the factored panel's contribution `Σ_{k∈[p0,p1)} L_ik·L_jk`
-    /// from every trailing element `(i, j)` with `p1 ≤ j ≤ i`. Rows are
-    /// independent, so the update is chunked over rows on the ff-par pool;
-    /// the panel is snapshotted first so workers only read immutable data.
-    fn trailing_update(l: &mut Matrix, n: usize, p0: usize, p1: usize) {
-        let pw = p1 - p0;
-        let panel: Vec<f64> = (p0..n)
-            .flat_map(|i| l.row(i)[p0..p1].iter().copied())
-            .collect();
-        let rows_per = ff_par::partition_len(n - p1, 8);
-        let tail = &mut l.as_mut_slice()[p1 * n..];
-        ff_par::par_chunks_mut(tail, rows_per * n, |c, chunk| {
-            let base = p1 + c * rows_per;
-            for (r, row) in chunk.chunks_mut(n).enumerate() {
-                let i = base + r;
-                let pi = &panel[(i - p0) * pw..(i - p0 + 1) * pw];
-                for j in p1..=i {
-                    let pj = &panel[(j - p0) * pw..(j - p0 + 1) * pw];
-                    let mut sum = row[j];
-                    for (x, y) in pi.iter().zip(pj) {
-                        sum -= x * y;
-                    }
-                    row[j] = sum;
-                }
-            }
-        });
+        Ok(factor)
     }
 
     /// Factorizes `A + jitter·I`, growing the jitter geometrically (×10,
@@ -148,11 +82,11 @@ impl CholeskyFactor {
     /// matrix, extends `L` to factor the grown matrix in O(n²).
     ///
     /// The leading rows of a Cholesky factor depend only on the leading
-    /// block of the matrix, and the new row's entries are the textbook
-    /// left-looking sums in ascending `k`, so the result is bit-identical
-    /// to [`CholeskyFactor::new`] of the grown matrix. A non-positive or
-    /// non-finite new pivot returns [`LinalgError::NotPositiveDefinite`]
-    /// and leaves the factor as it was.
+    /// block of the matrix, and [`CholeskyFactor::new`] grows its factor
+    /// by this same row step, so the result is bit-identical to `new` of
+    /// the grown matrix. A non-positive or non-finite new pivot returns
+    /// [`LinalgError::NotPositiveDefinite`] and leaves the factor as it
+    /// was.
     pub fn push_row(&mut self, row: &[f64]) -> Result<()> {
         let n = self.n;
         if row.len() != n + 1 {
@@ -519,8 +453,7 @@ mod tests {
         assert!((f.log_det() - 36.0_f64.ln()).abs() < 1e-12);
     }
 
-    /// The textbook left-looking loop the blocked algorithm must match
-    /// bit-for-bit.
+    /// The textbook left-looking loop the factor must match bit-for-bit.
     fn reference_left_looking(a: &Matrix) -> Result<Matrix> {
         let n = a.rows();
         let mut l = Matrix::zeros(n, n);
@@ -543,7 +476,7 @@ mod tests {
         Ok(l)
     }
 
-    /// A well-conditioned SPD matrix big enough to span several panels.
+    /// A well-conditioned SPD matrix.
     fn spd_large(n: usize) -> Matrix {
         Matrix::from_fn(n, n, |i, j| {
             let d = if i == j { n as f64 } else { 0.0 };
@@ -552,8 +485,7 @@ mod tests {
     }
 
     #[test]
-    fn blocked_factor_matches_left_looking_bitwise() {
-        // Sizes straddling the 32-column panel width, including ragged tails.
+    fn factor_matches_left_looking_bitwise() {
         for n in [1usize, 7, 31, 32, 33, 97, 130] {
             let a = spd_large(n);
             let reference = reference_left_looking(&a).unwrap();
@@ -567,7 +499,7 @@ mod tests {
     }
 
     #[test]
-    fn blocked_factor_fails_exactly_like_left_looking() {
+    fn factor_fails_exactly_like_left_looking() {
         // SPD except one late diagonal entry is poisoned: both algorithms
         // must agree that the factorization fails (same first bad pivot).
         let n = 70;
@@ -580,31 +512,8 @@ mod tests {
         }
     }
 
-    /// Grows a factor from empty by one bordered row per row of `a`.
-    fn grown(a: &Matrix) -> Result<CholeskyFactor> {
-        let mut f = CholeskyFactor::default();
-        for i in 0..a.rows() {
-            f.push_row(&a.row(i)[..=i])?;
-        }
-        Ok(f)
-    }
-
     fn bits(f: &CholeskyFactor) -> Vec<u64> {
         f.packed.iter().map(|v| v.to_bits()).collect()
-    }
-
-    #[test]
-    fn bordered_appends_match_new_bitwise() {
-        // Sizes straddling `new`'s 32-column panel width.
-        for n in [1usize, 31, 32, 33, 97] {
-            let a = spd_large(n);
-            let appended = grown(&a).unwrap();
-            assert_eq!(appended.dim(), n);
-            for &threads in &[1usize, 2, 8] {
-                let f = ff_par::with_threads(threads, || CholeskyFactor::new(&a).unwrap());
-                assert_eq!(bits(&appended), bits(&f), "n={n} threads={threads}");
-            }
-        }
     }
 
     #[test]

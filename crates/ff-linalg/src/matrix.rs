@@ -80,32 +80,6 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
-    /// Like [`Matrix::from_fn`] but fills row blocks on the ff-par pool.
-    ///
-    /// Every cell is written exactly once by `f(i, j)`, so the result is
-    /// bit-identical to `from_fn` at any thread count. Small matrices stay
-    /// on the calling thread; the cutoff is on cell count, not threads, so
-    /// the sequential/parallel decision is itself deterministic.
-    pub fn from_fn_par(rows: usize, cols: usize, f: impl Fn(usize, usize) -> f64 + Sync) -> Self {
-        /// Below this many cells, spawn overhead beats the fill work.
-        const PAR_MIN_CELLS: usize = 4096;
-        if rows * cols < PAR_MIN_CELLS {
-            return Self::from_fn(rows, cols, f);
-        }
-        let mut m = Matrix::zeros(rows, cols);
-        let rows_per = ff_par::partition_len(rows, 1);
-        ff_par::par_chunks_mut(&mut m.data, rows_per * cols, |c, chunk| {
-            let base = c * rows_per;
-            for (r, row) in chunk.chunks_mut(cols).enumerate() {
-                let i = base + r;
-                for (j, v) in row.iter_mut().enumerate() {
-                    *v = f(i, j);
-                }
-            }
-        });
-        m
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -176,10 +150,6 @@ impl Matrix {
     ///
     /// Uses an i-k-j loop order so the inner loop streams contiguously over
     /// rows of `rhs`, which is markedly faster than the naive i-j-k order.
-    ///
-    /// Large products run row-parallel on the ff-par pool: each output row
-    /// is produced whole by one task with the identical k-ascending inner
-    /// loop, so the product is bit-identical at every thread count.
     pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix> {
         if self.cols != rhs.rows {
             return Err(LinalgError::DimensionMismatch {
@@ -188,20 +158,15 @@ impl Matrix {
             });
         }
         let mut out = Matrix::zeros(self.rows, rhs.cols);
-        /// Below ~128·128·8 multiply-adds, spawn overhead dominates.
-        const PAR_MIN_FLOPS: usize = 131_072;
-        if rhs.cols > 0 && self.rows * self.cols * rhs.cols >= PAR_MIN_FLOPS {
-            let rows_per = ff_par::partition_len(self.rows, 4);
-            ff_par::par_chunks_mut(&mut out.data, rows_per * rhs.cols, |c, chunk| {
-                let base = c * rows_per;
-                for (r, out_row) in chunk.chunks_mut(rhs.cols).enumerate() {
-                    mul_row_into(self.row(base + r), rhs, out_row);
+        for i in 0..self.rows {
+            let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
+            for (k, &a) in self.row(i).iter().enumerate() {
+                if a == 0.0 {
+                    continue;
                 }
-            });
-        } else {
-            for i in 0..self.rows {
-                let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-                mul_row_into(self.row(i), rhs, out_row);
+                for (o, &b) in out_row.iter_mut().zip(rhs.row(k)) {
+                    *o += a * b;
+                }
             }
         }
         Ok(out)
@@ -324,21 +289,6 @@ impl Matrix {
     }
 }
 
-/// One output row of `lhs_row · rhs`, accumulated in k-ascending order.
-/// Shared by the sequential and row-parallel matmul paths so both execute
-/// the exact same floating-point operation sequence per row.
-fn mul_row_into(lhs_row: &[f64], rhs: &Matrix, out_row: &mut [f64]) {
-    for (k, &a) in lhs_row.iter().enumerate() {
-        if a == 0.0 {
-            continue;
-        }
-        let rhs_row = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
-        for (o, &b) in out_row.iter_mut().zip(rhs_row) {
-            *o += a * b;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -412,7 +362,6 @@ mod tests {
 
     #[test]
     fn matmul_is_bit_identical_across_thread_counts() {
-        // 80×80 crosses the parallel flop cutoff (80³ > 131_072).
         let n = 80;
         let a = Matrix::from_fn(n, n, |i, j| ((i * 31 + j * 17) as f64).sin());
         let b = Matrix::from_fn(n, n, |i, j| ((i * 13 + j * 7) as f64).cos());
@@ -421,18 +370,6 @@ mod tests {
             let par = ff_par::with_threads(threads, || a.matmul(&b).unwrap());
             for (x, y) in par.as_slice().iter().zip(seq.as_slice()) {
                 assert_eq!(x.to_bits(), y.to_bits(), "threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn from_fn_par_matches_from_fn_bitwise() {
-        let f = |i: usize, j: usize| 1.0 / ((i * 97 + j) as f64 + 0.5);
-        for (rows, cols) in [(3, 5), (70, 70), (129, 33)] {
-            let seq = Matrix::from_fn(rows, cols, f);
-            for &threads in &[1usize, 2, 8] {
-                let par = ff_par::with_threads(threads, || Matrix::from_fn_par(rows, cols, f));
-                assert_eq!(par, seq, "{rows}x{cols} threads={threads}");
             }
         }
     }

@@ -22,10 +22,6 @@ fn derive_tree_seed(seed: u64, tree: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Below this many row-predictions, per-row parallel prediction costs more
-/// in pool spawns than it saves.
-const PAR_MIN_PREDICTIONS: usize = 4096;
-
 /// Bagged regression forest.
 #[derive(Debug, Clone)]
 pub struct RandomForestRegressor {
@@ -125,16 +121,12 @@ impl Regressor for RandomForestRegressor {
         if self.trees.is_empty() {
             return Err(ModelError::NotFitted);
         }
-        let predict_row = |i: usize| {
-            let row = x.row(i);
-            self.trees.iter().map(|t| t.predict_row(row)).sum::<f64>() / self.trees.len() as f64
-        };
-        // Rows are independent; small batches stay on the calling thread.
-        if x.rows() * self.trees.len() >= PAR_MIN_PREDICTIONS {
-            Ok(ff_par::run_indexed(x.rows(), predict_row))
-        } else {
-            Ok((0..x.rows()).map(predict_row).collect())
-        }
+        Ok((0..x.rows())
+            .map(|i| {
+                let row = x.row(i);
+                self.trees.iter().map(|t| t.predict_row(row)).sum::<f64>() / self.trees.len() as f64
+            })
+            .collect())
     }
 }
 
@@ -243,8 +235,8 @@ impl Classifier for RandomForestClassifier {
             return Err(ModelError::NotFitted);
         }
         let mut out = Matrix::zeros(x.rows(), self.n_classes);
-        let fill_row = |i: usize, acc: &mut [f64]| {
-            let row = x.row(i);
+        for i in 0..x.rows() {
+            let (row, acc) = (x.row(i), out.row_mut(i));
             for tree in &self.trees {
                 for (a, &p) in acc.iter_mut().zip(tree.predict_row(row)) {
                     *a += p;
@@ -255,16 +247,6 @@ impl Classifier for RandomForestClassifier {
                 for a in acc.iter_mut() {
                     *a /= sum;
                 }
-            }
-        };
-        // Each output row is written whole by one task, so the proba matrix
-        // is identical at every thread count.
-        if x.rows() * self.trees.len() >= PAR_MIN_PREDICTIONS && self.n_classes > 0 {
-            let n_classes = self.n_classes;
-            ff_par::par_chunks_mut(out.as_mut_slice(), n_classes, |i, acc| fill_row(i, acc));
-        } else {
-            for i in 0..x.rows() {
-                fill_row(i, out.row_mut(i));
             }
         }
         Ok(out)

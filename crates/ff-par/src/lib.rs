@@ -1,10 +1,11 @@
-//! Deterministic data parallelism for the FedForecaster numerics stack.
+//! Deterministic task parallelism for the FedForecaster numerics stack.
 //!
 //! Zero-dependency (std-only) scoped thread pool built on
-//! [`std::thread::scope`] plus an atomic work queue. The crate exists to
-//! make the workspace's hot kernels — matmul, Cholesky panels, GP kernel
-//! matrices, per-tree forest fits, meta-feature extraction, KB labelling —
-//! use every core **without ever changing a single output bit**:
+//! [`std::thread::scope`] plus an atomic work queue. The crate runs the
+//! workspace's independent tasks — KB labelling, per-tree forest fits,
+//! acquisition blocks, serving-batcher shards and the engine's spectra
+//! tree-sum — on every core **without ever changing a single output
+//! bit**:
 //!
 //! - **Index-ordered results.** [`par_map_indexed`] / [`par_chunks_map`]
 //!   place each task's result by its *index*, never by completion order.
@@ -29,8 +30,7 @@
 mod pool;
 
 pub use pool::{
-    par_chunks_map, par_chunks_mut, par_map_indexed, par_reduce, run_indexed, stats, worker_loads,
-    StatsSnapshot,
+    par_chunks_map, par_map_indexed, par_reduce, run_indexed, stats, worker_loads, StatsSnapshot,
 };
 
 use std::cell::Cell;
@@ -47,7 +47,7 @@ thread_local! {
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
-/// The worker count kernels on this thread will use.
+/// The worker count ff-par calls on this thread will use.
 pub fn effective_threads() -> usize {
     let o = OVERRIDE_THREADS.with(|c| c.get());
     if o != 0 {
@@ -116,32 +116,14 @@ impl Drop for WorkerGuard {
     }
 }
 
-/// A work-partitioning helper for row/chunk-parallel kernels: the length of
-/// each contiguous chunk when `total` items are split into roughly
-/// `oversubscribe × workers` tasks of at least `min_per_chunk` items.
+/// The length of each contiguous shard when `total` items are split into
+/// at most `max_shards` shards of at least `min_shard` items — a pure
+/// function of the workload, **never** of the ambient thread count.
 ///
-/// The returned length may (deliberately) depend on the ambient thread
-/// count — use it **only** for partitioning work whose per-item results are
-/// independent of the partition (row fills, per-tree fits). Reductions must
-/// go through [`par_reduce`], whose shape is fixed by the task count alone.
-pub fn partition_len(total: usize, min_per_chunk: usize) -> usize {
-    let workers = effective_threads().max(1);
-    let target_tasks = workers.saturating_mul(4).max(1);
-    total
-        .div_ceil(target_tasks)
-        .max(min_per_chunk.max(1))
-        .max(1)
-}
-
-/// The deterministic dual of [`partition_len`]: the length of each
-/// contiguous shard when `total` items are split into at most `max_shards`
-/// shards of at least `min_shard` items — a pure function of the workload,
-/// **never** of the ambient thread count.
-///
-/// This is the shard-sizing discipline fleet rounds and the serving batcher
-/// share: because the partition depends only on `(total, max_shards,
-/// min_shard)`, per-shard partials merged in shard index order give
-/// bit-identical results at any `FF_THREADS` setting.
+/// The serving batcher sizes its shards with it: because the partition
+/// depends only on `(total, max_shards, min_shard)`, per-shard results
+/// merged in shard index order are bit-identical at any `FF_THREADS`
+/// setting.
 pub fn shard_len(total: usize, max_shards: usize, min_shard: usize) -> usize {
     total
         .div_ceil(max_shards.max(1))
@@ -189,18 +171,6 @@ mod tests {
         set_global_threads(0);
         assert_eq!(effective_threads(), 1);
         set_global_threads(2);
-    }
-
-    #[test]
-    fn partition_len_bounds() {
-        with_threads(4, || {
-            let len = partition_len(1000, 8);
-            assert!(len >= 8);
-            assert!(len <= 1000);
-            assert_eq!(partition_len(0, 8), 8);
-            // Tiny totals never produce zero-length chunks.
-            assert!(partition_len(1, 1) >= 1);
-        });
     }
 
     #[test]

@@ -194,41 +194,6 @@ where
     })
 }
 
-/// Applies `f(chunk_index, chunk)` to disjoint mutable chunks of `data` in
-/// parallel. Because the chunks are disjoint, every element is written by
-/// exactly one task; as long as `f`'s arithmetic per element does not
-/// depend on the chunk boundaries, the result is bit-identical at every
-/// thread count (this is the workhorse behind row-parallel matmul and the
-/// Cholesky trailing update).
-pub fn par_chunks_mut<T, F>(data: &mut [T], chunk_len: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    let chunk_len = chunk_len.max(1);
-    let n_chunks = data.len().div_ceil(chunk_len);
-    if effective_threads() <= 1 || in_worker() || n_chunks <= 1 {
-        for (c, chunk) in data.chunks_mut(chunk_len).enumerate() {
-            f(c, chunk);
-        }
-        return;
-    }
-    // Hand each worker exclusive access to its chunk through a take-once
-    // cell; the per-chunk lock is amortized over the whole chunk.
-    let cells: Vec<Mutex<Option<&mut [T]>>> = data
-        .chunks_mut(chunk_len)
-        .map(|c| Mutex::new(Some(c)))
-        .collect();
-    run_indexed(n_chunks, |c| {
-        let chunk = cells[c]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take()
-            .expect("ff-par: chunk taken twice");
-        f(c, chunk);
-    });
-}
-
 /// Computes `task(0..n)` in parallel and reduces the results with
 /// `combine` over a **fixed-shape binary tree**: adjacent pairs by index,
 /// level by level. The tree shape depends only on `n`, never on the thread
@@ -289,21 +254,6 @@ mod tests {
                     }
                     assert_eq!(flat, items);
                 }
-            });
-        }
-    }
-
-    #[test]
-    fn chunks_mut_writes_every_element_once() {
-        for &threads in &[1usize, 2, 8] {
-            with_threads(threads, || {
-                let mut data = vec![0u32; 103];
-                par_chunks_mut(&mut data, 7, |_c, chunk| {
-                    for v in chunk.iter_mut() {
-                        *v += 1;
-                    }
-                });
-                assert!(data.iter().all(|&v| v == 1));
             });
         }
     }

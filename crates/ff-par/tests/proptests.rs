@@ -2,10 +2,7 @@
 //! task counts and chunk sizes preserve order, panics propagate without
 //! deadlocking, and nested parallelism falls back to sequential.
 
-use ff_par::{
-    in_worker, par_chunks_map, par_chunks_mut, par_map_indexed, par_reduce, run_indexed,
-    with_threads,
-};
+use ff_par::{in_worker, par_chunks_map, par_map_indexed, par_reduce, run_indexed, with_threads};
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -37,23 +34,6 @@ proptest! {
             flat.extend(s);
         }
         prop_assert_eq!(flat, items);
-    }
-
-    #[test]
-    fn chunks_mut_touches_each_element_exactly_once(
-        n in 0usize..400,
-        chunk_len in 1usize..50,
-        threads in 1usize..9,
-    ) {
-        let mut data = vec![0u8; n];
-        with_threads(threads, || {
-            par_chunks_mut(&mut data, chunk_len, |_c, chunk| {
-                for v in chunk.iter_mut() {
-                    *v += 1;
-                }
-            })
-        });
-        prop_assert!(data.iter().all(|&v| v == 1));
     }
 
     #[test]

@@ -32,22 +32,13 @@ pub fn acf(x: &[f64], max_lag: usize) -> Vec<f64> {
         out.resize(max_lag + 1, 0.0);
         return out;
     }
-    // Each lag's covariance sum is independent and produced whole by one
-    // task, so the parallel path is bit-identical to the sequential loop.
-    let lag_corr = |k: usize| {
+    out.extend((1..=max_lag).map(|k| {
         let ck: f64 = (0..n - k)
             .map(|t| (clean[t] - mean) * (clean[t + k] - mean))
             .sum::<f64>()
             / n as f64;
         ck / c0
-    };
-    /// Below this many multiply-adds (~n·max_lag), stay sequential.
-    const PAR_MIN_WORK: usize = 65_536;
-    if n * max_lag >= PAR_MIN_WORK {
-        out.extend(ff_par::run_indexed(max_lag, |idx| lag_corr(idx + 1)));
-    } else {
-        out.extend((1..=max_lag).map(lag_corr));
-    }
+    }));
     out
 }
 
@@ -197,7 +188,6 @@ mod tests {
 
     #[test]
     fn acf_is_bit_identical_across_thread_counts() {
-        // 4000·30 crosses the parallel work cutoff.
         let x = ar1(0.6, 4000);
         let seq = ff_par::with_threads(1, || acf(&x, 30));
         for &threads in &[2usize, 8] {
