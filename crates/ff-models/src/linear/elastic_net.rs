@@ -9,6 +9,11 @@ use crate::linear::cd::{coordinate_descent, Selection};
 use crate::{validate_xy, LinearParams, ModelError, Regressor, Result};
 use ff_linalg::Matrix;
 
+/// Number of alphas on the geometric grid.
+const N_ALPHAS: usize = 10;
+/// Number of forward-chaining CV folds.
+const N_FOLDS: usize = 3;
+
 /// Elastic-net with internal CV over alpha.
 #[derive(Debug, Clone)]
 pub struct ElasticNetCv {
@@ -18,10 +23,6 @@ pub struct ElasticNetCv {
     pub l1_ratio: f64,
     /// Coordinate selection order.
     pub selection: Selection,
-    /// Number of alphas on the geometric grid.
-    pub n_alphas: usize,
-    /// Number of forward-chaining CV folds.
-    pub n_folds: usize,
     state: Option<FitState>,
 }
 
@@ -40,8 +41,6 @@ impl ElasticNetCv {
         ElasticNetCv {
             l1_ratio: l1_ratio.clamp(0.0, 1.0),
             selection,
-            n_alphas: 10,
-            n_folds: 3,
             state: None,
         }
     }
@@ -76,12 +75,12 @@ impl Regressor for ElasticNetCv {
             }
             (m / self.l1_ratio.max(1e-3)).max(1e-6)
         };
-        let alphas: Vec<f64> = (0..self.n_alphas)
-            .map(|k| alpha_max * 10f64.powf(-3.0 * k as f64 / (self.n_alphas - 1).max(1) as f64))
+        let alphas: Vec<f64> = (0..N_ALPHAS)
+            .map(|k| alpha_max * 10f64.powf(-3.0 * k as f64 / (N_ALPHAS - 1) as f64))
             .collect();
 
         // Forward-chaining folds: train on [0, cut), validate on [cut, next).
-        let folds = self.n_folds.min(n / 4).max(1);
+        let folds = N_FOLDS.min(n / 4).max(1);
         let mut best = (f64::INFINITY, alphas[0]);
         for &alpha in &alphas {
             let mut cv_err = 0.0;
@@ -252,10 +251,10 @@ mod tests {
             }
             (mx / m.l1_ratio.max(1e-3)).max(1e-6)
         };
-        let alphas: Vec<f64> = (0..m.n_alphas)
-            .map(|k| alpha_max * 10f64.powf(-3.0 * k as f64 / (m.n_alphas - 1).max(1) as f64))
+        let alphas: Vec<f64> = (0..N_ALPHAS)
+            .map(|k| alpha_max * 10f64.powf(-3.0 * k as f64 / (N_ALPHAS - 1) as f64))
             .collect();
-        let folds = m.n_folds.min(n / 4).max(1);
+        let folds = N_FOLDS.min(n / 4).max(1);
         let mut best = (f64::INFINITY, alphas[0]);
         for &alpha in &alphas {
             let mut cv_err = 0.0;
