@@ -1,10 +1,10 @@
-//! Sequential-equivalence suite for the ff-par data-parallel kernels: every
-//! parallelized hot loop must produce **bit-identical** output at every
-//! thread count. Each kernel is pinned under `FF_THREADS ∈ {1, 2, 8}` (via
-//! the thread-local override, which takes the same resolution path), and
-//! one full engine run is compared end-to-end — `RunResult` numerics and
-//! the serialized global model, byte for byte — between a process-global
-//! worker count of 1 and 8.
+//! Thread-count invariance suite: every kernel and every ff-par task loop
+//! must produce **bit-identical** output at every thread count. Each is
+//! pinned under `FF_THREADS ∈ {1, 2, 8}` (via the thread-local override,
+//! which takes the same resolution path), and one full engine run is
+//! compared end-to-end — `RunResult` numerics and the serialized global
+//! model, byte for byte — between a process-global worker count of 1
+//! and 8.
 
 use fedforecaster::engine::FedForecaster;
 use fedforecaster::prelude::*;
@@ -53,7 +53,6 @@ fn matmul_bits_are_thread_invariant() {
 
 #[test]
 fn cholesky_factor_bits_are_thread_invariant() {
-    // An SPD matrix large enough to cross several 32-column panels.
     let n = 130;
     let mut next = lcg(2);
     let g = Matrix::from_fn(n, n, |_, _| next());
@@ -64,8 +63,7 @@ fn cholesky_factor_bits_are_thread_invariant() {
 
 #[test]
 fn gp_fit_and_predict_bits_are_thread_invariant() {
-    // n = 96 kernel matrix: the parallel from_fn_par fill plus the blocked
-    // Cholesky behind the GP fit.
+    // n = 96 kernel matrix: the fill and the Cholesky behind the GP fit.
     let mut next = lcg(3);
     let xs: Vec<Vec<f64>> = (0..96).map(|_| vec![next(), next(), next()]).collect();
     let ys: Vec<f64> = xs.iter().map(|x| x[0].sin() + 0.5 * x[1] - x[2]).collect();
